@@ -12,13 +12,13 @@
 
 #include <iostream>
 
+#include "analysis/router.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 #include "support/format.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
-#include "vmc/checker.hpp"
 
 namespace {
 
@@ -55,8 +55,9 @@ void BM_CheckWithWriteOrder(benchmark::State& state) {
   const auto requests = static_cast<std::size_t>(state.range(0));
   const auto result = simulate(4, requests, 2);
   for (auto _ : state) {
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const AddressIndex index(result.execution);
+    const auto report =
+        analysis::verify_coherence_routed(index, &result.write_orders).report;
     if (!report.coherent()) state.SkipWithError("clean run failed");
   }
   state.SetItemsProcessed(state.iterations() *
@@ -81,17 +82,18 @@ void BM_CheckViaSat(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckViaSat)->Arg(100)->Arg(250)->Unit(benchmark::kMillisecond);
 
-void BM_CheckAutoNoAugmentation(benchmark::State& state) {
+void BM_RoutedNoAugmentation(benchmark::State& state) {
   const auto requests = static_cast<std::size_t>(state.range(0));
   const auto result = simulate(4, requests, 4);
   for (auto _ : state) {
-    const auto report = vmc::verify_coherence(result.execution);
+    const AddressIndex index(result.execution);
+    const auto report = analysis::verify_coherence_routed(index).report;
     if (!report.coherent()) state.SkipWithError("clean run failed");
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(result.execution.num_operations()));
 }
-BENCHMARK(BM_CheckAutoNoAugmentation)
+BENCHMARK(BM_RoutedNoAugmentation)
     ->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
@@ -119,8 +121,9 @@ void print_detection_table() {
       if (result.stats.faults_injected == 0) continue;
       ++with_fault;
       Stopwatch sw;
-      const auto report = vmc::verify_coherence_with_write_order(
-          result.execution, result.write_orders);
+      const AddressIndex index(result.execution);
+      const auto report =
+          analysis::verify_coherence_routed(index, &result.write_orders).report;
       total_seconds += sw.seconds();
       flagged += report.verdict != vmc::Verdict::kCoherent;
     }

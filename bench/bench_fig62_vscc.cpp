@@ -11,12 +11,12 @@
 
 #include <iostream>
 
+#include "analysis/router.hpp"
 #include "reductions/sat_to_vscc.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
-#include "vmc/checker.hpp"
 #include "vsc/vscc.hpp"
 
 namespace {
@@ -29,7 +29,8 @@ void BM_VerifyCoherencePerAddress(benchmark::State& state) {
   const sat::Cnf cnf = sat::random_ksat(m, m * 3, 3, rng);
   const auto red = reductions::sat_to_vscc(cnf);
   for (auto _ : state) {
-    const auto report = vmc::verify_coherence(red.execution);
+    const AddressIndex index(red.execution);
+    const auto report = analysis::verify_coherence_routed(index).report;
     if (!report.coherent()) state.SkipWithError("not coherent by construction?");
   }
   state.counters["addresses"] =
@@ -69,7 +70,8 @@ void print_pipeline_table() {
     const auto red = reductions::sat_to_vscc(cnf);
 
     Stopwatch coherence_time;
-    const auto coherence = vmc::verify_coherence(red.execution);
+    const AddressIndex index(red.execution);
+    const auto coherence = analysis::verify_coherence_routed(index).report;
     const double coh_ms = coherence_time.millis();
 
     Stopwatch sc_time;

@@ -273,7 +273,7 @@ PortfolioResult measure_portfolio() {
       const AddressIndex index(red.instance.execution);
       const analysis::RoutedReport base =
           analysis::verify_coherence_routed(index, nullptr, scan_budget);
-      if (base.exact_routed == 0 ||
+      if (base.routing.exact_routed == 0 ||
           base.report.verdict == vmc::Verdict::kUnknown)
         continue;
       const std::uint64_t states = base.report.effort.states_visited;
@@ -297,10 +297,10 @@ PortfolioResult measure_portfolio() {
   portfolio.enabled = true;
   const analysis::RoutedReport raced =
       analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
-  result.races = raced.portfolio_races;
-  result.wasted_states = raced.wasted_effort.states_visited;
+  result.races = raced.routing.portfolio_races;
+  result.wasted_states = raced.routing.wasted_effort.states_visited;
   result.differential_ok = raced.report.verdict == base.report.verdict &&
-                           raced.portfolio_races > 0;
+                           raced.routing.portfolio_races > 0;
   result.default_sec =
       time_run([&] { return analysis::verify_coherence_routed(index); });
   result.race_sec = time_run([&] {

@@ -181,10 +181,10 @@ void run_sweep() {
       point.ops += exec.history(p).size();
     const analysis::RoutedReport routed =
         analysis::verify_coherence_routed(index);
-    point.decided = routed.saturate_decided == 1 &&
+    point.decided = routed.routing.saturate_decided == 1 &&
                     routed.report.verdict == vmc::Verdict::kCoherent;
     differential_ok = differential_ok && point.decided;
-    point.edges = routed.saturate_edges;
+    point.edges = routed.routing.saturate_edges;
     if (rungs <= 64) {
       // Small points double as a differential check against the exact
       // search (the zip is value-forced, so exact stays linear here).

@@ -1,5 +1,6 @@
 // Service throughput: the persistent VerificationService vs the one-shot
-// verify_coherence_parallel loop it replaces for traffic-serving users.
+// loop of parallel analysis::verify_coherence_routed calls it replaces for
+// traffic-serving users.
 //
 // The one-shot path pays a thread-fleet spawn/join per call and only
 // parallelizes *within* one trace — useless when each trace is small and
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/router.hpp"
 #include "bench_util.hpp"
 #include "service/service.hpp"
 #include "support/stopwatch.hpp"
@@ -49,12 +51,15 @@ std::vector<Execution> make_fleet(std::uint64_t seed) {
 }
 
 /// One-shot baseline: a caller looping over traces, paying fleet
-/// spawn/join inside every verify_coherence_parallel call.
+/// spawn/join inside every parallel verify_coherence_routed call.
 double one_shot_pass(const std::vector<Execution>& fleet,
                      std::size_t workers) {
   Stopwatch timer;
-  for (const Execution& exec : fleet)
-    benchmark::DoNotOptimize(vmc::verify_coherence_parallel(exec, workers));
+  for (const Execution& exec : fleet) {
+    const AddressIndex index(exec);
+    benchmark::DoNotOptimize(
+        analysis::verify_coherence_routed(index, nullptr, {}, {}, workers));
+  }
   return timer.seconds();
 }
 

@@ -9,10 +9,11 @@
 #include <cstdio>
 #include <iostream>
 
+#include "analysis/router.hpp"
 #include "sim/directory.hpp"
 #include "support/table.hpp"
+#include "trace/address_index.hpp"
 #include "trace/stats.hpp"
-#include "vmc/checker.hpp"
 #include "vsc/exact.hpp"
 
 int main() {
@@ -47,8 +48,9 @@ int main() {
       config.eager_writes = eager;
       const auto result = sim::run_programs_directory(mp_programs(10), config);
 
-      const auto coherence = vmc::verify_coherence_with_write_order(
-          result.execution, result.write_orders);
+      const AddressIndex index(result.execution);
+      const auto coherence =
+          analysis::verify_coherence_routed(index, &result.write_orders).report;
       vsc::ScOptions sc_options;
       sc_options.max_transitions = 5'000'000;
       const auto sc = vsc::check_sc_exact(result.execution, sc_options);

@@ -10,9 +10,10 @@
 #include <cstdio>
 #include <string>
 
+#include "analysis/router.hpp"
+#include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "trace/text_io.hpp"
-#include "vmc/checker.hpp"
 
 int main() {
   using namespace vermem;
@@ -42,10 +43,13 @@ int main() {
       return 1;
     }
 
-    // verify_coherence projects each address and picks the cheapest
-    // applicable decision procedure (Figure 5.3 cascade), falling back to
-    // the exact exponential search only when it must.
-    const vmc::CoherenceReport report = vmc::verify_coherence(parsed.execution);
+    // The index projects each address in one pass; the router classifies
+    // each projection and picks the cheapest applicable decision
+    // procedure (Figure 5.3 cascade), falling back to the exact
+    // exponential search only when it must.
+    const AddressIndex index(parsed.execution);
+    const vmc::CoherenceReport report =
+        analysis::verify_coherence_routed(index).report;
 
     if (report.coherent()) {
       std::printf("coherent.\n");

@@ -16,8 +16,9 @@
 #include "reductions/sat_to_vscc.hpp"
 #include "reductions/sync_wrap.hpp"
 #include "sat/gen.hpp"
+#include "analysis/router.hpp"
+#include "trace/address_index.hpp"
 #include "trace/text_io.hpp"
-#include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
 #include "vsc/exact.hpp"
 
@@ -76,8 +77,10 @@ int main() {
   std::printf("---- Figure 6.2 (SAT -> VSCC) ----\n");
   std::printf("processes: %zu, addresses: %zu\n",
               fig62.execution.num_processes(), fig62.execution.addresses().size());
-  std::printf("coherent by construction: %s\n",
-              to_string(vmc::verify_coherence(fig62.execution).verdict));
+  const AddressIndex fig62_index(fig62.execution);
+  std::printf(
+      "coherent by construction: %s\n",
+      to_string(analysis::verify_coherence_routed(fig62_index).report.verdict));
   std::printf("sequentially consistent: %s\n\n",
               to_string(vsc::check_sc_exact(fig62.execution).verdict));
 

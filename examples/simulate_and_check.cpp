@@ -8,10 +8,11 @@
 
 #include <cstdio>
 
+#include "analysis/router.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 #include "support/table.hpp"
-#include "vmc/checker.hpp"
+#include "trace/address_index.hpp"
 
 #include <iostream>
 
@@ -34,8 +35,9 @@ int main() {
     config.seed = 42;
     const sim::SimResult result = sim::run_programs(programs, config);
 
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const AddressIndex index(result.execution);
+    const auto report =
+        analysis::verify_coherence_routed(index, &result.write_orders).report;
     std::printf(
         "%zu ops, %llu bus reads, %llu invalidations, %llu writebacks -> %s\n",
         result.execution.num_operations(),
@@ -76,8 +78,9 @@ int main() {
       const sim::SimResult result = sim::run_programs(programs, config);
       if (result.stats.faults_injected == 0) continue;
       ++with_fault;
-      const auto report = vmc::verify_coherence_with_write_order(
-          result.execution, result.write_orders);
+      const AddressIndex index(result.execution);
+      const auto report =
+          analysis::verify_coherence_routed(index, &result.write_orders).report;
       flagged += report.verdict == vmc::Verdict::kIncoherent;
     }
     char rate[32];

@@ -28,11 +28,12 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/router.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "models/checker.hpp"
+#include "trace/address_index.hpp"
 #include "trace/stats.hpp"
 #include "trace/text_io.hpp"
-#include "vmc/checker.hpp"
 
 namespace {
 
@@ -110,8 +111,11 @@ int main(int argc, char** argv) {
                    orders.line, orders.error.c_str());
       return 2;
     }
-    const auto report = vmc::verify_coherence_with_write_order(
-        exec, {orders.orders.begin(), orders.orders.end()});
+    const vmc::WriteOrderMap write_orders(orders.orders.begin(),
+                                          orders.orders.end());
+    const AddressIndex index(exec);
+    const auto report =
+        analysis::verify_coherence_routed(index, &write_orders).report;
     verdict = report.verdict;
     if (const auto* violation = report.first_violation())
       detail = "address " + std::to_string(violation->addr) + ": " +
@@ -128,8 +132,10 @@ int main(int argc, char** argv) {
       }
     }
   } else if (model == "coherence") {
-    const auto report = use_parallel ? vmc::verify_coherence_parallel(exec)
-                                     : vmc::verify_coherence(exec);
+    const AddressIndex index(exec);
+    const auto report = analysis::verify_coherence_routed(
+                            index, nullptr, {}, {}, use_parallel ? 0 : 1)
+                            .report;
     verdict = report.verdict;
     if (const auto* violation = report.first_violation())
       detail = "address " + std::to_string(violation->addr) + ": " +

@@ -1,25 +1,23 @@
 #include "analysis/router.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 #include <utility>
-#include <variant>
 #include <vector>
-
-#include "sat/dpll.hpp"
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "analysis/poly/one_op.hpp"
 #include "analysis/poly/rmw_chain.hpp"
-#include "analysis/poly/write_once.hpp"
 #include "analysis/poly/write_order.hpp"
 #include "analysis/saturate/core.hpp"
-#include "encode/naive.hpp"
 #include "encode/vmc_to_cnf.hpp"
+#include "support/parallel.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/exact.hpp"
+#include "vmc/special.hpp"
 #include "vmc/write_order.hpp"
 
 namespace vermem::analysis {
@@ -106,44 +104,6 @@ CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
       if (options.max_states == 0) options.max_states = exact_options.max_states;
       return vmc::check_bounded_k(instance, options);
     }
-    case Engine::kDpll: {
-      // No cancellation hook (sat/dpll.hpp): a lost race still runs to
-      // its deadline, which is why this arm is opt-in (race_dpll).
-      const encode::VmcEncoding enc = encode::encode_vmc(instance);
-      if (enc.trivially_incoherent) {
-        if (const auto* unknown = std::get_if<certify::Unknown>(&enc.evidence))
-          return CheckResult::unknown(*unknown);
-        return CheckResult::no(std::get<certify::Incoherence>(enc.evidence));
-      }
-      const sat::DpllResult solved =
-          sat::solve_dpll(enc.cnf, exact_options.deadline);
-      vmc::SearchStats stats;
-      stats.states_visited = solved.stats.decisions;
-      stats.transitions = solved.stats.propagations;
-      switch (solved.status) {
-        case sat::Status::kUnsat:
-          // DPLL logs no proof; like the naive oracle it is not a
-          // certificate producer.
-          return CheckResult::no(
-              certify::search_exhaustion(instance.addr, solved.stats.decisions,
-                                         solved.stats.propagations),
-              stats);
-        case sat::Status::kUnknown:
-          return CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
-                                      "DPLL gave up", stats);
-        case sat::Status::kSat:
-          break;
-      }
-      const vmc::WriteOrder order = enc.decode_write_order(solved.model);
-      CheckResult certified = vmc::check_with_write_order(instance, order);
-      if (certified.verdict != Verdict::kCoherent)
-        return CheckResult::unknown(
-            certify::UnknownReason::kCertificationFailed,
-            "internal: DPLL model failed certification: " + certified.reason(),
-            stats);
-      certified.stats = stats;
-      return certified;
-    }
   }
   return CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
                               "unknown portfolio engine");
@@ -166,7 +126,6 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
     engines.push_back(*portfolio.only);
   } else {
     engines = {Engine::kExactSearch, Engine::kCdcl, Engine::kBoundedK};
-    if (portfolio.solver.race_dpll) engines.push_back(Engine::kDpll);
   }
 
   std::vector<CheckResult> results(engines.size());
@@ -372,15 +331,23 @@ RouteOutcome check_routed(const ProjectedView& view,
   CheckResult result;
   switch (profile.fragment) {
     case Fragment::kOneOp:
-    case Fragment::kOneOpRmw:
+    case Fragment::kOneOpRmw: {
+      // The classifier established the precondition; a wrong rmw_only
+      // flag only makes the checker bail (kUnknown), never lie.
+      obs::Span poly_span("poly.one_op");
       out.decider = Decider::kOneOp;
-      result = poly::decide_one_op(instance, profile.rmw_only);
+      result = profile.rmw_only ? vmc::check_rmw_one_op_per_process(instance)
+                                : vmc::check_one_op_per_process(instance);
       break;
+    }
     case Fragment::kWriteOnce:
-    case Fragment::kWriteOnceRmw:
+    case Fragment::kWriteOnceRmw: {
+      obs::Span poly_span("poly.write_once");
       out.decider = Decider::kWriteOnce;
-      result = poly::decide_write_once(instance, profile.rmw_only);
+      result = profile.rmw_only ? vmc::check_rmw_read_map(instance)
+                                : vmc::check_read_map(instance);
       break;
+    }
     case Fragment::kWriteOrder:
       out.decider = Decider::kWriteOrder;
       result = poly::decide_with_write_order(instance, view, *write_order,
@@ -435,71 +402,135 @@ RouteOutcome check_routed(const ProjectedView& view,
   return out;
 }
 
+void RouteTally::add(const RouteOutcome& outcome) {
+  ++fragment_counts[static_cast<std::size_t>(outcome.fragment)];
+  ++decider_counts[static_cast<std::size_t>(outcome.decider)];
+  ++(outcome.decider == Decider::kExact ? exact_routed : poly_routed);
+  if (outcome.saturation_ran) {
+    ++saturate_ran;
+    saturate_edges += outcome.saturation_edges;
+    if (outcome.decider == Decider::kSaturate) ++saturate_decided;
+    if (outcome.saturation_status == saturate::Status::kCycle)
+      ++saturate_cycles;
+    if (outcome.saturation_status == saturate::Status::kForcedTotal)
+      ++saturate_forced;
+  }
+  if (outcome.portfolio_ran) {
+    ++portfolio_races;
+    if (outcome.result.verdict != Verdict::kUnknown)
+      ++engine_wins[static_cast<std::size_t>(outcome.portfolio_winner)];
+    wasted_effort.merge(outcome.wasted_effort);
+  }
+}
+
+void RouteTally::merge(const RouteTally& other) {
+  for (std::size_t f = 0; f < kNumFragments; ++f)
+    fragment_counts[f] += other.fragment_counts[f];
+  for (std::size_t d = 0; d < kNumDeciders; ++d)
+    decider_counts[d] += other.decider_counts[d];
+  poly_routed += other.poly_routed;
+  exact_routed += other.exact_routed;
+  saturate_ran += other.saturate_ran;
+  saturate_decided += other.saturate_decided;
+  saturate_cycles += other.saturate_cycles;
+  saturate_forced += other.saturate_forced;
+  saturate_edges += other.saturate_edges;
+  portfolio_races += other.portfolio_races;
+  for (std::size_t e = 0; e < kNumEngines; ++e)
+    engine_wins[e] += other.engine_wins[e];
+  wasted_effort.merge(other.wasted_effort);
+}
+
 RoutedReport verify_coherence_routed(const AddressIndex& index,
                                      const vmc::WriteOrderMap* write_orders,
                                      const vmc::ExactOptions& exact_options,
-                                     const PortfolioOptions& portfolio) {
+                                     const PortfolioOptions& portfolio,
+                                     std::size_t workers) {
   obs::Span span("analysis.verify_routed");
-  RoutedReport out;
   const std::size_t count = index.num_addresses();
   if (span.active()) {
     span.attr("addresses", count);
     span.attr("ops", index.execution().num_operations());
   }
+  const auto route = [&](std::size_t i) {
+    const std::vector<OpRef>* order = nullptr;
+    if (write_orders) {
+      const auto it = write_orders->find(index.entry(i).addr);
+      if (it != write_orders->end()) order = &it->second;
+    }
+    return check_routed(index.view_at(i), order, exact_options, portfolio);
+  };
+
+  RoutedReport out;
   std::vector<vmc::AddressReport> reports;
   reports.reserve(count);
   out.fragments.reserve(count);
   out.deciders.reserve(count);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const Addr addr = index.entry(i).addr;
-    if (interrupted(exact_options)) {
-      // Skipped addresses carry no routing information; they are not
-      // counted in the fragment/decider tallies.
-      reports.push_back(
-          {addr, CheckResult::unknown(certify::UnknownReason::kSkipped,
-                                      "deadline expired or request cancelled")});
-      out.fragments.push_back(Fragment::kGeneral);
-      out.deciders.push_back(Decider::kExact);
-      continue;
-    }
-    const std::vector<OpRef>* order = nullptr;
-    if (write_orders) {
-      const auto it = write_orders->find(addr);
-      if (it != write_orders->end()) order = &it->second;
-    }
-    RouteOutcome outcome =
-        check_routed(index.view_at(i), order, exact_options, portfolio);
-    ++out.fragment_counts[static_cast<std::size_t>(outcome.fragment)];
-    ++out.decider_counts[static_cast<std::size_t>(outcome.decider)];
-    if (outcome.decider == Decider::kExact)
-      ++out.exact_routed;
-    else
-      ++out.poly_routed;
-    if (outcome.saturation_ran) {
-      ++out.saturate_ran;
-      out.saturate_edges += outcome.saturation_edges;
-      if (outcome.decider == Decider::kSaturate) ++out.saturate_decided;
-      if (outcome.saturation_status == saturate::Status::kCycle)
-        ++out.saturate_cycles;
-      if (outcome.saturation_status == saturate::Status::kForcedTotal)
-        ++out.saturate_forced;
-    }
-    if (outcome.portfolio_ran) {
-      ++out.portfolio_races;
-      if (outcome.result.verdict != Verdict::kUnknown)
-        ++out.engine_wins[static_cast<std::size_t>(outcome.portfolio_winner)];
-      out.wasted_effort.merge(outcome.wasted_effort);
-    }
+  const auto record = [&](std::size_t i, RouteOutcome&& outcome) {
+    out.routing.add(outcome);
     out.fragments.push_back(outcome.fragment);
     out.deciders.push_back(outcome.decider);
-    reports.push_back({addr, std::move(outcome.result)});
+    reports.push_back({index.entry(i).addr, std::move(outcome.result)});
+  };
+  // Skipped addresses carry no routing information; they are not
+  // counted in the tally.
+  const auto skip = [&](std::size_t i, const char* why) {
+    reports.push_back(
+        {index.entry(i).addr,
+         CheckResult::unknown(certify::UnknownReason::kSkipped, why)});
+    out.fragments.push_back(Fragment::kGeneral);
+    out.deciders.push_back(Decider::kExact);
+  };
+  const char* const kInterrupted = "deadline expired or request cancelled";
+
+  if (effective_workers(workers, count) <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (interrupted(exact_options))
+        skip(i, kInterrupted);
+      else
+        record(i, route(i));
+    }
+  } else {
+    // Size-aware dispatch: hand the fattest instances out first so the
+    // sweep's tail is a cheap address, not the one hard one. Outcomes
+    // keep address-sorted slots, so the report is schedule-independent.
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return index.entry(a).op_count > index.entry(b).op_count;
+                     });
+    std::vector<std::optional<RouteOutcome>> outcomes(count);
+    std::atomic<bool> incoherent{false};
+    CancellationToken stop;
+    parallel_for_each_cancellable(count, workers, stop, [&](std::size_t k) {
+      // Stop scheduling once the caller's own budget fires; in-flight
+      // checks notice through ExactOptions.
+      if (interrupted(exact_options)) {
+        stop.cancel();
+        return;
+      }
+      const std::size_t slot = order[k];
+      outcomes[slot] = route(slot);
+      // An incoherent address decides the whole trace; stop the fleet.
+      if (outcomes[slot]->result.verdict == Verdict::kIncoherent) {
+        incoherent.store(true, std::memory_order_relaxed);
+        stop.cancel();
+      }
+    });
+    const char* skip_note = incoherent.load(std::memory_order_relaxed)
+                                ? "another address already proved incoherent"
+                                : kInterrupted;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (outcomes[i])
+        record(i, std::move(*outcomes[i]));
+      else
+        skip(i, skip_note);
+    }
   }
-  // Shared with vmc::verify_coherence so the routed path reports the
-  // same effort totals and peak provenance as the plain cascade.
   out.report = vmc::aggregate_reports(std::move(reports));
   if (span.active()) {
-    span.attr("poly_routed", out.poly_routed);
+    span.attr("poly_routed", out.routing.poly_routed);
     span.attr("verdict", vmc::to_string(out.report.verdict));
   }
   return out;

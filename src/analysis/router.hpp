@@ -2,16 +2,17 @@
 // Shape-directed routing: classify each per-address projection into its
 // Figure 5.3 fragment and dispatch it to the cheapest dedicated decider.
 //
-// This is the analysis subsystem's hot-path scheduler. Where
-// vmc::check_auto probes each special case in turn by rescanning the
-// instance, the router classifies once from the ProjectedView (a single
-// arena scan, reusing AddressIndex stats) and jumps straight to the
-// fragment's polynomial decider; only kBoundedProcesses/kGeneral
-// instances — and the rare branching RMW chain — reach the exact
-// frontier search. Verdicts are identical to the vmc cascade by
-// construction (every polynomial decider is sound, and any kUnknown
-// from a structural decider falls back to exact); the differential
-// suite in tests/analysis_test.cpp enforces that.
+// This is the library's one coherence dispatcher: every whole-trace
+// entry point (the service, the streaming ingester, VSCC's coherence
+// stage, the model checker's coherence-only mode) goes through it. The
+// router classifies once from the ProjectedView (a single arena scan,
+// reusing AddressIndex stats) and jumps straight to the fragment's
+// polynomial decider; only kBoundedProcesses/kGeneral instances — and
+// the rare branching RMW chain — reach the saturation tier and then the
+// exact frontier search. Every polynomial decider is sound, and any
+// kUnknown from a structural decider falls back through saturation to
+// exact, so routing never loses completeness; the differential suite in
+// tests/analysis_test.cpp checks it against unpruned vmc::check_exact.
 
 #include <array>
 #include <cstdint>
@@ -22,14 +23,15 @@
 #include "sat/solver.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
 
 namespace vermem::analysis {
 
 /// Which decision procedure produced the verdict.
 enum class Decider : std::uint8_t {
   kTrivial,     ///< empty projection, vacuous verdict
-  kOneOp,       ///< poly/one_op
-  kWriteOnce,   ///< poly/write_once
+  kOneOp,       ///< one op per process: matching / Eulerian trail
+  kWriteOnce,   ///< each value written once: read map
   kWriteOrder,  ///< poly/write_order (Section 5.2)
   kRmwChain,    ///< poly/rmw_chain forced walk
   kSaturate,    ///< coherence-order saturation (analysis/saturate)
@@ -59,18 +61,16 @@ enum class Engine : std::uint8_t {
   kExactSearch,  ///< memoized frontier search (vmc::check_exact)
   kCdcl,         ///< CNF encoding + CDCL (encode::check_via_sat)
   kBoundedK,     ///< level-synchronous BFS (vmc::check_bounded_k)
-  kDpll,         ///< CNF + chronological DPLL (opt-in, see sat/dpll.hpp)
 };
 
 inline constexpr std::size_t kNumEngines =
-    static_cast<std::size_t>(Engine::kDpll) + 1;
+    static_cast<std::size_t>(Engine::kBoundedK) + 1;
 
 [[nodiscard]] constexpr const char* to_string(Engine e) noexcept {
   switch (e) {
     case Engine::kExactSearch: return "exact-search";
     case Engine::kCdcl: return "cdcl";
     case Engine::kBoundedK: return "bounded-k";
-    case Engine::kDpll: return "dpll";
   }
   return "?";
 }
@@ -82,12 +82,10 @@ inline constexpr std::size_t kNumEngines =
 struct PortfolioOptions {
   bool enabled = false;
   /// When set, the exact tier runs ONLY this engine instead of racing —
-  /// the vermemd `--solver=cdcl|dpll` escape hatch. The winner is still
+  /// the vermemd `--solver=cdcl` escape hatch. The winner is still
   /// recorded (trivially, as the forced engine).
   std::optional<Engine> only;
-  /// CDCL budget/flags. `solver.race_dpll` opts the DPLL arm in (off by
-  /// default — no cancellation hook, so a lost race still runs to its
-  /// deadline; see sat/dpll.hpp).
+  /// CDCL budget/flags; deadline and cancel are overridden per race.
   sat::SolverOptions solver;
   /// Bounded-k arm ceiling; its deadline/cancel are overridden per race.
   vmc::BoundedKOptions bounded;
@@ -126,15 +124,10 @@ struct RouteOutcome {
     const vmc::ExactOptions& exact_options = {},
     const PortfolioOptions& portfolio = {});
 
-/// verify_coherence with routing provenance: same verdicts as the vmc
-/// entry points (addresses in sorted order, early exit bookkeeping via
-/// CoherenceReport), plus per-address fragments/deciders and aggregate
-/// routing counters for service stats.
-struct RoutedReport {
-  vmc::CoherenceReport report;
-  /// Parallel to report.addresses.
-  std::vector<Fragment> fragments;
-  std::vector<Decider> deciders;
+/// Routing provenance summed over addresses. The one fold shared by
+/// RoutedReport, stream::StreamResult, and service::ServiceStats, so a
+/// counter added here reaches every served path at once.
+struct RouteTally {
   std::array<std::uint64_t, kNumFragments> fragment_counts{};
   std::array<std::uint64_t, kNumDeciders> decider_counts{};
   std::uint64_t poly_routed = 0;   ///< addresses decided polynomially
@@ -149,14 +142,44 @@ struct RoutedReport {
   std::uint64_t portfolio_races = 0;   ///< addresses decided by a race
   std::array<std::uint64_t, kNumEngines> engine_wins{};
   /// Losing engines' merged effort across all races. Deliberately kept
-  /// out of report.effort: that field is winner-only, per-engine honest.
+  /// out of the winner-only effort totals (CoherenceReport::effort).
   vmc::SearchStats wasted_effort;
+
+  /// Counts one decided address.
+  void add(const RouteOutcome& outcome);
+  void merge(const RouteTally& other);
 };
 
+/// Whole-trace coherence with routing provenance: per-address verdicts
+/// in sorted address order, aggregated by vmc::aggregate_reports, plus
+/// per-address fragments/deciders and the summed RouteTally.
+struct RoutedReport {
+  vmc::CoherenceReport report;
+  /// Parallel to report.addresses.
+  std::vector<Fragment> fragments;
+  std::vector<Decider> deciders;
+  /// Decided addresses only; skipped ones carry no routing information.
+  RouteTally routing;
+};
+
+/// Verifies coherence of a whole trace, one address at a time through
+/// check_routed. `write_orders` supplies per-address serialization logs
+/// (original coordinates); addresses without one are classified as usual.
+///
+/// `workers` fans the addresses out over that many threads (0 = hardware
+/// concurrency). With more than one worker the largest address is
+/// dispatched first, so one fat address cannot become the tail, and the
+/// sweep stops scheduling once any address proves incoherent; addresses
+/// that never started report kSkipped, which never changes the aggregate
+/// verdict. Completed verdicts are identical to the sequential sweep.
+/// `workers == 1` is that sequential sweep: no early cancel, so every
+/// address gets a verdict (the service's per-address certificates rely
+/// on it). Either way, once the caller's deadline or cancel token fires
+/// the remaining addresses report kSkipped.
 [[nodiscard]] RoutedReport verify_coherence_routed(
     const AddressIndex& index,
     const vmc::WriteOrderMap* write_orders = nullptr,
     const vmc::ExactOptions& exact_options = {},
-    const PortfolioOptions& portfolio = {});
+    const PortfolioOptions& portfolio = {}, std::size_t workers = 1);
 
 }  // namespace vermem::analysis

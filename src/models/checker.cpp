@@ -3,9 +3,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/router.hpp"
 #include "support/hash.hpp"
 #include "trace/address_index.hpp"
-#include "vmc/checker.hpp"
 #include "vsc/exact.hpp"
 
 namespace vermem::models {
@@ -256,7 +256,8 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
       vmc_options.max_states = options.max_states;
       vmc_options.deadline = options.deadline;
       vmc_options.cancel = options.cancel;
-      const auto report = vmc::verify_coherence(index, vmc_options);
+      const auto report =
+          analysis::verify_coherence_routed(index, nullptr, vmc_options).report;
       switch (report.verdict) {
         case vmc::Verdict::kCoherent:
           return vmc::CheckResult::yes({});

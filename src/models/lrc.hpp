@@ -19,7 +19,7 @@
 // stripped execution.
 
 #include "trace/execution.hpp"
-#include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
 
 namespace vermem::models {
 

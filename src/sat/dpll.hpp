@@ -4,19 +4,12 @@
 // and as an independent implementation for cross-checking the CDCL solver
 // on small/medium instances.
 //
-// Role after the exact-tier portfolio (analysis/router.cpp): DPLL is
-// NOT raced by default. It has no incremental interface (every call
-// re-reads the whole CNF), no proof logging (its UNSAT answers are
-// search-exhaustion evidence, not checkable RUP certificates), and no
-// cooperative-cancellation hook — a lost race keeps burning its thread
-// until its own deadline fires, which is exactly the waste the
-// portfolio's first-verdict-cancels-losers contract exists to avoid.
-// Opt it in as a fourth arm with SolverOptions::race_dpll (wired to
-// `vermemd --solver=portfolio` configurations that set the flag), or
-// force it alone with `--solver=dpll` / PortfolioOptions::only — both
-// keep it what it is: a deliberately simple reference oracle, kept for
-// ablation baselines and differential cross-checks rather than
-// production routing.
+// Role: a deliberately simple reference oracle, kept for the SAT
+// ablation baseline (bench_ablation_sat) and differential cross-checks
+// (sat_test). It is not a production engine and the exact-tier
+// portfolio (analysis/router.cpp) does not race it: it has no
+// incremental interface, no proof logging (its UNSAT answers are not
+// checkable RUP certificates), and no cooperative-cancellation hook.
 
 #include "sat/solver.hpp"
 

@@ -59,11 +59,6 @@ struct SolverOptions {
   /// models are certified downstream anyway (e.g. decoded schedules that
   /// go through the schedule validator) may disable it on hot sweeps.
   bool verify_models = true;
-  /// Opt DPLL into analysis-router portfolio racing. Off by default:
-  /// DPLL has no incremental support, no learned-clause retention, and
-  /// no cancellation hook, so racing it burns a thread that almost never
-  /// wins outside tiny instances (see sat/dpll.hpp).
-  bool race_dpll = false;
 };
 
 struct SolverStats {

@@ -21,7 +21,6 @@
 #include "certify/certificate.hpp"
 #include "models/model.hpp"
 #include "trace/execution.hpp"
-#include "vmc/checker.hpp"
 
 namespace vermem::service {
 
@@ -60,15 +59,11 @@ enum class SolverChoice : std::uint8_t {
   /// Routed cascade with the memoized frontier search on the exact tier
   /// (the default, single-engine path).
   kAuto,
-  /// Race exact search / CDCL / bounded-k (and DPLL when opted in) on
-  /// every exact-tier instance; first definite verdict wins, losers are
-  /// cancelled cooperatively.
+  /// Race exact search / CDCL / bounded-k on every exact-tier instance;
+  /// first definite verdict wins, losers are cancelled cooperatively.
   kPortfolio,
   /// Force the CDCL arm alone on the exact tier.
   kCdcl,
-  /// Force the chronological DPLL arm alone (reference oracle; no
-  /// conflict learning — see sat/dpll.hpp).
-  kDpll,
 };
 
 [[nodiscard]] constexpr const char* to_string(SolverChoice choice) noexcept {
@@ -76,7 +71,6 @@ enum class SolverChoice : std::uint8_t {
     case SolverChoice::kAuto: return "auto";
     case SolverChoice::kPortfolio: return "portfolio";
     case SolverChoice::kCdcl: return "cdcl";
-    case SolverChoice::kDpll: return "dpll";
   }
   return "?";
 }

@@ -120,26 +120,26 @@ std::string ServiceStats::to_prometheus() const {
   for (std::size_t f = 0; f < analysis::kNumFragments; ++f) {
     out += "vermem_service_fragments_total{fragment=\"";
     out += to_string(static_cast<analysis::Fragment>(f));
-    out += "\"} " + std::to_string(fragments[f]) + "\n";
+    out += "\"} " + std::to_string(routing.fragment_counts[f]) + "\n";
   }
-  counter("vermem_service_poly_routed_total", poly_routed);
-  counter("vermem_service_exact_routed_total", exact_routed);
-  counter("vermem_service_saturate_ran_total", saturate_ran);
-  counter("vermem_service_saturate_decided_total", saturate_decided);
-  counter("vermem_service_saturate_cycles_total", saturate_cycles);
-  counter("vermem_service_saturate_forced_total", saturate_forced);
-  counter("vermem_service_saturate_edges_total", saturate_edges);
-  counter("vermem_service_portfolio_races_total", portfolio_races);
+  counter("vermem_service_poly_routed_total", routing.poly_routed);
+  counter("vermem_service_exact_routed_total", routing.exact_routed);
+  counter("vermem_service_saturate_ran_total", routing.saturate_ran);
+  counter("vermem_service_saturate_decided_total", routing.saturate_decided);
+  counter("vermem_service_saturate_cycles_total", routing.saturate_cycles);
+  counter("vermem_service_saturate_forced_total", routing.saturate_forced);
+  counter("vermem_service_saturate_edges_total", routing.saturate_edges);
+  counter("vermem_service_portfolio_races_total", routing.portfolio_races);
   out += "# TYPE vermem_service_portfolio_wins_total counter\n";
   for (std::size_t e = 0; e < analysis::kNumEngines; ++e) {
     out += "vermem_service_portfolio_wins_total{engine=\"";
     out += to_string(static_cast<analysis::Engine>(e));
-    out += "\"} " + std::to_string(engine_wins[e]) + "\n";
+    out += "\"} " + std::to_string(routing.engine_wins[e]) + "\n";
   }
   counter("vermem_service_wasted_effort_states_total",
-          wasted_effort.states_visited);
+          routing.wasted_effort.states_visited);
   counter("vermem_service_wasted_effort_transitions_total",
-          wasted_effort.transitions);
+          routing.wasted_effort.transitions);
   counter("vermem_service_vscc_sweeps_total", vscc_sweeps);
   counter("vermem_service_vscc_sweep_extended_total", vscc_sweep_extended);
   counter("vermem_service_vscc_sweep_reused_total", vscc_sweep_reused);
@@ -400,7 +400,7 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // Shape-directed routing: classify each per-address projection into
       // its Figure 5.3 fragment and decide it with the dedicated
       // polynomial checker; only general-shaped instances reach the
-      // exact search. Verdicts match the plain vmc cascade.
+      // saturation tier and the exact search.
       analysis::PortfolioOptions portfolio;
       switch (slot.request.solver) {
         case SolverChoice::kAuto: break;
@@ -408,10 +408,6 @@ VerificationResponse VerificationService::execute(Slot& slot) {
         case SolverChoice::kCdcl:
           portfolio.enabled = true;
           portfolio.only = analysis::Engine::kCdcl;
-          break;
-        case SolverChoice::kDpll:
-          portfolio.enabled = true;
-          portfolio.only = analysis::Engine::kDpll;
           break;
       }
       analysis::RoutedReport routed = analysis::verify_coherence_routed(
@@ -425,33 +421,22 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // Portfolio races kept it winner-only: cancelled losers land in
       // wasted_effort, never in the latency-explaining tallies.
       response.effort = routed.report.effort;
-      response.portfolio_races = routed.portfolio_races;
-      response.engine_wins = routed.engine_wins;
-      response.wasted_effort = routed.wasted_effort;
+      const analysis::RouteTally& routing = routed.routing;
+      response.portfolio_races = routing.portfolio_races;
+      response.engine_wins = routing.engine_wins;
+      response.wasted_effort = routing.wasted_effort;
       response.coherence = std::move(routed.report);
-      flight_effort.saturate_ran = routed.saturate_ran;
-      flight_effort.saturate_decided = routed.saturate_decided;
-      flight_effort.saturate_edges = routed.saturate_edges;
-      flight_effort.portfolio_races = routed.portfolio_races;
+      flight_effort.saturate_ran = routing.saturate_ran;
+      flight_effort.saturate_decided = routing.saturate_decided;
+      flight_effort.saturate_edges = routing.saturate_edges;
+      flight_effort.portfolio_races = routing.portfolio_races;
       flight_effort.portfolio_wasted_states =
-          routed.wasted_effort.states_visited;
+          routing.wasted_effort.states_visited;
       flight_effort.portfolio_wasted_transitions =
-          routed.wasted_effort.transitions;
+          routing.wasted_effort.transitions;
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t f = 0; f < analysis::kNumFragments; ++f)
-          counters_.fragments[f] += routed.fragment_counts[f];
-        counters_.poly_routed += routed.poly_routed;
-        counters_.exact_routed += routed.exact_routed;
-        counters_.saturate_ran += routed.saturate_ran;
-        counters_.saturate_decided += routed.saturate_decided;
-        counters_.saturate_cycles += routed.saturate_cycles;
-        counters_.saturate_forced += routed.saturate_forced;
-        counters_.saturate_edges += routed.saturate_edges;
-        counters_.portfolio_races += routed.portfolio_races;
-        for (std::size_t e = 0; e < analysis::kNumEngines; ++e)
-          counters_.engine_wins[e] += routed.engine_wins[e];
-        counters_.wasted_effort.merge(routed.wasted_effort);
+        counters_.routing.merge(routing);
       }
       break;
     }
@@ -716,10 +701,7 @@ VerificationResponse VerificationService::verify_stream(
       case vmc::Verdict::kIncoherent: ++counters_.incoherent; break;
       case vmc::Verdict::kUnknown: ++counters_.unknown; break;
     }
-    for (std::size_t f = 0; f < analysis::kNumFragments; ++f)
-      counters_.fragments[f] += result.fragment_counts[f];
-    counters_.poly_routed += result.poly_routed;
-    counters_.exact_routed += result.exact_routed;
+    counters_.routing.merge(result.routing);
     counters_.effort.merge(response.effort);
     auto& kind = counters_.kinds[static_cast<std::size_t>(
         obs::RequestKind::kStream)];
@@ -746,12 +728,10 @@ void VerificationService::respond(Slot& slot, VerificationResponse&& response) {
       case vmc::Verdict::kIncoherent: ++counters_.incoherent; break;
       case vmc::Verdict::kUnknown: ++counters_.unknown; break;
     }
-    if (options_.latency_window != 0) {
-      counters_.latency_nanos.record(latency_nanos);
-      auto& per_kind = counters_.kinds[static_cast<std::size_t>(kind)];
-      ++per_kind.total;
-      per_kind.latency_nanos.record(latency_nanos);
-    }
+    counters_.latency_nanos.record(latency_nanos);
+    auto& per_kind = counters_.kinds[static_cast<std::size_t>(kind)];
+    ++per_kind.total;
+    per_kind.latency_nanos.record(latency_nanos);
     counters_.effort.merge(response.effort);
   }
   slo_.record(kind, latency_nanos,

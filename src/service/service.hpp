@@ -50,11 +50,6 @@ struct ServiceOptions {
   std::size_t workers = 0;        ///< pool size; 0 = hardware concurrency
   std::size_t max_batch = 16;     ///< requests drained per scheduling round
   std::size_t cache_capacity = 1024;  ///< result-cache entries; 0 disables
-  /// Retained for source compatibility; latency percentiles now come
-  /// from an O(1)-memory log-bucketed obs::Histogram over the service's
-  /// whole lifetime, so no completion window is kept. 0 still disables
-  /// latency recording entirely.
-  std::size_t latency_window = 4096;
   /// Rolling-window SLO accounting (per-kind error budgets and latency
   /// objectives; see obs/slo.hpp). Always on — recording is one short
   /// mutex-guarded update per response.
@@ -85,30 +80,13 @@ struct ServiceStats {
   /// Aggregate solver effort over every resolved request: exact-search
   /// states/transitions/prunes summed, peak frontier maxed.
   vmc::SearchStats effort;
-  /// Routing provenance from the Figure 5.3 fragment classifier, summed
-  /// over every address of every coherence-mode request: how many
-  /// per-address instances landed in each fragment, and how many were
-  /// decided polynomially vs by the exact frontier search.
-  std::array<std::uint64_t, analysis::kNumFragments> fragments{};
-  std::uint64_t poly_routed = 0;
-  std::uint64_t exact_routed = 0;
-  /// Saturation-tier tallies (analysis/saturate), summed over every
-  /// coherence-mode request: addresses the tier analyzed, addresses it
-  /// decided outright (no search needed), cycle and forced-order
-  /// refutations among those, and must-edges exported to the exact
-  /// search's pruning oracle.
-  std::uint64_t saturate_ran = 0;
-  std::uint64_t saturate_decided = 0;
-  std::uint64_t saturate_cycles = 0;
-  std::uint64_t saturate_forced = 0;
-  std::uint64_t saturate_edges = 0;
-  /// Portfolio tallies: exact-tier races run, wins per engine, and the
-  /// cancelled losers' merged effort. `effort` above attributes each
-  /// verdict to its winning engine only; the race overhead is accounted
-  /// here instead of inflating the latency-explaining tallies.
-  std::uint64_t portfolio_races = 0;
-  std::array<std::uint64_t, analysis::kNumEngines> engine_wins{};
-  vmc::SearchStats wasted_effort;
+  /// Routing provenance, summed over every address of every
+  /// coherence-mode and streamed request: fragment and decider counts,
+  /// poly vs exact routing, saturation-tier outcomes, and portfolio
+  /// races. `effort` above attributes each verdict to its winning engine
+  /// only; the losers' effort lands in routing.wasted_effort instead of
+  /// inflating the latency-explaining tallies.
+  analysis::RouteTally routing;
   /// Warm-sweep tallies (kVscc): requests served on the retained
   /// incremental solver, and how many of those reused retained state —
   /// suffix extensions re-solved from the previous trace's frames, and

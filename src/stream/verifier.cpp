@@ -85,10 +85,7 @@ struct StreamVerifier::Shard {
 
   // Per-run outputs, merged by the reader after join.
   std::vector<vmc::AddressReport> reports;
-  std::array<std::uint64_t, analysis::kNumFragments> fragment_counts{};
-  std::array<std::uint64_t, analysis::kNumDeciders> decider_counts{};
-  std::uint64_t poly_routed = 0;
-  std::uint64_t exact_routed = 0;
+  analysis::RouteTally routing;
   std::uint64_t queue_peak = 0;
   std::uint64_t window_peak = 0;
   bool saw_interrupt = false;
@@ -111,9 +108,7 @@ struct StreamVerifier::Shard {
     checkers.clear();
     online_done.clear();
     reports.clear();
-    fragment_counts = {};
-    decider_counts = {};
-    poly_routed = exact_routed = 0;
+    routing = {};
     queue_peak = 0;
     window_peak = 0;
     saw_interrupt = false;
@@ -350,12 +345,7 @@ void StreamVerifier::Shard::check_one_complete(Addr addr,
   }
 
   analysis::RouteOutcome outcome = analysis::check_routed(view, order, *exact);
-  ++fragment_counts[static_cast<std::size_t>(outcome.fragment)];
-  ++decider_counts[static_cast<std::size_t>(outcome.decider)];
-  if (outcome.decider == analysis::Decider::kExact)
-    ++exact_routed;
-  else
-    ++poly_routed;
+  routing.add(outcome);
 
   // Witness and evidence from exec_a coordinates back to the original
   // trace's, mirroring the batch router's translation step.
@@ -543,12 +533,7 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
     merged.insert(merged.end(),
                   std::make_move_iterator(shard->reports.begin()),
                   std::make_move_iterator(shard->reports.end()));
-    for (std::size_t f = 0; f < analysis::kNumFragments; ++f)
-      out.fragment_counts[f] += shard->fragment_counts[f];
-    for (std::size_t d = 0; d < analysis::kNumDeciders; ++d)
-      out.decider_counts[d] += shard->decider_counts[d];
-    out.poly_routed += shard->poly_routed;
-    out.exact_routed += shard->exact_routed;
+    out.routing.merge(shard->routing);
     if (shard->queue_peak > out.queue_peak_blocks)
       out.queue_peak_blocks = shard->queue_peak;
     out.online_window_peak += shard->window_peak;

@@ -50,7 +50,6 @@
 
 #include "analysis/router.hpp"
 #include "trace/binary_io.hpp"
-#include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
 
 namespace vermem::stream {
@@ -98,12 +97,9 @@ struct StreamResult {
   /// mode, same content) as the batch path's CoherenceReport.
   vmc::CoherenceReport report;
 
-  // Routing provenance (kComplete mode; empty in kOrdered mode, where
-  // every address is decided by the online checker).
-  std::array<std::uint64_t, analysis::kNumFragments> fragment_counts{};
-  std::array<std::uint64_t, analysis::kNumDeciders> decider_counts{};
-  std::uint64_t poly_routed = 0;
-  std::uint64_t exact_routed = 0;
+  /// Routing provenance (kComplete mode; empty in kOrdered mode, where
+  /// every address is decided by the online checker).
+  analysis::RouteTally routing;
 
   // Pipeline accounting.
   std::uint64_t events = 0;            ///< operations ingested (incl. sync)

@@ -1,32 +1,6 @@
 #include "vmc/checker.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "support/hash.hpp"
-#include "support/parallel.hpp"
-
 namespace vermem::vmc {
-
-CheckResult check_auto(const VmcInstance& instance,
-                       const ExactOptions& exact_options) {
-  if (const auto why = instance.malformed())
-    return CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
-
-  // Cheap structural probes pick the cascade branch.
-  const bool rmw_only = instance.all_rmw();
-  if (instance.max_ops_per_process() <= 1) {
-    const CheckResult result = rmw_only ? check_rmw_one_op_per_process(instance)
-                                        : check_one_op_per_process(instance);
-    if (result.verdict != Verdict::kUnknown) return result;
-  }
-  {
-    const CheckResult result =
-        rmw_only ? check_rmw_read_map(instance) : check_read_map(instance);
-    if (result.verdict != Verdict::kUnknown) return result;
-  }
-  return check_exact(instance, exact_options);
-}
 
 CoherenceReport aggregate_reports(std::vector<AddressReport> reports) {
   CoherenceReport out;
@@ -44,8 +18,7 @@ CoherenceReport aggregate_reports(std::vector<AddressReport> reports) {
 
     // Effort aggregation with peak provenance: merge sums the counters
     // and maxes the peaks; remember which address owned each new peak so
-    // per-shard provenance survives (the parallel dispatcher used to
-    // drop it entirely).
+    // per-shard provenance survives a parallel sweep.
     const SearchStats& stats = report.result.stats;
     if (stats.max_frontier > out.effort.max_frontier)
       out.peak_frontier_index = i;
@@ -59,176 +32,6 @@ CoherenceReport aggregate_reports(std::vector<AddressReport> reports) {
     out.effort.merge(stats);
   }
   return out;
-}
-
-namespace {
-
-/// True once the caller's wall-clock or cancellation budget is spent, at
-/// which point remaining addresses are skipped rather than checked.
-bool interrupted(const ExactOptions& options) {
-  return options.deadline.expired() ||
-         (options.cancel && options.cancel->cancelled());
-}
-
-/// Projects one address through the index, runs the cascade, and
-/// translates the witness and evidence back to original coordinates.
-AddressReport check_address(const AddressIndex& index, std::size_t i,
-                            const ExactOptions& exact_options) {
-  const ProjectedView view = index.view_at(i);
-  const auto projection = view.materialize();
-  VmcInstance instance{projection.execution, view.addr()};
-  CheckResult result = check_auto(instance, exact_options);
-  const auto to_original = [&](OpRef& ref) {
-    ref = projection.origin[ref.process][ref.index];
-  };
-  for (OpRef& ref : result.witness) to_original(ref);
-  certify::for_each_ref(result.evidence, to_original);
-  return {view.addr(), std::move(result)};
-}
-
-}  // namespace
-
-CoherenceReport verify_coherence(const AddressIndex& index,
-                                 const ExactOptions& exact_options) {
-  std::vector<AddressReport> reports;
-  reports.reserve(index.num_addresses());
-  for (std::size_t i = 0; i < index.num_addresses(); ++i) {
-    if (interrupted(exact_options)) {
-      reports.push_back(
-          {index.entry(i).addr,
-           CheckResult::unknown(certify::UnknownReason::kSkipped,
-                                "deadline expired or request cancelled")});
-      continue;
-    }
-    reports.push_back(check_address(index, i, exact_options));
-  }
-  return aggregate_reports(std::move(reports));
-}
-
-CoherenceReport verify_coherence(const Execution& exec,
-                                 const ExactOptions& exact_options) {
-  return verify_coherence(AddressIndex(exec), exact_options);
-}
-
-CoherenceReport verify_coherence_parallel(const AddressIndex& index,
-                                          std::size_t workers,
-                                          const ExactOptions& exact_options) {
-  const std::size_t count = index.num_addresses();
-
-  // Size-aware dispatch: hand the fattest instances out first so the
-  // sweep's tail is a cheap address, not the one hard one. Reports keep
-  // address-sorted slots, so the output order is schedule-independent.
-  std::vector<std::size_t> order(count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return index.entry(a).op_count > index.entry(b).op_count;
-  });
-
-  std::vector<AddressReport> reports(count);
-  std::vector<std::atomic<bool>> done(count);
-  std::atomic<bool> found_incoherent{false};
-  CancellationToken cancel;
-  parallel_for_each_cancellable(count, workers, cancel, [&](std::size_t k) {
-    // Stop scheduling new addresses once the caller's own deadline or
-    // cancellation fires; in-flight checks notice through ExactOptions.
-    if (interrupted(exact_options)) {
-      cancel.cancel();
-      return;
-    }
-    const std::size_t slot = order[k];
-    reports[slot] = check_address(index, slot, exact_options);
-    done[slot].store(true, std::memory_order_release);
-    // An incoherent address decides the whole execution; stop the fleet.
-    if (reports[slot].result.verdict == Verdict::kIncoherent) {
-      found_incoherent.store(true, std::memory_order_relaxed);
-      cancel.cancel();
-    }
-  });
-
-  const char* skip_note = found_incoherent.load(std::memory_order_relaxed)
-                              ? "another address already proved incoherent"
-                              : "deadline expired or request cancelled";
-  for (std::size_t slot = 0; slot < count; ++slot) {
-    if (done[slot].load(std::memory_order_acquire)) continue;
-    reports[slot] = {index.entry(slot).addr,
-                     CheckResult::unknown(certify::UnknownReason::kSkipped,
-                                          skip_note)};
-  }
-  return aggregate_reports(std::move(reports));
-}
-
-CoherenceReport verify_coherence_parallel(const Execution& exec,
-                                          std::size_t workers,
-                                          const ExactOptions& exact_options) {
-  return verify_coherence_parallel(AddressIndex(exec), workers, exact_options);
-}
-
-CoherenceReport verify_coherence_with_write_order(
-    const AddressIndex& index, const WriteOrderMap& write_orders,
-    const ExactOptions& fallback_options) {
-  std::vector<AddressReport> reports;
-  reports.reserve(index.num_addresses());
-  for (std::size_t i = 0; i < index.num_addresses(); ++i) {
-    const ProjectedView view = index.view_at(i);
-    const Addr addr = view.addr();
-
-    if (interrupted(fallback_options)) {
-      reports.push_back(
-          {addr, CheckResult::unknown(certify::UnknownReason::kSkipped,
-                                      "deadline expired or request cancelled")});
-      continue;
-    }
-
-    const auto it = write_orders.find(addr);
-    if (it == write_orders.end()) {
-      reports.push_back(check_address(index, i, fallback_options));
-      continue;
-    }
-
-    // Remap the write-order from original-execution coordinates into the
-    // projected instance's, straight off the index's sorted arena run.
-    WriteOrder local;
-    bool mapped = true;
-    local.reserve(it->second.size());
-    for (const OpRef original : it->second) {
-      const auto projected = view.projected_of(original);
-      if (!projected) {
-        mapped = false;
-        break;
-      }
-      local.push_back(*projected);
-    }
-    if (!mapped) {
-      reports.push_back(
-          {addr, CheckResult::unknown(
-                     certify::UnknownReason::kInvalidWriteOrder,
-                     "write-order references operations outside address " +
-                         std::to_string(addr))});
-      continue;
-    }
-
-    const auto projection = view.materialize();
-    VmcInstance instance{projection.execution, addr};
-    CheckResult result = instance.all_rmw()
-                             ? check_rmw_with_write_order(instance, local)
-                             : check_with_write_order(instance, local);
-    // Translate the witness and evidence back into original coordinates
-    // so callers can validate them against the full execution.
-    const auto to_original = [&](OpRef& ref) {
-      ref = projection.origin[ref.process][ref.index];
-    };
-    for (OpRef& ref : result.witness) to_original(ref);
-    certify::for_each_ref(result.evidence, to_original);
-    reports.push_back({addr, std::move(result)});
-  }
-  return aggregate_reports(std::move(reports));
-}
-
-CoherenceReport verify_coherence_with_write_order(
-    const Execution& exec, const WriteOrderMap& write_orders,
-    const ExactOptions& fallback_options) {
-  return verify_coherence_with_write_order(AddressIndex(exec), write_orders,
-                                           fallback_options);
 }
 
 }  // namespace vermem::vmc

@@ -1,30 +1,19 @@
 #pragma once
-// Top-level coherence verification API.
+// Whole-trace coherence report types.
 //
-// This is the entry point a user of the library calls on a recorded
-// multiprocessor execution: it projects every address (coherence is a
-// per-location property), dispatches each single-address instance to the
-// cheapest applicable decision procedure (Figure 5.3 cascade), and
-// aggregates the verdicts. When the memory system supplied a write-order
-// (Section 5.2) the polynomial path is used and the exponential exact
-// checker is never needed.
+// Coherence is a per-location property: a trace is coherent iff every
+// address's projection is. The dispatcher that decides each address
+// (analysis::verify_coherence_routed, the Figure 5.3 cascade) lives in
+// the analysis layer; this header holds the vocabulary it and every
+// other whole-trace path (streaming ingest, VSCC's coherence stage)
+// report in, and the one fold that aggregates per-address verdicts.
 
 #include <unordered_map>
+#include <vector>
 
-#include "trace/address_index.hpp"
-#include "vmc/exact.hpp"
-#include "vmc/instance.hpp"
 #include "vmc/result.hpp"
-#include "vmc/special.hpp"
-#include "vmc/write_order.hpp"
 
 namespace vermem::vmc {
-
-/// Tries the polynomial special cases whose structural preconditions
-/// match, then falls back to the exact exponential checker. Always
-/// returns a definite verdict unless the exact search hits its budget.
-[[nodiscard]] CheckResult check_auto(const VmcInstance& instance,
-                                     const ExactOptions& exact_options = {});
 
 struct AddressReport {
   Addr addr = 0;
@@ -45,8 +34,8 @@ struct CoherenceReport {
   /// when a parallel sweep early-cancelled.
   std::size_t first_violation_index = kNoViolation;
   /// Whole-trace solver effort: per-address SearchStats merged (counters
-  /// summed, peaks maxed) at aggregation time, for both the sequential
-  /// and the parallel dispatcher — per-shard stats are never dropped.
+  /// summed, peaks maxed) at aggregation time, for sequential and
+  /// parallel sweeps alike — per-shard stats are never dropped.
   SearchStats effort;
   /// Peak provenance: which address report owned each maxed peak in
   /// `effort` (kNoViolation when no address did any search work). Lets
@@ -71,47 +60,12 @@ struct CoherenceReport {
 /// Folds per-address reports into a CoherenceReport: first incoherent
 /// address decides the verdict (otherwise any undecided address makes it
 /// kUnknown), per-address SearchStats merge into `effort`, and the peak
-/// provenance indices record which address owned each maxed peak. Shared
-/// by the plain cascade, the parallel dispatcher, and the analysis
-/// router so every path aggregates identically.
+/// provenance indices record which address owned each maxed peak. Every
+/// whole-trace path aggregates through it, so they all agree.
 [[nodiscard]] CoherenceReport aggregate_reports(std::vector<AddressReport> reports);
-
-/// Verifies coherence of a whole execution, one address at a time, using
-/// the check_auto cascade. Builds a one-pass AddressIndex internally; use
-/// the AddressIndex overload to amortize the pass across several calls.
-[[nodiscard]] CoherenceReport verify_coherence(const Execution& exec,
-                                               const ExactOptions& exact_options = {});
-[[nodiscard]] CoherenceReport verify_coherence(const AddressIndex& index,
-                                               const ExactOptions& exact_options = {});
-
-/// Same verdicts as verify_coherence, with the per-address checks fanned
-/// out over `workers` threads (0 = hardware concurrency). Coherence is a
-/// per-location property, so the decomposition is exact. Scheduling is
-/// size-aware — the biggest instances dispatch first so one fat address
-/// cannot become the tail — and the fleet cancels cooperatively as soon
-/// as any address is proven incoherent. The top-level verdict and every
-/// completed per-address verdict are deterministic and identical to the
-/// sequential path (addresses stay in sorted order); after an early
-/// cancel, addresses whose check never started report kUnknown with a
-/// "skipped" note, which never changes the aggregate verdict.
-[[nodiscard]] CoherenceReport verify_coherence_parallel(
-    const Execution& exec, std::size_t workers = 0,
-    const ExactOptions& exact_options = {});
-[[nodiscard]] CoherenceReport verify_coherence_parallel(
-    const AddressIndex& index, std::size_t workers = 0,
-    const ExactOptions& exact_options = {});
 
 /// Per-address write-orders in *original execution* coordinates, e.g. as
 /// recorded by the simulator's bus.
 using WriteOrderMap = std::unordered_map<Addr, std::vector<OpRef>>;
-
-/// Verifies coherence using supplied write-orders (polynomial, §5.2).
-/// Addresses missing from `write_orders` fall back to check_auto.
-[[nodiscard]] CoherenceReport verify_coherence_with_write_order(
-    const Execution& exec, const WriteOrderMap& write_orders,
-    const ExactOptions& fallback_options = {});
-[[nodiscard]] CoherenceReport verify_coherence_with_write_order(
-    const AddressIndex& index, const WriteOrderMap& write_orders,
-    const ExactOptions& fallback_options = {});
 
 }  // namespace vermem::vmc

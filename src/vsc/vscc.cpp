@@ -3,31 +3,12 @@
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/router.hpp"
 #include "encode/vsc_to_cnf.hpp"
 
 namespace vermem::vsc {
 
 namespace {
-
-/// Cold per-address cascade, identical to vmc::verify_coherence's
-/// per-address step: project through the index, run check_auto, and
-/// translate witness and evidence back to original coordinates. Used to
-/// re-derive typed evidence when the warm sweep answers UNSAT (the
-/// sweep's refutations carry no replayable certificate).
-vmc::AddressReport cold_address_report(const AddressIndex& index,
-                                       std::size_t i,
-                                       const vmc::ExactOptions& options) {
-  const ProjectedView view = index.view_at(i);
-  const auto projection = view.materialize();
-  vmc::VmcInstance instance{projection.execution, view.addr()};
-  vmc::CheckResult result = vmc::check_auto(instance, options);
-  const auto to_original = [&](OpRef& ref) {
-    ref = projection.origin[ref.process][ref.index];
-  };
-  for (OpRef& ref : result.witness) to_original(ref);
-  certify::for_each_ref(result.evidence, to_original);
-  return {view.addr(), std::move(result)};
-}
 
 /// Per-call solver effort in the shared SearchStats schema (decisions
 /// play the role of visited states, propagations of transitions — same
@@ -92,11 +73,13 @@ VsccReport check_vscc_sweep(const AddressIndex& index,
           break;
         }
         case sat::Status::kUnsat:
-          // Typed evidence comes from the cold cascade; the sweep's
+          // Typed evidence comes from the cold router; the sweep's
           // variable numbering differs from the plain re-encode that
           // certify::check replays, so its refutation is not citable.
           address_report.result =
-              cold_address_report(index, i, options.coherence).result;
+              analysis::check_routed(index.view_at(i), nullptr,
+                                     options.coherence)
+                  .result;
           address_report.result.stats.merge(stats);
           break;
         case sat::Status::kUnknown:
@@ -189,11 +172,9 @@ VsccReport check_vscc(const AddressIndex& index, const VsccOptions& options) {
   VsccReport report;
   const Execution& exec = index.execution();
 
-  report.coherence =
-      options.write_orders
-          ? vmc::verify_coherence_with_write_order(index, *options.write_orders,
-                                                   options.coherence)
-          : vmc::verify_coherence(index, options.coherence);
+  report.coherence = analysis::verify_coherence_routed(
+                         index, options.write_orders, options.coherence)
+                         .report;
 
   if (report.coherence.verdict == vmc::Verdict::kIncoherent) {
     // Not coherent => certainly not sequentially consistent. The

@@ -13,6 +13,7 @@
 
 #include "encode/sweep.hpp"
 #include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
 

@@ -21,6 +21,7 @@
 #include "vmc/bounded.hpp"
 #include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
+#include "vmc/special.hpp"
 #include "vmc/write_order.hpp"
 #include "vsc/exact.hpp"
 #include "vsc/vscc.hpp"
@@ -329,24 +330,31 @@ void expect_checks(const Execution& exec, const certify::Certificate& cert,
 
 TEST(Certificates, HandcraftedPolyKindsCheck) {
   // One deterministic trace per polynomial evidence kind; each decides
-  // kIncoherent through check_auto and its certificate re-validates.
+  // kIncoherent through the special-case checker its shape selects and
+  // its certificate re-validates.
+  using Checker = vmc::CheckResult (*)(const vmc::VmcInstance&);
   struct Case {
     const char* name;
     Execution exec;
+    Checker checker;
     std::optional<certify::IncoherenceKind> kind;  ///< asserted when stable
   };
   std::vector<Case> cases;
   cases.push_back({"unwritten read",
                    ExecutionBuilder().process(R(0, 9)).build(),
+                   vmc::check_one_op_per_process,
                    certify::IncoherenceKind::kUnwrittenRead});
   cases.push_back({"unwritable final",
                    ExecutionBuilder().process(W(0, 1)).final_value(0, 7).build(),
+                   vmc::check_one_op_per_process,
                    certify::IncoherenceKind::kUnwritableFinal});
   cases.push_back({"read before write",
                    ExecutionBuilder().process(R(0, 5), W(0, 5)).build(),
+                   vmc::check_read_map,
                    certify::IncoherenceKind::kReadBeforeWrite});
   cases.push_back({"stale initial read",
                    ExecutionBuilder().process(W(0, 1), R(0, 0)).build(),
+                   vmc::check_read_map,
                    certify::IncoherenceKind::kStaleInitialRead});
   cases.push_back({"cluster cycle",
                    ExecutionBuilder()
@@ -355,29 +363,31 @@ TEST(Certificates, HandcraftedPolyKindsCheck) {
                        .process(W(0, 1))
                        .process(W(0, 2))
                        .build(),
+                   vmc::check_read_map,
                    certify::IncoherenceKind::kClusterCycle});
   cases.push_back({"final not last",
                    ExecutionBuilder()
                        .process(W(0, 1), W(0, 2))
                        .final_value(0, 1)
                        .build(),
+                   vmc::check_read_map,
                    certify::IncoherenceKind::kFinalNotLast});
-  // All-RMW shapes; the cascade picks the decider, so only the verdict
-  // and the certificate's checkability are pinned down.
+  // All-RMW shapes: only the verdict and the certificate's checkability
+  // are pinned down.
   cases.push_back({"value imbalance",
                    ExecutionBuilder().process(RW(0, 0, 1)).process(RW(0, 0, 2)).build(),
-                   std::nullopt});
+                   vmc::check_rmw_one_op_per_process, std::nullopt});
   cases.push_back({"chain stall",
                    ExecutionBuilder().process(RW(0, 0, 1), RW(0, 2, 3)).build(),
-                   std::nullopt});
+                   vmc::check_rmw_read_map, std::nullopt});
   cases.push_back({"chain end mismatch",
                    ExecutionBuilder().process(RW(0, 0, 1)).final_value(0, 0).build(),
-                   std::nullopt});
+                   vmc::check_rmw_one_op_per_process, std::nullopt});
   cases.push_back({"unreachable value",
                    ExecutionBuilder().process(RW(0, 0, 1)).process(RW(0, 5, 6)).build(),
-                   std::nullopt});
+                   vmc::check_rmw_one_op_per_process, std::nullopt});
   for (const Case& test : cases) {
-    const vmc::CheckResult result = vmc::check_auto({test.exec, 0});
+    const vmc::CheckResult result = test.checker({test.exec, 0});
     ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent) << test.name;
     ASSERT_NE(result.incoherence(), nullptr) << test.name;
     if (test.kind) {
@@ -566,21 +576,27 @@ TEST(Certificates, MutatedCertificatesAreRejected) {
     certify::Certificate cert;
   };
   std::vector<Bundle> bundles;
-  const auto collect = [&](Execution exec) {
-    const vmc::CheckResult result = vmc::check_auto({exec, 0});
+  const auto collect = [&](Execution exec,
+                           vmc::CheckResult (*checker)(const vmc::VmcInstance&)) {
+    const vmc::CheckResult result = checker({exec, 0});
     ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent);
     bundles.push_back({exec, address_cert(0, result)});
   };
-  collect(ExecutionBuilder().process(R(0, 9)).build());
-  collect(ExecutionBuilder().process(R(0, 5), W(0, 5)).build());
-  collect(ExecutionBuilder().process(W(0, 1), R(0, 0)).build());
+  collect(ExecutionBuilder().process(R(0, 9)).build(),
+          vmc::check_one_op_per_process);
+  collect(ExecutionBuilder().process(R(0, 5), W(0, 5)).build(),
+          vmc::check_read_map);
+  collect(ExecutionBuilder().process(W(0, 1), R(0, 0)).build(),
+          vmc::check_read_map);
   collect(ExecutionBuilder()
               .process(R(0, 1), R(0, 2))
               .process(R(0, 2), R(0, 1))
               .process(W(0, 1))
               .process(W(0, 2))
-              .build());
-  collect(ExecutionBuilder().process(W(0, 1), W(0, 2)).final_value(0, 1).build());
+              .build(),
+          vmc::check_read_map);
+  collect(ExecutionBuilder().process(W(0, 1), W(0, 2)).final_value(0, 1).build(),
+          vmc::check_read_map);
 
   for (Bundle& bundle : bundles) {
     auto* evidence = std::get_if<certify::Incoherence>(&bundle.cert.evidence);
@@ -682,7 +698,7 @@ TEST(Certificates, RandomMutantsNeverUpgradeVerdicts) {
                          .process(W(0, 1))
                          .process(W(0, 2))
                          .build();
-  const vmc::CheckResult result = vmc::check_auto({cycle, 0});
+  const vmc::CheckResult result = vmc::check_read_map({cycle, 0});
   ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent);
   const certify::Certificate genuine = address_cert(0, result);
   for (int trial = 0; trial < 200; ++trial) {
@@ -846,8 +862,9 @@ TEST(CertificateText, ExecutionScopeKeepsEvidenceAddress) {
                              .build();
   vmc::WriteOrderMap orders;
   orders[2] = {OpRef{1, 0}, OpRef{0, 0}};
+  const AddressIndex index(exec);
   const vmc::CoherenceReport report =
-      vmc::verify_coherence_with_write_order(exec, orders);
+      analysis::verify_coherence_routed(index, &orders).report;
   ASSERT_EQ(report.verdict, vmc::Verdict::kIncoherent);
   const auto* violation = report.first_violation();
   ASSERT_NE(violation, nullptr);

@@ -6,8 +6,9 @@
 
 #include "sim/directory.hpp"
 #include "sim/machine.hpp"
-#include "vmc/checker.hpp"
+#include "vmc/instance.hpp"
 #include "vmc/online.hpp"
+#include "vmc/write_order.hpp"
 #include "workload/random.hpp"
 
 namespace vermem::vmc {

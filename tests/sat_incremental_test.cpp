@@ -490,8 +490,8 @@ TEST(PortfolioDifferential, RacedVerdictsMatchDefaultRouting) {
                   base.report.addresses[i].result.verdict)
             << "addr " << base.report.addresses[i].addr;
       }
-      races += raced.portfolio_races;
-      for (const std::uint64_t w : raced.engine_wins) wins += w;
+      races += raced.routing.portfolio_races;
+      for (const std::uint64_t w : raced.routing.engine_wins) wins += w;
     }
   }
   // The battery is tuned so at least some instances reach the exact
@@ -512,7 +512,8 @@ TEST(PortfolioDifferential, ForcedEngineRecordsItselfAsWinner) {
   const auto base = analysis::verify_coherence_routed(index);
 
   for (const analysis::Engine engine :
-       {analysis::Engine::kCdcl, analysis::Engine::kDpll}) {
+       {analysis::Engine::kExactSearch, analysis::Engine::kCdcl,
+        analysis::Engine::kBoundedK}) {
     analysis::PortfolioOptions portfolio;
     portfolio.enabled = true;
     portfolio.only = engine;
@@ -522,11 +523,11 @@ TEST(PortfolioDifferential, ForcedEngineRecordsItselfAsWinner) {
         << to_string(engine);
     for (std::size_t e = 0; e < analysis::kNumEngines; ++e) {
       if (e != static_cast<std::size_t>(engine)) {
-        EXPECT_EQ(forced.engine_wins[e], 0u) << to_string(engine);
+        EXPECT_EQ(forced.routing.engine_wins[e], 0u) << to_string(engine);
       }
     }
-    EXPECT_EQ(forced.engine_wins[static_cast<std::size_t>(engine)],
-              forced.portfolio_races);
+    EXPECT_EQ(forced.routing.engine_wins[static_cast<std::size_t>(engine)],
+              forced.routing.portfolio_races);
   }
 }
 
@@ -540,7 +541,6 @@ TEST(PortfolioDifferential, AdversarialReductionInstancesAgree) {
     const auto base = analysis::verify_coherence_routed(index);
     analysis::PortfolioOptions portfolio;
     portfolio.enabled = true;
-    portfolio.solver.race_dpll = true;  // all four arms
     const auto raced =
         analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
     EXPECT_EQ(raced.report.verdict, base.report.verdict) << "trial " << trial;

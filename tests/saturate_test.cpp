@@ -243,8 +243,8 @@ TEST(SaturateRouting, CycleYieldsCheckableCertificate) {
   const analysis::RoutedReport routed = analysis::verify_coherence_routed(index);
   ASSERT_EQ(routed.report.verdict, vmc::Verdict::kIncoherent);
   EXPECT_EQ(routed.deciders[0], Decider::kSaturate);
-  EXPECT_EQ(routed.saturate_decided, 1u);
-  EXPECT_EQ(routed.saturate_cycles, 1u);
+  EXPECT_EQ(routed.routing.saturate_decided, 1u);
+  EXPECT_EQ(routed.routing.saturate_cycles, 1u);
 
   const vmc::CheckResult& result = routed.report.addresses[0].result;
   ASSERT_NE(result.incoherence(), nullptr);
@@ -276,7 +276,7 @@ TEST(SaturateRouting, ForcedOrderRefutationCertificate) {
   const analysis::RoutedReport routed = analysis::verify_coherence_routed(index);
   ASSERT_EQ(routed.report.verdict, vmc::Verdict::kIncoherent);
   EXPECT_EQ(routed.deciders[0], Decider::kSaturate);
-  EXPECT_EQ(routed.saturate_forced, 1u);
+  EXPECT_EQ(routed.routing.saturate_forced, 1u);
 
   const vmc::CheckResult& result = routed.report.addresses[0].result;
   ASSERT_NE(result.incoherence(), nullptr);
@@ -304,8 +304,8 @@ TEST(SaturateRouting, ForcedOrderCoherentDecidedWithoutSearch) {
   const analysis::RoutedReport routed = analysis::verify_coherence_routed(index);
   ASSERT_EQ(routed.report.verdict, vmc::Verdict::kCoherent);
   EXPECT_EQ(routed.deciders[0], Decider::kSaturate);
-  EXPECT_EQ(routed.saturate_decided, 1u);
-  EXPECT_EQ(routed.exact_routed, 0u);
+  EXPECT_EQ(routed.routing.saturate_decided, 1u);
+  EXPECT_EQ(routed.routing.exact_routed, 0u);
   const vmc::CheckResult& result = routed.report.addresses[0].result;
   const auto check = check_coherent_schedule(exec, 0, result.witness);
   EXPECT_TRUE(check.ok) << check.violation;
@@ -335,7 +335,7 @@ TEST(SaturateDifferential, RoutedMatchesExactOnRandomTraces) {
       if (index.num_addresses() == 0) continue;
       const analysis::RoutedReport routed =
           analysis::verify_coherence_routed(index);
-      if (routed.saturate_ran > 0) ++saturate_routed;
+      if (routed.routing.saturate_ran > 0) ++saturate_routed;
 
       const Addr addr = index.entry(0).addr;
       const auto projection = index.view_at(0).materialize();

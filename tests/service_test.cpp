@@ -23,6 +23,7 @@
 #include "service/service.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "trace/address_index.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/fingerprint.hpp"
 #include "trace/text_io.hpp"
@@ -392,10 +393,10 @@ TEST(Service, AnalyzeFlagEmbedsReportAndStatsCountRouting) {
   EXPECT_FALSE(svc.submit(std::move(again)).response.get().cache_hit);
 
   const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.poly_routed + stats.exact_routed, 2u);
+  EXPECT_EQ(stats.routing.poly_routed + stats.routing.exact_routed, 2u);
   EXPECT_GT(stats.lint_warnings, 0u);
   std::uint64_t classified = 0;
-  for (const std::uint64_t count : stats.fragments) classified += count;
+  for (const std::uint64_t count : stats.routing.fragment_counts) classified += count;
   EXPECT_EQ(classified, 2u);
 }
 
@@ -594,6 +595,37 @@ TEST(Service, StreamRequestsCarryFlightRecords) {
       stats.slo.kinds[static_cast<std::size_t>(obs::RequestKind::kStream)]
           .total,
       1u);
+}
+
+TEST(Service, CompleteModeStreamFoldsSaturationCounts) {
+  // Streamed runs fold their routing provenance into the shared
+  // counters. Complete mode routes contended addresses through the
+  // saturation tier, so its outcomes must land there too, matching the
+  // batch router on the same trace.
+  Xoshiro256ss rng(29);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 12;
+  params.num_addresses = 3;
+  params.num_values = 2;
+  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
+  const AddressIndex index(trace.execution);
+  const analysis::RouteTally batch =
+      analysis::verify_coherence_routed(index).routing;
+  ASSERT_GT(batch.saturate_ran, 0u);
+
+  VerificationService svc;
+  std::istringstream in(encode_binary(trace.execution));
+  const VerificationResponse response = svc.verify_stream(in);
+  EXPECT_EQ(response.verdict, vmc::Verdict::kCoherent);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.streamed, 1u);
+  EXPECT_GT(stats.routing.saturate_ran, 0u);
+  EXPECT_EQ(stats.routing.saturate_ran, batch.saturate_ran);
+  EXPECT_EQ(stats.routing.saturate_decided, batch.saturate_decided);
+  EXPECT_EQ(stats.routing.saturate_edges, batch.saturate_edges);
+  EXPECT_EQ(stats.routing.poly_routed + stats.routing.exact_routed,
+            index.num_addresses());
 }
 
 TEST(Service, ShedStreamRequestIsCapturedAsShed) {

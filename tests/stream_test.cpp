@@ -406,10 +406,15 @@ void expect_stream_matches_batch(const Execution& exec,
     // Witness identity in original coordinates.
     EXPECT_EQ(s.result.witness, b.result.witness) << label << " @a" << b.addr;
   }
-  EXPECT_EQ(streamed.fragment_counts, batch.fragment_counts) << label;
-  EXPECT_EQ(streamed.decider_counts, batch.decider_counts) << label;
-  EXPECT_EQ(streamed.poly_routed, batch.poly_routed) << label;
-  EXPECT_EQ(streamed.exact_routed, batch.exact_routed) << label;
+  EXPECT_EQ(streamed.routing.fragment_counts, batch.routing.fragment_counts) << label;
+  EXPECT_EQ(streamed.routing.decider_counts, batch.routing.decider_counts) << label;
+  EXPECT_EQ(streamed.routing.poly_routed, batch.routing.poly_routed) << label;
+  EXPECT_EQ(streamed.routing.exact_routed, batch.routing.exact_routed) << label;
+  EXPECT_EQ(streamed.routing.saturate_ran, batch.routing.saturate_ran) << label;
+  EXPECT_EQ(streamed.routing.saturate_decided, batch.routing.saturate_decided)
+      << label;
+  EXPECT_EQ(streamed.routing.saturate_edges, batch.routing.saturate_edges)
+      << label;
 }
 
 TEST(StreamDifferential, MatchesBatchOnRandomScTraces) {

@@ -1,12 +1,12 @@
 // Tests for the VMC checkers: the exact frontier search, the polynomial
-// special cases of Figure 5.3, the write-order algorithm of Section 5.2,
-// and the check_auto dispatch cascade. Every kCoherent verdict's witness
-// is re-validated with the certificate checker.
+// special cases of Figure 5.3, and the write-order algorithm of Section
+// 5.2. Every kCoherent verdict's witness is re-validated with the
+// certificate checker. The whole-trace dispatcher that picks among them
+// (analysis::verify_coherence_routed) is tested in analysis_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include "trace/schedule.hpp"
-#include "vmc/checker.hpp"
 #include "support/parallel.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/exact_legacy.hpp"
@@ -584,106 +584,7 @@ TEST(RmwWriteOrder, NotApplicableWithPureOps) {
             Verdict::kUnknown);
 }
 
-// ---- Dispatch + whole-execution API -------------------------------------
-
-TEST(CheckAuto, PicksSpecialCasesAndAgreesWithExact) {
-  Xoshiro256ss rng(81);
-  for (int trial = 0; trial < 30; ++trial) {
-    SingleAddressParams params;
-    params.num_histories = 2 + rng.below(4);
-    params.ops_per_history = 1 + rng.below(5);
-    params.num_values = 2 + rng.below(6);
-    params.rmw_fraction = rng.chance(0.5) ? 1.0 : 0.0;
-    if (params.rmw_fraction == 1.0) params.write_fraction = 1.0;
-    const auto trace = workload::generate_coherent(params, rng);
-    const auto instance = make(trace.execution);
-    const auto dispatched = check_auto(instance);
-    const auto exact = check_exact(instance);
-    EXPECT_EQ(dispatched.verdict, exact.verdict);
-    if (dispatched.verdict == Verdict::kCoherent)
-      expect_valid_witness(instance, dispatched);
-  }
-}
-
-TEST(VerifyCoherence, MultiAddressCoherentTrace) {
-  Xoshiro256ss rng(91);
-  workload::MultiAddressParams params;
-  const auto trace = workload::generate_sc(params, rng);
-  const auto report = verify_coherence(trace.execution);
-  EXPECT_TRUE(report.coherent());
-  EXPECT_EQ(report.addresses.size(), trace.execution.addresses().size());
-}
-
-TEST(VerifyCoherence, DetectsPlantedViolation) {
-  // Coherent on address 0, planted cross-reader conflict on address 1.
-  const auto exec = ExecutionBuilder()
-                        .process(W(0, 1), W(1, 1))
-                        .process(W(1, 2))
-                        .process(R(1, 1), R(1, 2))
-                        .process(R(1, 2), R(1, 1))
-                        .build();
-  const auto report = verify_coherence(exec);
-  EXPECT_EQ(report.verdict, Verdict::kIncoherent);
-  ASSERT_NE(report.first_violation(), nullptr);
-  EXPECT_EQ(report.first_violation()->addr, 1u);
-}
-
-TEST(VerifyCoherence, FirstViolationIsRecordedAtAggregation) {
-  // Violations planted on addresses 2 and 5: first_violation() must be
-  // the lowest offending address, located via the recorded index (no
-  // rescan), and the index must agree with the report entry.
-  const auto exec = ExecutionBuilder()
-                        .process(W(0, 1), W(2, 1), W(5, 1))
-                        .process(R(2, 9), R(5, 9))
-                        .build();
-  const auto report = verify_coherence(exec);
-  EXPECT_EQ(report.verdict, Verdict::kIncoherent);
-  ASSERT_NE(report.first_violation_index, CoherenceReport::kNoViolation);
-  ASSERT_LT(report.first_violation_index, report.addresses.size());
-  ASSERT_NE(report.first_violation(), nullptr);
-  EXPECT_EQ(report.first_violation()->addr, 2u);
-  EXPECT_EQ(&report.addresses[report.first_violation_index],
-            report.first_violation());
-
-  // Coherent reports carry the sentinel and a null first_violation.
-  const auto clean =
-      verify_coherence(ExecutionBuilder().process(W(0, 1), R(0, 1)).build());
-  EXPECT_EQ(clean.first_violation_index, CoherenceReport::kNoViolation);
-  EXPECT_EQ(clean.first_violation(), nullptr);
-
-  // The parallel sweep records the same index deterministically, even
-  // though its early-cancel may skip later addresses.
-  const auto parallel = verify_coherence_parallel(exec, 4);
-  EXPECT_EQ(parallel.first_violation_index, report.first_violation_index);
-  ASSERT_NE(parallel.first_violation(), nullptr);
-  EXPECT_EQ(parallel.first_violation()->addr, 2u);
-}
-
-TEST(VerifyCoherenceWithWriteOrder, UsesRecordedOrders) {
-  Xoshiro256ss rng(101);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 30;
-  const auto trace = workload::generate_sc(params, rng);
-  const auto report =
-      verify_coherence_with_write_order(trace.execution, trace.write_orders);
-  EXPECT_TRUE(report.coherent());
-  // Witnesses come back in original coordinates and validate per address.
-  for (const auto& [addr, result] : report.addresses) {
-    const auto check = check_coherent_schedule(trace.execution, addr, result.witness);
-    EXPECT_TRUE(check.ok) << check.violation;
-  }
-}
-
-TEST(VerifyCoherenceWithWriteOrder, BadOrderRejects) {
-  const auto exec = ExecutionBuilder().process(W(0, 1), W(0, 2)).build();
-  WriteOrderMap orders;
-  orders[0] = {{0, 1}, {0, 0}};
-  const auto report = verify_coherence_with_write_order(exec, orders);
-  EXPECT_EQ(report.verdict, Verdict::kIncoherent);
-}
-
-// --- Parallel per-address verification -----------------------------------
+// --- Fork-join helper behind the parallel sweeps ------------------------
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(100);
@@ -705,84 +606,6 @@ TEST(ParallelFor, HandlesEmptyAndSingle) {
   EXPECT_EQ(calls, 0);
   parallel_for_each(1, 4, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
-}
-
-TEST(VerifyCoherenceParallel, MatchesSerialVerdicts) {
-  Xoshiro256ss rng(113);
-  for (int trial = 0; trial < 6; ++trial) {
-    workload::MultiAddressParams params;
-    params.num_processes = 4;
-    params.ops_per_process = 20;
-    params.num_addresses = 6;
-    const auto trace = workload::generate_sc(params, rng);
-
-    const auto serial = verify_coherence(trace.execution);
-    for (const std::size_t workers : {1, 2, 4}) {
-      const auto parallel = verify_coherence_parallel(trace.execution, workers);
-      EXPECT_EQ(parallel.verdict, serial.verdict);
-      ASSERT_EQ(parallel.addresses.size(), serial.addresses.size());
-      for (std::size_t i = 0; i < parallel.addresses.size(); ++i) {
-        EXPECT_EQ(parallel.addresses[i].addr, serial.addresses[i].addr);
-        EXPECT_EQ(parallel.addresses[i].result.verdict,
-                  serial.addresses[i].result.verdict);
-        // Witnesses certify regardless of which thread produced them.
-        if (parallel.addresses[i].result.verdict == Verdict::kCoherent) {
-          const auto valid = check_coherent_schedule(
-              trace.execution, parallel.addresses[i].addr,
-              parallel.addresses[i].result.witness);
-          EXPECT_TRUE(valid.ok) << valid.violation;
-        }
-      }
-    }
-  }
-}
-
-TEST(VerifyCoherenceParallel, EarlyCancelKeepsVerdictDeterministic) {
-  // Several incoherent addresses: whichever one a worker proves first
-  // cancels the fleet, but the aggregate verdict must always equal the
-  // sequential path's, on every thread schedule.
-  ExecutionBuilder builder;
-  builder.process(W(0, 1), W(1, 1), W(2, 1), W(3, 1));
-  for (Addr a = 0; a < 4; ++a) {
-    builder.process(W(a, 2));
-    builder.process(R(a, 1), R(a, 2));
-    builder.process(R(a, 2), R(a, 1));  // cross-reader conflict on every addr
-  }
-  const auto exec = builder.build();
-  const auto serial = verify_coherence(exec);
-  ASSERT_EQ(serial.verdict, Verdict::kIncoherent);
-  for (int round = 0; round < 10; ++round) {
-    const auto parallel = verify_coherence_parallel(exec, 4);
-    EXPECT_EQ(parallel.verdict, Verdict::kIncoherent);
-    EXPECT_EQ(parallel.addresses.size(), serial.addresses.size());
-    ASSERT_NE(parallel.first_violation(), nullptr);
-    // Skipped addresses (if any) are marked, never silently coherent.
-    for (const auto& report : parallel.addresses)
-      EXPECT_NE(report.result.verdict, Verdict::kCoherent);
-  }
-}
-
-TEST(VerifyCoherenceParallel, SharedIndexOverloadMatches) {
-  Xoshiro256ss rng(127);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 24;
-  params.num_addresses = 5;
-  const auto trace = workload::generate_sc(params, rng);
-  const AddressIndex index(trace.execution);
-  const auto direct = verify_coherence(trace.execution);
-  const auto via_index = verify_coherence(index);
-  const auto via_index_parallel = verify_coherence_parallel(index, 3);
-  ASSERT_EQ(via_index.addresses.size(), direct.addresses.size());
-  ASSERT_EQ(via_index_parallel.addresses.size(), direct.addresses.size());
-  EXPECT_EQ(via_index.verdict, direct.verdict);
-  EXPECT_EQ(via_index_parallel.verdict, direct.verdict);
-  for (std::size_t i = 0; i < direct.addresses.size(); ++i) {
-    EXPECT_EQ(via_index.addresses[i].result.verdict,
-              direct.addresses[i].result.verdict);
-    EXPECT_EQ(via_index_parallel.addresses[i].result.verdict,
-              direct.addresses[i].result.verdict);
-  }
 }
 
 // ---- Differential: arena/packed-key search vs frozen legacy ----------
@@ -871,53 +694,6 @@ TEST(ExactDifferential, ArenaStatsArePopulated) {
   EXPECT_LE(now.stats.arena_high_water, now.stats.arena_reserved);
   const auto legacy = check_exact_legacy(instance);
   EXPECT_EQ(legacy.stats.arena_reserved, 0u);
-}
-
-TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
-  // Two addresses with very different search sizes: the peaks in the
-  // merged effort must be attributed to the address that produced them.
-  Xoshiro256ss rng(7);
-  SingleAddressParams params;
-  params.num_histories = 4;
-  params.ops_per_history = 6;
-  params.num_values = 3;
-  params.addr = 1;  // address 0 stays trivial
-  const auto trace = workload::generate_coherent(params, rng);
-  Execution merged = trace.execution;
-  merged.add_history(ProcessHistory{std::vector<Operation>{W(0, 1)}});
-
-  const auto report = verify_coherence(merged);
-  ASSERT_EQ(report.addresses.size(), 2u);
-  // Address 1 (index 1 in sorted order) did the real search work.
-  if (report.effort.states_visited > 0) {
-    ASSERT_NE(report.peak_visited_index, CoherenceReport::kNoViolation);
-    EXPECT_EQ(report.addresses[report.peak_visited_index].addr, 1u);
-  }
-  if (report.effort.arena_high_water > 0) {
-    ASSERT_NE(report.peak_arena_index, CoherenceReport::kNoViolation);
-    EXPECT_EQ(report.addresses[report.peak_arena_index].addr, 1u);
-  }
-  // Sequential and parallel dispatch agree on effort totals and
-  // provenance (per-shard stats are merged, never dropped).
-  const auto parallel = verify_coherence_parallel(merged, 2);
-  EXPECT_EQ(parallel.effort.states_visited, report.effort.states_visited);
-  EXPECT_EQ(parallel.effort.max_frontier, report.effort.max_frontier);
-  EXPECT_EQ(parallel.peak_frontier_index, report.peak_frontier_index);
-  EXPECT_EQ(parallel.peak_visited_index, report.peak_visited_index);
-  EXPECT_EQ(parallel.peak_arena_index, report.peak_arena_index);
-}
-
-TEST(VerifyCoherenceParallel, FlagsViolationsLikeSerial) {
-  const auto exec = ExecutionBuilder()
-                        .process(W(0, 1), W(1, 1))
-                        .process(W(1, 2))
-                        .process(R(1, 1), R(1, 2))
-                        .process(R(1, 2), R(1, 1))
-                        .build();
-  const auto report = verify_coherence_parallel(exec, 3);
-  EXPECT_EQ(report.verdict, Verdict::kIncoherent);
-  ASSERT_NE(report.first_violation(), nullptr);
-  EXPECT_EQ(report.first_violation()->addr, 1u);
 }
 
 }  // namespace

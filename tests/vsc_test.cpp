@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
+#include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
-#include "vmc/checker.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
 #include "vsc/exact_legacy.hpp"
@@ -16,6 +17,11 @@ namespace vermem::vsc {
 namespace {
 
 using vmc::Verdict;
+
+bool coherent(const Execution& exec) {
+  const AddressIndex index(exec);
+  return analysis::verify_coherence_routed(index).report.coherent();
+}
 
 // Classic message-passing violation: coherent per address, not SC.
 Execution mp_violation() {
@@ -34,7 +40,7 @@ TEST(ScExact, MpViolationIsNotSc) {
 }
 
 TEST(ScExact, MpViolationIsCoherentPerAddress) {
-  EXPECT_TRUE(vmc::verify_coherence(mp_violation()).coherent());
+  EXPECT_TRUE(coherent(mp_violation()));
 }
 
 TEST(ScExact, StoreBufferingIsNotSc) {
@@ -44,7 +50,7 @@ TEST(ScExact, StoreBufferingIsNotSc) {
                         .process(W(1, 1), R(0, 0))
                         .build();
   EXPECT_EQ(check_sc_exact(exec).verdict, Verdict::kIncoherent);
-  EXPECT_TRUE(vmc::verify_coherence(exec).coherent());
+  EXPECT_TRUE(coherent(exec));
 }
 
 TEST(ScExact, IriwIsNotSc) {
@@ -56,7 +62,7 @@ TEST(ScExact, IriwIsNotSc) {
                         .process(R(1, 1), R(0, 0))
                         .build();
   EXPECT_EQ(check_sc_exact(exec).verdict, Verdict::kIncoherent);
-  EXPECT_TRUE(vmc::verify_coherence(exec).coherent());
+  EXPECT_TRUE(coherent(exec));
 }
 
 TEST(ScExact, WitnessValidatesOnGeneratedTraces) {

@@ -29,7 +29,7 @@
 // --solver selects the exact-tier engine policy for text traces:
 // "portfolio" races the frontier search, CDCL, and bounded-k per
 // hard address (first definite verdict wins, losers are cancelled);
-// "cdcl"/"dpll" force one engine. Default "auto" keeps the
+// "cdcl" forces that one engine. Default "auto" keeps the
 // single-engine routed cascade. The per-trace JSON gains a
 // "portfolio" object whenever at least one race ran, and kVscc
 // responses report "warm_sweep"/"suffix_extension" when served from
@@ -107,7 +107,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: vermemd [--mode=coherence|vscc|sc|tso|pso|coherence-only]\n"
-      "               [--solver=auto|portfolio|cdcl|dpll]\n"
+      "               [--solver=auto|portfolio|cdcl]\n"
       "               [--workers=N] [--batch=N] [--cache=N]\n"
       "               [--deadline-ms=N] [--repeat=N] [--binary]\n"
       "               [--shards=N] [--analyze] [--certify] [--stats]\n"
@@ -353,8 +353,6 @@ int main(int argc, char** argv) {
     solver_choice = service::SolverChoice::kPortfolio;
   } else if (solver == "cdcl") {
     solver_choice = service::SolverChoice::kCdcl;
-  } else if (solver == "dpll") {
-    solver_choice = service::SolverChoice::kDpll;
   } else {
     return usage();
   }
@@ -500,21 +498,22 @@ int main(int argc, char** argv) {
 
   if (print_stats) {
     const service::ServiceStats stats = svc.stats();
+    const analysis::RouteTally& routing = stats.routing;
     std::string fragments;
     for (std::size_t f = 0; f < analysis::kNumFragments; ++f) {
-      if (stats.fragments[f] == 0) continue;
+      if (routing.fragment_counts[f] == 0) continue;
       if (!fragments.empty()) fragments += ",";
       fragments += "\"";
       fragments += to_string(static_cast<analysis::Fragment>(f));
-      fragments += "\":" + std::to_string(stats.fragments[f]);
+      fragments += "\":" + std::to_string(routing.fragment_counts[f]);
     }
     std::string wins;
     for (std::size_t e = 0; e < analysis::kNumEngines; ++e) {
-      if (stats.engine_wins[e] == 0) continue;
+      if (routing.engine_wins[e] == 0) continue;
       if (!wins.empty()) wins += ",";
       wins += "\"";
       wins += to_string(static_cast<analysis::Engine>(e));
-      wins += "\":" + std::to_string(stats.engine_wins[e]);
+      wins += "\":" + std::to_string(routing.engine_wins[e]);
     }
     std::fprintf(stderr,
                  "{\"submitted\":%llu,\"completed\":%llu,\"cache_hits\":%llu,"
@@ -541,19 +540,19 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.incoherent),
                  static_cast<unsigned long long>(stats.unknown),
                  stats.p50_micros, stats.p99_micros, svc.num_workers(),
-                 static_cast<unsigned long long>(stats.poly_routed),
-                 static_cast<unsigned long long>(stats.exact_routed),
-                 static_cast<unsigned long long>(stats.saturate_ran),
-                 static_cast<unsigned long long>(stats.saturate_decided),
-                 static_cast<unsigned long long>(stats.saturate_cycles),
-                 static_cast<unsigned long long>(stats.saturate_forced),
-                 static_cast<unsigned long long>(stats.saturate_edges),
-                 static_cast<unsigned long long>(stats.portfolio_races),
+                 static_cast<unsigned long long>(routing.poly_routed),
+                 static_cast<unsigned long long>(routing.exact_routed),
+                 static_cast<unsigned long long>(routing.saturate_ran),
+                 static_cast<unsigned long long>(routing.saturate_decided),
+                 static_cast<unsigned long long>(routing.saturate_cycles),
+                 static_cast<unsigned long long>(routing.saturate_forced),
+                 static_cast<unsigned long long>(routing.saturate_edges),
+                 static_cast<unsigned long long>(routing.portfolio_races),
                  wins.c_str(),
                  static_cast<unsigned long long>(
-                     stats.wasted_effort.states_visited),
+                     routing.wasted_effort.states_visited),
                  static_cast<unsigned long long>(
-                     stats.wasted_effort.transitions),
+                     routing.wasted_effort.transitions),
                  static_cast<unsigned long long>(stats.vscc_sweeps),
                  static_cast<unsigned long long>(stats.vscc_sweep_extended),
                  static_cast<unsigned long long>(stats.vscc_sweep_reused),
