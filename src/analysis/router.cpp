@@ -15,6 +15,7 @@
 #include "analysis/saturate/core.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "support/parallel.hpp"
+#include "support/stopwatch.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/special.hpp"
@@ -113,7 +114,9 @@ CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
 /// verdict (by finish time) wins and cancels the rest through a token
 /// linked to the request-level one; the winner's effort becomes the
 /// result's stats and the losers' effort is surfaced separately in
-/// RouteOutcome::wasted_effort.
+/// RouteOutcome::wasted_effort. The first engine (the frontier search
+/// unless `only` forces another) runs on the calling thread; only the
+/// other arms get threads of their own.
 CheckResult race_portfolio(const vmc::VmcInstance& instance,
                            const vmc::ExactOptions& exact_options,
                            const PortfolioOptions& portfolio,
@@ -130,24 +133,38 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
 
   std::vector<CheckResult> results(engines.size());
   std::atomic<int> first_definite{-1};
+  const Stopwatch race_clock;
+  // race_clock time of the win; written only by the CAS winner and read
+  // after every arm has joined.
+  std::int64_t decided_ns = 0;
   const auto arm = [&](std::size_t i) {
     CheckResult result =
         run_engine(engines[i], instance, exact_options, portfolio, stop);
     if (result.verdict != Verdict::kUnknown) {
       int expected = -1;
       if (first_definite.compare_exchange_strong(expected,
-                                                 static_cast<int>(i)))
+                                                 static_cast<int>(i))) {
+        decided_ns = race_clock.nanos();
         stop.cancel();
+      }
     }
     results[i] = std::move(result);
   };
   {
     std::vector<std::thread> threads;
-    threads.reserve(engines.size());
-    for (std::size_t i = 0; i < engines.size(); ++i)
+    threads.reserve(engines.size() - 1);
+    for (std::size_t i = 1; i < engines.size(); ++i)
       threads.emplace_back(arm, i);
+    try {
+      arm(0);
+    } catch (...) {
+      stop.cancel();
+      for (auto& thread : threads) thread.join();
+      throw;
+    }
     for (auto& thread : threads) thread.join();
   }
+  const std::int64_t joined_ns = race_clock.nanos();
 
   // With no definite verdict the frontier search's answer (engines[0])
   // stands in, so kUnknown evidence stays meaningful.
@@ -165,6 +182,10 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
     span.attr("winner", to_string(engines[winner]));
     span.attr("definite", decided >= 0);
     span.attr("wasted_states", out.wasted_effort.states_visited);
+    // Time the losers took to notice the cancel and be joined.
+    span.attr("join_wait_ns",
+              decided >= 0 ? static_cast<std::uint64_t>(joined_ns - decided_ns)
+                           : 0);
   }
   obs::flight_event(obs::FlightEventKind::kTierVerdict,
                     to_string(engines[winner]),

@@ -76,9 +76,12 @@ inline constexpr std::size_t kNumEngines =
 }
 
 /// Portfolio configuration for the exact tier. Disabled by default: the
-/// race spends one thread per engine on every instance that reaches the
+/// race runs the frontier search on the calling thread and spends one
+/// thread each on CDCL and bounded-k for every instance that reaches the
 /// tier, which only pays off when instances are hard enough that no
-/// single engine dominates.
+/// single engine dominates. Every arm polls the race's token and the
+/// deadline in every phase (CDCL: encoding, clause loading, search), so
+/// once one arm decides, the losers stop within one poll period.
 struct PortfolioOptions {
   bool enabled = false;
   /// When set, the exact tier runs ONLY this engine instead of racing —

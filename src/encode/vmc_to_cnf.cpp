@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <variant>
 
 #include "encode/context.hpp"
@@ -53,8 +54,17 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance) {
 }
 
 VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
-                       const OrderHints& hints) {
+                       const OrderHints& hints,
+                       const CancellationToken* cancel, Deadline deadline) {
   VmcEncoding enc;
+  // Latches `interrupted` on the first poll that sees the token or the
+  // deadline fire; each poll site then returns the partial encoding.
+  const auto interrupted = [&] {
+    if (deadline.expired() || (cancel != nullptr && cancel->cancelled()))
+      enc.interrupted = true;
+    return enc.interrupted;
+  };
+  if (interrupted()) return enc;
   EmitContext ctx(enc.cnf);
   if (const auto why = instance.malformed()) {
     enc.trivially_incoherent = true;
@@ -89,7 +99,8 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
   };
 
   // Transitivity over all ordered triples.
-  for (std::size_t i = 0; i < w; ++i)
+  for (std::size_t i = 0; i < w; ++i) {
+    if (interrupted()) return enc;
     for (std::size_t j = 0; j < w; ++j) {
       if (j == i) continue;
       for (std::size_t k = 0; k < w; ++k) {
@@ -97,6 +108,7 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
         ctx.add_ternary(~order_lit(i, j), ~order_lit(j, k), order_lit(i, k));
       }
     }
+  }
 
   // Program order between same-history writes (consecutive pairs suffice
   // by transitivity).
@@ -178,6 +190,7 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
 
   // Per-item constraints.
   for (const ReadItem& item : items) {
+    if (interrupted()) return enc;
     // At least one candidate observed.
     sat::Clause alo;
     for (const sat::Var v : item.map_vars) alo.push_back(sat::pos(v));
@@ -226,6 +239,7 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
     // Items were generated history by history, position by position, so
     // consecutive pure reads are adjacent in `items`.
     for (std::size_t t = 0; t + 1 < items.size(); ++t) {
+      if (interrupted()) return enc;
       const ReadItem& r1 = items[t];
       const ReadItem& r2 = items[t + 1];
       if (r1.ref.process != r2.ref.process) continue;
@@ -284,9 +298,29 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
   return enc;
 }
 
+namespace {
+
+/// kUnknown for a run its deadline or cancel token stopped (the
+/// deadline wins when both fired), else nullopt.
+std::optional<vmc::CheckResult> interruption(
+    const sat::SolverOptions& options, const vmc::SearchStats& stats) {
+  if (options.deadline.expired())
+    return vmc::CheckResult::unknown(certify::UnknownReason::kDeadline,
+                                     "deadline exceeded", stats);
+  if (options.cancel != nullptr && options.cancel->cancelled())
+    return vmc::CheckResult::unknown(certify::UnknownReason::kSkipped,
+                                     "cancelled", stats);
+  return std::nullopt;
+}
+
+}  // namespace
+
 vmc::CheckResult check_via_sat(const vmc::VmcInstance& instance,
                                const sat::SolverOptions& solver_options) {
-  const VmcEncoding enc = encode_vmc(instance);
+  const VmcEncoding enc = encode_vmc(instance, OrderHints{},
+                                     solver_options.cancel,
+                                     solver_options.deadline);
+  if (enc.interrupted) return *interruption(solver_options, {});
   if (enc.trivially_incoherent) {
     if (const auto* unknown = std::get_if<certify::Unknown>(&enc.evidence))
       return vmc::CheckResult::unknown(*unknown);
@@ -308,6 +342,7 @@ vmc::CheckResult check_via_sat(const vmc::VmcInstance& instance,
       return vmc::CheckResult::no(
           certify::rup_refutation(instance.addr, solved.proof), stats);
     case sat::Status::kUnknown:
+      if (auto stopped = interruption(solver_options, stats)) return *stopped;
       return vmc::CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
                                        "SAT solver gave up", stats);
     case sat::Status::kSat:

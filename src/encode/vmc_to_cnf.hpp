@@ -28,6 +28,8 @@
 
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "support/parallel.hpp"
+#include "support/stopwatch.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"
 #include "vmc/write_order.hpp"
@@ -47,6 +49,10 @@ struct VmcEncoding {
   /// the typed certificate payload.
   bool trivially_incoherent = false;
   certify::Evidence evidence;
+  /// When true, the cancellation token or the deadline fired before the
+  /// encoding was complete: cnf holds only a prefix of the clauses and
+  /// must never be solved (a partial formula decides nothing).
+  bool interrupted = false;
 
   [[nodiscard]] std::size_t num_writes() const noexcept { return writes.size(); }
 
@@ -79,12 +85,23 @@ struct OrderHints {
 /// hinted formula must NOT back an RUP certificate: the proof checker
 /// re-encodes the instance plainly, so log proofs only for the
 /// hint-free encoding.
-[[nodiscard]] VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
-                                     const OrderHints& hints);
+///
+/// `cancel` (optional) and `deadline` are polled on entry, once per
+/// outer row of the O(W^3) transitivity loop, and once per read item;
+/// when either fires the encoder stops and returns an encoding marked
+/// `interrupted`.
+[[nodiscard]] VmcEncoding encode_vmc(
+    const vmc::VmcInstance& instance, const OrderHints& hints,
+    const CancellationToken* cancel = nullptr,
+    Deadline deadline = Deadline::never());
 
 /// End-to-end SAT-based coherence check: encode, solve with the CDCL
 /// solver, decode the write order, and certify the witness with the
-/// Section 5.2 polynomial checker.
+/// Section 5.2 polynomial checker. The options' deadline and cancel
+/// token bound every phase (encoding, clause loading, search); an
+/// interrupted run returns kUnknown — kDeadline when the deadline
+/// expired, kSkipped when cancelled — and never a verdict from a
+/// partial formula.
 [[nodiscard]] vmc::CheckResult check_via_sat(
     const vmc::VmcInstance& instance,
     const sat::SolverOptions& solver_options = {});

@@ -522,6 +522,11 @@ struct IncrementalSolver::Impl {
 
     std::uint64_t conflicts_until_restart = next_restart_budget();
     const std::uint64_t conflict_floor = stats_.conflicts;
+    // The deadline and cancel token are polled on the first decision of
+    // every call and then every 64 decisions. The counter is this call's
+    // own: a gate on the cumulative conflict count can stay shut for a
+    // whole call that starts off its period and meets few conflicts.
+    std::uint64_t until_poll = 0;
 
     while (true) {
       const std::uint32_t conflict = propagate();
@@ -565,11 +570,13 @@ struct IncrementalSolver::Impl {
           conflicts_until_restart = next_restart_budget();
           continue;
         }
-        if ((stats_.conflicts & 0x3ff) == 0 &&
-            (options_.deadline.expired() ||
-             (options_.cancel && options_.cancel->cancelled()))) {
-          result.status = Status::kUnknown;
-          break;
+        if (until_poll-- == 0) {
+          until_poll = 63;
+          if (options_.deadline.expired() ||
+              (options_.cancel && options_.cancel->cancelled())) {
+            result.status = Status::kUnknown;
+            break;
+          }
         }
         // Place pending assumptions as pseudo-decisions before any free
         // decision. Already-true assumptions still get their own (empty)

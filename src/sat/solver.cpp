@@ -12,13 +12,29 @@ namespace vermem::sat {
 // load, single solve with no assumptions. certify::check()'s RUP replay
 // path depends on this exact contract (per-call proof against the plain
 // input formula), so it must stay a pure wrapper.
+//
+// Loading polls the deadline and the cancel token every 1024 clauses and
+// gives up with kUnknown (no decisions made) when either fires. The poll
+// lives here rather than in IncrementalSolver::add_cnf so that a partly
+// loaded persistent solver can never be solved.
 SolveResult solve(const Cnf& cnf, const SolverOptions& options) {
   obs::Span span("sat.cdcl");
   SolverOptions inner = options;
   inner.verify_models = false;  // verified below against the caller's Cnf
   IncrementalSolver solver(inner);
-  (void)solver.add_cnf(cnf);
-  SolveResult result = solver.solve();
+  solver.reserve_vars(cnf.num_vars);
+  SolveResult result;
+  bool loaded = true;
+  for (std::size_t i = 0; i < cnf.clauses.size(); ++i) {
+    if ((i & 0x3ff) == 0 &&
+        (options.deadline.expired() ||
+         (options.cancel != nullptr && options.cancel->cancelled()))) {
+      loaded = false;
+      break;
+    }
+    if (!solver.add_clause(cnf.clauses[i])) break;
+  }
+  if (loaded) result = solver.solve();
   if (result.status == Status::kSat && !cnf.satisfied_by(result.model)) {
     // A model that does not satisfy the input is a solver bug; fail loudly
     // rather than report a wrong answer.

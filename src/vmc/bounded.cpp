@@ -82,13 +82,19 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   };
 
   std::vector<std::uint32_t> next_level;
+  // The deadline and cancel token are polled on the first expanded state
+  // and then every 256. A state adds 0..k transitions, so gating the poll
+  // on the transition count would skip multiples of 256 and could miss it
+  // for long stretches.
+  std::uint32_t until_poll = 0;
   for (std::size_t step = 0; step < total_ops; ++step) {
     next_level.clear();
     for (const std::uint32_t id : level) {
       if (options.max_states != 0 && stats.states_visited >= options.max_states)
         return with_arena(CheckResult::unknown(
             certify::UnknownReason::kBudget, "state budget exhausted", stats));
-      if ((stats.transitions & 0xff) == 0) {
+      if (until_poll-- == 0) {
+        until_poll = 255;
         if (options.deadline.expired())
           return with_arena(CheckResult::unknown(
               certify::UnknownReason::kDeadline, "deadline exceeded", stats));

@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "encode/vmc_to_cnf.hpp"
 #include "reductions/sat_to_vmc.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
+#include "sat/solver.hpp"
+#include "support/parallel.hpp"
+#include "support/stopwatch.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/exact.hpp"
 #include "workload/random.hpp"
@@ -136,6 +141,116 @@ TEST(Encode, SolverBudgetPropagates) {
     const auto valid = check_coherent_schedule(trace.execution, 0, result.witness);
     EXPECT_TRUE(valid.ok);
   }
+}
+
+// ---- Interruption: a fired token or deadline never yields a verdict --------
+
+/// A deadline that has already expired when the callee first polls it.
+Deadline expired_deadline() { return Deadline{std::chrono::nanoseconds(1)}; }
+
+TEST(EncodeInterrupt, CancelledTokenInterruptsEncoding) {
+  Xoshiro256ss rng(21);
+  workload::SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 8;
+  params.num_values = 2;
+  const auto trace = workload::generate_coherent(params, rng);
+  CancellationToken token;
+  token.cancel();
+  const auto enc = encode_vmc(make(trace.execution), OrderHints{}, &token);
+  EXPECT_TRUE(enc.interrupted);
+  EXPECT_FALSE(enc.trivially_incoherent);
+
+  const auto timed_out = encode_vmc(make(trace.execution), OrderHints{},
+                                    nullptr, expired_deadline());
+  EXPECT_TRUE(timed_out.interrupted);
+
+  CancellationToken idle;
+  EXPECT_FALSE(encode_vmc(make(trace.execution), OrderHints{}, &idle).interrupted);
+}
+
+TEST(EncodeInterrupt, CheckViaSatNeverDecidesOnceInterrupted) {
+  Xoshiro256ss rng(22);
+  std::vector<Execution> cases;
+  cases.push_back(Execution{});
+  // Unwritten read: decided during encoding when nothing interrupts it.
+  cases.push_back(ExecutionBuilder().process(R(0, 9)).build());
+  for (int trial = 0; trial < 6; ++trial) {
+    workload::SingleAddressParams params;
+    params.num_histories = 2 + rng.below(3);
+    params.ops_per_history = 3 + rng.below(6);
+    params.num_values = 1 + rng.below(3);
+    const auto trace = workload::generate_coherent(params, rng);
+    cases.push_back(trace.execution);
+    for (const Fault f : {Fault::kStaleRead, Fault::kFabricatedRead}) {
+      if (auto faulted = workload::inject_fault(trace, f, rng))
+        cases.push_back(std::move(*faulted));
+    }
+  }
+
+  CancellationToken token;
+  token.cancel();
+  for (const Execution& exec : cases) {
+    sat::SolverOptions cancelled;
+    cancelled.cancel = &token;
+    const auto skipped = check_via_sat(make(exec), cancelled);
+    ASSERT_EQ(skipped.verdict, Verdict::kUnknown);
+    ASSERT_NE(skipped.unknown_reason(), nullptr);
+    EXPECT_EQ(skipped.unknown_reason()->reason,
+              certify::UnknownReason::kSkipped);
+
+    sat::SolverOptions late;
+    late.deadline = expired_deadline();
+    const auto expired = check_via_sat(make(exec), late);
+    ASSERT_EQ(expired.verdict, Verdict::kUnknown);
+    ASSERT_NE(expired.unknown_reason(), nullptr);
+    EXPECT_EQ(expired.unknown_reason()->reason,
+              certify::UnknownReason::kDeadline);
+  }
+}
+
+TEST(EncodeInterrupt, CancelFromAnotherThreadStopsTheCdclRoute) {
+  // ~60 writes over two values: encoding alone is O(W^3) clauses, long
+  // enough that the cancel lands while check_via_sat is still working.
+  Xoshiro256ss rng(24);
+  workload::SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 30;
+  params.num_values = 2;
+  params.write_fraction = 0.5;
+  const auto trace = workload::generate_coherent(params, rng);
+  CancellationToken token;
+  sat::SolverOptions options;
+  options.cancel = &token;
+  std::thread canceller([&] { token.cancel(); });
+  const auto result = check_via_sat(make(trace.execution), options);
+  canceller.join();
+  // Should the thread be scheduled only after the whole check, the
+  // verdict must still be the right one.
+  if (result.verdict == Verdict::kUnknown) {
+    ASSERT_NE(result.unknown_reason(), nullptr);
+    EXPECT_EQ(result.unknown_reason()->reason,
+              certify::UnknownReason::kSkipped);
+  } else {
+    EXPECT_EQ(result.verdict, Verdict::kCoherent);
+  }
+}
+
+TEST(EncodeInterrupt, SolveWithCancelledTokenMakesNoDecisions) {
+  Xoshiro256ss rng(23);
+  const sat::Cnf cnf = sat::random_ksat(40, 170, 3, rng);
+  ASSERT_GT(cnf.clauses.size(), 0u);
+  CancellationToken token;
+  token.cancel();
+  sat::SolverOptions options;
+  options.cancel = &token;
+  const sat::SolveResult result = sat::solve(cnf, options);
+  EXPECT_EQ(result.status, sat::Status::kUnknown);
+  EXPECT_EQ(result.stats.decisions, 0u);
+
+  sat::SolverOptions late;
+  late.deadline = expired_deadline();
+  EXPECT_EQ(sat::solve(cnf, late).status, sat::Status::kUnknown);
 }
 
 }  // namespace

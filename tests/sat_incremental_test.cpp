@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -35,7 +36,9 @@
 #include "sat/incremental.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/stopwatch.hpp"
 #include "trace/address_index.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/instance.hpp"
@@ -452,6 +455,43 @@ TEST(SweepDifferential, FaultedScPipelineSweepAgreesWithCold) {
   }
 }
 
+// ---- Cooperative interruption --------------------------------------------
+
+TEST(IncrementalInterrupt, CancelHonoredWhenCumulativeConflictsAreOffPeriod) {
+  // First call: a pigeonhole frame, UNSAT under its activation literal
+  // only after some conflicts.
+  sat::IncrementalSolver solver;
+  const sat::Cnf pigeons = sat::pigeonhole(4);
+  solver.reserve_vars(pigeons.num_vars);
+  const sat::Var act = solver.new_activation();
+  for (const sat::Clause& clause : pigeons.clauses)
+    ASSERT_TRUE(solver.add_guarded(act, clause));
+  const sat::SolveResult first = solver.solve({sat::pos(act)});
+  ASSERT_EQ(first.status, sat::Status::kUnsat);
+  const std::uint64_t conflicts = solver.cumulative_stats().conflicts;
+  ASSERT_GT(conflicts, 0u);
+  ASSERT_NE(conflicts % 1024, 0u)
+      << "the first call must leave the count off a multiple of 1024";
+
+  // A second formula that needs decisions: free variables in a 3-SAT
+  // clause set, with the pigeonhole frame left unassumed.
+  std::vector<sat::Var> free;
+  for (int v = 0; v < 12; ++v) free.push_back(solver.new_var());
+  for (std::size_t v = 0; v + 2 < free.size(); ++v)
+    ASSERT_TRUE(solver.add_ternary(sat::pos(free[v]), sat::neg(free[v + 1]),
+                                   sat::pos(free[v + 2])));
+  CancellationToken token;
+  token.cancel();
+  solver.options().cancel = &token;
+  const sat::SolveResult second = solver.solve();
+  EXPECT_EQ(second.status, sat::Status::kUnknown);
+  EXPECT_EQ(second.stats.decisions, 0u);
+
+  // The same call with the token withdrawn decides the formula.
+  solver.options().cancel = nullptr;
+  EXPECT_EQ(solver.solve().status, sat::Status::kSat);
+}
+
 // ---- Exact-tier portfolio vs default routing -----------------------------
 
 TEST(PortfolioDifferential, RacedVerdictsMatchDefaultRouting) {
@@ -529,6 +569,58 @@ TEST(PortfolioDifferential, ForcedEngineRecordsItselfAsWinner) {
     EXPECT_EQ(forced.routing.engine_wins[static_cast<std::size_t>(engine)],
               forced.routing.portfolio_races);
   }
+}
+
+/// Best-of-`runs` wall time of `work`, in seconds.
+template <typename Work>
+double best_seconds(int runs, Work&& work) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < runs; ++r) {
+    const Stopwatch clock;
+    work();
+    best = std::min(best, clock.seconds());
+  }
+  return best;
+}
+
+TEST(PortfolioDifferential, RaceCostsItsWinnerNotItsSlowestLoser) {
+  // One contended address with ~60 writes over two values: the frontier
+  // search decides it quickly, while the CDCL arm's O(W^3) encoding
+  // alone takes far longer.
+  Xoshiro256ss rng(606);
+  workload::SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 30;
+  params.num_values = 2;
+  params.write_fraction = 0.5;
+  const auto trace = workload::generate_coherent(params, rng);
+  const vmc::VmcInstance instance{trace.execution, 0};
+
+  const double cdcl_s =
+      best_seconds(3, [&] { (void)encode::check_via_sat(instance); });
+  const double exact_s =
+      best_seconds(3, [&] { (void)vmc::check_exact(instance); });
+  ASSERT_GE(cdcl_s, 20 * exact_s)
+      << "the instance no longer separates the engines";
+
+  const AddressIndex index(trace.execution);
+  const auto base = analysis::verify_coherence_routed(index);
+  analysis::PortfolioOptions portfolio;
+  portfolio.enabled = true;
+  analysis::RoutedReport raced;
+  const double race_s = best_seconds(3, [&] {
+    raced = analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
+  });
+
+  ASSERT_EQ(raced.routing.portfolio_races, 1u);
+  ASSERT_EQ(raced.report.addresses.size(), 1u);
+  const vmc::CheckResult& got = raced.report.addresses[0].result;
+  const vmc::CheckResult& want = base.report.addresses[0].result;
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(got.witness, want.witness);
+  EXPECT_LT(race_s, cdcl_s / 4)
+      << "race " << race_s << " s, solo CDCL " << cdcl_s << " s, solo exact "
+      << exact_s << " s";
 }
 
 TEST(PortfolioDifferential, AdversarialReductionInstancesAgree) {
