@@ -1,10 +1,10 @@
 #include "models/checker.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <string>
 
 #include "analysis/router.hpp"
-#include "support/hash.hpp"
+#include "search/engine.hpp"
 #include "trace/address_index.hpp"
 #include "vsc/exact.hpp"
 
@@ -12,7 +12,7 @@ namespace vermem::models {
 
 namespace {
 
-/// Store-buffer search shared by TSO and PSO; `per_address_fifo` selects
+/// The TSO/PSO store-buffer policy of search/engine.hpp; `pso` selects
 /// PSO's relaxed drain rule.
 ///
 /// Transitions from a state: "issue" the next program operation of some
@@ -21,215 +21,181 @@ namespace {
 /// any store that is the oldest to its own address. The trace is
 /// admissible iff some transition sequence issues every operation and
 /// empties every buffer, ending with memory matching the recorded final
-/// values.
-class BufferedSearch {
+/// values. Choices are [issue p..., drain (p, j)...], j indexing p's
+/// stores in program order: the order of p's buffer, oldest first.
+///
+/// Key: k positions, then drain counters, then the dense memory words.
+/// TSO drains a FIFO prefix of each buffer, so it keeps one counter per
+/// processor; PSO drains a prefix per address, so it keeps one per
+/// (processor, address). Processor p's buffer is exactly its issued
+/// stores past the drained prefix, so the key identifies the same states
+/// as (positions, buffer contents, memory).
+class StoreBufferPolicy {
  public:
-  BufferedSearch(const AddressIndex& index, bool per_address_fifo,
-                 const ModelCheckOptions& options)
-      : exec_(index.execution()), pso_(per_address_fifo), options_(options),
-        k_(exec_.num_processes()) {
-    for (const Addr addr : index.addresses()) {
-      addr_id_[addr] = memory_.size();
-      memory_.push_back(exec_.initial_value(addr));
+  StoreBufferPolicy(const AddressIndex& index, bool pso)
+      : exec_(index.execution()), memory_(exec_, index.addresses()), pso_(pso),
+        k_(static_cast<std::uint32_t>(exec_.num_processes())),
+        drains_(pso ? k_ * memory_.size() : k_) {
+    ops_.resize(k_);
+    stores_.resize(k_);
+    for (std::uint32_t p = 0; p < k_; ++p) {
+      const auto& history = exec_.history(p);
+      std::vector<std::uint32_t> newest(memory_.size(), kNone);
+      std::vector<std::uint32_t> per_addr(memory_.size(), 0);
+      for (std::uint32_t i = 0; i < history.size(); ++i) {
+        const std::size_t a = memory_.id(p, i);
+        const auto before = static_cast<std::uint32_t>(stores_[p].size());
+        ops_[p].push_back({before, history[i].is_sync() ? kNone : newest[a]});
+        if (history[i].kind != OpKind::kWrite) continue;
+        newest[a] = before;
+        stores_[p].push_back({a, per_addr[a]++, history[i].value_written});
+      }
+      const auto stores = static_cast<std::uint32_t>(stores_[p].size());
+      ops_[p].push_back({stores, kNone});
+      slots_ = std::max(slots_, stores);
     }
-    positions_.assign(k_, 0);
-    buffers_.assign(k_, {});
-    // Choice encoding: [0, k) = issue by processor; [k, k + k*slots_) =
-    // drain slot (c-k)%slots_ of processor (c-k)/slots_.
-    std::size_t longest = 1;
-    for (const auto& h : exec_.histories())
-      longest = std::max(longest, h.size());
-    slots_ = longest;
   }
 
-  vmc::CheckResult run() {
-    if (accepting()) return vmc::CheckResult::yes(issued_, stats_);
-    remember();
+  [[nodiscard]] std::size_t key_words() const {
+    return k_ + drains_ + 2 * memory_.size();
+  }
+  [[nodiscard]] std::uint32_t num_choices() const { return k_ + k_ * slots_; }
+  [[nodiscard]] Addr addr() const { return 0; }
 
-    struct Frame {
-      std::vector<std::uint32_t> positions;
-      std::vector<std::vector<std::pair<Addr, Value>>> buffers;
-      std::vector<Value> memory;
-      std::size_t issued_len;
-      std::size_t next_choice;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({positions_, buffers_, memory_, issued_.size(), 0});
-    const std::size_t num_choices = k_ + k_ * slots_;
+  void start(std::uint32_t* key) const {
+    std::fill(key, key + k_ + drains_, 0u);
+    memory_.start(key + k_ + drains_);
+  }
 
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (budget_exhausted()) {
-        if (options_.deadline.expired())
-          return vmc::CheckResult::unknown(certify::UnknownReason::kDeadline,
-                                           "search deadline expired", stats_);
-        if (options_.cancel && options_.cancel->cancelled())
-          return vmc::CheckResult::unknown(certify::UnknownReason::kCancelled,
-                                           "search cancelled", stats_);
-        return vmc::CheckResult::unknown(certify::UnknownReason::kBudget,
-                                         "search budget exhausted", stats_);
-      }
-
-      positions_ = frame.positions;
-      buffers_ = frame.buffers;
-      memory_ = frame.memory;
-      issued_.resize(frame.issued_len);
-
-      std::size_t choice = frame.next_choice;
-      for (; choice < num_choices; ++choice) {
-        if (choice < k_) {
-          if (can_issue(static_cast<std::uint32_t>(choice))) break;
-        } else {
-          const std::uint32_t p =
-              static_cast<std::uint32_t>((choice - k_) / slots_);
-          const std::size_t slot = (choice - k_) % slots_;
-          if (can_drain(p, slot)) break;
-        }
-      }
-      if (choice == num_choices) {
-        stack.pop_back();
-        continue;
-      }
-      frame.next_choice = choice + 1;
-      ++stats_.transitions;
-
-      if (choice < k_) {
-        issue(static_cast<std::uint32_t>(choice));
-      } else {
-        const std::uint32_t p = static_cast<std::uint32_t>((choice - k_) / slots_);
-        drain(p, (choice - k_) % slots_);
-      }
-
-      if (accepting()) return vmc::CheckResult::yes(issued_, stats_);
-      if (!remember()) continue;
-      stack.push_back({positions_, buffers_, memory_, issued_.size(), 0});
-      stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, stack.size());
+  std::uint32_t next(const std::uint32_t* key, std::uint32_t c,
+                     vmc::SearchStats&) const {
+    for (; c < k_; ++c)
+      if (can_issue(key, c)) return c;
+    for (; c < num_choices(); ++c) {
+      // Drainable: issued, and next in line at its drain counter.
+      const std::uint32_t p = (c - k_) / slots_, j = (c - k_) % slots_;
+      if (j < ops_[p][key[p]].before && order(p, j) == counter(key, p, j))
+        return c;
     }
-    return vmc::CheckResult::no(
-        certify::search_exhaustion(0, stats_.states_visited, stats_.transitions),
-        stats_);
+    return c;
+  }
+
+  void apply(std::uint32_t* key, std::uint32_t c, Schedule& schedule) const {
+    if (c < k_) {
+      // A write joins the buffer, which the bumped position already says;
+      // an atomic acts on memory directly.
+      const Operation& op = exec_.history(c)[key[c]];
+      schedule.push_back(OpRef{c, key[c]});
+      if (op.kind == OpKind::kRmw)
+        search::store_value(memory_word(key, memory_.id(c, key[c])),
+                            op.value_written);
+      ++key[c];
+      return;
+    }
+    const Store& store = stores_[(c - k_) / slots_][(c - k_) % slots_];
+    search::store_value(memory_word(key, store.addr), store.value);
+    ++key[drain_word((c - k_) / slots_, store.addr)];
+  }
+
+  /// Everything issued, buffers empty, finals match. Never a rejection: a
+  /// finished state that misses a final value simply has no successors.
+  [[nodiscard]] search::Status status(const std::uint32_t* key) const {
+    for (std::uint32_t p = 0; p < k_; ++p)
+      if (key[p] < exec_.history(p).size() || buffered(key, p) != 0)
+        return search::Status::kOpen;
+    return memory_.mismatch(key + k_ + drains_) == nullptr
+               ? search::Status::kAccept
+               : search::Status::kOpen;
+  }
+
+  /// Never called: every transition branches (eager is off) and status()
+  /// never rejects.
+  [[nodiscard]] bool free(const std::uint32_t*, std::uint32_t) const {
+    return false;
+  }
+  [[nodiscard]] certify::Incoherence reject(const std::uint32_t*) const {
+    return certify::search_exhaustion(0, 0, 0);
   }
 
  private:
-  /// Newest buffered store of processor p to addr (forwarding), else the
-  /// global memory value.
-  [[nodiscard]] Value visible(std::uint32_t p, Addr addr) const {
-    const auto& buffer = buffers_[p];
-    for (std::size_t i = buffer.size(); i-- > 0;)
-      if (buffer[i].first == addr) return buffer[i].second;
-    return memory_[addr_id_.at(addr)];
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  struct OpInfo {
+    std::uint32_t before;   ///< p's stores among its earlier operations
+    std::uint32_t forward;  ///< p's newest earlier store to the address
+  };
+  struct Store {
+    std::size_t addr;    ///< dense address
+    std::uint32_t rank;  ///< index among p's stores to addr
+    Value value;
+  };
+
+  [[nodiscard]] std::uint32_t* memory_word(std::uint32_t* key,
+                                           std::size_t a) const {
+    return key + k_ + drains_ + 2 * a;
+  }
+  [[nodiscard]] Value memory(const std::uint32_t* key, std::size_t a) const {
+    return search::load_value(key + k_ + drains_ + 2 * a);
+  }
+  [[nodiscard]] std::size_t drain_word(std::uint32_t p, std::size_t a) const {
+    return k_ + (pso_ ? std::size_t{p} * memory_.size() + a : p);
   }
 
-  [[nodiscard]] bool can_issue(std::uint32_t p) const {
-    if (positions_[p] >= exec_.history(p).size()) return false;
-    const Operation& op = exec_.history(p)[positions_[p]];
+  /// Store j of p against its drain counter (TSO counts p's stores, PSO
+  /// p's stores to the address): below the counter it has drained, at the
+  /// counter it is the oldest buffered store and may drain next.
+  [[nodiscard]] std::uint32_t order(std::uint32_t p, std::uint32_t j) const {
+    return pso_ ? stores_[p][j].rank : j;
+  }
+  [[nodiscard]] std::uint32_t counter(const std::uint32_t* key, std::uint32_t p,
+                                      std::uint32_t j) const {
+    return key[drain_word(p, stores_[p][j].addr)];
+  }
+
+  /// Number of stores in p's buffer.
+  [[nodiscard]] std::uint32_t buffered(const std::uint32_t* key,
+                                       std::uint32_t p) const {
+    const std::uint32_t* counters = key + drain_word(p, 0);
+    std::uint32_t out = ops_[p][key[p]].before;
+    for (std::uint32_t a = 0; a < (pso_ ? memory_.size() : 1); ++a)
+      out -= counters[a];
+    return out;
+  }
+
+  [[nodiscard]] bool can_issue(const std::uint32_t* key, std::uint32_t p) const {
+    const std::uint32_t i = key[p];
+    if (i >= exec_.history(p).size()) return false;
+    const Operation& op = exec_.history(p)[i];
     switch (op.kind) {
       case OpKind::kWrite:
         return true;
-      case OpKind::kRead:
-        return visible(p, op.addr) == op.value_read;
+      case OpKind::kRead: {
+        // Forwarding: the newest buffered store of p to the address, else
+        // global memory.
+        const std::uint32_t j = ops_[p][i].forward;
+        return op.value_read == (j != kNone && order(p, j) >= counter(key, p, j)
+                                     ? stores_[p][j].value
+                                     : memory(key, memory_.id(p, i)));
+      }
       case OpKind::kRmw:
         // Atomics flush the buffer and act on memory directly.
-        return buffers_[p].empty() &&
-               memory_[addr_id_.at(op.addr)] == op.value_read;
+        return buffered(key, p) == 0 &&
+               memory(key, memory_.id(p, i)) == op.value_read;
       case OpKind::kAcquire:
       case OpKind::kRelease:
-        return buffers_[p].empty();  // sync acts as a full fence
+        return buffered(key, p) == 0;  // sync acts as a full fence
     }
     return false;
   }
 
-  void issue(std::uint32_t p) {
-    const Operation& op = exec_.history(p)[positions_[p]];
-    issued_.push_back(OpRef{p, positions_[p]});
-    ++positions_[p];
-    if (op.kind == OpKind::kWrite)
-      buffers_[p].emplace_back(op.addr, op.value_written);
-    else if (op.kind == OpKind::kRmw)
-      memory_[addr_id_.at(op.addr)] = op.value_written;
-  }
-
-  /// TSO: only slot 0 (FIFO front) drains. PSO: a slot drains iff it is
-  /// the oldest buffered store to its address.
-  [[nodiscard]] bool can_drain(std::uint32_t p, std::size_t slot) const {
-    const auto& buffer = buffers_[p];
-    if (slot >= buffer.size()) return false;
-    if (!pso_) return slot == 0;
-    for (std::size_t i = 0; i < slot; ++i)
-      if (buffer[i].first == buffer[slot].first) return false;
-    return true;
-  }
-
-  void drain(std::uint32_t p, std::size_t slot) {
-    auto& buffer = buffers_[p];
-    memory_[addr_id_.at(buffer[slot].first)] = buffer[slot].second;
-    buffer.erase(buffer.begin() + static_cast<std::ptrdiff_t>(slot));
-  }
-
-  /// Accepting state: everything issued, buffers empty, finals match.
-  [[nodiscard]] bool accepting() const {
-    for (std::size_t p = 0; p < k_; ++p) {
-      if (positions_[p] < exec_.history(p).size()) return false;
-      if (!buffers_[p].empty()) return false;
-    }
-    for (const auto& [addr, fin] : exec_.final_values())
-      if (memory_[addr_id_.at(addr)] != fin) return false;
-    return true;
-  }
-
-  bool remember() {
-    ++stats_.states_visited;
-    std::vector<std::uint32_t> key(positions_);
-    for (const Value v : memory_) {
-      key.push_back(static_cast<std::uint32_t>(static_cast<std::uint64_t>(v)));
-      key.push_back(
-          static_cast<std::uint32_t>(static_cast<std::uint64_t>(v) >> 32));
-    }
-    for (std::size_t p = 0; p < k_; ++p) {
-      key.push_back(0xffffffffu);  // buffer separator
-      for (const auto& [addr, value] : buffers_[p]) {
-        key.push_back(addr);
-        key.push_back(
-            static_cast<std::uint32_t>(static_cast<std::uint64_t>(value)));
-        key.push_back(
-            static_cast<std::uint32_t>(static_cast<std::uint64_t>(value) >> 32));
-      }
-    }
-    if (!visited_.insert(std::move(key)).second) {
-      --stats_.states_visited;
-      return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool budget_exhausted() const {
-    if (options_.max_states != 0 && stats_.states_visited >= options_.max_states)
-      return true;
-    if ((stats_.transitions & 0xff) != 0) return false;
-    return options_.deadline.expired() ||
-           (options_.cancel && options_.cancel->cancelled());
-  }
-
-  struct KeyHash {
-    std::size_t operator()(const std::vector<std::uint32_t>& key) const noexcept {
-      return static_cast<std::size_t>(hash_span<std::uint32_t>(key));
-    }
-  };
-
   const Execution& exec_;
+  search::DenseMemory memory_;
   bool pso_;
-  const ModelCheckOptions& options_;
-  std::size_t k_;
-  std::size_t slots_ = 1;
-
-  std::unordered_map<Addr, std::size_t> addr_id_;
-  std::vector<std::uint32_t> positions_;
-  std::vector<std::vector<std::pair<Addr, Value>>> buffers_;
-  std::vector<Value> memory_;
-  Schedule issued_;
-  std::unordered_set<std::vector<std::uint32_t>, KeyHash> visited_;
-  vmc::SearchStats stats_;
+  std::uint32_t k_;
+  std::uint32_t drains_;     ///< drain counter words in the key
+  std::uint32_t slots_ = 1;  ///< drain choices per processor: most stores
+  std::vector<std::vector<OpInfo>> ops_;    ///< per op, plus one past the end
+  std::vector<std::vector<Store>> stores_;  ///< p's plain writes, in order
 };
 
 }  // namespace
@@ -248,9 +214,12 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
       return vsc::check_sc_exact(index, sc);
     }
     case Model::kTso:
-      return BufferedSearch(index, /*per_address_fifo=*/false, options).run();
     case Model::kPso:
-      return BufferedSearch(index, /*per_address_fifo=*/true, options).run();
+      return search::Engine(StoreBufferPolicy(index, m == Model::kPso),
+                            {.eager = false,
+                             .max_states = options.max_states,
+                             .deadline = options.deadline,
+                             .cancel = options.cancel}).run();
     case Model::kCoherenceOnly: {
       vmc::ExactOptions vmc_options;
       vmc_options.max_states = options.max_states;
@@ -260,7 +229,7 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
           analysis::verify_coherence_routed(index, nullptr, vmc_options).report;
       switch (report.verdict) {
         case vmc::Verdict::kCoherent:
-          return vmc::CheckResult::yes({});
+          return vmc::CheckResult::yes({}, report.effort);
         case vmc::Verdict::kIncoherent: {
           const auto* violation = report.first_violation();
           certify::Incoherence evidence;
@@ -269,12 +238,17 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
               evidence = *inc;
             evidence.addr = violation->addr;
           }
-          return vmc::CheckResult::no(std::move(evidence));
+          return vmc::CheckResult::no(std::move(evidence), report.effort);
         }
         case vmc::Verdict::kUnknown:
-          return vmc::CheckResult::unknown(
-              certify::UnknownReason::kBudget,
-              "coherence undecided within budget");
+          // The first undecided address speaks for the trace.
+          for (const auto& address : report.addresses)
+            if (const auto* why = address.result.unknown_reason())
+              return vmc::CheckResult::unknown(
+                  why->reason,
+                  "address " + std::to_string(address.addr) + ": " + why->detail,
+                  report.effort);
+          break;
       }
       return vmc::CheckResult::unknown(certify::UnknownReason::kUnsupported,
                                        "unreachable");

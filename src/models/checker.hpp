@@ -3,7 +3,8 @@
 //
 // check_model(exec, m) decides whether a machine implementing model m
 // could have produced the observed execution, by exhaustive (memoized)
-// search over the model's operational semantics:
+// search over the model's operational semantics — each model one policy
+// of search/engine.hpp:
 //
 //   SC   delegates to the exact VSC search.
 //   TSO  one FIFO store buffer per processor, with store->load
@@ -14,7 +15,9 @@
 //        buffered store *to its own address* (stores to different
 //        addresses reorder).
 //   CoherenceOnly   per-address coherence and nothing more, decided by
-//        the VMC cascade.
+//        the coherence router (analysis::verify_coherence_routed); the
+//        result carries the router's effort and, when undecided, the
+//        first undecided address's reason.
 //
 // The witness of a TSO/PSO kCoherent result is the *issue order* of the
 // program operations (drain events interleave with it internally); it is

@@ -25,7 +25,7 @@
 namespace vermem::service {
 
 enum class CheckMode : std::uint8_t {
-  /// Per-address memory coherence (the VMC cascade; polynomial Section
+  /// Per-address memory coherence (the coherence router; polynomial Section
   /// 5.2 path when write orders accompany the trace).
   kCoherence,
   /// Sequential consistency via the VSCC pipeline: per-address coherence,

@@ -1,7 +1,7 @@
 #pragma once
 // Bump/extent arena for the frontier searches' node and key storage.
 //
-// The exact VMC/VSC searches allocate one short key per explored state
+// The exact searches allocate one short key per explored state
 // and never free anything until the whole verification call finishes —
 // the textbook arena workload. An Arena hands out pointer-bumped chunks
 // from geometrically growing extents (one ::operator new per extent,

@@ -1,6 +1,5 @@
 #pragma once
-// Open-addressing dedup table for the packed fixed-stride search-state
-// keys of the exact VMC/VSC frontier searches.
+// Open-addressing dedup table for packed fixed-stride search-state keys.
 //
 // Replaces std::unordered_set<std::vector<uint32_t>>: the node-based
 // table costs one heap allocation per inserted key plus pointer-chasing
@@ -13,9 +12,8 @@
 // Inserts only — the searches never remove a state, so there are no
 // tombstones and growth is a clean re-placement of live entries (the
 // per-id hash is retained to avoid re-hashing key words on growth).
-// Every inserted key gets a dense id (insertion order); vmc/bounded.cpp
-// uses ids as parent links for witness reconstruction, the DFS searches
-// ignore them.
+// Every inserted key gets a dense id (insertion order), usable as a
+// parent link for witness reconstruction.
 
 #include <cstdint>
 #include <cstring>

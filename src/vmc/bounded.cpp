@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "support/arena.hpp"
-#include "support/flat_set.hpp"
+#include "search/engine.hpp"
 
 namespace vermem::vmc {
 
@@ -32,10 +31,7 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   Arena arena;
   FlatKeySet visited(arena, k + 2);
   const auto with_arena = [&](CheckResult result) {
-    result.stats.arena_reserved = arena.stats().reserved;
-    result.stats.arena_high_water = arena.stats().high_water;
-    result.stats.arena_allocations = arena.stats().allocations;
-    return result;
+    return search::with_arena(std::move(result), arena);
   };
 
   /// Parent links for witness reconstruction, indexed by the visited
@@ -48,14 +44,8 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   ArenaVec<ParentLink> parents(arena);
 
   std::vector<std::uint32_t> key_buf(k + 2, 0);
-  const auto pack_value = [&](Value value) {
-    key_buf[k] = static_cast<std::uint32_t>(static_cast<std::uint64_t>(value));
-    key_buf[k + 1] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value) >> 32);
-  };
-
-  const Value initial = instance.initial_value();
-  pack_value(initial);  // key_buf positions are already all zero
+  // key_buf positions are already all zero.
+  search::store_value(key_buf.data() + k, instance.initial_value());
   const std::uint32_t start_id = visited.insert(key_buf.data()).id;
   parents.push_back({FlatKeySet::kNone, {}});
   ++stats.states_visited;
@@ -66,9 +56,7 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   const auto unpack = [&](std::uint32_t id) {
     const std::uint32_t* words = visited.key(id);
     positions.assign(words, words + k);
-    value = static_cast<Value>(
-        static_cast<std::uint64_t>(words[k]) |
-        (static_cast<std::uint64_t>(words[k + 1]) << 32));
+    value = search::load_value(words + k);
   };
 
   const auto build_witness = [&](std::uint32_t id) {
@@ -82,25 +70,24 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   };
 
   std::vector<std::uint32_t> next_level;
-  // The deadline and cancel token are polled on the first expanded state
-  // and then every 256. A state adds 0..k transitions, so gating the poll
-  // on the transition count would skip multiples of 256 and could miss it
-  // for long stretches.
-  std::uint32_t until_poll = 0;
+  // Polled once per expanded state; the budget counts its own calls.
+  const search::Limits limits{.max_states = options.max_states,
+                              .deadline = options.deadline,
+                              .cancel = options.cancel};
+  search::Budget budget(limits);
   for (std::size_t step = 0; step < total_ops; ++step) {
     next_level.clear();
     for (const std::uint32_t id : level) {
-      if (options.max_states != 0 && stats.states_visited >= options.max_states)
-        return with_arena(CheckResult::unknown(
-            certify::UnknownReason::kBudget, "state budget exhausted", stats));
-      if (until_poll-- == 0) {
-        until_poll = 255;
-        if (options.deadline.expired())
+      if (const auto why = budget.stop(stats)) {
+        // bounded-k keeps its own reason codes and details.
+        if (why->reason == certify::UnknownReason::kDeadline)
           return with_arena(CheckResult::unknown(
               certify::UnknownReason::kDeadline, "deadline exceeded", stats));
-        if (options.cancel && options.cancel->cancelled())
+        if (why->reason == certify::UnknownReason::kCancelled)
           return with_arena(CheckResult::unknown(
               certify::UnknownReason::kSkipped, "cancelled", stats));
+        return with_arena(CheckResult::unknown(
+            certify::UnknownReason::kBudget, "state budget exhausted", stats));
       }
 
       unpack(id);
@@ -113,7 +100,8 @@ CheckResult check_bounded_k(const VmcInstance& instance,
         ++stats.transitions;
 
         key_buf[p] = positions[p] + 1;
-        pack_value(op.writes_memory() ? op.value_written : value);
+        search::store_value(key_buf.data() + k,
+                            op.writes_memory() ? op.value_written : value);
         const auto inserted = visited.insert(key_buf.data());
         key_buf[p] = positions[p];
 

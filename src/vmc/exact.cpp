@@ -5,230 +5,108 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "support/arena.hpp"
-#include "support/flat_set.hpp"
+#include "search/engine.hpp"
 
 namespace vermem::vmc {
 
 namespace {
 
-// The search state is packed into a fixed-stride key: one position word
-// per history, then the current value split into two 32-bit halves. Keys
-// live inline in the arena, deduped by the open-addressing FlatKeySet —
-// no per-state heap allocation, no node-based hash table. The DFS frame
-// stack is SoA: all position rows in one contiguous array, scalar
-// bookkeeping (value, base schedule length, next branching choice) in
-// parallel vectors, so restoring a frame and enumerating successors walk
-// dense memory. See docs/ALGORITHMS.md §12 and exact_legacy.cpp for the
-// pre-rework shape this replaces (kept as the differential oracle).
-class ExactSearch {
+// The VMC policy of search/engine.hpp. Key: one position word per
+// history, then the location's current value in two words. Choice p
+// schedules the next operation of history p; with eager reads, pure reads
+// are free, so only writing operations branch. exact_legacy.cpp keeps the
+// pre-arena search as the differential oracle.
+class VmcPolicy {
  public:
-  ExactSearch(const VmcInstance& instance, const ExactOptions& options)
-      : instance_(instance),
-        options_(options),
-        k_(instance.num_histories()),
-        positions_(k_, 0),
-        visited_(arena_, k_ + 2),
-        key_buf_(k_ + 2, 0) {}
+  VmcPolicy(const VmcInstance& instance, const ExactOptions& options)
+      : instance_(instance), options_(options),
+        k_(static_cast<std::uint32_t>(instance.num_histories())) {}
 
-  CheckResult run() {
-    CheckResult result = search();
-    const ArenaStats& arena = arena_.stats();
-    result.stats.arena_reserved = arena.reserved;
-    result.stats.arena_high_water = arena.high_water;
-    result.stats.arena_allocations = arena.allocations;
-    return result;
+  [[nodiscard]] std::size_t key_words() const noexcept { return k_ + 2; }
+  [[nodiscard]] std::uint32_t num_choices() const noexcept { return k_; }
+  [[nodiscard]] Addr addr() const noexcept { return instance_.addr; }
+
+  void start(std::uint32_t* key) const {
+    std::fill(key, key + k_, 0u);
+    search::store_value(key + k_, instance_.initial_value());
+  }
+
+  std::uint32_t next(const std::uint32_t* key, std::uint32_t p,
+                     SearchStats& stats) const {
+    const Value value = search::load_value(key + k_);
+    for (; p < k_; ++p) {
+      const auto& history = instance_.execution.history(p);
+      if (key[p] >= history.size()) continue;
+      const Operation& op = history[key[p]];
+      if (options_.eager_reads && !op.writes_memory()) continue;
+      if (op.reads_memory() && op.value_read != value) continue;
+      if (options_.pruner && op.writes_memory() &&
+          !options_.pruner->satisfied(key, p, key[p])) {
+        // A must-precede predecessor is still unscheduled: this branch
+        // violates a necessary ordering and cannot contain a witness.
+        ++stats.oracle_prunes;
+        continue;
+      }
+      break;
+    }
+    return p;
+  }
+
+  /// A pure read of the current value: it leaves the state's value alone,
+  /// so any coherent continuation can run it first.
+  [[nodiscard]] bool free(const std::uint32_t* key, std::uint32_t p) const {
+    const auto& history = instance_.execution.history(p);
+    if (key[p] >= history.size()) return false;
+    const Operation& op = history[key[p]];
+    return op.kind == OpKind::kRead &&
+           op.value_read == search::load_value(key + k_);
+  }
+
+  void apply(std::uint32_t* key, std::uint32_t p, Schedule& schedule) const {
+    const Operation& op = instance_.execution.history(p)[key[p]];
+    schedule.push_back(OpRef{p, key[p]});
+    ++key[p];
+    if (op.writes_memory()) search::store_value(key + k_, op.value_written);
+  }
+
+  [[nodiscard]] search::Status status(const std::uint32_t* key) const {
+    for (std::uint32_t p = 0; p < k_; ++p)
+      if (key[p] < instance_.execution.history(p).size())
+        return search::Status::kOpen;
+    const auto fin = instance_.final_value();
+    return !fin || search::load_value(key + k_) == *fin
+               ? search::Status::kAccept
+               : search::Status::kReject;
+  }
+
+  /// Complete before any choice: the instance has no writes (only pure
+  /// reads of the initial value were consumed), so a final value other
+  /// than the initial one is unwritable.
+  [[nodiscard]] certify::Incoherence reject(const std::uint32_t*) const {
+    return certify::unwritable_final(instance_.addr, *instance_.final_value());
   }
 
  private:
-  CheckResult search() {
-    if (const auto why = instance_.malformed())
-      return CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
-
-    value_ = instance_.initial_value();
-    if (options_.eager_reads) close_reads();
-    if (complete()) {
-      // Complete without scheduling a write: the instance has no writes
-      // (only pure reads of the initial value were consumed), so a final
-      // value other than the initial one is unwritable.
-      return final_ok() ? CheckResult::yes(schedule_, stats_)
-                        : CheckResult::no(
-                              certify::unwritable_final(
-                                  instance_.addr, *instance_.final_value()),
-                              stats_);
-    }
-    remember_current();
-    push_frame();
-
-    while (!frame_value_.empty()) {
-      if (budget_exhausted()) {
-        if (options_.deadline.expired())
-          return CheckResult::unknown(certify::UnknownReason::kDeadline,
-                                      "search deadline expired", stats_);
-        if (options_.cancel && options_.cancel->cancelled())
-          return CheckResult::unknown(certify::UnknownReason::kCancelled,
-                                      "search cancelled", stats_);
-        return CheckResult::unknown(certify::UnknownReason::kBudget,
-                                    "search budget exhausted", stats_);
-      }
-
-      // Restore the top frame's state: one contiguous row copy.
-      const std::size_t top = frame_value_.size() - 1;
-      const std::uint32_t* row = frame_positions_.data() + top * k_;
-      std::copy(row, row + k_, positions_.begin());
-      value_ = frame_value_[top];
-      schedule_.resize(frame_base_len_[top]);
-
-      // Find the next enabled candidate. With eager reads, pure reads are
-      // consumed by the closure, so only writing operations branch.
-      std::uint32_t p = frame_next_choice_[top];
-      for (; p < k_; ++p) {
-        const auto& history = instance_.execution.history(p);
-        if (positions_[p] >= history.size()) continue;
-        const Operation& op = history[positions_[p]];
-        if (options_.eager_reads && !op.writes_memory()) continue;
-        if (op.reads_memory() && op.value_read != value_) continue;
-        if (options_.pruner && op.writes_memory() &&
-            !options_.pruner->satisfied(positions_, p, positions_[p])) {
-          // A must-precede predecessor is still unscheduled: this branch
-          // violates a necessary ordering and cannot contain a witness.
-          ++stats_.oracle_prunes;
-          continue;
-        }
-        break;
-      }
-      if (p == k_) {
-        pop_frame();
-        continue;
-      }
-      frame_next_choice_[top] = p + 1;
-      ++stats_.transitions;
-
-      apply(p);
-      if (options_.eager_reads) close_reads();
-
-      if (complete()) {
-        if (final_ok()) return CheckResult::yes(schedule_, stats_);
-        continue;  // frame state restored at loop head
-      }
-      if (!remember_current()) continue;  // state already explored
-      push_frame();
-      stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, frame_value_.size());
-    }
-    return CheckResult::no(
-        certify::search_exhaustion(instance_.addr, stats_.states_visited,
-                                   stats_.transitions),
-        stats_);
-  }
-
-  void push_frame() {
-    frame_positions_.insert(frame_positions_.end(), positions_.begin(),
-                            positions_.end());
-    frame_value_.push_back(value_);
-    frame_base_len_.push_back(schedule_.size());
-    frame_next_choice_.push_back(0);
-  }
-
-  void pop_frame() {
-    frame_positions_.resize(frame_positions_.size() - k_);
-    frame_value_.pop_back();
-    frame_base_len_.pop_back();
-    frame_next_choice_.pop_back();
-  }
-
-  [[nodiscard]] bool complete() const {
-    for (std::size_t p = 0; p < k_; ++p)
-      if (positions_[p] < instance_.execution.history(p).size()) return false;
-    return true;
-  }
-
-  [[nodiscard]] bool final_ok() const {
-    const auto fin = instance_.final_value();
-    return !fin || value_ == *fin;
-  }
-
-  [[nodiscard]] bool budget_exhausted() const {
-    if (options_.max_states != 0 && stats_.states_visited >= options_.max_states)
-      return true;
-    if (options_.max_transitions != 0 &&
-        stats_.transitions >= options_.max_transitions)
-      return true;
-    if ((stats_.transitions & 0xff) != 0) return false;
-    return options_.deadline.expired() ||
-           (options_.cancel && options_.cancel->cancelled());
-  }
-
-  /// Schedules the next op of history p (must be enabled).
-  void apply(std::uint32_t p) {
-    const Operation& op = instance_.execution.history(p)[positions_[p]];
-    schedule_.push_back(OpRef{p, positions_[p]});
-    ++positions_[p];
-    if (op.writes_memory()) value_ = op.value_written;
-  }
-
-  /// Eagerly schedules every enabled pure read. Sound and complete: a
-  /// read does not change the location's value, so any coherent
-  /// continuation can be reordered to execute enabled reads first.
-  void close_reads() {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (std::uint32_t p = 0; p < k_; ++p) {
-        const auto& history = instance_.execution.history(p);
-        while (positions_[p] < history.size()) {
-          const Operation& op = history[positions_[p]];
-          if (op.kind != OpKind::kRead || op.value_read != value_) break;
-          apply(p);
-          progressed = true;
-        }
-      }
-    }
-  }
-
-  /// Returns false when the current state was seen before (memoization
-  /// on); always true with memoization off.
-  bool remember_current() {
-    ++stats_.states_visited;
-    if (!options_.memoize) return true;
-    std::copy(positions_.begin(), positions_.end(), key_buf_.begin());
-    key_buf_[k_] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value_));
-    key_buf_[k_ + 1] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value_) >> 32);
-    if (!visited_.insert(key_buf_.data()).fresh) {
-      --stats_.states_visited;
-      ++stats_.prunes;
-      return false;
-    }
-    return true;
-  }
-
   const VmcInstance& instance_;
   const ExactOptions& options_;
-  std::size_t k_;
-
-  std::vector<std::uint32_t> positions_;
-  Value value_ = 0;
-  Schedule schedule_;
-
-  // SoA frame stack: row i of frame_positions_ belongs to frame i.
-  std::vector<std::uint32_t> frame_positions_;
-  std::vector<Value> frame_value_;
-  std::vector<std::size_t> frame_base_len_;
-  std::vector<std::uint32_t> frame_next_choice_;
-
-  Arena arena_;  ///< owns all visited-key storage for this call
-  FlatKeySet visited_;
-  std::vector<std::uint32_t> key_buf_;  ///< reused packing scratch
-  SearchStats stats_;
+  std::uint32_t k_;
 };
 
 }  // namespace
 
 CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options) {
   obs::Span span("vmc.exact");
-  CheckResult result = ExactSearch(instance, options).run();
+  const auto malformed = instance.malformed();
+  CheckResult result =
+      malformed ? CheckResult::unknown(certify::UnknownReason::kMalformed,
+                                       *malformed)
+                : search::Engine(VmcPolicy(instance, options),
+                                 {.eager = options.eager_reads,
+                                  .memoize = options.memoize,
+                                  .max_states = options.max_states,
+                                  .max_transitions = options.max_transitions,
+                                  .deadline = options.deadline,
+                                  .cancel = options.cancel}).run();
   if (span.active()) {
     span.attr("states", result.stats.states_visited);
     span.attr("transitions", result.stats.transitions);

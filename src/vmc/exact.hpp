@@ -43,8 +43,8 @@ struct MustPrecede {
 
   /// True iff every predecessor of (p, i) is already scheduled (its
   /// history position is past the predecessor's index).
-  [[nodiscard]] bool satisfied(const std::vector<std::uint32_t>& positions,
-                               std::uint32_t p, std::uint32_t i) const noexcept {
+  [[nodiscard]] bool satisfied(const std::uint32_t* positions, std::uint32_t p,
+                               std::uint32_t i) const noexcept {
     if (p >= spans.size() || i >= spans[p].size()) return true;
     const Span s = spans[p][i];
     for (std::uint32_t e = s.offset; e != s.offset + s.count; ++e) {

@@ -4,10 +4,10 @@
 // addresses, in which every read returns the immediately preceding write
 // to its address?
 //
-// Same frontier-search skeleton as vmc::check_exact, with the state
-// extended to one current value per address. Gibbons–Korach give the
-// O(n^k k^c) bound for k processes and c addresses; this search meets it
-// through memoization. Synchronization operations (Acq/Rel) participate
+// The VSC policy of the memoized search engine (search/engine.hpp): the
+// VMC state extended to one current value per address. Gibbons–Korach
+// give the O(n^k k^c) bound for k processes and c addresses; this search
+// meets it through memoization. Synchronization operations (Acq/Rel) participate
 // in the order but carry no data; under plain SC they are scheduled
 // eagerly like reads.
 

@@ -170,6 +170,7 @@ class LegacyScSearch {
     }
     if (!visited_.insert(std::move(key)).second) {
       --stats_.states_visited;
+      ++stats_.prunes;
       return false;
     }
     return true;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "analysis/router.hpp"
 #include "models/checker.hpp"
 #include "models/litmus.hpp"
 #include "models/lrc.hpp"
@@ -12,6 +17,7 @@
 #include "reductions/sync_wrap.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/checker.hpp"
 #include "workload/random.hpp"
 
@@ -19,6 +25,20 @@ namespace vermem::models {
 namespace {
 
 using vmc::Verdict;
+
+/// A TSO/PSO witness is the issue order of the program operations: every
+/// operation appears exactly once, each process's in program order.
+void expect_valid_issue_order(const Execution& exec, const Schedule& witness) {
+  std::vector<std::uint32_t> next(exec.num_processes(), 0);
+  for (const OpRef ref : witness) {
+    ASSERT_LT(ref.process, exec.num_processes());
+    ASSERT_EQ(ref.index, next[ref.process])
+        << "P" << ref.process << " issued out of program order";
+    ++next[ref.process];
+  }
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p)
+    EXPECT_EQ(next[p], exec.history(p).size()) << "P" << p << " not fully issued";
+}
 
 class LitmusSuite : public ::testing::TestWithParam<std::size_t> {};
 
@@ -31,6 +51,8 @@ TEST_P(LitmusSuite, MatchesExpectedAdmissibility) {
         << test.name << " under " << to_string(m) << ": " << result.reason();
     EXPECT_EQ(result.verdict == Verdict::kCoherent, test.allowed_under(m))
         << test.name << " under " << to_string(m);
+    if ((m == Model::kTso || m == Model::kPso) && result.coherent())
+      expect_valid_issue_order(test.execution, result.witness);
   }
 }
 
@@ -106,6 +128,25 @@ TEST(Restriction, SingleLocationReducesToCoherence) {
   }
 }
 
+TEST(ModelCheck, FinalOnUntouchedAddressIsChecked) {
+  // Address 7 has a recorded final value but no operation: it keeps its
+  // initial value, so every operational model rejects a different final.
+  const auto exec = ExecutionBuilder()
+                        .process(W(0, 1))
+                        .process(R(0, 1))
+                        .final_value(7, 3)
+                        .build();
+  for (const Model m : {Model::kSc, Model::kTso, Model::kPso})
+    EXPECT_EQ(check_model(exec, m).verdict, Verdict::kIncoherent) << to_string(m);
+  const auto kept = ExecutionBuilder()
+                        .process(W(0, 1))
+                        .process(R(0, 1))
+                        .final_value(7, 0)
+                        .build();
+  for (const Model m : {Model::kSc, Model::kTso, Model::kPso})
+    EXPECT_EQ(check_model(kept, m).verdict, Verdict::kCoherent) << to_string(m);
+}
+
 TEST(Tso, ForwardingWorks) {
   // P0 forwards its own store while P1 still sees the old value; then the
   // store drains. Accepted by TSO (and, here, by SC too — the SC/TSO
@@ -153,6 +194,133 @@ TEST(Pso, SameAddressStoresStayOrdered) {
                         .process(R(0, 2), R(0, 1))
                         .build();
   EXPECT_EQ(check_model(exec, Model::kPso).verdict, Verdict::kIncoherent);
+}
+
+TEST(CoherenceOnly, DeadlineKeepsReasonAndEffort) {
+  // Coherence of this trace decides an UNSAT pigeonhole formula, so the
+  // exact tier is still searching when the deadline fires: the verdict
+  // must carry the address's own reason and the effort spent so far.
+  const auto exec = reductions::sat_to_vmc(sat::pigeonhole(5)).instance.execution;
+  ModelCheckOptions options;
+  options.deadline = Deadline::after_ms(50);
+  const auto result = check_model(exec, Model::kCoherenceOnly, options);
+  ASSERT_EQ(result.verdict, Verdict::kUnknown);
+  ASSERT_NE(result.unknown_reason(), nullptr);
+  EXPECT_EQ(result.unknown_reason()->reason, certify::UnknownReason::kDeadline);
+  EXPECT_GT(result.stats.states_visited, 0u);
+}
+
+TEST(CoherenceOnly, DefiniteVerdictsCarryTheRoutersEffort) {
+  // Coherent and incoherent verdicts report the per-trace effort the
+  // coherence router spent, not an empty SearchStats.
+  Xoshiro256ss rng(17);
+  std::uint64_t searched = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    workload::SingleAddressParams params;
+    params.num_histories = 4;
+    params.ops_per_history = 6;
+    params.num_values = 2;
+    const auto trace = workload::generate_coherent(params, rng);
+    std::vector<Execution> cases{trace.execution};
+    if (auto faulted =
+            workload::inject_fault(trace, workload::Fault::kStaleRead, rng))
+      cases.push_back(std::move(*faulted));
+    for (const auto& exec : cases) {
+      const auto result = check_model(exec, Model::kCoherenceOnly);
+      ASSERT_NE(result.verdict, Verdict::kUnknown) << result.reason();
+      const AddressIndex index(exec);
+      const auto routed =
+          analysis::verify_coherence_routed(index, nullptr, {}).report;
+      EXPECT_EQ(result.stats.states_visited, routed.effort.states_visited);
+      EXPECT_EQ(result.stats.transitions, routed.effort.transitions);
+      EXPECT_EQ(result.stats.max_frontier, routed.effort.max_frontier);
+      searched += result.stats.states_visited;
+    }
+  }
+  EXPECT_GT(searched, 0u) << "no trial reached a frontier search";
+}
+
+// --- TSO/PSO golden table ---------------------------------------------------
+
+/// Inputs of the TSO/PSO golden table: the litmus suite, 30 seeded SC
+/// traces, and 30 seeded traces with one fault planted (the four fault
+/// kinds in turn; a trace with no site for its fault is skipped).
+std::vector<std::pair<std::string, Execution>> golden_inputs() {
+  std::vector<std::pair<std::string, Execution>> inputs;
+  for (auto& test : standard_litmus_suite())
+    inputs.emplace_back("litmus/" + test.name, std::move(test.execution));
+  Xoshiro256ss rng(71);
+  const auto params = [&rng] {
+    workload::MultiAddressParams p;
+    p.num_processes = 2 + rng.below(3);
+    p.ops_per_process = 2 + rng.below(4);
+    p.num_addresses = 1 + rng.below(3);
+    p.num_values = 2 + rng.below(2);
+    return p;
+  };
+  for (int i = 0; i < 30; ++i)
+    inputs.emplace_back("sc/" + std::to_string(i),
+                        workload::generate_sc(params(), rng).execution);
+  constexpr workload::Fault kFaults[] = {
+      workload::Fault::kStaleRead, workload::Fault::kLostWrite,
+      workload::Fault::kFabricatedRead, workload::Fault::kReorderedOps};
+  for (int attempt = 0, made = 0; made < 30; ++attempt) {
+    auto sc = workload::generate_sc(params(), rng);
+    const workload::GeneratedTrace trace{std::move(sc.execution),
+                                         std::move(sc.witness), {}};
+    const workload::Fault fault = kFaults[attempt % 4];
+    if (auto faulted = workload::inject_fault(trace, fault, rng))
+      inputs.emplace_back("fault/" + std::to_string(made++) + "/" +
+                              workload::to_string(fault),
+                          std::move(*faulted));
+  }
+  return inputs;
+}
+
+struct GoldenRow {
+  const char* input;
+  Model model;
+  Verdict verdict;
+  const char* witness;
+  std::uint64_t states_visited;
+  std::uint64_t transitions;
+  std::uint64_t max_frontier;
+};
+
+constexpr GoldenRow kGolden[] = {
+#include "data/models_tso_pso_golden.inc"
+};
+
+std::string render(const Schedule& witness) {
+  std::string out;
+  for (const OpRef ref : witness) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(ref.process) + ":" + std::to_string(ref.index);
+  }
+  return out;
+}
+
+TEST(ModelGolden, TsoPsoMatchRecordedTable) {
+  const auto inputs = golden_inputs();
+  ASSERT_EQ(std::size(kGolden), 2 * inputs.size());
+  std::size_t row = 0;
+  for (const auto& [name, exec] : inputs) {
+    for (const Model m : {Model::kTso, Model::kPso}) {
+      const GoldenRow& want = kGolden[row++];
+      ASSERT_EQ(name, want.input);
+      ASSERT_EQ(m, want.model);
+      const auto got = check_model(exec, m);
+      EXPECT_EQ(got.verdict, want.verdict) << name << " " << to_string(m);
+      EXPECT_EQ(render(got.witness), want.witness) << name << " " << to_string(m);
+      EXPECT_EQ(got.stats.states_visited, want.states_visited)
+          << name << " " << to_string(m);
+      EXPECT_EQ(got.stats.transitions, want.transitions)
+          << name << " " << to_string(m);
+      EXPECT_EQ(got.stats.max_frontier, want.max_frontier)
+          << name << " " << to_string(m);
+      if (got.coherent()) expect_valid_issue_order(exec, got.witness);
+    }
+  }
 }
 
 // --- Lazy Release Consistency (Figure 6.1) --------------------------------

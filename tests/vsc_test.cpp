@@ -293,6 +293,19 @@ TEST(ScExactDifferential, MatchesLegacyOnRandomizedTraces) {
   }
 }
 
+TEST(ScExact, MemoHitsCountAsPrunes) {
+  // Two processes writing independent addresses reach the same state in
+  // either order, so the memo table must cut (and count) revisits.
+  const auto exec = ExecutionBuilder()
+                        .process(W(0, 1), W(0, 2), R(1, 3))
+                        .process(W(1, 3), W(1, 4), R(0, 1))
+                        .build();
+  const auto result = check_sc_exact(exec);
+  ASSERT_EQ(result.verdict, Verdict::kIncoherent);
+  EXPECT_GT(result.stats.prunes, 0u);
+  EXPECT_EQ(result.stats.prunes, check_sc_exact_legacy(exec).stats.prunes);
+}
+
 TEST(ScExactDifferential, MatchesLegacyUnderAblatedOptions) {
   Xoshiro256ss rng(83);
   workload::MultiAddressParams params;
