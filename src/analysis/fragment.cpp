@@ -47,12 +47,12 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
   values.reserve(profile.num_writes);
 
   for (std::size_t h = 0; h < view.num_histories(); ++h) {
-    const auto refs = view.history_refs(h);
+    const auto run = view.history(h);
     profile.max_ops_per_history = std::max(
-        profile.max_ops_per_history, static_cast<std::uint32_t>(refs.size()));
+        profile.max_ops_per_history, static_cast<std::uint32_t>(run.size()));
     bool prev_was_pure_read = false;
-    for (const OpRef ref : refs) {
-      const Operation& op = view.op(ref);
+    for (const OpRecord& record : run) {
+      const Operation& op = record.op;
       switch (op.kind) {
         case OpKind::kRead:
           ++profile.num_reads;
@@ -78,8 +78,8 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
       }
       prev_was_pure_read = op.kind == OpKind::kRead;
     }
-    for (std::size_t i = refs.size(); i-- > 0;) {
-      const Operation& op = view.op(refs[i]);
+    for (std::size_t i = run.size(); i-- > 0;) {
+      const Operation& op = run[i].op;
       if (!op.writes_memory()) continue;
       values[op.value_written].last_write = true;
       break;

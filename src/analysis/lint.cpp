@@ -9,13 +9,13 @@ namespace vermem::analysis {
 
 namespace {
 
-std::string op_at(const ProjectedView& view, OpRef original) {
+std::string op_at(const OpRecord& record) {
   std::string out = "P";
-  out += std::to_string(original.process);
+  out += std::to_string(record.ref.process);
   out += '#';
-  out += std::to_string(original.index);
+  out += std::to_string(record.ref.index);
   out += ' ';
-  out += to_string(view.op(original));
+  out += to_string(record.op);
   return out;
 }
 
@@ -39,24 +39,24 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
       std::uint32_t writes = 0;
       bool read = false;
       bool last_write = false;  ///< written by some history's last write
-      OpRef first_write;        ///< location for W002
-      OpRef third_write;        ///< location for W001
+      OpRecord first_write;     ///< location for W002
+      OpRecord third_write;     ///< location for W001
     };
     std::unordered_map<Value, ValueSite> sites;
-    for (const OpRef ref : view.refs()) {
-      const Operation& op = view.op(ref);
+    for (const OpRecord& record : view.records()) {
+      const Operation& op = record.op;
       if (op.reads_memory()) sites[op.value_read].read = true;
       if (op.writes_memory()) {
         ValueSite& site = sites[op.value_written];
         ++site.writes;
-        if (site.writes == 1) site.first_write = ref;
-        if (site.writes == 3) site.third_write = ref;
+        if (site.writes == 1) site.first_write = record;
+        if (site.writes == 3) site.third_write = record;
       }
     }
     for (std::size_t h = 0; h < view.num_histories(); ++h) {
-      const auto refs = view.history_refs(h);
-      for (std::size_t i = refs.size(); i-- > 0;) {
-        const Operation& op = view.op(refs[i]);
+      const auto run = view.history(h);
+      for (std::size_t i = run.size(); i-- > 0;) {
+        const Operation& op = run[i].op;
         if (!op.writes_memory()) continue;
         sites[op.value_written].last_write = true;
         break;
@@ -71,10 +71,10 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
     for (const Value value : ordered) {
       const ValueSite& site = sites[value];
       if (site.writes > 2) {
-        emit(RuleId::kDuplicateValueWrite, site.third_write,
+        emit(RuleId::kDuplicateValueWrite, site.third_write.ref,
              "value " + std::to_string(value) + " written " +
                  std::to_string(site.writes) +
-                 " times (third write at " + op_at(view, site.third_write) +
+                 " times (third write at " + op_at(site.third_write) +
                  "); exceeds the 2-writes-per-value cap of the restricted "
                  "fragment, exact verification may go exponential");
       }
@@ -83,9 +83,9 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
       // write produces it (it may legitimately be the trace's end state).
       const bool final_candidate = fin ? *fin == value : site.last_write;
       if (!site.read && !final_candidate) {
-        emit(RuleId::kUnreadWrite, site.first_write,
+        emit(RuleId::kUnreadWrite, site.first_write.ref,
              "value " + std::to_string(value) + " written at " +
-                 op_at(view, site.first_write) +
+                 op_at(site.first_write) +
                  " is never read on address " + std::to_string(addr) +
                  (fin ? " and is not its final value"
                       : " and is overwritten before every history ends"));
@@ -95,13 +95,13 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
 
   if (profile.rmw_candidate_pairs > 0) {
     for (std::size_t h = 0; h < view.num_histories(); ++h) {
-      const auto refs = view.history_refs(h);
-      for (std::size_t i = 1; i < refs.size(); ++i) {
-        if (view.op(refs[i - 1]).kind == OpKind::kRead &&
-            view.op(refs[i]).kind == OpKind::kWrite) {
-          emit(RuleId::kRmwAtomicityCandidate, refs[i - 1],
-               "read-then-write pair " + op_at(view, refs[i - 1]) + " ; " +
-                   op_at(view, refs[i]) +
+      const auto run = view.history(h);
+      for (std::size_t i = 1; i < run.size(); ++i) {
+        if (run[i - 1].op.kind == OpKind::kRead &&
+            run[i].op.kind == OpKind::kWrite) {
+          emit(RuleId::kRmwAtomicityCandidate, run[i - 1].ref,
+               "read-then-write pair " + op_at(run[i - 1]) + " ; " +
+                   op_at(run[i]) +
                    " on address " + std::to_string(addr) +
                    " is not atomic; consider a read-modify-write");
         }
@@ -119,6 +119,11 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
     }
   }
 
+  // Saturation node n, rendered from the view's record.
+  const auto write_at = [&](std::uint32_t n) {
+    return op_at(view.record(saturation->writes_local[n]));
+  };
+
   // W005: the saturation tier left concurrent writes genuinely
   // unordered on an exact-search-bound fragment — the contention
   // hotspot that makes the frontier search branch.
@@ -128,8 +133,7 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
     const auto [a, b] = std::minmax(saturation->unordered_example.first,
                                     saturation->unordered_example.second);
     emit(RuleId::kUnorderedWritePair, saturation->writes[a],
-         "writes " + op_at(view, saturation->writes[a]) + " and " +
-             op_at(view, saturation->writes[b]) + " on address " +
+         "writes " + write_at(a) + " and " + write_at(b) + " on address " +
              std::to_string(addr) + " stay unordered after saturation (" +
              std::to_string(saturation->branch_points) +
              " branch points, peak " +
@@ -158,8 +162,7 @@ void lint_view(const ProjectedView& view, const FragmentProfile& profile,
         emit(RuleId::kSaturationContradictedLog,
              saturation->writes[after],
              "write-order log for address " + std::to_string(addr) +
-                 " places " + op_at(view, saturation->writes[after]) +
-                 " before " + op_at(view, saturation->writes[before]) +
+                 " places " + write_at(after) + " before " + write_at(before) +
                  ", but the trace itself forces the opposite order; the "
                  "log cannot describe a coherent run");
         break;  // one representative contradiction per address

@@ -21,7 +21,7 @@ WriteOrderLogCheck validate_write_order_log(const ProjectedView& view,
   std::vector<bool> started(view.num_histories(), false);
   std::vector<std::vector<bool>> seen(view.num_histories());
   for (std::size_t h = 0; h < view.num_histories(); ++h)
-    seen[h].assign(view.history_refs(h).size(), false);
+    seen[h].assign(view.history(h).size(), false);
   for (const OpRef original : order) {
     const auto projected = view.projected_of(original);
     if (!projected) {
@@ -32,7 +32,7 @@ WriteOrderLogCheck validate_write_order_log(const ProjectedView& view,
                   std::to_string(view.addr()),
               original};
     }
-    if (!view.op(original).writes_memory()) {
+    if (!view.record(*projected).op.writes_memory()) {
       return {false,
               "log entry P" + std::to_string(original.process) + "#" +
                   std::to_string(original.index) + " does not write",

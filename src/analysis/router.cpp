@@ -398,9 +398,7 @@ RouteOutcome check_routed(const ProjectedView& view,
   }
 
   // Witness and evidence back to original-execution coordinates.
-  const auto to_original = [&](OpRef& ref) {
-    ref = projection.origin[ref.process][ref.index];
-  };
+  const auto to_original = [&](OpRef& ref) { ref = view.original_of(ref); };
   for (OpRef& ref : result.witness) to_original(ref);
   certify::for_each_ref(result.evidence, to_original);
   out.result = std::move(result);

@@ -194,13 +194,13 @@ Result saturate(const ProjectedView& view, const Options& options) {
   std::vector<std::vector<std::uint32_t>> node_at(num_h);  // (h, j) -> node
   std::unordered_map<Value, std::vector<std::uint32_t>> writers;
   for (std::size_t h = 0; h < num_h; ++h) {
-    const auto refs = view.history_refs(h);
-    node_at[h].assign(refs.size(), kNone);
-    for (std::uint32_t j = 0; j < refs.size(); ++j) {
-      const Operation& op = view.op(refs[j]);
+    const auto run = view.history(h);
+    node_at[h].assign(run.size(), kNone);
+    for (std::uint32_t j = 0; j < run.size(); ++j) {
+      const Operation& op = run[j].op;
       if (!op.writes_memory()) continue;
       const auto id = static_cast<std::uint32_t>(res.writes.size());
-      res.writes.push_back(refs[j]);
+      res.writes.push_back(run[j].ref);
       res.writes_local.push_back(OpRef{static_cast<std::uint32_t>(h), j});
       hist_writes[h].push_back(id);
       node_at[h][j] = id;
@@ -239,23 +239,23 @@ Result saturate(const ProjectedView& view, const Options& options) {
   // ---- Read obligations + trace-level dead ends. ----
   std::vector<ReadItem> reads;
   for (std::size_t h = 0; h < num_h; ++h) {
-    const auto refs = view.history_refs(h);
-    std::vector<std::uint32_t> next_write(refs.size(), kNone);
+    const auto run = view.history(h);
+    std::vector<std::uint32_t> next_write(run.size(), kNone);
     std::uint32_t upcoming = kNone;
-    for (std::size_t j = refs.size(); j-- > 0;) {
+    for (std::size_t j = run.size(); j-- > 0;) {
       next_write[j] = upcoming;
       if (node_at[h][j] != kNone) upcoming = node_at[h][j];
     }
     std::uint32_t last_write = kNone;
-    for (std::uint32_t j = 0; j < refs.size(); ++j) {
-      const Operation& op = view.op(refs[j]);
+    for (std::uint32_t j = 0; j < run.size(); ++j) {
+      const Operation& op = run[j].op;
       const std::uint32_t self = node_at[h][j];
       if (!op.reads_memory()) {
         if (self != kNone) last_write = self;
         continue;
       }
       ReadItem item;
-      item.ref = refs[j];
+      item.ref = run[j].ref;
       item.value = op.value_read;
       item.xm = last_write;
       // An RMW's own write half is the first write after the read half.

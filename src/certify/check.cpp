@@ -1,9 +1,9 @@
 #include "certify/check.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <variant>
 #include <vector>
@@ -414,24 +414,19 @@ CheckOutcome check_chain_end_mismatch(const Execution& exec, const Incoherence& 
 // 5.2 decision procedure on the address projection; the certificate
 // checks iff that procedure also refutes the trace under this order.
 CheckOutcome check_order_kind(const Execution& exec, const Incoherence& e) {
-  const ExecutionProjection projection = exec.project(e.addr);
-  std::unordered_map<std::uint64_t, OpRef> to_projected;
-  const auto key = [](OpRef ref) {
-    return (static_cast<std::uint64_t>(ref.process) << 32) | ref.index;
-  };
-  for (std::uint32_t p = 0; p < projection.origin.size(); ++p)
-    for (std::uint32_t i = 0; i < projection.origin[p].size(); ++i)
-      to_projected[key(projection.origin[p][i])] = OpRef{p, i};
+  const AddressIndex index(exec);
+  const ProjectedView view = index.view(e.addr);
   vmc::WriteOrder order;
   order.reserve(e.write_order.size());
   for (const OpRef ref : e.write_order) {
-    const auto it = to_projected.find(key(ref));
-    if (it == to_projected.end())
+    const auto projected = view.projected_of(ref);
+    if (!projected)
       return fail("write-order references " + to_string(ref) +
                   ", which is not an operation on address " +
                   std::to_string(e.addr));
-    order.push_back(it->second);
+    order.push_back(*projected);
   }
+  const ExecutionProjection projection = view.materialize();
   const vmc::VmcInstance instance{projection.execution, e.addr};
   const vmc::CheckResult decided = vmc::check_with_write_order(instance, order);
   if (decided.verdict == Verdict::kIncoherent) return pass();
@@ -517,20 +512,16 @@ CheckOutcome check_saturation_cycle(const Execution& exec, const Incoherence& e)
   if (index.find(e.addr) == nullptr)
     return fail("saturation-cycle: no operations on the address");
   const saturate::Result derived = saturate::saturate(index.view(e.addr));
-  const auto key = [](OpRef ref) {
-    return (static_cast<std::uint64_t>(ref.process) << 32) | ref.index;
-  };
-  std::unordered_map<std::uint64_t, std::uint32_t> node_of;
-  for (std::uint32_t i = 0; i < derived.writes.size(); ++i)
-    node_of[key(derived.writes[i])] = i;
+  // The node table is sorted by (history, position), hence by original ref.
   std::vector<std::uint32_t> nodes;
   nodes.reserve(e.ops.size());
   for (const OpRef ref : e.ops) {
-    const auto it = node_of.find(key(ref));
-    if (it == node_of.end())
+    const auto it =
+        std::lower_bound(derived.writes.begin(), derived.writes.end(), ref);
+    if (it == derived.writes.end() || *it != ref)
       return fail("saturation-cycle: " + to_string(ref) +
                   " is not a write node of the re-derived graph");
-    nodes.push_back(it->second);
+    nodes.push_back(static_cast<std::uint32_t>(it - derived.writes.begin()));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::uint32_t a = nodes[i];

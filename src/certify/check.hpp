@@ -17,6 +17,12 @@
 // A malformed or mutated certificate (dangling OpRef, wrong value, edited
 // proof, truncated write order) is rejected with a description of the
 // first violated condition.
+//
+// The kOrder* kinds prove "incoherent under the embedded write order"
+// only: check() replays the order the certificate carries, and an
+// Execution records no write-order log to compare it with. A caller that
+// holds the trace's log must bind it separately (vermemcert requires the
+// embedded order to equal the logged one, entry for entry).
 
 #include <string>
 

@@ -51,6 +51,15 @@ enum class IncoherenceKind : std::uint8_t {
   kForcedOrderRefutation,///< saturation forced a total write order that fails §5.2
 };
 
+/// The kOrder* kinds refute the trace under the write order embedded in
+/// the evidence, which the supplied write-order log must match.
+[[nodiscard]] constexpr bool is_order_kind(IncoherenceKind k) noexcept {
+  return k == IncoherenceKind::kOrderProgramConflict ||
+         k == IncoherenceKind::kOrderRmwMismatch ||
+         k == IncoherenceKind::kOrderReadWindow ||
+         k == IncoherenceKind::kOrderFinalMismatch;
+}
+
 [[nodiscard]] constexpr const char* to_string(IncoherenceKind k) noexcept {
   switch (k) {
     case IncoherenceKind::kUnwrittenRead: return "unwritten-read";

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <istream>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "stream/spsc_queue.hpp"
-#include "trace/address_index.hpp"
 #include "support/arena.hpp"
 #include "vmc/online.hpp"
 
@@ -75,7 +76,7 @@ struct StreamVerifier::Shard {
 
   // kComplete accumulation: per-address event runs in arena storage.
   Arena arena;
-  std::unordered_map<Addr, ArenaVec<StreamEvent>> accum;
+  std::unordered_map<Addr, ArenaVec<OpRecord>> accum;
 
   // kOrdered state: one pooled checker per live address; latched
   // violations keep the CheckResult built at the offending event.
@@ -115,11 +116,11 @@ struct StreamVerifier::Shard {
   }
 
   void run();
-  void accumulate(const StreamEvent& event);
-  void observe_ordered(const StreamEvent& event);
+  void accumulate(const OpRecord& event);
+  void observe_ordered(const OpRecord& event);
   void finish_complete();
   void finish_ordered();
-  void check_one_complete(Addr addr, ArenaVec<StreamEvent>& events);
+  void check_one_complete(Addr addr, ArenaVec<OpRecord>& run);
   void emit_aborted_reports();
   [[nodiscard]] std::vector<Addr> sorted_addresses() const;
 };
@@ -162,12 +163,12 @@ void StreamVerifier::Shard::run() {
   }
 }
 
-void StreamVerifier::Shard::accumulate(const StreamEvent& event) {
+void StreamVerifier::Shard::accumulate(const OpRecord& event) {
   auto [it, fresh] = accum.try_emplace(event.op.addr, arena);
   it->second.push_back(event);
 }
 
-void StreamVerifier::Shard::observe_ordered(const StreamEvent& event) {
+void StreamVerifier::Shard::observe_ordered(const OpRecord& event) {
   const Addr addr = event.op.addr;
   auto [it, fresh] = checkers.try_emplace(addr);
   if (fresh) {
@@ -265,98 +266,29 @@ void StreamVerifier::Shard::finish_complete() {
 }
 
 void StreamVerifier::Shard::check_one_complete(Addr addr,
-                                               ArenaVec<StreamEvent>& events) {
-  // Rebuild this address's projection exactly as AddressIndex would see
-  // it in the batch path: refs grouped by process in ascending process
-  // order, program order within each group. The canonical encoding
+                                               ArenaVec<OpRecord>& run) {
+  // A view wants its run sorted by ref: grouped by process, program order
+  // within each group, as AddressIndex lays it out. The canonical encoding
   // already delivers events in that order; an ordered interleaving does
   // not, hence the sort (refs are unique, so the order is total).
-  StreamEvent* data = events.data();
-  const std::size_t n = events.size();
-  std::sort(data, data + n, [](const StreamEvent& a, const StreamEvent& b) {
-    return a.ref < b.ref;
-  });
+  std::sort(run.data(), run.data() + run.size(),
+            [](const OpRecord& a, const OpRecord& b) { return a.ref < b.ref; });
+  const std::span<const OpRecord> records(run.data(), run.size());
+  const auto init = initials->find(addr);
+  const auto fin = finals->find(addr);
+  const ProjectedView view(
+      AddressEntry::of(addr, records), records,
+      init != initials->end() ? init->second : Value{0},
+      fin != finals->end() ? std::optional<Value>(fin->second) : std::nullopt);
 
-  Execution exec_a;
-  std::vector<std::vector<OpRef>> origin;  // [local history][index] -> original
-  std::vector<std::size_t> group_begin;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint32_t process = data[i].ref.process;
-    group_begin.push_back(i);
-    std::vector<Operation> ops;
-    std::vector<OpRef> refs;
-    while (i < n && data[i].ref.process == process) {
-      ops.push_back(data[i].op);
-      refs.push_back(data[i].ref);
-      ++i;
-    }
-    exec_a.add_history(ProcessHistory{std::move(ops)});
-    origin.push_back(std::move(refs));
-  }
-  group_begin.push_back(n);
-  {
-    const auto init = initials->find(addr);
-    if (init != initials->end()) exec_a.set_initial_value(addr, init->second);
-    const auto fin = finals->find(addr);
-    if (fin != finals->end()) exec_a.set_final_value(addr, fin->second);
-  }
-
-  const AddressIndex index(exec_a);
-  const ProjectedView view = index.view(addr);
-
-  // Translate this address's write-order log (original coordinates) into
-  // exec_a coordinates. A ref that is not an operation on the address
-  // maps to a sentinel history index past the last real one — any such
-  // ref makes projected_of fail inside the decider, which is exactly
-  // what the identical out-of-address ref does on the batch path. The
-  // side table keeps the sentinel reversible, though no evidence can
-  // carry one (an invalid log yields kUnknown before any ref is kept).
-  const std::uint32_t num_local = static_cast<std::uint32_t>(origin.size());
-  std::vector<OpRef> translated;
-  std::vector<OpRef> sentinel_origin;
+  // The log stays in original coordinates, exactly as on the batch path.
   const std::vector<OpRef>* order = nullptr;
   if (orders != nullptr) {
     const auto it = orders->find(addr);
-    if (it != orders->end()) {
-      translated.reserve(it->second.size());
-      for (const OpRef ref : it->second) {
-        const StreamEvent* pos = std::lower_bound(
-            data, data + n, ref,
-            [](const StreamEvent& e, OpRef r) { return e.ref < r; });
-        if (pos != data + n && pos->ref == ref) {
-          const std::size_t flat = static_cast<std::size_t>(pos - data);
-          const auto group = std::upper_bound(group_begin.begin(),
-                                              group_begin.end(), flat);
-          const std::size_t h =
-              static_cast<std::size_t>(group - group_begin.begin()) - 1;
-          translated.push_back(
-              {static_cast<std::uint32_t>(h),
-               static_cast<std::uint32_t>(flat - group_begin[h])});
-        } else {
-          translated.push_back(
-              {num_local + static_cast<std::uint32_t>(sentinel_origin.size()),
-               0});
-          sentinel_origin.push_back(ref);
-        }
-      }
-      order = &translated;
-    }
+    if (it != orders->end()) order = &it->second;
   }
-
   analysis::RouteOutcome outcome = analysis::check_routed(view, order, *exact);
   routing.add(outcome);
-
-  // Witness and evidence from exec_a coordinates back to the original
-  // trace's, mirroring the batch router's translation step.
-  const auto to_original = [&](OpRef& ref) {
-    if (ref.process < num_local)
-      ref = origin[ref.process][ref.index];
-    else
-      ref = sentinel_origin[ref.process - num_local];
-  };
-  for (OpRef& ref : outcome.result.witness) to_original(ref);
-  certify::for_each_ref(outcome.result.evidence, to_original);
   reports.push_back({addr, std::move(outcome.result)});
 }
 
@@ -436,7 +368,7 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
   const std::size_t num_shards = shards_.size();
   std::vector<EventBlock*> open(num_shards, nullptr);
   std::unordered_set<Addr> shed_addrs;
-  StreamEvent event;
+  OpRecord event;
   bool decode_error = false;
   bool cancelled = false;
 

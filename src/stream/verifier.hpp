@@ -15,11 +15,14 @@
 // bounded memory), while the Section 5.2 write-order algorithm is
 // naturally incremental:
 //
-//  - kComplete (any trace): shards accumulate per-address projections in
-//    arena-backed storage and, at end-of-stream, run the same
-//    fragment-routed deciders as the batch path (analysis::check_routed)
-//    on each address. Verdicts, evidence, witnesses, and effort stats
-//    are identical to verify_coherence_routed by construction — the
+//  - kComplete (any trace): shards accumulate each address's run of
+//    OpRecords in arena-backed storage and, at end-of-stream, sort the
+//    run by ref and build a ProjectedView directly over it — the same
+//    view type AddressIndex hands the batch path, with no rebuilt
+//    Execution or coordinate translation — then route it through
+//    analysis::check_routed with the write-order log in original
+//    coordinates. Verdicts, evidence, witnesses, and effort stats are
+//    identical to verify_coherence_routed by construction — the
 //    differential suite in tests/stream_test.cpp pins this. Memory is
 //    O(ops), but streamed into per-shard arenas that are recycled
 //    across runs.
@@ -89,7 +92,7 @@ inline constexpr std::size_t kBlockEvents = 256;
 struct EventBlock {
   std::uint32_t count = 0;
   bool last = false;  ///< end-of-stream marker (count may be 0)
-  std::array<StreamEvent, kBlockEvents> events;
+  std::array<OpRecord, kBlockEvents> events;
 };
 
 struct StreamResult {

@@ -322,7 +322,7 @@ bool BinaryTraceReader::read_header() {
   return true;
 }
 
-BinaryTraceReader::Next BinaryTraceReader::next(StreamEvent& out) {
+BinaryTraceReader::Next BinaryTraceReader::next(OpRecord& out) {
   if (!error_.empty()) return Next::kError;
   if (!header_done_) {
     fail("next() called before read_header()");
@@ -427,7 +427,7 @@ BinaryParseResult decode_binary(std::string_view bytes,
   result.ordered = reader.ordered();
   for (std::uint32_t p = 0; p < reader.num_processes(); ++p)
     result.execution.add_history(ProcessHistory{});
-  StreamEvent event;
+  OpRecord event;
   for (;;) {
     const auto status = reader.next(event);
     if (status == BinaryTraceReader::Next::kError) {

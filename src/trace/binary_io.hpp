@@ -88,20 +88,14 @@ struct DecodeLimits {
   std::uint64_t max_write_order_refs = std::uint64_t{1} << 32;
 };
 
-/// One decoded operation with its position in the (virtual) execution:
-/// `ref.process` is the op block's process, `ref.index` its program-order
-/// index within that process. This is the stream pipeline's granule.
-struct StreamEvent {
-  OpRef ref;
-  Operation op;
-};
-
 /// Incremental pull decoder. Reads the header (including the init/final
-/// and write-order sections) eagerly, then yields ops one at a time:
+/// and write-order sections) eagerly, then yields ops one at a time as
+/// OpRecords: `ref.process` is the op block's process, `ref.index` its
+/// program-order index within that process.
 ///
 ///   BinaryTraceReader reader(in);
 ///   if (!reader.read_header()) { ...reader.error()... }
-///   StreamEvent event;
+///   OpRecord event;
 ///   while (reader.next(event) == BinaryTraceReader::Next::kEvent) { ... }
 ///
 /// Works over an std::istream (buffered, for pipes and sockets) or over
@@ -123,7 +117,7 @@ class BinaryTraceReader {
   enum class Next : std::uint8_t { kEvent, kEnd, kError };
   /// Yields the next operation. kEnd after the block terminator (and a
   /// verified op-count match); kError latches.
-  [[nodiscard]] Next next(StreamEvent& out);
+  [[nodiscard]] Next next(OpRecord& out);
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }

@@ -26,6 +26,14 @@ struct OpRef {
   friend constexpr auto operator<=>(const OpRef&, const OpRef&) = default;
 };
 
+/// One operation with its position in the execution. Per-address runs
+/// (AddressIndex, ProjectedView) are arrays of these, and the binary
+/// decoder yields them one at a time.
+struct OpRecord {
+  OpRef ref;
+  Operation op;
+};
+
 /// One process's program-order operation sequence.
 class ProcessHistory {
  public:

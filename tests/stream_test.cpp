@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "analysis/router.hpp"
+#include "certify/check.hpp"
+#include "certify/text.hpp"
 #include "service/service.hpp"
 #include "stream/spsc_queue.hpp"
 #include "stream/verifier.hpp"
@@ -135,8 +138,8 @@ TEST(BinaryFormat, IncrementalReaderYieldsProgramOrderRefs) {
   EXPECT_EQ(reader.total_ops(), 4u);
   EXPECT_FALSE(reader.ordered());
 
-  std::vector<StreamEvent> events;
-  StreamEvent event;
+  std::vector<OpRecord> events;
+  OpRecord event;
   while (reader.next(event) == BinaryTraceReader::Next::kEvent)
     events.push_back(event);
   ASSERT_TRUE(reader.ok()) << reader.error();
@@ -160,7 +163,7 @@ TEST(BinaryFormat, StreamModeWithPrefetchMatchesMemoryMode) {
   BinaryTraceReader memory{std::string_view(bytes)};
   ASSERT_TRUE(memory.read_header());
   EXPECT_EQ(streamed.total_ops(), memory.total_ops());
-  StreamEvent a, b;
+  OpRecord a, b;
   while (memory.next(a) == BinaryTraceReader::Next::kEvent) {
     ASSERT_EQ(streamed.next(b), BinaryTraceReader::Next::kEvent);
     EXPECT_EQ(a.ref, b.ref);
@@ -405,6 +408,28 @@ void expect_stream_matches_batch(const Execution& exec,
     EXPECT_EQ(s.result.reason(), b.result.reason()) << label << " @a" << b.addr;
     // Witness identity in original coordinates.
     EXPECT_EQ(s.result.witness, b.result.witness) << label << " @a" << b.addr;
+    // Effort identity: complete mode promises the batch path's stats.
+    EXPECT_EQ(s.result.stats.states_visited, b.result.stats.states_visited)
+        << label << " @a" << b.addr;
+    EXPECT_EQ(s.result.stats.transitions, b.result.stats.transitions)
+        << label << " @a" << b.addr;
+    EXPECT_EQ(s.result.stats.prunes, b.result.stats.prunes)
+        << label << " @a" << b.addr;
+    EXPECT_EQ(s.result.stats.oracle_prunes, b.result.stats.oracle_prunes)
+        << label << " @a" << b.addr;
+    EXPECT_EQ(s.result.stats.max_frontier, b.result.stats.max_frontier)
+        << label << " @a" << b.addr;
+    // Certificate identity, and the streamed certificate re-validates
+    // against the original Execution.
+    const certify::Certificate cert =
+        certify::from_result(certify::Scope::kAddress, s.addr, s.result);
+    EXPECT_EQ(certify::dump(cert),
+              certify::dump(certify::from_result(certify::Scope::kAddress,
+                                                 b.addr, b.result)))
+        << label << " @a" << b.addr;
+    const certify::CheckOutcome checked = certify::check(exec, cert);
+    EXPECT_TRUE(checked.ok) << label << " @a" << b.addr << ": "
+                            << checked.violation;
   }
   EXPECT_EQ(streamed.routing.fragment_counts, batch.routing.fragment_counts) << label;
   EXPECT_EQ(streamed.routing.decider_counts, batch.routing.decider_counts) << label;
@@ -512,6 +537,35 @@ TEST(StreamDifferential, MatchesBatchOnCorruptedWriteOrders) {
   WriteOrderLog reversed(trace.write_orders.begin(), trace.write_orders.end());
   for (auto& [addr, order] : reversed) std::reverse(order.begin(), order.end());
   expect_stream_matches_batch(trace.execution, &reversed, "reversed write order");
+
+  // An entry naming a real operation on the other address, and one naming
+  // a read on the log's own address: both invalidate the log, and both
+  // paths must report the same invalid-write-order detail.
+  const Execution& exec = trace.execution;
+  for (const auto& [addr, order] : trace.write_orders) {
+    if (order.empty()) continue;
+    std::optional<OpRef> foreign;
+    std::optional<OpRef> read;
+    for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
+      for (std::uint32_t i = 0; i < exec.history(p).size(); ++i) {
+        const Operation& op = exec.history(p)[i];
+        if (op.is_sync()) continue;
+        if (op.addr != addr && !foreign) foreign = OpRef{p, i};
+        if (op.addr == addr && op.kind == OpKind::kRead && !read)
+          read = OpRef{p, i};
+      }
+    }
+    ASSERT_TRUE(foreign.has_value());
+    ASSERT_TRUE(read.has_value());
+    WriteOrderLog cross(trace.write_orders.begin(), trace.write_orders.end());
+    cross[addr][0] = *foreign;
+    expect_stream_matches_batch(exec, &cross, "cross-address write order");
+    WriteOrderLog with_read(trace.write_orders.begin(),
+                            trace.write_orders.end());
+    with_read[addr][0] = *read;
+    expect_stream_matches_batch(exec, &with_read, "read in write order");
+    break;
+  }
 }
 
 TEST(StreamDifferential, MatchesBatchOnSyncHeavyTraces) {

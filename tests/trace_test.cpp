@@ -101,7 +101,7 @@ TEST(AddressIndex, StatsAndSortedAddresses) {
 
   EXPECT_EQ(index.find(7), nullptr);   // sync-only address is not indexed
   EXPECT_EQ(index.find(42), nullptr);  // untouched address
-  EXPECT_TRUE(index.refs(42).empty());
+  EXPECT_TRUE(index.records(42).empty());
 }
 
 TEST(AddressIndex, RefsGroupedByProcessInProgramOrder) {
@@ -110,11 +110,11 @@ TEST(AddressIndex, RefsGroupedByProcessInProgramOrder) {
                         .process(R(0, 1))
                         .build();
   const AddressIndex index(exec);
-  const auto refs = index.refs(0);
+  const auto refs = index.records(0);
   ASSERT_EQ(refs.size(), 3u);
-  EXPECT_EQ(refs[0], (OpRef{0, 0}));
-  EXPECT_EQ(refs[1], (OpRef{0, 2}));
-  EXPECT_EQ(refs[2], (OpRef{1, 0}));
+  EXPECT_EQ(refs[0].ref, (OpRef{0, 0}));
+  EXPECT_EQ(refs[1].ref, (OpRef{0, 2}));
+  EXPECT_EQ(refs[2].ref, (OpRef{1, 0}));
 }
 
 TEST(ProjectedView, MatchesLegacyProject) {
@@ -145,7 +145,7 @@ TEST(ProjectedView, HistoryAccessorsAndCoordinateMaps) {
   EXPECT_EQ(view.history_process(0), 0u);
   EXPECT_EQ(view.history_process(1), 2u);
   EXPECT_EQ(view.num_ops(), 3u);
-  EXPECT_EQ(view.history_refs(0).size(), 2u);
+  EXPECT_EQ(view.history(0).size(), 2u);
 
   // Original -> projected -> original round-trips; off-address refs miss.
   const OpRef original{0, 2};  // R(0,2), second op on addr 0 of process 0

@@ -14,6 +14,11 @@
 // matched to traces by their "trace" tag. Lines without a "certs" field
 // (e.g. consistency-mode verdicts) are ignored.
 //
+// Order-kind evidence (order-*) proves "incoherent under the embedded
+// write order" only. It binds to the trace here: such a certificate FAILs
+// unless the trace's "wo" lines log that address and the log equals the
+// embedded order entry for entry.
+//
 // Exit codes:
 //   0  at least one certificate was seen and every one checked
 //   1  at least one certificate failed to check
@@ -24,6 +29,7 @@
 #include <iostream>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "certify/check.hpp"
@@ -35,6 +41,32 @@
 namespace {
 
 using namespace vermem;
+
+struct Trace {
+  Execution execution;
+  WriteOrderLog orders;
+};
+
+/// Why an order-kind certificate does not bind to the trace's logged
+/// write order; empty when it binds or carries no order-kind evidence.
+std::string unbound_order(const certify::Certificate& cert,
+                          const WriteOrderLog& orders) {
+  const auto* e = std::get_if<certify::Incoherence>(&cert.evidence);
+  if (cert.verdict != vmc::Verdict::kIncoherent || e == nullptr ||
+      !certify::is_order_kind(e->kind))
+    return {};
+  const auto it = orders.find(e->addr);
+  if (it == orders.end())
+    return std::string(certify::to_string(e->kind)) +
+           " evidence, but the trace logs no write order for address " +
+           std::to_string(e->addr);
+  if (it->second != e->write_order)
+    return std::string(certify::to_string(e->kind)) +
+           " evidence embeds a write order that differs from the trace's "
+           "log for address " +
+           std::to_string(e->addr);
+  return {};
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -65,7 +97,7 @@ int main(int argc, char** argv) {
 
   std::vector<tools::TraceSource> sources;
   if (!tools::load_trace_sources(paths, sources)) return 2;
-  std::unordered_map<std::string, Execution> executions;
+  std::unordered_map<std::string, Trace> traces;
   for (const tools::TraceSource& source : sources) {
     ParseResult parsed = parse_execution(source.execution_text);
     if (!parsed.ok()) {
@@ -73,7 +105,14 @@ int main(int argc, char** argv) {
                    source.tag.c_str(), parsed.line, parsed.error.c_str());
       return 2;
     }
-    executions.emplace(source.tag, std::move(parsed.execution));
+    WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
+    if (!orders.ok()) {
+      std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                   source.tag.c_str(), orders.line, orders.error.c_str());
+      return 2;
+    }
+    traces.emplace(source.tag, Trace{std::move(parsed.execution),
+                                     std::move(orders.orders)});
   }
 
   std::size_t checked = 0;
@@ -90,8 +129,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "stdin:%zu: no \"trace\" tag\n", line_number);
       return 2;
     }
-    const auto exec = executions.find(*tag);
-    if (exec == executions.end()) {
+    const auto trace = traces.find(*tag);
+    if (trace == traces.end()) {
       std::fprintf(stderr, "stdin:%zu: trace \"%s\" was not given on the "
                    "command line\n", line_number, tag->c_str());
       return 2;
@@ -106,8 +145,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       const certify::Certificate& cert = parsed.certs[0];
+      const std::string unbound = unbound_order(cert, trace->second.orders);
       const certify::CheckOutcome outcome =
-          certify::check(exec->second, cert, options);
+          unbound.empty()
+              ? certify::check(trace->second.execution, cert, options)
+              : certify::CheckOutcome::fail(unbound);
       ++checked;
       if (outcome.ok) {
         std::printf("%s cert %zu (%s a%u %s): OK\n", tag->c_str(), i,
