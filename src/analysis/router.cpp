@@ -110,28 +110,23 @@ CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
                               "unknown portfolio engine");
 }
 
-/// Races the exact tier's engines on one instance. First definite
-/// verdict (by finish time) wins and cancels the rest through a token
-/// linked to the request-level one; the winner's effort becomes the
-/// result's stats and the losers' effort is surfaced separately in
-/// RouteOutcome::wasted_effort. The first engine (the frontier search
-/// unless `only` forces another) runs on the calling thread; only the
-/// other arms get threads of their own.
-CheckResult race_portfolio(const vmc::VmcInstance& instance,
-                           const vmc::ExactOptions& exact_options,
-                           const PortfolioOptions& portfolio,
-                           RouteOutcome& out) {
-  obs::Span span("analysis.portfolio");
-  CancellationToken stop(exact_options.cancel);
+/// What one run_race returned.
+struct Race {
+  std::vector<CheckResult> results;  ///< parallel to the raced engines
+  int decided = -1;                  ///< index of the winner, or -1
+  std::int64_t join_wait_ns = 0;     ///< winner's finish to last join
+};
 
-  std::vector<Engine> engines;
-  if (portfolio.only) {
-    engines.push_back(*portfolio.only);
-  } else {
-    engines = {Engine::kExactSearch, Engine::kCdcl, Engine::kBoundedK};
-  }
-
-  std::vector<CheckResult> results(engines.size());
+/// Races `engines` on one instance: the first definite verdict (by
+/// finish time) wins the CAS and cancels the rest through `stop`.
+/// engines[0] runs on the calling thread; only the other arms get
+/// threads of their own.
+Race run_race(const std::vector<Engine>& engines,
+              const vmc::VmcInstance& instance,
+              const vmc::ExactOptions& exact_options,
+              const PortfolioOptions& portfolio, CancellationToken& stop) {
+  Race race;
+  race.results.resize(engines.size());
   std::atomic<int> first_definite{-1};
   const Stopwatch race_clock;
   // race_clock time of the win; written only by the CAS winner and read
@@ -148,7 +143,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
         stop.cancel();
       }
     }
-    results[i] = std::move(result);
+    race.results[i] = std::move(result);
   };
   {
     std::vector<std::thread> threads;
@@ -164,35 +159,114 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
     }
     for (auto& thread : threads) thread.join();
   }
-  const std::int64_t joined_ns = race_clock.nanos();
+  race.decided = first_definite.load();
+  if (race.decided >= 0) race.join_wait_ns = race_clock.nanos() - decided_ns;
+  return race;
+}
 
-  // With no definite verdict the frontier search's answer (engines[0])
-  // stands in, so kUnknown evidence stays meaningful.
-  const int decided = first_definite.load();
-  const std::size_t winner =
-      decided >= 0 ? static_cast<std::size_t>(decided) : 0;
+bool budget_spent(const CheckResult& result) {
+  const certify::Unknown* why = result.unknown_reason();
+  return why != nullptr && why->reason == certify::UnknownReason::kBudget;
+}
+
+}  // namespace
+
+// Stage 1's state budget. On contended traffic (the e2e bench's
+// portfolio_race) the frontier search decides an address in a mean of
+// ~115 states and none needs 4096, while the race costs ~7x the lone
+// search there (two thread spawns and a CNF encoding per address). At
+// the ~350 ns per state measured there (4 vCPU, RelWithDebInfo), 4096
+// states take ~1.5 ms: the most an instance that does escalate pays on
+// top of its race, which on the SAT-reduction instances that need it
+// runs from milliseconds to hundreds of milliseconds.
+const std::uint64_t kSoloStates = 4096;
+
+namespace {
+
+/// The exact tier under a portfolio, in two stages. Stage 1 runs the
+/// frontier search alone on the calling thread under min(caller's
+/// max_states, kSoloStates); a definite verdict, a deadline or a
+/// cancellation returns as is, so the common case costs exactly what
+/// the unraced route costs and no thread is created. Only a spent state
+/// budget escalates to stage 2, the race of every engine on one token
+/// linked to the request-level one. The frontier search rejoins the race
+/// only when kSoloStates, not the caller's own budget, stopped it.
+///
+/// The winner's effort becomes the result's stats; stage 1's effort on
+/// an escalation and the losers' effort are surfaced separately in
+/// RouteOutcome::wasted_effort. `only` skips stage 1 and runs the one
+/// engine it names.
+CheckResult race_portfolio(const vmc::VmcInstance& instance,
+                           const vmc::ExactOptions& exact_options,
+                           const PortfolioOptions& portfolio,
+                           RouteOutcome& out) {
+  obs::Span span("analysis.portfolio");
   out.portfolio_ran = true;
-  out.portfolio_winner = engines[winner];
-  for (std::size_t i = 0; i < results.size(); ++i)
-    if (i != winner) out.wasted_effort.merge(results[i].stats);
+  const auto finish = [&](CheckResult result, Engine winner,
+                          std::int64_t join_wait_ns) {
+    out.portfolio_winner = winner;
+    if (span.active()) {
+      span.attr("addr", static_cast<std::uint64_t>(instance.addr));
+      span.attr("escalated", out.portfolio_escalated);
+      span.attr("wasted_states", out.wasted_effort.states_visited);
+      // Time the losers took to notice the cancel and be joined.
+      span.attr("join_wait_ns", static_cast<std::uint64_t>(join_wait_ns));
+      span.attr("winner", to_string(winner));
+      span.attr("verdict", vmc::to_string(result.verdict));
+    }
+    obs::flight_event(obs::FlightEventKind::kTierVerdict, to_string(winner),
+                      static_cast<std::uint64_t>(instance.addr),
+                      static_cast<std::uint64_t>(result.verdict));
+    if (obs::enabled()) {
+      if (result.verdict != Verdict::kUnknown) count_engine_win(winner);
+      if (out.portfolio_escalated) {
+        static const obs::Counter escalations =
+            obs::counter("vermem_portfolio_escalations_total");
+        escalations.add();
+      }
+    }
+    return result;
+  };
 
-  if (span.active()) {
-    span.attr("addr", static_cast<std::uint64_t>(instance.addr));
-    span.attr("engines", engines.size());
-    span.attr("winner", to_string(engines[winner]));
-    span.attr("definite", decided >= 0);
-    span.attr("wasted_states", out.wasted_effort.states_visited);
-    // Time the losers took to notice the cancel and be joined.
-    span.attr("join_wait_ns",
-              decided >= 0 ? static_cast<std::uint64_t>(joined_ns - decided_ns)
-                           : 0);
+  std::vector<Engine> engines;
+  CheckResult solo;
+  if (portfolio.only) {
+    engines.push_back(*portfolio.only);
+  } else {
+    const bool callers_states = exact_options.max_states != 0 &&
+                                exact_options.max_states <= kSoloStates;
+    vmc::ExactOptions options = exact_options;
+    options.max_states = callers_states ? exact_options.max_states : kSoloStates;
+    solo = vmc::check_exact(instance, options);
+    if (!budget_spent(solo))
+      return finish(std::move(solo), Engine::kExactSearch, 0);
+    out.portfolio_escalated = true;
+    // A caller's budget that bound stage 1 would bind the search again.
+    const bool callers_transitions =
+        exact_options.max_transitions != 0 &&
+        solo.stats.transitions >= exact_options.max_transitions;
+    if (!callers_states && !callers_transitions)
+      engines.push_back(Engine::kExactSearch);
+    engines.push_back(Engine::kCdcl);
+    engines.push_back(Engine::kBoundedK);
   }
-  obs::flight_event(obs::FlightEventKind::kTierVerdict,
-                    to_string(engines[winner]),
-                    static_cast<std::uint64_t>(instance.addr),
-                    static_cast<std::uint64_t>(results[winner].verdict));
-  if (decided >= 0 && obs::enabled()) count_engine_win(engines[winner]);
-  return std::move(results[winner]);
+
+  CancellationToken stop(exact_options.cancel);
+  Race race = run_race(engines, instance, exact_options, portfolio, stop);
+  // With no definite verdict the frontier search's answer stands in, so
+  // kUnknown evidence stays meaningful: engines[0] when it raced, else
+  // stage 1's.
+  const bool solo_stands_in = race.decided < 0 && out.portfolio_escalated &&
+                              engines[0] != Engine::kExactSearch;
+  const std::size_t winner =
+      race.decided >= 0 ? static_cast<std::size_t>(race.decided) : 0;
+  for (std::size_t i = 0; i < race.results.size(); ++i)
+    if (solo_stands_in || i != winner)
+      out.wasted_effort.merge(race.results[i].stats);
+  if (solo_stands_in) return finish(std::move(solo), Engine::kExactSearch, 0);
+  out.wasted_effort.merge(solo.stats);  // all zero unless stage 1 escalated
+  return finish(std::move(race.results[winner]), engines[winner],
+                race.join_wait_ns);
 }
 
 /// The saturation tier for kBoundedProcesses/kGeneral (and structural
@@ -436,6 +510,7 @@ void RouteTally::add(const RouteOutcome& outcome) {
   }
   if (outcome.portfolio_ran) {
     ++portfolio_races;
+    if (outcome.portfolio_escalated) ++portfolio_escalations;
     if (outcome.result.verdict != Verdict::kUnknown)
       ++engine_wins[static_cast<std::size_t>(outcome.portfolio_winner)];
     wasted_effort.merge(outcome.wasted_effort);
@@ -455,6 +530,7 @@ void RouteTally::merge(const RouteTally& other) {
   saturate_forced += other.saturate_forced;
   saturate_edges += other.saturate_edges;
   portfolio_races += other.portfolio_races;
+  portfolio_escalations += other.portfolio_escalations;
   for (std::size_t e = 0; e < kNumEngines; ++e)
     engine_wins[e] += other.engine_wins[e];
   wasted_effort.merge(other.wasted_effort);

@@ -75,16 +75,24 @@ inline constexpr std::size_t kNumEngines =
   return "?";
 }
 
-/// Portfolio configuration for the exact tier. Disabled by default: the
-/// race runs the frontier search on the calling thread and spends one
-/// thread each on CDCL and bounded-k for every instance that reaches the
-/// tier, which only pays off when instances are hard enough that no
-/// single engine dominates. Every arm polls the race's token and the
-/// deadline in every phase (CDCL: encoding, clause loading, search), so
-/// once one arm decides, the losers stop within one poll period.
+/// Portfolio configuration for the exact tier, which then runs in two
+/// stages. Stage 1 runs the frontier search alone on the calling thread
+/// under a state budget of kSoloStates (or the caller's max_states, when
+/// smaller); its definite verdict is final and bit-identical to the
+/// unraced route's, and no thread is created. Only when that budget runs
+/// out does stage 2 race the frontier search, CDCL and bounded-k, one
+/// thread each beyond the caller's, which pays off only where no single
+/// engine dominates. Disabled by default. Every arm polls the race's
+/// token and the deadline in every phase (CDCL: encoding, clause
+/// loading, search), so once one arm decides, the losers stop within
+/// one poll period.
+/// Stage 1's state budget (defined, with the reason for its value, in
+/// router.cpp).
+extern const std::uint64_t kSoloStates;
+
 struct PortfolioOptions {
   bool enabled = false;
-  /// When set, the exact tier runs ONLY this engine instead of racing —
+  /// When set, the exact tier runs ONLY this engine, with no stage 1 —
   /// the vermemd `--solver=cdcl` escape hatch. The winner is still
   /// recorded (trivially, as the forced engine).
   std::optional<Engine> only;
@@ -109,19 +117,22 @@ struct RouteOutcome {
   std::uint64_t saturation_edges = 0;         ///< must-edges derived
   std::uint64_t saturation_branch_points = 0; ///< unordered Kahn steps
   /// Portfolio provenance. `result.stats` carries ONLY the winning
-  /// engine's effort; the losers' effort lands in `wasted_effort` so
-  /// aggregate effort accounting stays honest (a race that burned three
-  /// engines is not reported as one engine's work).
+  /// engine's effort; the losers' effort, and stage 1's when it
+  /// escalated, lands in `wasted_effort` so aggregate effort accounting
+  /// stays honest (a race that burned three engines is not reported as
+  /// one engine's work).
   bool portfolio_ran = false;
+  /// Stage 1 spent its state budget and the engines raced.
+  bool portfolio_escalated = false;
   Engine portfolio_winner = Engine::kExactSearch;
-  vmc::SearchStats wasted_effort;  ///< losing engines' merged effort
+  vmc::SearchStats wasted_effort;  ///< losing runs' merged effort
 };
 
 /// Classifies and decides one projection. `write_order`, when non-null,
 /// is this address's serialization log in original-execution
 /// coordinates; the witness in the outcome is likewise translated back
-/// to original coordinates. `portfolio`, when enabled, races the exact
-/// tier's engines instead of running the frontier search alone.
+/// to original coordinates. `portfolio`, when enabled, runs the exact
+/// tier as the staged portfolio (see PortfolioOptions).
 [[nodiscard]] RouteOutcome check_routed(
     const ProjectedView& view, const std::vector<OpRef>* write_order,
     const vmc::ExactOptions& exact_options = {},
@@ -142,9 +153,10 @@ struct RouteTally {
   std::uint64_t saturate_forced = 0;   ///< forced-total orders found
   std::uint64_t saturate_edges = 0;    ///< must-edges exported to exact/SAT
   // Portfolio tallies (meaningful when a PortfolioOptions was enabled).
-  std::uint64_t portfolio_races = 0;   ///< addresses decided by a race
+  std::uint64_t portfolio_races = 0;   ///< addresses that reached the tier
+  std::uint64_t portfolio_escalations = 0;  ///< of those, raced in stage 2
   std::array<std::uint64_t, kNumEngines> engine_wins{};
-  /// Losing engines' merged effort across all races. Deliberately kept
+  /// Losing runs' merged effort across all races. Deliberately kept
   /// out of the winner-only effort totals (CoherenceReport::effort).
   vmc::SearchStats wasted_effort;
 

@@ -9,7 +9,8 @@
 // through the incremental-backed SAT route replay via certify::check().
 // The warm kVscc sweep (fresh, suffix-extended, and reused) is checked
 // against the cold per-address and whole-trace deciders, and the
-// exact-tier portfolio race against the default (unraced) routing.
+// exact-tier portfolio against the default (unraced) routing: stage 1
+// bit for bit inside its state budget, the race past it.
 //
 // CI runs this suite under TSan and ASan in addition to the plain jobs:
 // the portfolio race and the retained-solver paths are exactly where a
@@ -636,6 +637,175 @@ TEST(PortfolioDifferential, AdversarialReductionInstancesAgree) {
     const auto raced =
         analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
     EXPECT_EQ(raced.report.verdict, base.report.verdict) << "trial " << trial;
+  }
+}
+
+// ---- Staged portfolio: stage 1 alone, stage 2 only on a spent budget ----
+
+void expect_same_stats(const vmc::SearchStats& got,
+                       const vmc::SearchStats& want) {
+  EXPECT_EQ(got.states_visited, want.states_visited);
+  EXPECT_EQ(got.transitions, want.transitions);
+  EXPECT_EQ(got.max_frontier, want.max_frontier);
+  EXPECT_EQ(got.prunes, want.prunes);
+  EXPECT_EQ(got.oracle_prunes, want.oracle_prunes);
+  EXPECT_EQ(got.arena_reserved, want.arena_reserved);
+  EXPECT_EQ(got.arena_high_water, want.arena_high_water);
+  EXPECT_EQ(got.arena_allocations, want.arena_allocations);
+}
+
+analysis::PortfolioOptions staged_portfolio() {
+  analysis::PortfolioOptions portfolio;
+  portfolio.enabled = true;
+  return portfolio;
+}
+
+/// The reduction of a seeded random 3-SAT formula over `num_vars`
+/// variables: one address that saturation leaves to the exact tier.
+Execution reduction_instance(std::uint64_t seed, sat::Var num_vars) {
+  Xoshiro256ss rng(seed);
+  const auto cnf = sat::random_ksat(num_vars, 4 * num_vars, 3, rng);
+  return reductions::sat_to_vmc(cnf).instance.execution;
+}
+
+TEST(StagedPortfolio, InsideTheBudgetMatchesTheUnracedSearchBitForBit) {
+  // Small contended traces and small reduction instances: every address
+  // that reaches the exact tier decides within kSoloStates, so stage 1
+  // alone must answer exactly as the unraced route (vmc::check_exact
+  // under the same saturation pruner) does.
+  Xoshiro256ss rng(707);
+  std::vector<Execution> cases;
+  for (int trial = 0; trial < 6; ++trial) {
+    workload::SingleAddressParams params;
+    params.num_histories = 3 + rng.below(3);
+    params.ops_per_history = 3 + rng.below(4);
+    params.num_values = 1 + rng.below(2);
+    params.write_fraction = 0.5;
+    const auto trace = workload::generate_coherent(params, rng);
+    cases.push_back(trace.execution);
+    for (const Fault f : {Fault::kStaleRead, Fault::kLostWrite}) {
+      if (auto faulted = workload::inject_fault(trace, f, rng))
+        cases.push_back(std::move(*faulted));
+    }
+  }
+  for (const std::uint64_t seed : {1u, 16u})
+    cases.push_back(reduction_instance(seed, 3));
+
+  std::uint64_t compared = 0;
+  analysis::RouteTally tally;
+  for (const Execution& exec : cases) {
+    const AddressIndex index(exec);
+    for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+      const auto view = index.view_at(i);
+      const auto base = analysis::check_routed(view, nullptr);
+      if (base.decider != analysis::Decider::kExact) continue;
+      ASSERT_LT(base.result.stats.states_visited, analysis::kSoloStates);
+      const auto staged =
+          analysis::check_routed(view, nullptr, {}, staged_portfolio());
+      tally.add(staged);
+      ++compared;
+      EXPECT_TRUE(staged.portfolio_ran);
+      EXPECT_FALSE(staged.portfolio_escalated);
+      EXPECT_EQ(staged.portfolio_winner, analysis::Engine::kExactSearch);
+      EXPECT_EQ(staged.result.verdict, base.result.verdict);
+      EXPECT_EQ(staged.result.witness, base.result.witness);
+      EXPECT_EQ(staged.result.reason(), base.result.reason());
+      expect_same_stats(staged.result.stats, base.result.stats);
+      expect_same_stats(staged.wasted_effort, {});
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_EQ(tally.portfolio_races, compared);
+  EXPECT_EQ(tally.portfolio_escalations, 0u);
+  EXPECT_EQ(tally.wasted_effort.states_visited, 0u);
+}
+
+TEST(StagedPortfolio, BeyondTheBudgetEscalatesToTheRace) {
+  // Seeds 3 and 5 reduce to instances the unraced search decides in
+  // ~15k (incoherent) and ~5k (coherent) states: past kSoloStates.
+  for (const std::uint64_t seed : {3u, 5u}) {
+    const Execution exec = reduction_instance(seed, 3);
+    const AddressIndex index(exec);
+    const auto base = analysis::verify_coherence_routed(index);
+    ASSERT_EQ(base.routing.exact_routed, 1u) << "seed " << seed;
+    ASSERT_GT(base.report.effort.states_visited, analysis::kSoloStates)
+        << "seed " << seed << ": the instance no longer exceeds the budget";
+
+    const auto raced =
+        analysis::verify_coherence_routed(index, nullptr, {}, staged_portfolio());
+    EXPECT_EQ(raced.routing.portfolio_races, 1u) << "seed " << seed;
+    EXPECT_EQ(raced.routing.portfolio_escalations, 1u) << "seed " << seed;
+    EXPECT_GE(raced.routing.wasted_effort.states_visited, analysis::kSoloStates)
+        << "seed " << seed;
+    ASSERT_EQ(raced.report.addresses.size(), 1u);
+    const auto& address = raced.report.addresses[0];
+    EXPECT_EQ(address.result.verdict, base.report.addresses[0].result.verdict)
+        << "seed " << seed;
+    ASSERT_NE(address.result.verdict, vmc::Verdict::kUnknown);
+    const auto cert = certify::from_result(certify::Scope::kAddress,
+                                           address.addr, address.result);
+    const auto outcome = certify::check(exec, cert);
+    EXPECT_TRUE(outcome.ok) << "seed " << seed << ": " << outcome.violation;
+  }
+}
+
+TEST(StagedPortfolio, DeadlineAndCancellationReturnWithoutEscalating) {
+  const Execution exec = reduction_instance(3, 3);
+  const AddressIndex index(exec);
+  ASSERT_EQ(index.num_addresses(), 1u);
+  const auto view = index.view_at(0);
+
+  vmc::ExactOptions expired;
+  expired.deadline = Deadline(std::chrono::nanoseconds(1));
+  while (!expired.deadline.expired()) {
+  }
+  CancellationToken token;
+  token.cancel();
+  vmc::ExactOptions cancelled;
+  cancelled.cancel = &token;
+
+  for (const auto& [options, reason] :
+       {std::pair{expired, certify::UnknownReason::kDeadline},
+        std::pair{cancelled, certify::UnknownReason::kCancelled}}) {
+    const auto staged =
+        analysis::check_routed(view, nullptr, options, staged_portfolio());
+    ASSERT_EQ(staged.decider, analysis::Decider::kExact);
+    EXPECT_EQ(staged.result.verdict, vmc::Verdict::kUnknown);
+    const certify::Unknown* why = staged.result.unknown_reason();
+    ASSERT_NE(why, nullptr);
+    EXPECT_EQ(why->reason, reason) << certify::to_string(reason);
+    analysis::RouteTally tally;
+    tally.add(staged);
+    EXPECT_EQ(tally.portfolio_races, 1u);
+    EXPECT_EQ(tally.portfolio_escalations, 0u);
+    EXPECT_EQ(tally.wasted_effort.states_visited, 0u);
+  }
+}
+
+TEST(StagedPortfolio, CallerBudgetBelowTheSoloBudgetStillDecides) {
+  // A caller budget of 64 states (or transitions) stops the frontier
+  // search in stage 1; it would stop it again in a race, so only CDCL
+  // and bounded-k race, and the verdict is the one the three-engine
+  // race reaches: CDCL's, which neither budget limits.
+  vmc::ExactOptions few_states;
+  few_states.max_states = 64;
+  vmc::ExactOptions few_transitions;
+  few_transitions.max_transitions = 64;
+  for (const std::uint64_t seed : {1u, 3u}) {
+    const Execution exec = reduction_instance(seed, 3);
+    const AddressIndex index(exec);
+    const auto base = analysis::verify_coherence_routed(index);
+    for (const vmc::ExactOptions& tight : {few_states, few_transitions}) {
+      const auto raced = analysis::verify_coherence_routed(
+          index, nullptr, tight, staged_portfolio());
+      EXPECT_EQ(raced.report.verdict, base.report.verdict) << "seed " << seed;
+      EXPECT_EQ(raced.routing.portfolio_escalations, 1u) << "seed " << seed;
+      EXPECT_EQ(raced.routing.engine_wins[static_cast<std::size_t>(
+                    analysis::Engine::kExactSearch)],
+                0u)
+          << "seed " << seed;
+      EXPECT_GT(raced.routing.wasted_effort.states_visited, 0u);
+    }
   }
 }
 

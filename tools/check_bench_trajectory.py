@@ -222,8 +222,9 @@ def sat_gates(current):
     The warm kVscc sweep bought >= 2x over per-query cold re-encodes at
     the largest bench point; that margin is a hard floor, not baseline
     slack. differential_ok covers warm-vs-cold statuses, the suffix
-    extension, and portfolio verdict equality — a speedup from changed
-    semantics never passes. The portfolio race is tail-latency
+    extension, portfolio verdict equality, and the portfolio instance's
+    escalation to the engine race — a speedup from changed semantics, or
+    from timing stage 1 instead of the race, never passes. The portfolio race is tail-latency
     insurance, so it is allowed to cost wall clock on instances a single
     engine handles well, but only up to a 4x overhead ceiling
     (default/race ratio >= 0.25)."""

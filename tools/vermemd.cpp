@@ -27,11 +27,14 @@
 // do not apply to them.
 //
 // --solver selects the exact-tier engine policy for text traces:
-// "portfolio" races the frontier search, CDCL, and bounded-k per
-// hard address (first definite verdict wins, losers are cancelled);
-// "cdcl" forces that one engine. Default "auto" keeps the
+// "portfolio" first runs the frontier search alone under a state
+// budget, and only an address that exhausts it races the frontier
+// search, CDCL, and bounded-k (first definite verdict wins, losers are
+// cancelled); "cdcl" forces that one engine. Default "auto" keeps the
 // single-engine routed cascade. The per-trace JSON gains a
-// "portfolio" object whenever at least one race ran, and kVscc
+// "portfolio" object whenever at least one address reached the
+// portfolio tier, --stats counts the addresses that raced as
+// "portfolio_escalations", and kVscc
 // responses report "warm_sweep"/"suffix_extension" when served from
 // the service's retained incremental solver.
 //
@@ -524,7 +527,8 @@ int main(int argc, char** argv) {
                  "\"saturate_ran\":%llu,\"saturate_decided\":%llu,"
                  "\"saturate_cycles\":%llu,\"saturate_forced\":%llu,"
                  "\"saturate_edges\":%llu,"
-                 "\"portfolio_races\":%llu,\"engine_wins\":{%s},"
+                 "\"portfolio_races\":%llu,\"portfolio_escalations\":%llu,"
+                 "\"engine_wins\":{%s},"
                  "\"wasted_states\":%llu,\"wasted_transitions\":%llu,"
                  "\"vscc_sweeps\":%llu,\"vscc_sweep_extended\":%llu,"
                  "\"vscc_sweep_reused\":%llu,"
@@ -548,6 +552,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(routing.saturate_forced),
                  static_cast<unsigned long long>(routing.saturate_edges),
                  static_cast<unsigned long long>(routing.portfolio_races),
+                 static_cast<unsigned long long>(routing.portfolio_escalations),
                  wins.c_str(),
                  static_cast<unsigned long long>(
                      routing.wasted_effort.states_visited),
