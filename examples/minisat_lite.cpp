@@ -2,7 +2,7 @@
 // with optional self-checked UNSAT proofs.
 //
 // Usage:
-//   minisat_lite [--no-vsids] [--no-restarts] [--proof] [FILE.cnf]
+//   minisat_lite [--proof] [FILE.cnf]
 //
 // Reads DIMACS from FILE (or stdin), prints the standard "s SATISFIABLE /
 // s UNSATISFIABLE" line plus a "v" model line when satisfiable. With
@@ -29,16 +29,10 @@ int main(int argc, char** argv) {
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-vsids")
-      options.use_vsids = false;
-    else if (arg == "--no-restarts")
-      options.use_restarts = false;
-    else if (arg == "--proof")
+    if (arg == "--proof")
       want_proof = options.log_proof = true;
     else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr,
-                   "usage: minisat_lite [--no-vsids] [--no-restarts] [--proof] "
-                   "[FILE.cnf]\n");
+      std::fprintf(stderr, "usage: minisat_lite [--proof] [FILE.cnf]\n");
       return 0;
     } else {
       path = arg;

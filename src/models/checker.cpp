@@ -108,8 +108,8 @@ class StoreBufferPolicy {
                : search::Status::kOpen;
   }
 
-  /// Never called: every transition branches (eager is off) and status()
-  /// never rejects.
+  /// No choice is free, so every transition branches; reject() is never
+  /// called because status() never rejects.
   [[nodiscard]] bool free(const std::uint32_t*, std::uint32_t) const {
     return false;
   }
@@ -216,8 +216,7 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
     case Model::kTso:
     case Model::kPso:
       return search::Engine(StoreBufferPolicy(index, m == Model::kPso),
-                            {.eager = false,
-                             .max_states = options.max_states,
+                            {.max_states = options.max_states,
                              .deadline = options.deadline,
                              .cancel = options.cancel}).run();
     case Model::kCoherenceOnly: {

@@ -4,6 +4,12 @@
 
 namespace vermem::sat {
 
+namespace {
+// Lit::from_dimacs takes an int: a larger variable count would let
+// literal tokens wrap onto other variables.
+constexpr long long kMaxDimacsVars = 2147483647;
+}  // namespace
+
 std::size_t Cnf::num_literals() const noexcept {
   std::size_t total = 0;
   for (const auto& clause : clauses) total += clause.size();
@@ -59,6 +65,11 @@ DimacsResult parse_dimacs(std::string_view text) {
           !parse_i64(fields[2], declared_vars) ||
           !parse_i64(fields[3], declared_clauses) || declared_vars < 0) {
         result.error = "malformed DIMACS header";
+        return result;
+      }
+      if (declared_vars > kMaxDimacsVars) {
+        result.error = "DIMACS variable count exceeds " +
+                       std::to_string(kMaxDimacsVars);
         return result;
       }
       saw_header = true;

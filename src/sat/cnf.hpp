@@ -91,7 +91,8 @@ struct Cnf {
 /// Serializes in DIMACS cnf format.
 [[nodiscard]] std::string to_dimacs(const Cnf& cnf);
 
-/// Parses DIMACS cnf; returns nullopt with a message on malformed input.
+/// Parses DIMACS cnf; on malformed input `error` holds a message. A
+/// header declaring more than 2^31-1 variables is malformed.
 struct DimacsResult {
   Cnf cnf;
   std::string error;  ///< empty on success

@@ -126,7 +126,6 @@ struct IncrementalSolver::Impl {
     saved_phase_.push_back(false);
     seen_.push_back(0);
     watches_.resize(2 * num_vars_);
-    occurrences_.resize(2 * num_vars_);
     heap_.grow(num_vars_);
     heap_.insert(v);
     inputs_.num_vars = num_vars_;
@@ -203,12 +202,8 @@ struct IncrementalSolver::Impl {
 
   std::uint32_t attach(Clause clause) {
     const auto ref = static_cast<std::uint32_t>(clauses_.size());
-    if (options_.use_watched_literals) {
-      watches_[(~clause[0]).code()].push_back(ref);
-      watches_[(~clause[1]).code()].push_back(ref);
-    } else {
-      for (const Lit l : clause) occurrences_[(~l).code()].push_back(ref);
-    }
+    watches_[(~clause[0]).code()].push_back(ref);
+    watches_[(~clause[1]).code()].push_back(ref);
     clauses_.push_back(std::move(clause));
     return ref;
   }
@@ -221,13 +216,9 @@ struct IncrementalSolver::Impl {
     trail_.push_back(l);
   }
 
-  /// Returns a conflicting clause ref, or kNoReason if propagation reached
-  /// a fixpoint.
+  /// Two-watched-literal propagation. Returns a conflicting clause ref,
+  /// or kNoReason if propagation reached a fixpoint.
   std::uint32_t propagate() {
-    return options_.use_watched_literals ? propagate_watched() : propagate_naive();
-  }
-
-  std::uint32_t propagate_watched() {
     while (propagate_head_ < trail_.size()) {
       const Lit p = trail_[propagate_head_++];  // p became true
       ++stats_.propagations;
@@ -268,43 +259,6 @@ struct IncrementalSolver::Impl {
         enqueue(clause[0], ref);
       }
       watch_list.resize(keep);
-    }
-    return kNoReason;
-  }
-
-  std::uint32_t propagate_naive() {
-    while (propagate_head_ < trail_.size()) {
-      const Lit p = trail_[propagate_head_++];
-      ++stats_.propagations;
-      for (const std::uint32_t ref : occurrences_[p.code()]) {
-        Clause& clause = clauses_[ref];
-        Lit unassigned{};
-        int num_unassigned = 0;
-        bool satisfied = false;
-        for (const Lit l : clause) {
-          const int val = value(l);
-          if (val == kTrue) {
-            satisfied = true;
-            break;
-          }
-          if (val == kUndef) {
-            ++num_unassigned;
-            unassigned = l;
-          }
-        }
-        if (satisfied) continue;
-        if (num_unassigned == 0) {
-          propagate_head_ = trail_.size();
-          return ref;
-        }
-        if (num_unassigned == 1) {
-          // Move the implied literal to slot 0 so analyze() finds the
-          // asserting literal where it expects it.
-          auto it = std::find(clause.begin(), clause.end(), unassigned);
-          std::iter_swap(clause.begin(), it);
-          enqueue(unassigned, ref);
-        }
-      }
     }
     return kNoReason;
   }
@@ -351,7 +305,7 @@ struct IncrementalSolver::Impl {
     }
     learned[0] = ~p;
 
-    if (options_.minimize_learned) minimize(learned);
+    minimize(learned);
     stats_.learned_literals += learned.size();
 
     // Compute backtrack level = second-highest level in the clause.
@@ -455,7 +409,7 @@ struct IncrementalSolver::Impl {
     const std::size_t floor = trail_limits_[target_level];
     for (std::size_t i = trail_.size(); i > floor; --i) {
       const Var v = trail_[i - 1].var();
-      if (options_.use_phase_saving) saved_phase_[v] = assigns_[v] == kTrue;
+      saved_phase_[v] = assigns_[v] == kTrue;
       assigns_[v] = kUndef;
       reason_[v] = kNoReason;
       heap_.insert(v);
@@ -465,16 +419,12 @@ struct IncrementalSolver::Impl {
     propagate_head_ = floor;
   }
 
+  /// VSIDS: the most active unassigned variable, in its saved phase.
   Lit pick_branch() {
-    if (options_.use_vsids) {
-      while (!heap_.empty()) {
-        const Var v = heap_.pop();
-        if (assigns_[v] == kUndef) return Lit(v, !saved_phase_[v]);
-      }
-      return Lit{};
-    }
-    for (Var v = 0; v < num_vars_; ++v)
+    while (!heap_.empty()) {
+      const Var v = heap_.pop();
       if (assigns_[v] == kUndef) return Lit(v, !saved_phase_[v]);
+    }
     return Lit{};
   }
 
@@ -488,10 +438,8 @@ struct IncrementalSolver::Impl {
   }
   void decay_activities() { activity_increment_ /= 0.95; }
 
-  std::uint64_t next_restart_budget() {
-    if (!options_.use_restarts) return std::numeric_limits<std::uint64_t>::max();
-    return 128 * luby(restart_index_++);
-  }
+  /// Luby restarts, unit 128 conflicts.
+  std::uint64_t next_restart_budget() { return 128 * luby(restart_index_++); }
 
   /// Copies the cumulative proof log plus (optionally) the empty clause
   /// into a per-call result. Every retained learned clause was RUP at
@@ -553,8 +501,7 @@ struct IncrementalSolver::Impl {
         }
         if (conflicts_until_restart > 0) --conflicts_until_restart;
       } else {
-        if (options_.use_restarts && conflicts_until_restart == 0 &&
-            decision_level() > 0) {
+        if (conflicts_until_restart == 0 && decision_level() > 0) {
           ++stats_.restarts;
           obs::flight_event(obs::FlightEventKind::kSolverRestart,
                             "luby restart", stats_.restarts,
@@ -651,8 +598,7 @@ struct IncrementalSolver::Impl {
   Cnf inputs_;  ///< every accepted input clause, for formula()/proof replay
 
   std::vector<Clause> clauses_;
-  std::vector<std::vector<std::uint32_t>> watches_;      ///< by literal code
-  std::vector<std::vector<std::uint32_t>> occurrences_;  ///< naive mode
+  std::vector<std::vector<std::uint32_t>> watches_;  ///< by literal code
 
   std::vector<int> assigns_;  ///< kUndef / kTrue / kFalse per var
   std::vector<int> level_;

@@ -57,10 +57,9 @@ class IncrementalSolver {
   IncrementalSolver(const IncrementalSolver&) = delete;
   IncrementalSolver& operator=(const IncrementalSolver&) = delete;
 
-  /// Per-call knobs (deadline, cancel, max_conflicts) may be adjusted
-  /// between solves. The structural flags (use_watched_literals,
-  /// use_vsids, log_proof) are latched at construction; changing them
-  /// here has no effect.
+  /// Per-call knobs (deadline, cancel, max_conflicts, verify_models) may
+  /// be adjusted between solves. log_proof is latched at construction;
+  /// changing it here has no effect.
   [[nodiscard]] SolverOptions& options() noexcept;
 
   [[nodiscard]] Var new_var();

@@ -48,7 +48,6 @@ class RupChecker {
     // Assert the negation; a literal already forced true by a duplicate
     // is a tautology corner (~l and l both in clause): conflict trivially.
     for (const Lit l : clause) {
-      if (l.var() >= num_vars_) grow(l.var() + 1);
       const int v = value(~l);
       if (v == kFalse) {
         conflict = true;
@@ -146,6 +145,11 @@ bool check_rup_proof(const Cnf& cnf, const Proof& proof) {
   RupChecker checker(cnf);
   bool derived_empty = false;
   for (const Clause& step : proof) {
+    // A step over a variable the formula does not declare is rejected
+    // before it can size the checker's tables: the proof may be untrusted
+    // certificate text naming any variable up to 2^31-2.
+    for (const Lit l : step)
+      if (l.var() >= cnf.num_vars) return false;
     if (!checker.is_rup(step)) return false;
     if (step.empty()) {
       derived_empty = true;

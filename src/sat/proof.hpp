@@ -23,7 +23,8 @@ using Proof = std::vector<Clause>;
 
 /// Verifies that `proof` is a valid RUP refutation of `cnf`: every step
 /// is RUP over the formula plus earlier steps, and the empty clause is
-/// derived. Returns false on the first bad step.
+/// derived. Returns false on the first bad step, including a step that
+/// names a variable >= cnf.num_vars.
 [[nodiscard]] bool check_rup_proof(const Cnf& cnf, const Proof& proof);
 
 }  // namespace vermem::sat

@@ -2,11 +2,44 @@
 
 #include <cstdlib>
 
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sat/effort.hpp"
 #include "sat/incremental.hpp"
 
 namespace vermem::sat {
+
+namespace {
+
+// The sat.cdcl span attributes and the vermem_sat_* counters. CDCL has
+// no explicit backtrack counter; conflicts is the analogous "undo" count.
+void record_effort(obs::Span& span, const SolveResult& result) {
+  const SolverStats& stats = result.stats;
+  if (span.active()) {
+    span.attr("decisions", stats.decisions);
+    span.attr("propagations", stats.propagations);
+    span.attr("backtracks", stats.conflicts);
+    span.attr("restarts", stats.restarts);
+    span.attr("status", to_string(result.status));
+  }
+  if (obs::enabled()) {
+    static const obs::Counter solves = obs::counter("vermem_sat_solves_total");
+    static const obs::Counter decision_count =
+        obs::counter("vermem_sat_decisions_total");
+    static const obs::Counter propagation_count =
+        obs::counter("vermem_sat_propagations_total");
+    static const obs::Counter backtrack_count =
+        obs::counter("vermem_sat_backtracks_total");
+    static const obs::Counter restart_count =
+        obs::counter("vermem_sat_restarts_total");
+    solves.add();
+    decision_count.add(stats.decisions);
+    propagation_count.add(stats.propagations);
+    backtrack_count.add(stats.conflicts);
+    restart_count.add(stats.restarts);
+  }
+}
+
+}  // namespace
 
 // One-shot façade over the persistent engine: fresh IncrementalSolver,
 // load, single solve with no assumptions. certify::check()'s RUP replay
@@ -40,11 +73,7 @@ SolveResult solve(const Cnf& cnf, const SolverOptions& options) {
     // rather than report a wrong answer.
     std::abort();
   }
-  // CDCL has no explicit backtrack counter; conflicts is the analogous
-  // "undo" count in the shared effort schema.
-  record_sat_effort(span, result.stats.decisions, result.stats.propagations,
-                    result.stats.conflicts, result.stats.restarts,
-                    result.status);
+  record_effort(span, result);
   return result;
 }
 

@@ -5,14 +5,13 @@
 // turns a coherence-verification instance into CNF and solves it here) and
 // the reference oracle for the reduction round-trip experiments.
 //
-// Feature set: two-watched-literal propagation, first-UIP conflict
-// analysis with recursive clause minimization, VSIDS decision heuristic
-// with phase saving, and Luby restarts. Every feature can be disabled
-// individually through SolverOptions; the ablation benchmark
-// (bench_ablation_sat) measures what each contributes. Learned clauses are
-// kept for the lifetime of the solve — instance sizes in this repository
-// do not warrant database reduction, and omitting it keeps the solver
-// auditable.
+// One configuration, always on: two-watched-literal propagation,
+// first-UIP conflict analysis with recursive clause minimization, VSIDS
+// decision heuristic with phase saving, and Luby restarts (unit 128
+// conflicts). Learned clauses are kept for the lifetime of the solve —
+// instance sizes in this repository do not warrant database reduction,
+// and omitting it keeps the solver auditable. sat::solve_brute
+// (brute.hpp) is the independent oracle the tests check it against.
 //
 // solve() below is a thin one-shot wrapper over sat::IncrementalSolver
 // (incremental.hpp), which owns the CDCL engine and additionally offers
@@ -42,11 +41,6 @@ enum class Status : std::uint8_t { kSat, kUnsat, kUnknown };
 }
 
 struct SolverOptions {
-  bool use_vsids = true;        ///< else: pick the lowest-index unassigned var
-  bool use_restarts = true;     ///< Luby sequence, unit 128 conflicts
-  bool use_phase_saving = true; ///< else: always decide false first
-  bool minimize_learned = true; ///< recursive learned-clause minimization
-  bool use_watched_literals = true;  ///< else: occurrence-list propagation
   std::uint64_t max_conflicts = 0;   ///< 0 = unlimited; else give up (kUnknown)
   Deadline deadline = Deadline::never();  ///< cooperative wall-clock budget
   /// External cooperative cancellation; checked alongside the deadline.

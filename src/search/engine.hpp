@@ -116,10 +116,8 @@ class DenseMemory {
   std::vector<std::vector<std::uint32_t>> op_ids_;
 };
 
-/// Engine knobs; each checker's options map onto these.
+/// Engine budgets; each checker's options map onto these.
 struct Limits {
-  bool eager = true;    ///< run the closure over free choices
-  bool memoize = true;  ///< dedup states through the FlatKeySet
   std::uint64_t max_states = 0;       ///< 0 = unlimited (fresh states)
   std::uint64_t max_transitions = 0;  ///< 0 = unlimited (counts re-visits)
   Deadline deadline = Deadline::never();
@@ -228,7 +226,6 @@ class Engine {
   /// free choice commutes with every other: any accepted continuation can
   /// be reordered to take it first.
   void close() {
-    if (!limits_.eager) return;
     for (bool progressed = true; progressed;) {
       progressed = false;
       for (std::uint32_t c = 0; c < choices_; ++c) {
@@ -240,11 +237,10 @@ class Engine {
     }
   }
 
-  /// False when the current state was seen before (a prune); always true
-  /// with memoization off.
+  /// False when the current state was seen before (a prune).
   bool remember() {
     ++stats_.states_visited;
-    if (!limits_.memoize || visited_.insert(key_.data()).fresh) return true;
+    if (visited_.insert(key_.data()).fresh) return true;
     --stats_.states_visited;
     ++stats_.prunes;
     return false;

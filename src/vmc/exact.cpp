@@ -13,8 +13,8 @@ namespace {
 
 // The VMC policy of search/engine.hpp. Key: one position word per
 // history, then the location's current value in two words. Choice p
-// schedules the next operation of history p; with eager reads, pure reads
-// are free, so only writing operations branch. exact_legacy.cpp keeps the
+// schedules the next operation of history p; pure reads are free, so
+// only writing operations branch. exact_legacy.cpp keeps the
 // pre-arena search as the differential oracle.
 class VmcPolicy {
  public:
@@ -38,10 +38,9 @@ class VmcPolicy {
       const auto& history = instance_.execution.history(p);
       if (key[p] >= history.size()) continue;
       const Operation& op = history[key[p]];
-      if (options_.eager_reads && !op.writes_memory()) continue;
+      if (!op.writes_memory()) continue;
       if (op.reads_memory() && op.value_read != value) continue;
-      if (options_.pruner && op.writes_memory() &&
-          !options_.pruner->satisfied(key, p, key[p])) {
+      if (options_.pruner && !options_.pruner->satisfied(key, p, key[p])) {
         // A must-precede predecessor is still unscheduled: this branch
         // violates a necessary ordering and cannot contain a witness.
         ++stats.oracle_prunes;
@@ -101,9 +100,7 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
       malformed ? CheckResult::unknown(certify::UnknownReason::kMalformed,
                                        *malformed)
                 : search::Engine(VmcPolicy(instance, options),
-                                 {.eager = options.eager_reads,
-                                  .memoize = options.memoize,
-                                  .max_states = options.max_states,
+                                 {.max_states = options.max_states,
                                   .max_transitions = options.max_transitions,
                                   .deadline = options.deadline,
                                   .cancel = options.cancel}).run();

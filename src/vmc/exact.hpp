@@ -92,17 +92,11 @@ struct MustPrecede {
   std::vector<std::pair<OpRef, OpRef>> staged_;
 };
 
+/// The search always memoizes visited states and schedules enabled pure
+/// reads eagerly without branching: reads do not change the search
+/// state, so this is sound and complete, and it prunes the branching
+/// factor to writing operations only.
 struct ExactOptions {
-  /// Schedule enabled pure reads eagerly without branching. Reads do not
-  /// change the search state, so this is sound and complete; it prunes the
-  /// branching factor to writing operations only. Disable only for the
-  /// ablation bench.
-  bool eager_reads = true;
-
-  /// Memoize visited states. Disable only for the ablation bench;
-  /// without memoization the search revisits states exponentially often.
-  bool memoize = true;
-
   /// Abort with kUnknown after visiting this many states (0 = unlimited).
   std::uint64_t max_states = 0;
 

@@ -32,7 +32,7 @@ class LegacyExactSearch {
       return CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
 
     value_ = instance_.initial_value();
-    if (options_.eager_reads) close_reads();
+    close_reads();
     if (complete()) {
       return final_ok() ? CheckResult::yes(schedule_, stats_)
                         : CheckResult::no(
@@ -73,7 +73,7 @@ class LegacyExactSearch {
         const auto& history = instance_.execution.history(p);
         if (positions_[p] >= history.size()) continue;
         const Operation& op = history[positions_[p]];
-        if (options_.eager_reads && !op.writes_memory()) continue;
+        if (!op.writes_memory()) continue;
         if (op.reads_memory() && op.value_read != value_) continue;
         break;
       }
@@ -85,7 +85,7 @@ class LegacyExactSearch {
       ++stats_.transitions;
 
       apply(p);
-      if (options_.eager_reads) close_reads();
+      close_reads();
 
       if (complete()) {
         if (final_ok()) return CheckResult::yes(schedule_, stats_);
@@ -150,7 +150,6 @@ class LegacyExactSearch {
 
   bool remember_current() {
     ++stats_.states_visited;
-    if (!options_.memoize) return true;
     StateKey key(positions_);
     key.push_back(static_cast<std::uint32_t>(static_cast<std::uint64_t>(value_)));
     key.push_back(

@@ -15,9 +15,9 @@ namespace {
 // differential oracle.
 class ScPolicy {
  public:
-  ScPolicy(const AddressIndex& index, bool eager)
+  explicit ScPolicy(const AddressIndex& index)
       : exec_(index.execution()), memory_(exec_, index.addresses()),
-        eager_(eager), k_(static_cast<std::uint32_t>(exec_.num_processes())) {}
+        k_(static_cast<std::uint32_t>(exec_.num_processes())) {}
 
   [[nodiscard]] std::size_t key_words() const { return k_ + 2 * memory_.size(); }
   [[nodiscard]] std::uint32_t num_choices() const { return k_; }
@@ -33,7 +33,7 @@ class ScPolicy {
     for (; p < k_; ++p) {
       if (key[p] >= exec_.history(p).size()) continue;
       const Operation& op = exec_.history(p)[key[p]];
-      if (eager_ && !op.writes_memory()) continue;
+      if (!op.writes_memory()) continue;
       if (enabled(key, p, op)) break;
     }
     return p;
@@ -77,7 +77,6 @@ class ScPolicy {
 
   const Execution& exec_;
   search::DenseMemory memory_;
-  bool eager_;
   std::uint32_t k_;
 };
 
@@ -88,10 +87,8 @@ CheckResult check_sc_exact(const Execution& exec, const ScOptions& options) {
 }
 
 CheckResult check_sc_exact(const AddressIndex& index, const ScOptions& options) {
-  return search::Engine(ScPolicy(index, options.eager_reads),
-                        {.eager = options.eager_reads,
-                         .memoize = options.memoize,
-                         .max_states = options.max_states,
+  return search::Engine(ScPolicy(index),
+                        {.max_states = options.max_states,
                          .max_transitions = options.max_transitions,
                          .deadline = options.deadline,
                          .cancel = options.cancel}).run();

@@ -23,9 +23,9 @@ using vmc::CheckResult;
 using vmc::SearchStats;
 using vmc::Verdict;
 
+/// The search always memoizes visited (positions, memory) states and
+/// schedules enabled reads and sync ops eagerly.
 struct ScOptions {
-  bool eager_reads = true;       ///< schedule enabled reads/sync ops eagerly
-  bool memoize = true;           ///< memoize visited (positions, memory) states
   std::uint64_t max_states = 0;       ///< 0 = unlimited (fresh states)
   std::uint64_t max_transitions = 0;  ///< 0 = unlimited (bounds re-visits too)
   Deadline deadline = Deadline::never();

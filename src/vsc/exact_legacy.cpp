@@ -31,7 +31,7 @@ class LegacyScSearch {
   }
 
   CheckResult run() {
-    if (options_.eager_reads) close_free_ops();
+    close_free_ops();
     if (complete()) {
       return final_ok() ? CheckResult::yes(schedule_, stats_)
                         : CheckResult::no(final_mismatch_evidence(), stats_);
@@ -68,7 +68,7 @@ class LegacyScSearch {
       for (; p < k_; ++p) {
         if (positions_[p] >= exec_.history(p).size()) continue;
         const Operation& op = exec_.history(p)[positions_[p]];
-        if (options_.eager_reads && !op.writes_memory()) continue;
+        if (!op.writes_memory()) continue;
         if (!enabled(op)) continue;
         break;
       }
@@ -80,7 +80,7 @@ class LegacyScSearch {
       ++stats_.transitions;
 
       apply(p);
-      if (options_.eager_reads) close_free_ops();
+      close_free_ops();
 
       if (complete()) {
         if (final_ok()) return CheckResult::yes(schedule_, stats_);
@@ -160,7 +160,6 @@ class LegacyScSearch {
 
   bool remember_current() {
     ++stats_.states_visited;
-    if (!options_.memoize) return true;
     StateKey key(positions_);
     key.reserve(key.size() + 2 * values_.size());
     for (const Value v : values_) {

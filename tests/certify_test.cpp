@@ -71,18 +71,11 @@ TEST(RupProof, RandomUnsatRefutationsCheck) {
 
 TEST(RupProof, FeatureVariantsStillProduceValidProofs) {
   const sat::Cnf cnf = sat::pigeonhole(4);
-  for (const bool vsids : {true, false}) {
-    for (const bool minimize : {true, false}) {
-      sat::SolverOptions options;
-      options.log_proof = true;
-      options.use_vsids = vsids;
-      options.minimize_learned = minimize;
-      const auto result = sat::solve(cnf, options);
-      ASSERT_EQ(result.status, sat::Status::kUnsat);
-      EXPECT_TRUE(sat::check_rup_proof(cnf, result.proof))
-          << "vsids=" << vsids << " minimize=" << minimize;
-    }
-  }
+  sat::SolverOptions options;
+  options.log_proof = true;
+  const auto result = sat::solve(cnf, options);
+  ASSERT_EQ(result.status, sat::Status::kUnsat);
+  EXPECT_TRUE(sat::check_rup_proof(cnf, result.proof));
 }
 
 TEST(RupProof, RejectsBogusSteps) {
@@ -850,6 +843,30 @@ TEST(CertificateText, CheckedAfterRoundTrip) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   ASSERT_EQ(parsed.certs.size(), 1u);
   expect_checks(cycle, parsed.certs[0], "round-tripped rup");
+}
+
+TEST(CertificateText, OutOfRangeProofVariableFailsTheCheck) {
+  // A genuine refutation with one extra step over variable 2^31-2: the
+  // check must fail it, without sizing anything by that variable.
+  const auto cycle = ExecutionBuilder()
+                         .process(R(0, 1), R(0, 2))
+                         .process(R(0, 2), R(0, 1))
+                         .process(W(0, 1))
+                         .process(W(0, 2))
+                         .build();
+  const vmc::CheckResult result = encode::check_via_sat({cycle, 0});
+  ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent);
+  std::string text = certify::dump(address_cert(0, result));
+  const std::size_t first_clause = text.find("clause");
+  ASSERT_NE(first_clause, std::string::npos) << text;
+  text.insert(first_clause, "clause 2147483647\n");
+  const certify::ParseResult parsed = certify::parse_certificates(text);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ASSERT_EQ(parsed.certs.size(), 1u);
+  const certify::CheckOutcome outcome = certify::check(cycle, parsed.certs[0]);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.violation.find("rup-refutation"), std::string::npos)
+      << outcome.violation;
 }
 
 TEST(CertificateText, ExecutionScopeKeepsEvidenceAddress) {

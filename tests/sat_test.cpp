@@ -1,12 +1,12 @@
 // Unit + property tests for the SAT substrate: CNF model, DIMACS I/O,
-// CDCL solver (all feature combinations), DPLL, brute force, generators.
+// CDCL solver, brute force, generators, RUP proof checking.
 
 #include <gtest/gtest.h>
 
 #include "sat/brute.hpp"
 #include "sat/cnf.hpp"
-#include "sat/dpll.hpp"
 #include "sat/gen.hpp"
+#include "sat/proof.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
 
@@ -83,6 +83,10 @@ TEST(Dimacs, RejectsMalformed) {
   EXPECT_FALSE(parse_dimacs("p cnf 2 1\n1 -2\n").ok()); // unterminated clause
   EXPECT_FALSE(parse_dimacs("p cnf 2 1\n3 0\n").ok());  // var out of range
   EXPECT_FALSE(parse_dimacs("").ok());                  // empty
+  // Counts and literals beyond Lit's 31-bit variable range, which would
+  // otherwise wrap onto other variables.
+  EXPECT_FALSE(parse_dimacs("p cnf 5000000000 1\n4294967297 0\n").ok());
+  EXPECT_FALSE(parse_dimacs("p cnf 3000000000 1\n-2999999999 0\n").ok());
 }
 
 TEST(Solver, SolvesTinySat) {
@@ -135,12 +139,6 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(result.status, Status::kUnknown);
 }
 
-TEST(Dpll, AgreesOnTinyInstances) {
-  EXPECT_EQ(solve_dpll(tiny_sat()).status, Status::kSat);
-  EXPECT_EQ(solve_dpll(tiny_unsat()).status, Status::kUnsat);
-  EXPECT_EQ(solve_dpll(Cnf{}).status, Status::kSat);
-}
-
 TEST(Brute, FindsAllModelsOfXor) {
   // x0 XOR x1: (x0|x1) & (~x0|~x1) has exactly two models.
   Cnf cnf;
@@ -181,23 +179,8 @@ TEST(Generators, PigeonholeShape) {
   EXPECT_EQ(cnf.num_clauses(), 4 + 18u);  // 4 "somewhere" + 3*C(4,2) pairs
 }
 
-// Property test: CDCL, DPLL and brute force agree on random instances, for
-// every solver feature combination.
-struct SolverConfig {
-  bool vsids, restarts, phase_saving, minimize, watched;
-};
-
-class SolverAgreement : public ::testing::TestWithParam<SolverConfig> {};
-
-TEST_P(SolverAgreement, MatchesBruteForceOnRandom3Sat) {
-  const SolverConfig config = GetParam();
-  SolverOptions options;
-  options.use_vsids = config.vsids;
-  options.use_restarts = config.restarts;
-  options.use_phase_saving = config.phase_saving;
-  options.minimize_learned = config.minimize;
-  options.use_watched_literals = config.watched;
-
+// Property test: CDCL and brute force agree on random instances.
+TEST(SolverAgreement, MatchesBruteForceOnRandom3Sat) {
   Xoshiro256ss rng(99);
   for (int trial = 0; trial < 60; ++trial) {
     const Var nvars = static_cast<Var>(4 + rng.below(10));
@@ -206,35 +189,31 @@ TEST_P(SolverAgreement, MatchesBruteForceOnRandom3Sat) {
     const Cnf cnf = random_ksat(nvars, nclauses, 3, rng);
     const bool brute_sat = solve_brute(cnf).has_value();
 
-    const auto cdcl = solve(cnf, options);
+    const auto cdcl = solve(cnf);
     ASSERT_NE(cdcl.status, Status::kUnknown);
     EXPECT_EQ(cdcl.status == Status::kSat, brute_sat)
         << "trial " << trial << " nvars=" << nvars << " nclauses=" << nclauses;
-
-    const auto dpll = solve_dpll(cnf);
-    EXPECT_EQ(dpll.status == Status::kSat, brute_sat);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    FeatureMatrix, SolverAgreement,
-    ::testing::Values(SolverConfig{true, true, true, true, true},
-                      SolverConfig{false, true, true, true, true},
-                      SolverConfig{true, false, true, true, true},
-                      SolverConfig{true, true, false, true, true},
-                      SolverConfig{true, true, true, false, true},
-                      SolverConfig{true, true, true, true, false},
-                      SolverConfig{false, false, false, false, false}),
-    [](const ::testing::TestParamInfo<SolverConfig>& param_info) {
-      const auto& c = param_info.param;
-      std::string name;
-      name += c.vsids ? "Vsids" : "NoVsids";
-      name += c.restarts ? "Restart" : "NoRestart";
-      name += c.phase_saving ? "Phase" : "NoPhase";
-      name += c.minimize ? "Min" : "NoMin";
-      name += c.watched ? "Watched" : "Occur";
-      return name;
-    });
+TEST(RupCheck, OutOfRangeStepFailsWithoutThrowing) {
+  // A step over variable 2^31-2 must not size the checker's tables.
+  const Cnf cnf = pigeonhole(2);
+  const Proof proof{{pos(2147483646)}, {}};
+  bool checked = true;
+  EXPECT_NO_THROW(checked = check_rup_proof(cnf, proof));
+  EXPECT_FALSE(checked);
+  // An input clause widened by one undeclared variable is still RUP, so
+  // only the range check rejects this otherwise valid refutation.
+  SolverOptions options;
+  options.log_proof = true;
+  Proof refutation = solve(cnf, options).proof;
+  ASSERT_TRUE(check_rup_proof(cnf, refutation));
+  Clause widened = cnf.clauses.front();
+  widened.push_back(pos(cnf.num_vars));
+  refutation.insert(refutation.begin(), widened);
+  EXPECT_FALSE(check_rup_proof(cnf, refutation));
+}
 
 TEST(Dimacs, FuzzedInputNeverCrashes) {
   Xoshiro256ss rng(4242);

