@@ -284,8 +284,9 @@ CheckResult saturate_then_exact(const ProjectedView& view,
   const saturate::Result sat = [&] {
     obs::Span span("analysis.saturate");
     saturate::Result r = saturate::saturate(view);
+    // The enclosing analysis.route span carries the address; four
+    // numeric attributes is the span cap.
     if (span.active()) {
-      span.attr("addr", static_cast<std::uint64_t>(view.addr()));
       span.attr("writes", r.num_writes());
       span.attr("edges", r.edges.size());
       span.attr("rounds", r.rounds);

@@ -1,9 +1,11 @@
 #include "analysis/saturate/core.hpp"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
+#include <span>
+
+#include "support/arena.hpp"
+#include "support/flat_set.hpp"
 
 namespace vermem::saturate {
 
@@ -11,355 +13,423 @@ namespace {
 
 constexpr std::uint32_t kNone = UINT32_MAX;
 
+/// Fixpoint round cap; each round is one pass over unresolved reads.
+constexpr std::uint32_t kMaxRounds = 32;
+/// R2 budget, in 64-bit words of descendant rows. Allocating the rows
+/// costs W * ceil(W/64) once (W = the address's write count) and every
+/// rebuild pass costs (W + E) * ceil(W/64) (E = direct edges so far). An
+/// address whose rows do not fit skips R2 with `budget_hit` set; the cap
+/// also bounds the row storage at 32 MiB.
+constexpr std::uint64_t kReachBudget = std::uint64_t{1} << 22;
+/// First arena extent: 256 bytes per operation on the address, enough
+/// that a contended address's whole pass fits in one extent, up to 1 MiB
+/// (larger addresses grow the arena geometrically from there).
+constexpr std::size_t kArenaBytesPerOp = 256;
+constexpr std::size_t kMaxFirstExtent = std::size_t{1} << 20;
+/// Reads with more initial candidates than this are left unpinned: they
+/// are effectively unconstrained, and tracking them costs
+/// O(reads * writes) memory in contended traces.
+constexpr std::uint32_t kMaxTrackedCandidates = 64;
+
 /// One read obligation (a pure read or the read half of an RMW),
 /// tracked until pinned, pruned empty, or given up on.
 struct ReadItem {
-  OpRef ref;                 ///< original coordinates
-  Value value = 0;
   std::uint32_t xm = kNone;  ///< last write node program-order-before
   std::uint32_t nx = kNone;  ///< first write node program-order-after
                              ///< (an RMW's own write half counts)
+  std::uint32_t cand = 0;    ///< offset of the candidates in the pool
+  std::uint32_t count = 0;   ///< remaining candidate write nodes
+  std::uint32_t seen = 0;    ///< row version its candidates were last
+                             ///< filtered against (0 = never)
   bool init_cand = false;    ///< may observe the initial value
   bool resolved = false;
-  std::vector<std::uint32_t> cand;  ///< remaining candidate write nodes
 };
 
-/// Direct-edge graph under construction, deduplicated.
-struct Graph {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  std::vector<std::vector<std::uint32_t>> fwd;
-  std::vector<std::vector<std::uint32_t>> rev;
-  std::unordered_set<std::uint64_t> keys;
+/// Value buckets: the write nodes sorted by (value, node), one run per
+/// distinct value. `values` lists the distinct values ascending, and the
+/// run of values[i] is nodes[begin[i], begin[i + 1]).
+class Buckets {
+ public:
+  /// `nodes` holds every write node; `value_of` gives each one's value.
+  Buckets(Arena& arena, std::uint32_t* nodes, std::uint32_t n,
+          const Value* value_of)
+      : nodes_(nodes),
+        values_(arena.allocate_array<Value>(n)),
+        begin_(arena.allocate_array<std::uint32_t>(n + 1)) {
+    std::sort(nodes, nodes + n, [&](std::uint32_t a, std::uint32_t b) {
+      return value_of[a] != value_of[b] ? value_of[a] < value_of[b] : a < b;
+    });
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (i != 0 && value_of[nodes[i]] == values_[count_ - 1]) continue;
+      values_[count_] = value_of[nodes[i]];
+      begin_[count_++] = i;
+    }
+    begin_[count_] = n;
+  }
 
-  explicit Graph(std::size_t n) : fwd(n), rev(n) {}
+  /// The write nodes of `value`, ascending (empty when none writes it).
+  [[nodiscard]] std::span<const std::uint32_t> of(Value value) const {
+    const Value* it = std::lower_bound(values_, values_ + count_, value);
+    if (it == values_ + count_ || *it != value) return {};
+    const auto i = static_cast<std::size_t>(it - values_);
+    return {nodes_ + begin_[i], nodes_ + begin_[i + 1]};
+  }
+
+ private:
+  const std::uint32_t* nodes_;
+  Value* values_;
+  std::uint32_t* begin_;
+  std::uint32_t count_ = 0;
+};
+
+struct Edge {
+  std::uint32_t from, to;
+  std::uint32_t next;  ///< the next out-edge of `from`, or kNone
+};
+
+/// Direct-edge graph under construction, deduplicated. Each node's
+/// out-edges are threaded through `edges` in insertion order (head/tail
+/// per node, `next` per edge), so walks see successors in the order they
+/// were derived with no list per node.
+struct Graph {
+  ArenaVec<Edge> edges;
+  FlatKeySet keys;
+  std::uint32_t* head;
+  std::uint32_t* tail;
+  std::uint32_t num_nodes;
+  // DFS scratch (walk): colour, tree parent, and the explicit stack.
+  std::uint8_t* color;
+  std::uint32_t* parent;
+  std::uint32_t* stack_node;
+  std::uint32_t* stack_edge;
+
+  Graph(Arena& arena, std::uint32_t n)
+      : edges(arena),
+        keys(arena, 2),
+        head(arena.allocate_array<std::uint32_t>(n)),
+        tail(arena.allocate_array<std::uint32_t>(n)),
+        num_nodes(n),
+        color(arena.allocate_array<std::uint8_t>(n)),
+        parent(arena.allocate_array<std::uint32_t>(n)),
+        stack_node(arena.allocate_array<std::uint32_t>(n)),
+        stack_edge(arena.allocate_array<std::uint32_t>(n)) {
+    std::fill(head, head + n, kNone);
+  }
 
   bool add(std::uint32_t a, std::uint32_t b) {
     if (a == b) return false;
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    if (!keys.insert(key).second) return false;
-    edges.emplace_back(a, b);
-    fwd[a].push_back(b);
-    rev[b].push_back(a);
+    const std::uint32_t key[2] = {a, b};
+    if (!keys.insert(key).fresh) return false;
+    const auto e = static_cast<std::uint32_t>(edges.size());
+    edges.push_back(Edge{a, b, kNone});
+    if (head[a] == kNone)
+      head[a] = e;
+    else
+      edges[tail[a]].next = e;
+    tail[a] = e;
     return true;
   }
-};
 
-/// SCC condensation of the direct-edge graph. R2 reachability queries
-/// walk the component DAG instead of the raw graph, so a strongly
-/// connected cluster — which exists transiently within a round, after a
-/// cycle-closing R1 pin and before the post-round cycle check refutes
-/// the address — costs one component visit instead of a re-tour of the
-/// whole cluster, and parallel edges between clusters deduplicate away.
-/// Rebuilt lazily when edges were added since the last build; querying
-/// a stale build only under-approximates reachability (edges are never
-/// removed), which keeps R2 pruning sound.
-struct Condensation {
-  std::vector<std::uint32_t> comp;  ///< node -> component id
-  std::vector<std::vector<std::uint32_t>> fwd;  ///< component DAG
-  std::vector<std::vector<std::uint32_t>> rev;
-  std::uint32_t num = 0;
-
-  void build(const Graph& g) {
-    const auto n = static_cast<std::uint32_t>(g.fwd.size());
-    comp.assign(n, kNone);
-    num = 0;
-    // Iterative Tarjan: `frame.second` is the edge cursor, doubling as
-    // the first-visit flag (cursor 0 = not yet numbered).
-    std::vector<std::uint32_t> index(n, kNone);
-    std::vector<std::uint32_t> low(n, 0);
-    std::vector<std::uint8_t> on_stack(n, 0);
-    std::vector<std::uint32_t> scc_stack;
-    std::vector<std::pair<std::uint32_t, std::size_t>> call;
-    std::uint32_t next_index = 0;
-    for (std::uint32_t root = 0; root < n; ++root) {
-      if (index[root] != kNone) continue;
-      call.emplace_back(root, 0);
-      while (!call.empty()) {
-        const std::uint32_t u = call.back().first;
-        if (index[u] == kNone) {
-          index[u] = low[u] = next_index++;
-          scc_stack.push_back(u);
-          on_stack[u] = 1;
-        }
-        if (call.back().second < g.fwd[u].size()) {
-          const std::uint32_t v = g.fwd[u][call.back().second++];
-          if (index[v] == kNone)
-            call.emplace_back(v, 0);
-          else if (on_stack[v])
-            low[u] = std::min(low[u], index[v]);
-        } else {
-          if (low[u] == index[u]) {
-            while (true) {
-              const std::uint32_t v = scc_stack.back();
-              scc_stack.pop_back();
-              on_stack[v] = 0;
-              comp[v] = num;
-              if (v == u) break;
-            }
-            ++num;
-          }
-          call.pop_back();
-          if (!call.empty()) {
-            const std::uint32_t p = call.back().first;
-            low[p] = std::min(low[p], low[u]);
-          }
-        }
-      }
-    }
-    fwd.assign(num, {});
-    rev.assign(num, {});
-    std::unordered_set<std::uint64_t> keys;
-    for (const auto& [a, b] : g.edges) {
-      const std::uint32_t ca = comp[a];
-      const std::uint32_t cb = comp[b];
-      if (ca == cb) continue;
-      const std::uint64_t key = (static_cast<std::uint64_t>(ca) << 32) | cb;
-      if (!keys.insert(key).second) continue;
-      fwd[ca].push_back(cb);
-      rev[cb].push_back(ca);
-    }
+  /// Copies the edges, in derivation order, into a Result.
+  void export_to(Result& res) const {
+    res.edges.reserve(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e)
+      res.edges.emplace_back(edges[e].from, edges[e].to);
   }
 };
 
-/// Budgeted DFS: stamps every node reachable from `from` (inclusive)
-/// with `epoch`. An exhausted budget leaves the marking partial, which
-/// only under-approximates reachability — R2 pruning stays sound.
-bool mark_reachable(const std::vector<std::vector<std::uint32_t>>& adj,
-                    std::uint32_t from, std::vector<std::uint32_t>& stamp,
-                    std::uint32_t epoch, std::vector<std::uint32_t>& stack,
-                    std::uint64_t& budget) {
-  stack.clear();
-  stack.push_back(from);
-  stamp[from] = epoch;
-  while (!stack.empty()) {
-    if (budget == 0) return false;
-    --budget;
-    const std::uint32_t u = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t v : adj[u]) {
-      if (stamp[v] == epoch) continue;
-      stamp[v] = epoch;
-      stack.push_back(v);
-    }
-  }
-  return true;
-}
-
-/// Finds a directed cycle by iterative coloring DFS; returns nodes
-/// w0..wk-1 with edges wi -> w(i+1 mod k), or empty if acyclic.
-std::vector<std::uint32_t> find_cycle(const Graph& g) {
-  const auto n = static_cast<std::uint32_t>(g.fwd.size());
-  std::vector<std::uint8_t> color(n, 0);  // 0 = new, 1 = on stack, 2 = done
-  std::vector<std::uint32_t> parent(n, kNone);
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
+/// Iterative DFS from every root in id order, following out-edges in
+/// insertion order. Returns the cycle w0..wk-1 (edges wi -> w(i+1 mod k))
+/// closed by the first back edge, or empty if the graph is acyclic. With
+/// `post` null the walk stops at that back edge; otherwise it runs to
+/// the end and writes every node into `post` in finishing order.
+std::vector<std::uint32_t> walk(const Graph& g, std::uint32_t* post) {
+  const std::uint32_t n = g.num_nodes;
+  std::fill(g.color, g.color + n, 0);  // 0 = new, 1 = on stack, 2 = done
+  std::vector<std::uint32_t> cycle;
+  std::uint32_t finished = 0;
   for (std::uint32_t root = 0; root < n; ++root) {
-    if (color[root] != 0) continue;
-    stack.clear();
-    stack.emplace_back(root, 0);
-    color[root] = 1;
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back().first;
-      if (stack.back().second < g.fwd[u].size()) {
-        const std::uint32_t v = g.fwd[u][stack.back().second++];
-        if (color[v] == 0) {
-          color[v] = 1;
-          parent[v] = u;
-          stack.emplace_back(v, 0);
-        } else if (color[v] == 1) {
-          // Back edge u -> v: the tree path v ->* u closes the cycle.
-          std::vector<std::uint32_t> cycle;
-          for (std::uint32_t x = u; x != v; x = parent[x]) cycle.push_back(x);
-          cycle.push_back(v);
-          std::reverse(cycle.begin(), cycle.end());
-          return cycle;
-        }
-      } else {
-        color[u] = 2;
-        stack.pop_back();
+    if (g.color[root] != 0) continue;
+    std::uint32_t depth = 0;
+    g.stack_node[depth] = root;
+    g.stack_edge[depth++] = g.head[root];
+    g.color[root] = 1;
+    while (depth != 0) {
+      const std::uint32_t u = g.stack_node[depth - 1];
+      const std::uint32_t e = g.stack_edge[depth - 1];
+      if (e == kNone) {
+        g.color[u] = 2;
+        if (post != nullptr) post[finished++] = u;
+        --depth;
+        continue;
+      }
+      g.stack_edge[depth - 1] = g.edges[e].next;
+      const std::uint32_t v = g.edges[e].to;
+      if (g.color[v] == 0) {
+        g.color[v] = 1;
+        g.parent[v] = u;
+        g.stack_node[depth] = v;
+        g.stack_edge[depth++] = g.head[v];
+      } else if (g.color[v] == 1 && cycle.empty()) {
+        // Back edge u -> v: the tree path v ->* u closes the cycle.
+        for (std::uint32_t x = u; x != v; x = g.parent[x]) cycle.push_back(x);
+        cycle.push_back(v);
+        std::reverse(cycle.begin(), cycle.end());
+        if (post == nullptr) return cycle;
       }
     }
   }
-  return {};
+  return cycle;
 }
+
+[[nodiscard]] std::uint64_t bit_of(const std::uint64_t* row,
+                                   std::uint32_t i) noexcept {
+  return (row[i >> 6] >> (i & 63)) & 1U;
+}
+
+/// Rebuilds the descendant rows: bit v of row u (`words` 64-bit words
+/// per row) is set iff v is reachable from u by one or more edges.
+/// Passes run in DFS finishing order, where every successor of a DAG
+/// node finishes first, so an acyclic graph is exact after one pass; a
+/// cycle's back edge reads a row that is still growing, so passes repeat
+/// until none grows. Each pass is charged to `budget`; false means it
+/// ran out and the rows are incomplete.
+bool rebuild_rows(const Graph& g, std::uint64_t* rows, std::size_t words,
+                  std::uint32_t* post, std::uint64_t& budget) {
+  const std::uint32_t n = g.num_nodes;
+  const bool cyclic = !walk(g, post).empty();
+  std::fill(rows, rows + n * words, 0);
+  const std::uint64_t pass_cost = (n + g.edges.size()) * words;
+  while (true) {
+    if (budget < pass_cost) return false;
+    budget -= pass_cost;
+    bool grew = false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t u = post[i];
+      std::uint64_t* row_u = rows + u * words;
+      for (std::uint32_t e = g.head[u]; e != kNone; e = g.edges[e].next) {
+        const std::uint32_t v = g.edges[e].to;
+        const std::uint64_t* row_v = rows + v * words;
+        for (std::size_t x = 0; x < words; ++x) {
+          const std::uint64_t merged = row_u[x] | row_v[x];
+          grew |= merged != row_u[x];
+          row_u[x] = merged;
+        }
+        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+        grew |= (row_u[v >> 6] & bit) == 0;
+        row_u[v >> 6] |= bit;
+      }
+    }
+    if (!cyclic || !grew) return true;
+  }
+}
+
+/// Kahn's ready set as a bit row, plus one summary bit per row word so
+/// the lowest ready node is found without scanning empty words.
+class ReadyRow {
+ public:
+  ReadyRow(Arena& arena, std::uint32_t n)
+      : words_(arena.allocate_array<std::uint64_t>((n + 63) / 64)),
+        summary_(arena.allocate_array<std::uint64_t>((n + 4095) / 4096)) {
+    std::fill(words_, words_ + (n + 63) / 64, 0);
+    std::fill(summary_, summary_ + (n + 4095) / 4096, 0);
+  }
+
+  void insert(std::uint32_t v) noexcept {
+    words_[v >> 6] |= std::uint64_t{1} << (v & 63);
+    summary_[v >> 12] |= std::uint64_t{1} << ((v >> 6) & 63);
+    ++size_;
+  }
+  void erase(std::uint32_t v) noexcept {
+    words_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+    if (words_[v >> 6] == 0)
+      summary_[v >> 12] &= ~(std::uint64_t{1} << ((v >> 6) & 63));
+    --size_;
+  }
+  /// The lowest ready node; the set must be non-empty.
+  [[nodiscard]] std::uint32_t lowest() const noexcept {
+    std::size_t s = 0;
+    while (summary_[s] == 0) ++s;
+    const std::size_t word =
+        s * 64 + static_cast<std::size_t>(std::countr_zero(summary_[s]));
+    return static_cast<std::uint32_t>(
+        word * 64 + static_cast<std::size_t>(std::countr_zero(words_[word])));
+  }
+  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+
+ private:
+  std::uint64_t* words_;
+  std::uint64_t* summary_;
+  std::uint32_t size_ = 0;
+};
 
 }  // namespace
 
-Result saturate(const ProjectedView& view, const Options& options) {
+Result saturate(const ProjectedView& view) {
   Result res;
   const Value initial = view.initial_value();
   const std::size_t num_h = view.num_histories();
 
-  // ---- Node table: writes sorted by (history, position). ----
-  std::vector<std::vector<std::uint32_t>> hist_writes(num_h);
-  std::vector<std::vector<std::uint32_t>> node_at(num_h);  // (h, j) -> node
-  std::unordered_map<Value, std::vector<std::uint32_t>> writers;
+  // ---- Node table: writes sorted by (history, position). The nodes of
+  // history h are the contiguous ids [first[h], first[h + 1]). ----
+  std::size_t num_writes = 0;
+  std::size_t num_reads = 0;
+  for (const OpRecord& record : view.records()) {
+    if (record.op.writes_memory()) ++num_writes;
+    if (record.op.reads_memory()) ++num_reads;
+  }
+  Arena arena(std::min(kArenaBytesPerOp * view.num_ops(), kMaxFirstExtent));
+  res.writes.reserve(num_writes);
+  res.writes_local.reserve(num_writes);
+  auto* first = arena.allocate_array<std::uint32_t>(num_h + 1);
+  auto* value_of = arena.allocate_array<Value>(num_writes);
+  auto* by_value = arena.allocate_array<std::uint32_t>(num_writes);
   for (std::size_t h = 0; h < num_h; ++h) {
+    first[h] = static_cast<std::uint32_t>(res.writes.size());
     const auto run = view.history(h);
-    node_at[h].assign(run.size(), kNone);
     for (std::uint32_t j = 0; j < run.size(); ++j) {
       const Operation& op = run[j].op;
       if (!op.writes_memory()) continue;
       const auto id = static_cast<std::uint32_t>(res.writes.size());
       res.writes.push_back(run[j].ref);
       res.writes_local.push_back(OpRef{static_cast<std::uint32_t>(h), j});
-      hist_writes[h].push_back(id);
-      node_at[h][j] = id;
-      writers[op.value_written].push_back(id);
+      value_of[id] = op.value_written;
+      by_value[id] = id;
     }
   }
-  const auto w = static_cast<std::uint32_t>(res.writes.size());
+  const auto w = static_cast<std::uint32_t>(num_writes);
+  first[num_h] = w;
+  const Buckets buckets(arena, by_value, w, value_of);
 
-  Graph graph(w);
+  Graph graph(arena, w);
 
   // ---- Seeds: program order (consecutive same-history writes). ----
-  for (const auto& chain : hist_writes)
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i)
-      graph.add(chain[i], chain[i + 1]);
+  for (std::size_t h = 0; h < num_h; ++h)
+    for (std::uint32_t id = first[h]; id + 1 < first[h + 1]; ++id)
+      graph.add(id, id + 1);
 
   // ---- Seeds: final-value pin. ----
   if (const auto fin = view.final_value()) {
-    const auto it = writers.find(*fin);
-    if (it == writers.end()) {
+    const auto writers = buckets.of(*fin);
+    if (writers.empty()) {
       if (w > 0 || *fin != initial) {
         res.status = Status::kContradiction;
         res.contradiction = Contradiction{ContradictionKind::kUnwritableFinal,
                                           OpRef{}, OpRef{}, *fin};
         return res;
       }
-    } else if (it->second.size() == 1) {
+    } else if (writers.size() == 1) {
       // The unique write of the final value is last: it follows the
       // last write of every other history (transitivity covers the
       // rest of each chain).
-      const std::uint32_t wf = it->second.front();
-      for (const auto& chain : hist_writes)
-        if (!chain.empty()) graph.add(chain.back(), wf);
+      const std::uint32_t wf = writers.front();
+      for (std::size_t h = 0; h < num_h; ++h)
+        if (first[h] != first[h + 1]) graph.add(first[h + 1] - 1, wf);
     }
   }
 
   // ---- Read obligations + trace-level dead ends. ----
-  std::vector<ReadItem> reads;
+  ArenaVec<ReadItem> reads(arena);
+  reads.reserve(num_reads);
+  ArenaVec<std::uint32_t> pool(arena);  // every read's candidates, in runs
   for (std::size_t h = 0; h < num_h; ++h) {
     const auto run = view.history(h);
-    std::vector<std::uint32_t> next_write(run.size(), kNone);
-    std::uint32_t upcoming = kNone;
-    for (std::size_t j = run.size(); j-- > 0;) {
-      next_write[j] = upcoming;
-      if (node_at[h][j] != kNone) upcoming = node_at[h][j];
-    }
-    std::uint32_t last_write = kNone;
+    const std::uint32_t h_end = first[h + 1];
+    std::uint32_t next_node = first[h];  // id of the history's next write
     for (std::uint32_t j = 0; j < run.size(); ++j) {
       const Operation& op = run[j].op;
-      const std::uint32_t self = node_at[h][j];
+      const std::uint32_t self = op.writes_memory() ? next_node : kNone;
       if (!op.reads_memory()) {
-        if (self != kNone) last_write = self;
+        if (self != kNone) ++next_node;
         continue;
       }
+      const OpRef ref = run[j].ref;
+      const Value value = op.value_read;
       ReadItem item;
-      item.ref = run[j].ref;
-      item.value = op.value_read;
-      item.xm = last_write;
+      item.xm = next_node != first[h] ? next_node - 1 : kNone;
       // An RMW's own write half is the first write after the read half.
-      item.nx = self != kNone ? self : next_write[j];
-      item.init_cand = item.value == initial && item.xm == kNone;
-      const auto wit = writers.find(item.value);
-      const std::size_t total_writers =
-          wit == writers.end() ? 0 : wit->second.size();
-      if (wit != writers.end()) {
-        // Excluded candidates — the RMW itself and own program-order-future
-        // writes — are exactly the own-history bucket entries with index
-        // >= j (a write at index j can only be this very RMW), and the
-        // bucket is sorted by (history, position), so they form one
-        // contiguous block. Counting survivors by binary search first
-        // keeps hot values (thousands of same-value writes, every read
-        // about to be discarded as untracked anyway) at O(log) per read
-        // instead of an O(bucket) walk that made contended traces
-        // quadratic.
-        const std::vector<std::uint32_t>& bucket = wit->second;
-        const auto h_begin = std::partition_point(
-            bucket.begin(), bucket.end(),
-            [&](std::uint32_t c) { return res.writes_local[c].process < h; });
-        const auto h_end = std::partition_point(
-            h_begin, bucket.end(),
-            [&](std::uint32_t c) { return res.writes_local[c].process == h; });
-        const auto excl_begin = std::partition_point(
-            h_begin, h_end,
-            [&](std::uint32_t c) { return res.writes_local[c].index < j; });
-        const std::size_t keep =
-            bucket.size() - static_cast<std::size_t>(h_end - excl_begin);
-        if (keep <= options.max_tracked_candidates) {
-          item.cand.reserve(keep);
-          item.cand.insert(item.cand.end(), bucket.begin(), excl_begin);
-          item.cand.insert(item.cand.end(), h_end, bucket.end());
-        } else {
-          // Matches the post-loop wide-read bail-out below without
-          // materializing the list.
-          if (self != kNone) last_write = self;
-          continue;
-        }
-      }
-      if (self != kNone) last_write = self;  // RMW advances program order
-      if (item.cand.empty() && !item.init_cand) {
-        if (total_writers == 0) {
+      item.nx = next_node != h_end ? next_node : kNone;
+      item.init_cand = value == initial && item.xm == kNone;
+      const auto writers = buckets.of(value);
+      const std::uint32_t* writers_end = writers.data() + writers.size();
+      // Excluded candidates — the RMW itself and own program-order-future
+      // writes — are exactly the bucket's nodes in [next_node, h_end),
+      // one contiguous block. Counting survivors by binary search first
+      // keeps hot values (thousands of same-value writes, every read
+      // about to be discarded as untracked anyway) at O(log) per read
+      // instead of an O(bucket) walk that made contended traces
+      // quadratic.
+      const std::uint32_t* excl_begin =
+          std::lower_bound(writers.data(), writers_end, next_node);
+      const std::uint32_t* excl_end =
+          std::lower_bound(excl_begin, writers_end, h_end);
+      const std::size_t keep =
+          writers.size() - static_cast<std::size_t>(excl_end - excl_begin);
+      if (self != kNone) ++next_node;  // RMW advances program order
+      // Effectively unconstrained wide reads are not worth tracking.
+      if (keep > kMaxTrackedCandidates) continue;
+      item.cand = static_cast<std::uint32_t>(pool.size());
+      item.count = static_cast<std::uint32_t>(keep);
+      pool.append(writers.data(),
+                  static_cast<std::size_t>(excl_begin - writers.data()));
+      pool.append(excl_end, static_cast<std::size_t>(writers_end - excl_end));
+      if (item.count == 0 && !item.init_cand) {
+        if (writers.empty()) {
           res.status = Status::kContradiction;
-          if (item.value == initial) {
+          if (value == initial) {
             // Only the earlier same-process write blocks the initial value.
             res.contradiction =
-                Contradiction{ContradictionKind::kStaleInitialRead, item.ref,
-                              res.writes[item.xm], item.value};
+                Contradiction{ContradictionKind::kStaleInitialRead, ref,
+                              res.writes[item.xm], value};
           } else {
             res.contradiction = Contradiction{ContradictionKind::kUnwrittenRead,
-                                              item.ref, OpRef{}, item.value};
+                                              ref, OpRef{}, value};
           }
           return res;
         }
-        if (total_writers == 1) {
-          const std::uint32_t only = wit->second.front();
-          if (only != self) {
-            // The unique write of the value follows the read in po.
-            res.status = Status::kContradiction;
-            res.contradiction =
-                Contradiction{ContradictionKind::kReadBeforeWrite, item.ref,
-                              res.writes[only], item.value};
-            return res;
-          }
-          // An RMW consuming the value only it produces: incoherent,
-          // but no dedicated evidence kind — leave it to the fallback.
-          res.pruned_empty_read = true;
-          continue;
+        if (writers.size() == 1 && writers.front() != self) {
+          // The unique write of the value follows the read in po.
+          res.status = Status::kContradiction;
+          res.contradiction =
+              Contradiction{ContradictionKind::kReadBeforeWrite, ref,
+                            res.writes[writers.front()], value};
+          return res;
         }
-        // Several writes of the value, all excluded by program order:
-        // incoherent, certifiable only by the fallback decider.
+        // Every write of the value is excluded by program order (or an
+        // RMW consumes the value only it produces): incoherent, but no
+        // dedicated evidence kind — only the fallback can certify it.
         res.pruned_empty_read = true;
         continue;
       }
-      // Effectively unconstrained wide reads are not worth tracking.
-      if (item.cand.size() > options.max_tracked_candidates) continue;
-      reads.push_back(std::move(item));
+      reads.push_back(item);
     }
   }
 
   // ---- Seeds alone can already be cyclic (final pin vs po). ----
-  if (auto cyc = find_cycle(graph); !cyc.empty()) {
+  if (auto cyc = walk(graph, nullptr); !cyc.empty()) {
     res.status = Status::kCycle;
     res.cycle = std::move(cyc);
-    res.edges = std::move(graph.edges);
+    graph.export_to(res);
     return res;
   }
 
   // ---- Fixpoint: R2 pruning + R1 pinning until nothing changes. ----
-  std::uint64_t budget = options.reach_budget;
-  Condensation cond;
-  bool cond_dirty = true;  // edges added since the last build
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  std::vector<std::uint32_t> scratch;
+  std::uint64_t budget = kReachBudget;
+  const std::size_t words = (w + 63) / 64;
+  std::uint64_t* rows = nullptr;  // descendant rows, allocated on first R2
+  std::uint32_t* post = nullptr;  // DFS finishing order for the rebuild
+  bool rows_dirty = true;         // edges added since the last rebuild
+  std::uint32_t rows_version = 0;  // rebuilds so far
   bool changed = true;
-  while (changed && res.rounds < options.max_rounds) {
+  while (changed && res.rounds < kMaxRounds) {
     changed = false;
+    bool grown = false;  // edges added this round
     ++res.rounds;
-    for (ReadItem& item : reads) {
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      ReadItem& item = reads[r];
       if (item.resolved) continue;
-      const std::size_t total = item.cand.size() + (item.init_cand ? 1 : 0);
+      std::uint32_t* cand = pool.data() + item.cand;
+      const std::size_t total = item.count + (item.init_cand ? 1 : 0);
       if (total == 0) {
         // R2 emptied the candidate set: no coherent source exists, but
         // only the fallback decider can certify the refutation.
@@ -370,13 +440,14 @@ Result saturate(const ProjectedView& view, const Options& options) {
       if (total == 1) {
         item.resolved = true;
         if (item.init_cand) continue;  // observes the initial value
-        const std::uint32_t s = item.cand.front();
+        const std::uint32_t s = cand[0];
         bool added = false;
         if (item.xm != kNone && item.xm != s) added |= graph.add(item.xm, s);
         if (item.nx != kNone && item.nx != s) added |= graph.add(s, item.nx);
         if (added) {
           changed = true;
-          cond_dirty = true;
+          grown = true;
+          rows_dirty = true;
         }
         continue;
       }
@@ -388,50 +459,63 @@ Result saturate(const ProjectedView& view, const Options& options) {
         res.budget_hit = true;
         continue;
       }
-      // R2: drop candidates that provably cannot be the source. Queries
-      // run on the SCC condensation, rebuilt lazily on the first query
-      // after an edge was added.
-      if (cond_dirty) {
-        cond.build(graph);
-        ++res.scc_builds;
-        res.scc_components = cond.num;
-        stamp.assign(cond.num, 0);
-        epoch = 0;
-        cond_dirty = false;
-      }
-      std::uint32_t anc_epoch = 0;
-      std::uint32_t desc_epoch = 0;
-      if (item.xm != kNone) {
-        anc_epoch = ++epoch;
-        ++res.reach_queries;
-        if (!mark_reachable(cond.rev, cond.comp[item.xm], stamp, anc_epoch,
-                            scratch, budget))
+      // R2: drop candidates that provably cannot be the source. The
+      // rows are rebuilt on the first query after an edge was added, so
+      // every query sees the exact closure of the current edges.
+      if (rows == nullptr) {
+        const std::uint64_t storage = std::uint64_t{w} * words;
+        if (storage > budget) {
+          budget = 0;
           res.budget_hit = true;
+          continue;
+        }
+        budget -= storage;
+        rows = arena.allocate_array<std::uint64_t>(w * words);
+        post = arena.allocate_array<std::uint32_t>(w);
       }
-      if (item.nx != kNone) {
-        desc_epoch = ++epoch;
-        ++res.reach_queries;
-        if (!mark_reachable(cond.fwd, cond.comp[item.nx], stamp, desc_epoch,
-                            scratch, budget))
+      if (rows_dirty) {
+        if (!rebuild_rows(graph, rows, words, post, budget)) {
+          budget = 0;
           res.budget_hit = true;
+          continue;
+        }
+        rows_dirty = false;
+        ++rows_version;
       }
-      const std::size_t before = item.cand.size();
-      std::erase_if(item.cand, [&](std::uint32_t c) {
-        // c ->* xm with c != xm: c is overwritten before the read (a
-        // candidate sharing xm's component is in a cycle with it, so
-        // c ->* xm holds there too).
-        if (anc_epoch != 0 && c != item.xm && stamp[cond.comp[c]] == anc_epoch)
-          return true;
-        // nx ->* c: c lands after the read.
-        return desc_epoch != 0 && stamp[cond.comp[c]] == desc_epoch;
-      });
-      if (item.cand.size() != before) changed = true;
+      if (item.xm != kNone) ++res.reach_queries;
+      if (item.nx != kNone) ++res.reach_queries;
+      // Rows unchanged since this read's last filter: nothing new to drop.
+      if (item.seen == rows_version) continue;
+      item.seen = rows_version;
+      // A missing anchor reads row 0 under a zero mask, so the loop below
+      // tests every candidate without a branch on the anchors.
+      const std::uint32_t xm = item.xm != kNone ? item.xm : 0;
+      const std::uint64_t has_xm = item.xm != kNone ? 1 : 0;
+      const std::uint64_t* below_nx =
+          rows + (item.nx != kNone ? item.nx : 0) * words;
+      const std::uint64_t has_nx = item.nx != kNone ? 1 : 0;
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < item.count; ++i) {
+        const std::uint32_t c = cand[i];
+        // c ->* xm with c != xm: c is overwritten before the read.
+        const std::uint64_t before =
+            has_xm & (c != xm ? 1U : 0U) & bit_of(rows + c * words, xm);
+        // nx ->* c (or c is nx itself): c lands after the read.
+        const std::uint64_t after =
+            (c == item.nx ? 1U : 0U) | (has_nx & bit_of(below_nx, c));
+        cand[kept] = c;
+        kept += static_cast<std::uint32_t>((before | after) ^ 1U);
+      }
+      if (kept != item.count) changed = true;
+      item.count = kept;
     }
-    if (changed) {
-      if (auto cyc = find_cycle(graph); !cyc.empty()) {
+    // The graph was acyclic before this round, so only new edges can
+    // close a cycle.
+    if (grown) {
+      if (auto cyc = walk(graph, nullptr); !cyc.empty()) {
         res.status = Status::kCycle;
         res.cycle = std::move(cyc);
-        res.edges = std::move(graph.edges);
+        graph.export_to(res);
         return res;
       }
     }
@@ -439,44 +523,41 @@ Result saturate(const ProjectedView& view, const Options& options) {
   if (changed) res.budget_hit = true;  // round cap stopped the fixpoint
 
   // ---- Forced-total detection: Kahn with a unique-ready check. ----
-  res.edges = std::move(graph.edges);
-  std::vector<std::uint32_t> indeg(w, 0);
+  graph.export_to(res);
+  auto* indeg = arena.allocate_array<std::uint32_t>(w);
+  std::fill(indeg, indeg + w, 0);
   for (const auto& [a, b] : res.edges) {
     (void)a;
     ++indeg[b];
   }
-  std::set<std::uint32_t> ready;
+  ReadyRow ready(arena, w);
   for (std::uint32_t i = 0; i < w; ++i)
     if (indeg[i] == 0) ready.insert(i);
   bool total_order = true;
-  res.forced.reserve(w);
-  while (!ready.empty()) {
-    const auto concurrent = static_cast<std::uint32_t>(ready.size());
+  auto* order = arena.allocate_array<std::uint32_t>(w);
+  std::uint32_t placed = 0;
+  while (ready.size() != 0) {
+    const std::uint32_t concurrent = ready.size();
     if (concurrent > res.max_concurrent) res.max_concurrent = concurrent;
+    const std::uint32_t u = ready.lowest();
+    ready.erase(u);
     if (concurrent > 1) {
       total_order = false;
       ++res.branch_points;
-      if (res.branch_points == 1) {
-        auto it = ready.begin();
-        const std::uint32_t first = *it;
-        ++it;
-        res.unordered_example = {first, *it};
-      }
+      if (res.branch_points == 1) res.unordered_example = {u, ready.lowest()};
     }
-    const std::uint32_t u = *ready.begin();
-    ready.erase(ready.begin());
-    res.forced.push_back(u);
-    for (const std::uint32_t v : graph.fwd[u])
-      if (--indeg[v] == 0) ready.insert(v);
+    order[placed++] = u;
+    for (std::uint32_t e = graph.head[u]; e != kNone; e = graph.edges[e].next)
+      if (--indeg[graph.edges[e].to] == 0) ready.insert(graph.edges[e].to);
   }
   // No cycle (checked above), so Kahn consumed every node. With a
   // unique ready node at every step the derived partial order has a
   // unique linear extension: any coherent write order must equal it.
   if (total_order) {
     res.status = Status::kForcedTotal;
+    res.forced.assign(order, order + placed);
   } else {
     res.status = Status::kPartial;
-    res.forced.clear();
   }
   return res;
 }

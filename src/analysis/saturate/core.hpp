@@ -15,16 +15,13 @@
 //      write half o of an RMW, s -> o.
 //   R2 (candidate pruning): a candidate w is impossible for r if
 //      w ->* xm with w != xm (w is strictly overwritten before r), or
-//      n ->* w (w lands after r). Reachability is answered by
-//      budgeted DFS over the SCC condensation of the current direct
-//      edges: strongly connected clusters (which arise transiently
-//      within a round, between a cycle-closing R1 pin and the
-//      post-round cycle check) collapse to single DAG nodes, so dense
-//      graphs cost one component visit where the raw walk would re-tour
-//      the whole cluster. The condensation is rebuilt lazily when edges
-//      were added; a stale build only under-approximates reachability
-//      (edges are never removed), and a partial DFS likewise, so
-//      pruning stays sound either way.
+//      n ->* w (w lands after r). Reachability is read off descendant
+//      rows: one bit row of ceil(W/64) words per write node (W = the
+//      address's write count), rebuilt from the direct edges on the
+//      first query after an edge was added, so every query sees the
+//      exact closure and costs one bit test per candidate. Row storage
+//      and rebuild passes are charged to a budget; an address too large
+//      for rows skips R2, which loses completeness only.
 //
 // Every emitted edge is *necessary* — implied by the trace alone — so
 // the derivation is sound regardless of how early it stops
@@ -37,7 +34,8 @@
 // building candidates surface as typed Contradictions matching the
 // existing certify kinds.
 //
-// This library depends on trace/ only: both the analysis router (which
+// This library depends on trace/ (and support/'s header-only arena and
+// flat set) only: both the analysis router (which
 // wraps outcomes into certify::Evidence) and the certificate checker
 // (which re-derives the graph independently) link it without creating
 // a layering cycle.
@@ -51,17 +49,6 @@
 #include "trace/operation.hpp"
 
 namespace vermem::saturate {
-
-struct Options {
-  /// Fixpoint round cap; each round is one pass over unresolved reads.
-  std::uint32_t max_rounds = 32;
-  /// Total node-visit budget across all R2 reachability DFS walks.
-  std::uint64_t reach_budget = 1u << 22;
-  /// Reads with more initial candidates than this are left unpinned
-  /// (they are effectively unconstrained and tracking them costs
-  /// O(reads * writes) memory in contended traces).
-  std::uint32_t max_tracked_candidates = 64;
-};
 
 enum class Status : std::uint8_t {
   kCycle,          ///< must-precede cycle: the address is incoherent
@@ -117,17 +104,12 @@ struct Result {
 
   // Derivation stats.
   std::uint32_t rounds = 0;          ///< fixpoint rounds executed
-  std::uint64_t reach_queries = 0;   ///< R2 DFS walks issued
-  std::uint64_t scc_builds = 0;      ///< condensation (re)builds for R2
-  /// Components in the last condensation build; < num_writes means a
-  /// nontrivial strongly connected cluster was collapsed (a transient
-  /// cycle observed mid-round, before the cycle check refuted it).
-  std::uint32_t scc_components = 0;
+  std::uint64_t reach_queries = 0;   ///< R2 queries (one per anchor xm / n)
   std::uint64_t branch_points = 0;   ///< Kahn steps with >= 2 ready writes
   std::uint32_t max_concurrent = 0;  ///< peak simultaneously-ready writes
   /// A concrete unordered concurrent pair (valid when branch_points > 0).
   std::pair<std::uint32_t, std::uint32_t> unordered_example{0, 0};
-  bool budget_hit = false;        ///< reach_budget or max_rounds exhausted
+  bool budget_hit = false;        ///< R2 row budget or round cap exhausted
   bool pruned_empty_read = false; ///< R2 left some read with no source —
                                   ///< the address is incoherent but only
                                   ///< search/§5.2 can certify it
@@ -138,7 +120,7 @@ struct Result {
 /// Saturates the constraint graph of one projected address. Pure
 /// function of the trace: no logs, no metrics, no global state — the
 /// certificate checker calls it to re-derive evidence independently.
-[[nodiscard]] Result saturate(const ProjectedView& view, const Options& options = {});
+[[nodiscard]] Result saturate(const ProjectedView& view);
 
 /// True iff edge (a, b) is derivable from `result`'s direct edges by
 /// transitivity (DFS over the direct graph; used by the checker).

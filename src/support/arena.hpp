@@ -167,6 +167,18 @@ class ArenaVec {
     data_[size_++] = value;
   }
 
+  /// Appends the n elements at `values`, growing like push_back.
+  void append(const T* values, std::size_t n) {
+    if (n == 0) return;
+    if (size_ + n > capacity_) {
+      std::size_t capacity = capacity_ == 0 ? 16 : capacity_ * 2;
+      while (capacity < size_ + n) capacity *= 2;
+      grow_to(capacity);
+    }
+    std::memcpy(data_ + size_, values, n * sizeof(T));
+    size_ += n;
+  }
+
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     return data_[i];

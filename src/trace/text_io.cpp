@@ -13,18 +13,29 @@ namespace {
 
 enum class TokenParse : std::uint8_t { kOk, kMalformed, kOverflow };
 
-TokenParse parse_numbers(std::string_view inner, std::vector<long long>& out) {
-  out.clear();
-  for (std::string_view field : split(inner, ',')) {
+/// Operation tokens carry at most three numbers (RW(addr, read, write)).
+constexpr std::size_t kMaxOperands = 3;
+
+/// Parses the comma-separated fields of `inner` into `out`, keeping the
+/// first kMaxOperands and checking every field, so an overflow anywhere
+/// still reports as overflow. Returns the field count in `count`; a count
+/// above kMaxOperands fails the caller's arity check.
+TokenParse parse_numbers(std::string_view inner,
+                         long long (&out)[kMaxOperands], std::size_t& count) {
+  count = 0;
+  while (true) {
+    const std::size_t comma = inner.find(',');
     long long v = 0;
-    switch (parse_i64_checked(trim(field), v)) {
+    switch (parse_i64_checked(trim(inner.substr(0, comma)), v)) {
       case ParseIntStatus::kOk: break;
       case ParseIntStatus::kOutOfRange: return TokenParse::kOverflow;
       case ParseIntStatus::kMalformed: return TokenParse::kMalformed;
     }
-    out.push_back(v);
+    if (count < kMaxOperands) out[count] = v;
+    ++count;
+    if (comma == std::string_view::npos) return TokenParse::kOk;
+    inner.remove_prefix(comma + 1);
   }
-  return TokenParse::kOk;
 }
 
 /// Full-detail operation parse: distinguishes syntactic garbage from
@@ -37,15 +48,15 @@ TokenParse parse_operation_checked(std::string_view token, Operation& out) {
     return TokenParse::kMalformed;
   const std::string_view name = token.substr(0, open);
   const std::string_view inner = token.substr(open + 1, token.size() - open - 2);
-  std::vector<long long> nums;
-  if (const TokenParse status = parse_numbers(inner, nums);
+  long long nums[kMaxOperands] = {};
+  std::size_t count = 0;
+  if (const TokenParse status = parse_numbers(inner, nums, count);
       status != TokenParse::kOk)
     return status;
 
-  auto arity_ok = [&](std::size_t want) { return nums.size() == want; };
+  auto arity_ok = [&](std::size_t want) { return count == want; };
   auto addr_overflow = [&] {
-    return !nums.empty() &&
-           (nums[0] < 0 || nums[0] > static_cast<long long>(~Addr{0}));
+    return nums[0] < 0 || nums[0] > static_cast<long long>(~Addr{0});
   };
   TokenParse status = TokenParse::kMalformed;
   if (name == "R" && arity_ok(2)) {
@@ -126,8 +137,10 @@ ParseResult parse_execution_impl(std::string_view text) {
     }
 
     if (starts_with(line, "P:") || starts_with(line, "P ")) {
+      const auto tokens = split_ws(line.substr(2));
       std::vector<Operation> ops;
-      for (std::string_view token : split_ws(line.substr(2))) {
+      ops.reserve(tokens.size());
+      for (std::string_view token : tokens) {
         Operation op;
         switch (parse_operation_checked(token, op)) {
           case TokenParse::kOk: break;

@@ -104,12 +104,12 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
                                   .max_transitions = options.max_transitions,
                                   .deadline = options.deadline,
                                   .cancel = options.cancel}).run();
+  // Four numeric attributes is the span cap; the other effort figures
+  // (prunes, oracle prunes, frontier) ride in the counters below and in
+  // each response's effort object.
   if (span.active()) {
     span.attr("states", result.stats.states_visited);
     span.attr("transitions", result.stats.transitions);
-    span.attr("max_frontier", result.stats.max_frontier);
-    span.attr("prunes", result.stats.prunes);
-    span.attr("oracle_prunes", result.stats.oracle_prunes);
     span.attr("arena_reserved", result.stats.arena_reserved);
     span.attr("arena_high_water", result.stats.arena_high_water);
     span.attr("verdict", to_string(result.verdict));

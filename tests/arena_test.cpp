@@ -113,6 +113,22 @@ TEST(ArenaVec, PushGrowAndIndex) {
   EXPECT_EQ(vec[0], 7u);
 }
 
+TEST(ArenaVec, AppendRunsAcrossGrowth) {
+  Arena arena(64);
+  ArenaVec<std::uint32_t> vec(arena);
+  std::vector<std::uint32_t> expected;
+  std::vector<std::uint32_t> run;
+  // Runs of 0..99 elements: empty appends, appends inside the capacity,
+  // and appends that need more than one doubling at once.
+  for (std::uint32_t n = 0; n < 100; ++n) {
+    run.assign(n, n);
+    vec.append(run.data(), run.size());
+    expected.insert(expected.end(), run.begin(), run.end());
+  }
+  ASSERT_EQ(vec.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) ASSERT_EQ(vec[i], expected[i]);
+}
+
 // ---- FlatKeySet ---------------------------------------------------------
 
 using Key = std::vector<std::uint32_t>;

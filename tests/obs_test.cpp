@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/router.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +26,8 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "support/thread_pool.hpp"
+#include "trace/address_index.hpp"
+#include "workload/random.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -258,6 +261,65 @@ TEST_F(ObsTest, SpanNestingParentLinksInChromeExport) {
   // Attributes survive into args.
   EXPECT_NE(text.find("\"kind\":\"child\""), std::string::npos);
   EXPECT_EQ(json_number_after(text, "level", inner_at), 2u);
+}
+
+/// The attribute list of `span`'s row in docs/OBSERVABILITY.md's span
+/// table (its last cell, comma-separated).
+std::vector<std::string> documented_attributes(const std::string& span) {
+  std::ifstream doc(VERMEM_DOCS_DIR "/OBSERVABILITY.md");
+  const std::string row_start = "| `" + span + "` |";
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind(row_start, 0) != 0) continue;
+    const std::size_t last = line.find_last_of('|');
+    const std::size_t cell = line.find_last_of('|', last - 1) + 1;
+    std::vector<std::string> attrs;
+    std::istringstream fields(line.substr(cell, last - cell));
+    std::string field;
+    while (std::getline(fields, field, ',')) {
+      const std::size_t b = field.find_first_not_of(' ');
+      const std::size_t e = field.find_last_not_of(' ');
+      if (b != std::string::npos) attrs.push_back(field.substr(b, e - b + 1));
+    }
+    return attrs;
+  }
+  ADD_FAILURE() << span << " has no row in the span table";
+  return {};
+}
+
+TEST_F(ObsTest, DocumentedSpanAttributesReachChromeTrace) {
+  // One contended address (4 processes, 2 values): it goes through the
+  // saturation tier and on to the exact search.
+  Xoshiro256ss rng(7);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 16;
+  params.num_addresses = 1;
+  params.num_values = 2;
+  const auto trace = workload::generate_sc(params, rng);
+  const AddressIndex index(trace.execution);
+  set_tracing_enabled(true);
+  reset_trace();
+  const auto routed = analysis::verify_coherence_routed(index);
+  set_tracing_enabled(false);
+  EXPECT_EQ(routed.report.verdict, vmc::Verdict::kCoherent);
+  EXPECT_EQ(trace_dropped_count(), 0u);
+
+  std::ostringstream out;
+  write_chrome_trace(out);
+  const std::string text = out.str();
+  for (const std::string span : {"analysis.saturate", "vmc.exact"}) {
+    SCOPED_TRACE(span);
+    const std::size_t at = text.find("\"name\":\"" + span + "\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t args = text.find("\"args\":{", at);
+    const std::string event = text.substr(args, text.find('}', args) - args);
+    const std::vector<std::string> attrs = documented_attributes(span);
+    EXPECT_FALSE(attrs.empty());
+    for (const std::string& attr : attrs)
+      EXPECT_NE(event.find("\"" + attr + "\":"), std::string::npos)
+          << attr << " missing from " << event;
+  }
 }
 
 TEST_F(ObsTest, SpansAcrossPoolThreadsCarryDistinctTids) {

@@ -4,12 +4,17 @@
 // their independent re-checking, the must-precede pruning oracle's
 // bit-identical-search guarantee, the CNF order hints, and the
 // graph-derived lint rules W005/W006 plus the W002 final-section
-// regression.
+// regression, and a field-by-field differential against the frozen
+// reference pass in saturate_reference.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -20,8 +25,10 @@
 #include "certify/check.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "sat/solver.hpp"
+#include "saturate_reference.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
+#include "trace/text_io.hpp"
 #include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
 #include "workload/random.hpp"
@@ -121,10 +128,9 @@ TEST(Saturate, SccCondensationCollapsesTransientCycle) {
   // P0/P1's reads pin each other's write into a two-node cycle mid-round
   // (the classic CrossReadCycle shape); P1's trailing R(0,3) then issues
   // an R2 reachability query with two candidates {P2, P3}. That query
-  // runs on the SCC condensation built AFTER the cycle-closing pin, so
-  // the four writes collapse to three components: {W(0,1), W(0,2)} as
-  // one cluster plus the two W(0,3) singletons. The post-round cycle
-  // check still refutes the address.
+  // reads descendant rows rebuilt AFTER the cycle-closing pin, so the
+  // rebuild must converge on a cyclic graph. The post-round cycle check
+  // still refutes the address.
   const Execution exec = ExecutionBuilder()
                              .process(W(0, 1), R(0, 2))
                              .process(W(0, 2), R(0, 1), R(0, 3))
@@ -135,14 +141,11 @@ TEST(Saturate, SccCondensationCollapsesTransientCycle) {
   ASSERT_EQ(result.status, Status::kCycle);
   EXPECT_EQ(result.num_writes(), 4u);
   EXPECT_GE(result.reach_queries, 1u);
-  ASSERT_GE(result.scc_builds, 1u);
-  EXPECT_EQ(result.scc_components, 3u);
 }
 
 TEST(Saturate, SccCondensationTrivialOnAcyclicGraph) {
-  // Same query shape without the cycle: every write is its own
-  // component, so the condensation is the graph itself and R2 pruning
-  // behaves exactly as the raw walk did.
+  // Same query shape without the cycle: the rows are exact after one
+  // rebuild pass, and R2 leaves the genuine choice open.
   const Execution exec = ExecutionBuilder()
                              .process(W(0, 1), R(0, 2), W(0, 3))
                              .process(W(0, 2))
@@ -151,8 +154,7 @@ TEST(Saturate, SccCondensationTrivialOnAcyclicGraph) {
                              .build();
   const auto result = saturate_addr(exec, 0);
   ASSERT_EQ(result.status, Status::kPartial);
-  ASSERT_GE(result.scc_builds, 1u);
-  EXPECT_EQ(result.scc_components, result.num_writes());
+  EXPECT_GE(result.reach_queries, 1u);
 }
 
 TEST(Saturate, ContradictionKinds) {
@@ -533,6 +535,239 @@ TEST(LintW006, ConsistentLogDoesNotFire) {
   orders[2] = {OpRef{0, 0}, OpRef{1, 0}};
   const analysis::AnalysisReport report = analysis::analyze(exec, &orders);
   EXPECT_FALSE(has_rule(report, RuleId::kSaturationContradictedLog));
+}
+
+// --- reference differential ----------------------------------------------
+
+/// The first Result field where the production pass and the reference
+/// disagree, or empty when every shared field matches.
+std::string first_difference(const saturate::Result& got,
+                             const saturate_reference::Result& want) {
+  if (static_cast<int>(got.status) != static_cast<int>(want.status))
+    return "status";
+  if (got.writes != want.writes) return "writes";
+  if (got.writes_local != want.writes_local) return "writes_local";
+  if (got.edges != want.edges) return "edges";
+  if (got.cycle != want.cycle) return "cycle";
+  if (got.forced != want.forced) return "forced";
+  if (got.contradiction.has_value() != want.contradiction.has_value())
+    return "contradiction";
+  if (got.contradiction &&
+      (static_cast<int>(got.contradiction->kind) !=
+           static_cast<int>(want.contradiction->kind) ||
+       got.contradiction->read != want.contradiction->read ||
+       got.contradiction->other != want.contradiction->other ||
+       got.contradiction->value != want.contradiction->value))
+    return "contradiction";
+  if (got.rounds != want.rounds) return "rounds";
+  if (got.reach_queries != want.reach_queries) return "reach_queries";
+  if (got.branch_points != want.branch_points) return "branch_points";
+  if (got.max_concurrent != want.max_concurrent) return "max_concurrent";
+  if (got.unordered_example != want.unordered_example)
+    return "unordered_example";
+  if (got.budget_hit != want.budget_hit) return "budget_hit";
+  if (got.pruned_empty_read != want.pruned_empty_read)
+    return "pruned_empty_read";
+  return {};
+}
+
+/// Runs both passes on every address of `exec` and records the outcome.
+struct Differential {
+  std::size_t addresses = 0;
+  std::size_t statuses[4] = {};
+  std::size_t with_queries = 0;
+  std::vector<std::string> mismatches;
+  std::size_t reference_budget_hits = 0;
+
+  void check(const Execution& exec, const std::string& label) {
+    const AddressIndex index(exec);
+    for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+      const ProjectedView view = index.view_at(i);
+      const saturate::Result got = saturate::saturate(view);
+      const saturate_reference::Result want = saturate_reference::saturate(view);
+      ++addresses;
+      ++statuses[static_cast<int>(want.status)];
+      if (want.reach_queries > 0) ++with_queries;
+      if (want.budget_hit) ++reference_budget_hits;
+      if (const std::string field = first_difference(got, want); !field.empty())
+        mismatches.push_back(label + " addr " + std::to_string(view.addr()) +
+                             ": " + field);
+    }
+  }
+};
+
+/// One pure read rewritten to a value no write produces (the
+/// `unwritten-read` shape), chosen by `rng`; nullopt without a pure read.
+std::optional<Execution> with_fabricated_read(const Execution& exec,
+                                              Xoshiro256ss& rng) {
+  std::vector<OpRef> reads;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p)
+    for (std::uint32_t i = 0; i < exec.history(p).size(); ++i)
+      if (exec.op({p, i}).kind == OpKind::kRead) reads.push_back({p, i});
+  if (reads.empty()) return std::nullopt;
+  const OpRef target = reads[rng.below(reads.size())];
+  ExecutionBuilder builder;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
+    std::vector<Operation> ops = exec.history(p).ops();
+    if (p == target.process)
+      ops[target.index].value_read = -1 - static_cast<Value>(rng.below(1000));
+    builder.process_ops(std::move(ops));
+  }
+  for (const auto& [addr, value] : exec.initial_values())
+    builder.initial(addr, value);
+  for (const auto& [addr, value] : exec.final_values())
+    builder.final_value(addr, value);
+  return builder.build();
+}
+
+/// bench_saturate's forced-order zip: P1 pins every P0 write between two
+/// of its own.
+Execution zip_trace(std::size_t rungs) {
+  std::vector<Operation> p0, p1;
+  for (std::size_t k = 1; k <= rungs; ++k) {
+    p0.push_back(W(0, static_cast<Value>(2 * k - 1)));
+    p1.push_back(R(0, static_cast<Value>(2 * k - 1)));
+    p1.push_back(W(0, static_cast<Value>(2 * k)));
+  }
+  p1.push_back(W(0, static_cast<Value>(2 * rungs)));
+  return ExecutionBuilder()
+      .process_ops(std::move(p0))
+      .process_ops(std::move(p1))
+      .final_value(0, static_cast<Value>(2 * rungs))
+      .build();
+}
+
+/// bench_saturate's chain: history h ends reading history h-1's middle
+/// value.
+Execution chain_trace(std::size_t histories, std::size_t writes) {
+  ExecutionBuilder builder;
+  const auto value_of = [&](std::size_t h, std::size_t i) {
+    return static_cast<Value>(h * writes + i + 1);
+  };
+  for (std::size_t h = 0; h < histories; ++h) {
+    std::vector<Operation> ops;
+    for (std::size_t i = 0; i < writes; ++i) ops.push_back(W(0, value_of(h, i)));
+    if (h > 0) ops.push_back(R(0, value_of(h - 1, writes / 2)));
+    builder.process_ops(std::move(ops));
+  }
+  builder.final_value(0, value_of(0, writes - 1));
+  return builder.build();
+}
+
+TEST(SaturateReference, MatchesParent) {
+  Differential diff;
+
+  // The contended_exact shape (4 x 48 ops, 3 addresses, 2 values) and
+  // the fleet_text shapes, each with a fabricated read in every fourth
+  // trace.
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Xoshiro256ss rng(seed * 0x9e3779b97f4a7c15ull);
+    workload::MultiAddressParams params;
+    if (seed % 2 == 0) {
+      params.num_processes = 4;
+      params.ops_per_process = 48;
+      params.num_addresses = 3;
+      params.num_values = 2;
+    } else {
+      params.num_processes = static_cast<std::size_t>(rng.range(2, 4));
+      params.ops_per_process = static_cast<std::size_t>(rng.range(32, 80));
+      params.num_addresses = static_cast<std::size_t>(rng.range(4, 8));
+      params.num_values = seed % 3 == 0 ? 0 : 6;
+    }
+    const auto trace = workload::generate_sc(params, rng);
+    const std::string label = "sc seed " + std::to_string(seed);
+    diff.check(trace.execution, label);
+    if (seed % 4 < 2)
+      if (auto faulty = with_fabricated_read(trace.execution, rng))
+        diff.check(*faulty, label + " fabricated");
+  }
+
+  // Single-address coherent traces (4 x 10 ops, 3 values; every tenth
+  // 6 x 60 ops with 8 values, so the rows span several 64-bit words),
+  // plus each injectable fault so cycles and pruned-empty reads show up.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Xoshiro256ss rng(seed * 0xd1342543de82ef95ull);
+    const bool wide = seed % 10 == 0;
+    workload::SingleAddressParams params;
+    params.num_histories = wide ? 6 : 4;
+    params.ops_per_history = wide ? 60 : 10;
+    params.num_values = wide ? 8 : 3;
+    const workload::GeneratedTrace trace =
+        workload::generate_coherent(params, rng);
+    const std::string label = "coherent seed " + std::to_string(seed);
+    diff.check(trace.execution, label);
+    for (int f = 0; f < 4; ++f) {
+      const auto fault = static_cast<workload::Fault>(f);
+      if (auto faulty = workload::inject_fault(trace, fault, rng))
+        diff.check(*faulty, label + " " + workload::to_string(fault));
+    }
+  }
+
+  // Uniformly random operations on one address (coherent or not): most
+  // cycles, transient ones included, come from here.
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    Xoshiro256ss rng(seed * 0xbf58476d1ce4e5b9ull);
+    ExecutionBuilder builder;
+    const auto histories = rng.range(2, 5);
+    for (std::int64_t h = 0; h < histories; ++h) {
+      std::vector<Operation> ops;
+      const auto length = rng.range(2, 8);
+      for (std::int64_t i = 0; i < length; ++i) {
+        const auto value = static_cast<Value>(rng.range(0, 3));
+        switch (rng.below(5)) {
+          case 0: case 1: ops.push_back(W(0, value)); break;
+          case 2: ops.push_back(RW(0, value, static_cast<Value>(rng.range(0, 3)))); break;
+          default: ops.push_back(R(0, value)); break;
+        }
+      }
+      builder.process_ops(std::move(ops));
+    }
+    if (rng.chance(0.5))
+      builder.final_value(0, static_cast<Value>(rng.range(0, 3)));
+    diff.check(builder.build(), "random seed " + std::to_string(seed));
+  }
+
+  for (const std::size_t rungs : {32u, 64u, 128u, 256u, 512u, 1024u})
+    diff.check(zip_trace(rungs), "zip " + std::to_string(rungs));
+  diff.check(chain_trace(2, 12), "chain k2 w12");
+  diff.check(chain_trace(3, 8), "chain k3 w8");
+  diff.check(chain_trace(3, 12), "chain k3 w12");
+
+  // The transient-cycle fixture of SccCondensationCollapsesTransientCycle.
+  diff.check(ExecutionBuilder()
+                 .process(W(0, 1), R(0, 2))
+                 .process(W(0, 2), R(0, 1), R(0, 3))
+                 .process(W(0, 3))
+                 .process(W(0, 3))
+                 .build(),
+             "transient cycle");
+
+  // Every address of the committed text traces (write-order lines are
+  // the log, not part of the execution).
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VERMEM_TRACES_DIR)) {
+    if (entry.path().extension() != ".txt") continue;
+    std::ifstream in(entry.path());
+    std::string text, line;
+    while (std::getline(in, line))
+      if (line.rfind("wo ", 0) != 0) text += line + "\n";
+    const ParseResult parsed = parse_execution(text);
+    ASSERT_TRUE(parsed.ok()) << entry.path() << ": " << parsed.error;
+    diff.check(parsed.execution, entry.path().filename().string());
+    ++files;
+  }
+  EXPECT_GE(files, 6u);
+
+  EXPECT_TRUE(diff.mismatches.empty())
+      << diff.mismatches.size() << " mismatches, first: "
+      << diff.mismatches.front();
+  // The reference's DFS budget (and round cap) never bound, so its
+  // results are the complete closure the rows must reproduce.
+  EXPECT_EQ(diff.reference_budget_hits, 0u);
+  // Every outcome is exercised, and R2 queries ran.
+  for (const std::size_t count : diff.statuses) EXPECT_GT(count, 0u);
+  EXPECT_GT(diff.with_queries, 0u);
 }
 
 }  // namespace

@@ -369,6 +369,28 @@ TEST(TextIo, ReportsIntegerOverflowInOperations) {
   EXPECT_FALSE(parse_operation("R(0,99999999999999999999999)").has_value());
 }
 
+TEST(TextIo, OperationErrorClasses) {
+  // Every field is range-checked before the arity check, so an overflow
+  // wins over a wrong field count — also past the third field.
+  for (const char* token :
+       {"R(1,2,99999999999999999999)", "W(1,2,3,99999999999999999999)"}) {
+    const auto result = parse_execution(std::string("P: ") + token + "\n");
+    ASSERT_FALSE(result.ok()) << token;
+    EXPECT_NE(result.error.find("integer overflow"), std::string::npos)
+        << result.error;
+  }
+  for (const char* token : {"W(1,2,3,4)", "R()", "R(1,,2)", "RW(1,2)"}) {
+    const auto result = parse_execution(std::string("P: ") + token + "\n");
+    ASSERT_FALSE(result.ok()) << token;
+    EXPECT_NE(result.error.find("malformed operation"), std::string::npos)
+        << result.error;
+    EXPECT_FALSE(parse_operation(token).has_value()) << token;
+  }
+  const auto rw = parse_operation("RW( 1 , 2 , 3 )");
+  ASSERT_TRUE(rw.has_value());
+  EXPECT_EQ(*rw, RW(1, 2, 3));
+}
+
 TEST(TextIo, RoundTrips) {
   const auto exec = ExecutionBuilder()
                         .process(W(0, 1), R(1, 2), RW(2, 3, 4), Acq(5), Rel(5))
