@@ -51,7 +51,7 @@ int main() {
       const AddressIndex index(result.execution);
       const auto coherence =
           analysis::verify_coherence_routed(index, &result.write_orders).report;
-      vsc::ScOptions sc_options;
+      search::Limits sc_options;
       sc_options.max_transitions = 5'000'000;
       const auto sc = vsc::check_sc_exact(result.execution, sc_options);
       if (eager && sc.verdict == vmc::Verdict::kIncoherent)

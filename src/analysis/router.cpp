@@ -28,11 +28,6 @@ namespace {
 using vmc::CheckResult;
 using vmc::Verdict;
 
-bool interrupted(const vmc::ExactOptions& options) {
-  return options.deadline.expired() ||
-         (options.cancel && options.cancel->cancelled());
-}
-
 /// Labeled per-fragment routing counters, registered once. The label
 /// set matches the fragment names ServiceStats and vermemd report.
 void count_fragment(Fragment fragment) {
@@ -80,11 +75,11 @@ void count_engine_win(Engine engine) {
 }
 
 /// One engine's run in a portfolio race. Every arm is budgeted by the
-/// caller's deadline and the race's linked cancellation token, and every
-/// definite verdict obeys the certification discipline of its engine.
+/// caller's limits with the race's linked cancellation token in place of
+/// the caller's, and every definite verdict obeys the certification
+/// discipline of its engine.
 CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
                        const vmc::ExactOptions& exact_options,
-                       const PortfolioOptions& portfolio,
                        const CancellationToken& stop) {
   switch (engine) {
     case Engine::kExactSearch: {
@@ -93,17 +88,15 @@ CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
       return vmc::check_exact(instance, options);
     }
     case Engine::kCdcl: {
-      sat::SolverOptions options = portfolio.solver;
+      sat::SolverOptions options;
       options.deadline = exact_options.deadline;
       options.cancel = &stop;
       return encode::check_via_sat(instance, options);
     }
     case Engine::kBoundedK: {
-      vmc::BoundedKOptions options = portfolio.bounded;
-      options.deadline = exact_options.deadline;
-      options.cancel = &stop;
-      if (options.max_states == 0) options.max_states = exact_options.max_states;
-      return vmc::check_bounded_k(instance, options);
+      search::Limits limits = exact_options;
+      limits.cancel = &stop;
+      return vmc::check_bounded_k(instance, limits);
     }
   }
   return CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
@@ -123,8 +116,7 @@ struct Race {
 /// threads of their own.
 Race run_race(const std::vector<Engine>& engines,
               const vmc::VmcInstance& instance,
-              const vmc::ExactOptions& exact_options,
-              const PortfolioOptions& portfolio, CancellationToken& stop) {
+              const vmc::ExactOptions& exact_options, CancellationToken& stop) {
   Race race;
   race.results.resize(engines.size());
   std::atomic<int> first_definite{-1};
@@ -133,8 +125,7 @@ Race run_race(const std::vector<Engine>& engines,
   // after every arm has joined.
   std::int64_t decided_ns = 0;
   const auto arm = [&](std::size_t i) {
-    CheckResult result =
-        run_engine(engines[i], instance, exact_options, portfolio, stop);
+    CheckResult result = run_engine(engines[i], instance, exact_options, stop);
     if (result.verdict != Verdict::kUnknown) {
       int expected = -1;
       if (first_definite.compare_exchange_strong(expected,
@@ -252,7 +243,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
   }
 
   CancellationToken stop(exact_options.cancel);
-  Race race = run_race(engines, instance, exact_options, portfolio, stop);
+  Race race = run_race(engines, instance, exact_options, stop);
   // With no definite verdict the frontier search's answer stands in, so
   // kUnknown evidence stays meaningful: engines[0] when it raced, else
   // stage 1's.
@@ -276,7 +267,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
 /// witnesses leave in projected coordinates.
 CheckResult saturate_then_exact(const ProjectedView& view,
                                 const vmc::VmcInstance& instance,
-                                const vmc::ExactOptions& exact_options,
+                                const search::Limits& limits,
                                 const PortfolioOptions& portfolio,
                                 RouteOutcome& out) {
   obs::flight_event(obs::FlightEventKind::kTierEnter, "saturate",
@@ -359,7 +350,7 @@ CheckResult saturate_then_exact(const ProjectedView& view,
   // Every edge is necessary, so pruned subtrees are witness-free and the
   // search keeps bit-identical verdicts and witnesses.
   vmc::MustPrecede oracle;
-  vmc::ExactOptions pruned = exact_options;
+  vmc::ExactOptions pruned{limits};
   if (!sat.edges.empty()) {
     for (const auto& [a, b] : sat.edges)
       oracle.add_edge(sat.writes_local[a], sat.writes_local[b]);
@@ -388,7 +379,7 @@ CheckResult saturate_then_exact(const ProjectedView& view,
 
 RouteOutcome check_routed(const ProjectedView& view,
                           const std::vector<OpRef>* write_order,
-                          const vmc::ExactOptions& exact_options,
+                          const search::Limits& limits,
                           const PortfolioOptions& portfolio) {
   obs::Span span("analysis.route");
   RouteOutcome out;
@@ -456,7 +447,7 @@ RouteOutcome check_routed(const ProjectedView& view,
     case Fragment::kEmpty:  // handled above
     case Fragment::kBoundedProcesses:
     case Fragment::kGeneral:
-      result = saturate_then_exact(view, instance, exact_options, portfolio, out);
+      result = saturate_then_exact(view, instance, limits, portfolio, out);
       break;
   }
 
@@ -468,7 +459,7 @@ RouteOutcome check_routed(const ProjectedView& view,
   // (surfaced separately as lint rule W004).
   if (result.verdict == Verdict::kUnknown && out.decider != Decider::kExact &&
       out.decider != Decider::kSaturate && out.decider != Decider::kWriteOrder) {
-    result = saturate_then_exact(view, instance, exact_options, portfolio, out);
+    result = saturate_then_exact(view, instance, limits, portfolio, out);
     out.fell_back = true;
   }
 
@@ -539,7 +530,7 @@ void RouteTally::merge(const RouteTally& other) {
 
 RoutedReport verify_coherence_routed(const AddressIndex& index,
                                      const vmc::WriteOrderMap* write_orders,
-                                     const vmc::ExactOptions& exact_options,
+                                     const search::Limits& limits,
                                      const PortfolioOptions& portfolio,
                                      std::size_t workers) {
   obs::Span span("analysis.verify_routed");
@@ -554,7 +545,7 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
       const auto it = write_orders->find(index.entry(i).addr);
       if (it != write_orders->end()) order = &it->second;
     }
-    return check_routed(index.view_at(i), order, exact_options, portfolio);
+    return check_routed(index.view_at(i), order, limits, portfolio);
   };
 
   RoutedReport out;
@@ -581,7 +572,7 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
 
   if (effective_workers(workers, count) <= 1) {
     for (std::size_t i = 0; i < count; ++i) {
-      if (interrupted(exact_options))
+      if (limits.interrupted())
         skip(i, kInterrupted);
       else
         record(i, route(i));
@@ -601,8 +592,8 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
     CancellationToken stop;
     parallel_for_each_cancellable(count, workers, stop, [&](std::size_t k) {
       // Stop scheduling once the caller's own budget fires; in-flight
-      // checks notice through ExactOptions.
-      if (interrupted(exact_options)) {
+      // checks notice through the same limits.
+      if (limits.interrupted()) {
         stop.cancel();
         return;
       }

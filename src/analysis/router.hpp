@@ -20,8 +20,7 @@
 
 #include "analysis/fragment.hpp"
 #include "analysis/saturate/core.hpp"
-#include "sat/solver.hpp"
-#include "vmc/bounded.hpp"
+#include "search/limits.hpp"
 #include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
 
@@ -82,7 +81,11 @@ inline constexpr std::size_t kNumEngines =
 /// unraced route's, and no thread is created. Only when that budget runs
 /// out does stage 2 race the frontier search, CDCL and bounded-k, one
 /// thread each beyond the caller's, which pays off only where no single
-/// engine dominates. Disabled by default. Every arm polls the race's
+/// engine dominates. Disabled by default. Every arm runs under the
+/// caller's search::Limits, the race's token standing in for its cancel:
+/// the two searches under every cap, CDCL under the deadline only (its
+/// budget is sat::SolverOptions::max_conflicts, left at its default).
+/// Every arm polls the
 /// token and the deadline in every phase (CDCL: encoding, clause
 /// loading, search), so once one arm decides, the losers stop within
 /// one poll period.
@@ -96,10 +99,6 @@ struct PortfolioOptions {
   /// the vermemd `--solver=cdcl` escape hatch. The winner is still
   /// recorded (trivially, as the forced engine).
   std::optional<Engine> only;
-  /// CDCL budget/flags; deadline and cancel are overridden per race.
-  sat::SolverOptions solver;
-  /// Bounded-k arm ceiling; its deadline/cancel are overridden per race.
-  vmc::BoundedKOptions bounded;
 };
 
 /// Verdict plus routing provenance for one address.
@@ -135,8 +134,7 @@ struct RouteOutcome {
 /// tier as the staged portfolio (see PortfolioOptions).
 [[nodiscard]] RouteOutcome check_routed(
     const ProjectedView& view, const std::vector<OpRef>* write_order,
-    const vmc::ExactOptions& exact_options = {},
-    const PortfolioOptions& portfolio = {});
+    const search::Limits& limits = {}, const PortfolioOptions& portfolio = {});
 
 /// Routing provenance summed over addresses. The one fold shared by
 /// RoutedReport, stream::StreamResult, and service::ServiceStats, so a
@@ -194,7 +192,7 @@ struct RoutedReport {
 [[nodiscard]] RoutedReport verify_coherence_routed(
     const AddressIndex& index,
     const vmc::WriteOrderMap* write_orders = nullptr,
-    const vmc::ExactOptions& exact_options = {},
-    const PortfolioOptions& portfolio = {}, std::size_t workers = 1);
+    const search::Limits& limits = {}, const PortfolioOptions& portfolio = {},
+    std::size_t workers = 1);
 
 }  // namespace vermem::analysis

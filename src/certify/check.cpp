@@ -470,16 +470,13 @@ CheckOutcome check_rup(const Execution& exec, Scope scope, const Incoherence& e)
 CheckOutcome check_search_exhaustion(const Execution& exec, Scope scope,
                                      const Incoherence& e,
                                      const CheckOptions& options) {
+  const search::Limits limits{.max_states = options.max_states};
   vmc::CheckResult decided;
   if (scope == Scope::kAddress) {
     const vmc::VmcInstance instance = vmc::VmcInstance::from_execution(exec, e.addr);
-    vmc::ExactOptions exact;
-    exact.max_states = options.max_states;
-    decided = vmc::check_exact(instance, exact);
+    decided = vmc::check_exact(instance, {limits});
   } else {
-    vsc::ScOptions sc;
-    sc.max_states = options.max_states;
-    decided = vsc::check_sc_exact(exec, sc);
+    decided = vsc::check_sc_exact(exec, limits);
   }
   switch (decided.verdict) {
     case Verdict::kIncoherent:

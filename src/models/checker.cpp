@@ -201,31 +201,20 @@ class StoreBufferPolicy {
 }  // namespace
 
 vmc::CheckResult check_model(const Execution& exec, Model m,
-                             const ModelCheckOptions& options) {
+                             const search::Limits& limits) {
   // One indexing pass over the trace feeds every model's dense address
   // numbering (and the coherence-only path's per-address projections).
   const AddressIndex index(exec);
   switch (m) {
-    case Model::kSc: {
-      vsc::ScOptions sc;
-      sc.max_states = options.max_states;
-      sc.deadline = options.deadline;
-      sc.cancel = options.cancel;
-      return vsc::check_sc_exact(index, sc);
-    }
+    case Model::kSc:
+      return vsc::check_sc_exact(index, limits);
     case Model::kTso:
     case Model::kPso:
-      return search::Engine(StoreBufferPolicy(index, m == Model::kPso),
-                            {.max_states = options.max_states,
-                             .deadline = options.deadline,
-                             .cancel = options.cancel}).run();
+      return search::Engine(StoreBufferPolicy(index, m == Model::kPso), limits)
+          .run();
     case Model::kCoherenceOnly: {
-      vmc::ExactOptions vmc_options;
-      vmc_options.max_states = options.max_states;
-      vmc_options.deadline = options.deadline;
-      vmc_options.cancel = options.cancel;
       const auto report =
-          analysis::verify_coherence_routed(index, nullptr, vmc_options).report;
+          analysis::verify_coherence_routed(index, nullptr, limits).report;
       switch (report.verdict) {
         case vmc::Verdict::kCoherent:
           return vmc::CheckResult::yes({}, report.effort);

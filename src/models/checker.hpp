@@ -23,23 +23,16 @@
 // program operations (drain events interleave with it internally); it is
 // not an SC schedule and is returned for diagnostics only.
 
-#include "support/parallel.hpp"
-#include "support/stopwatch.hpp"
 #include "models/model.hpp"
+#include "search/limits.hpp"
 #include "trace/execution.hpp"
 #include "vmc/result.hpp"
 
 namespace vermem::models {
 
-struct ModelCheckOptions {
-  std::uint64_t max_states = 0;  ///< 0 = unlimited
-  Deadline deadline = Deadline::never();
-  /// External cooperative cancellation; checked alongside the deadline.
-  const CancellationToken* cancel = nullptr;
-};
-
-/// Decides whether `exec` is admissible under model `m`.
+/// Decides whether `exec` is admissible under model `m`; every model
+/// runs under `limits`.
 [[nodiscard]] vmc::CheckResult check_model(const Execution& exec, Model m,
-                                           const ModelCheckOptions& options = {});
+                                           const search::Limits& limits = {});
 
 }  // namespace vermem::models

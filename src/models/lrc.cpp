@@ -20,7 +20,7 @@ bool is_fully_wrapped(const Execution& exec, Addr lock) {
 }
 
 vmc::CheckResult check_lrc_wrapped(const Execution& exec, Addr lock,
-                                   const vmc::ExactOptions& options) {
+                                   const search::Limits& limits) {
   if (!is_fully_wrapped(exec, lock))
     return vmc::CheckResult::unknown(
         certify::UnknownReason::kNotApplicable,
@@ -35,7 +35,7 @@ vmc::CheckResult check_lrc_wrapped(const Execution& exec, Addr lock,
   const Execution stripped = reductions::strip_synchronization(exec, lock);
   const AddressIndex index(stripped);
   const auto report =
-      analysis::verify_coherence_routed(index, nullptr, options).report;
+      analysis::verify_coherence_routed(index, nullptr, limits).report;
   switch (report.verdict) {
     case vmc::Verdict::kCoherent:
       return vmc::CheckResult::yes({});

@@ -18,8 +18,9 @@
 // operations have a coherent schedule, i.e. per-address VMC on the
 // stripped execution.
 
+#include "search/limits.hpp"
 #include "trace/execution.hpp"
-#include "vmc/exact.hpp"
+#include "vmc/result.hpp"
 
 namespace vermem::models {
 
@@ -32,7 +33,6 @@ namespace vermem::models {
 /// coherence of the stripped execution — the content of the Figure 6.1
 /// argument, made executable.
 [[nodiscard]] vmc::CheckResult check_lrc_wrapped(
-    const Execution& exec, Addr lock,
-    const vmc::ExactOptions& options = {});
+    const Execution& exec, Addr lock, const search::Limits& limits = {});
 
 }  // namespace vermem::models

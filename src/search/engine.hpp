@@ -31,10 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "search/limits.hpp"
 #include "support/arena.hpp"
 #include "support/flat_set.hpp"
-#include "support/parallel.hpp"
-#include "support/stopwatch.hpp"
 #include "trace/execution.hpp"
 #include "vmc/result.hpp"
 
@@ -116,14 +115,6 @@ class DenseMemory {
   std::vector<std::vector<std::uint32_t>> op_ids_;
 };
 
-/// Engine budgets; each checker's options map onto these.
-struct Limits {
-  std::uint64_t max_states = 0;       ///< 0 = unlimited (fresh states)
-  std::uint64_t max_transitions = 0;  ///< 0 = unlimited (counts re-visits)
-  Deadline deadline = Deadline::never();
-  const CancellationToken* cancel = nullptr;  ///< not owned
-};
-
 /// State/transition budgets plus deadline and cancel polling. The clock
 /// and the token are read on the first call and then every kPollInterval
 /// calls, counted here rather than derived from a search counter, so no
@@ -144,10 +135,10 @@ class Budget {
     if (!spent && until_poll_-- != 0) return std::nullopt;
     if (!spent) until_poll_ = kPollInterval - 1;
     using enum certify::UnknownReason;
-    if (limits_.deadline.expired())
-      return certify::Unknown{kDeadline, "search deadline expired"};
-    if (limits_.cancel && limits_.cancel->cancelled())
-      return certify::Unknown{kCancelled, "search cancelled"};
+    if (limits_.interrupted())
+      return limits_.deadline.expired()
+                 ? certify::Unknown{kDeadline, "search deadline expired"}
+                 : certify::Unknown{kCancelled, "search cancelled"};
     if (spent) return certify::Unknown{kBudget, "search budget exhausted"};
     return std::nullopt;
   }

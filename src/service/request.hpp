@@ -45,8 +45,10 @@ enum class CheckMode : std::uint8_t {
   return "?";
 }
 
-/// Caps on the exponential search stages; 0 = unlimited. Passed through
-/// to ExactOptions / ScOptions unchanged.
+/// Caps on the exponential search stages; 0 = unlimited. With the
+/// deadline and the request's cancel token they form the request's one
+/// search::Limits, which every mode (coherence, vscc, and each model of
+/// kConsistency) and every exact engine honours, both caps included.
 struct EffortBudget {
   std::uint64_t max_states = 0;
   std::uint64_t max_transitions = 0;

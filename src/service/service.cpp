@@ -63,9 +63,11 @@ constexpr obs::RequestKind kind_of(CheckMode mode) noexcept {
   return obs::RequestKind::kCoherence;
 }
 
-/// Copies solver effort into the flight recorder's plain mirror struct
-/// (obs/ sits below vmc/ and cannot see SearchStats itself).
-obs::FlightEffort flight_effort_of(const vmc::SearchStats& stats) noexcept {
+/// Copies solver effort and the router's saturation/portfolio tallies
+/// into the flight recorder's plain mirror struct (obs/ sits below vmc/
+/// and analysis/ and cannot see SearchStats or RouteTally itself).
+obs::FlightEffort flight_effort_of(const vmc::SearchStats& stats,
+                                   const analysis::RouteTally& routing) noexcept {
   obs::FlightEffort out;
   out.states = stats.states_visited;
   out.transitions = stats.transitions;
@@ -75,6 +77,12 @@ obs::FlightEffort flight_effort_of(const vmc::SearchStats& stats) noexcept {
   out.arena_reserved = stats.arena_reserved;
   out.arena_high_water = stats.arena_high_water;
   out.arena_allocations = stats.arena_allocations;
+  out.saturate_ran = routing.saturate_ran;
+  out.saturate_decided = routing.saturate_decided;
+  out.saturate_edges = routing.saturate_edges;
+  out.portfolio_races = routing.portfolio_races;
+  out.portfolio_wasted_states = routing.wasted_effort.states_visited;
+  out.portfolio_wasted_transitions = routing.wasted_effort.transitions;
   return out;
 }
 
@@ -357,9 +365,9 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   // closes so the captured tree is complete when the policy evaluates.
   obs::FlightScope flight(to_string(slot.request.mode), slot.request.tag);
   VerificationResponse response;
-  // Saturation-tier provenance for the flight record (the routed report
-  // holding it is consumed inside the span scope below).
-  obs::FlightEffort flight_effort;
+  // Routing provenance for the flight record (the routed report holding
+  // it is consumed inside the span scope below).
+  analysis::RouteTally routing;
   [&] {
   obs::Span span("service.request");
   response.tag = slot.request.tag;
@@ -389,11 +397,12 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   // certificate when a certified kVscc request runs.
   std::optional<vmc::CheckResult> sc_result;
 
-  vmc::ExactOptions exact;
-  exact.max_states = slot.request.budget.max_states;
-  exact.max_transitions = slot.request.budget.max_transitions;
-  exact.deadline = slot.deadline;
-  exact.cancel = slot.token.get();
+  // The one budget of this request; every mode runs under it.
+  const search::Limits limits{
+      .max_states = slot.request.budget.max_states,
+      .max_transitions = slot.request.budget.max_transitions,
+      .deadline = slot.deadline,
+      .cancel = slot.token.get()};
 
   switch (slot.request.mode) {
     case CheckMode::kCoherence: {
@@ -413,7 +422,7 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       analysis::RoutedReport routed = analysis::verify_coherence_routed(
           *slot.index,
           slot.request.write_orders ? &*slot.request.write_orders : nullptr,
-          exact, portfolio);
+          limits, portfolio);
       response.verdict = routed.report.verdict;
       response.reason = reason_for(routed.report);
       // Effort (including arena counters and peak provenance) was merged
@@ -421,19 +430,11 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // Portfolio races kept it winner-only: cancelled losers land in
       // wasted_effort, never in the latency-explaining tallies.
       response.effort = routed.report.effort;
-      const analysis::RouteTally& routing = routed.routing;
+      routing = routed.routing;
       response.portfolio_races = routing.portfolio_races;
       response.engine_wins = routing.engine_wins;
       response.wasted_effort = routing.wasted_effort;
       response.coherence = std::move(routed.report);
-      flight_effort.saturate_ran = routing.saturate_ran;
-      flight_effort.saturate_decided = routing.saturate_decided;
-      flight_effort.saturate_edges = routing.saturate_edges;
-      flight_effort.portfolio_races = routing.portfolio_races;
-      flight_effort.portfolio_wasted_states =
-          routing.wasted_effort.states_visited;
-      flight_effort.portfolio_wasted_transitions =
-          routing.wasted_effort.transitions;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         counters_.routing.merge(routing);
@@ -442,13 +443,10 @@ VerificationResponse VerificationService::execute(Slot& slot) {
     }
     case CheckMode::kVscc: {
       vsc::VsccOptions vscc;
-      vscc.coherence = exact;
-      vscc.sc.max_states = slot.request.budget.max_states;
-      vscc.sc.max_transitions = slot.request.budget.max_transitions;
-      vscc.sc.deadline = slot.deadline;
-      vscc.sc.cancel = slot.token.get();
-      vscc.solver.deadline = slot.deadline;
-      vscc.solver.cancel = slot.token.get();
+      vscc.coherence = limits;
+      vscc.sc = limits;
+      vscc.solver.deadline = limits.deadline;
+      vscc.solver.cancel = limits.cancel;
       if (slot.request.write_orders)
         vscc.write_orders = &*slot.request.write_orders;
       // Warm sweep: the retained incremental solver serves one request
@@ -483,12 +481,8 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       break;
     }
     case CheckMode::kConsistency: {
-      models::ModelCheckOptions model_options;
-      model_options.max_states = slot.request.budget.max_states;
-      model_options.deadline = slot.deadline;
-      model_options.cancel = slot.token.get();
       const vmc::CheckResult result = models::check_model(
-          slot.request.execution, slot.request.model, model_options);
+          slot.request.execution, slot.request.model, limits);
       response.verdict = result.verdict;
       response.reason = result.reason();
       response.effort = result.stats;
@@ -554,20 +548,6 @@ VerificationResponse VerificationService::execute(Slot& slot) {
     else if (response.cancelled)
       obs::flight_event(obs::FlightEventKind::kCancelled,
                         "request cancelled");
-    const std::uint64_t saturate_ran = flight_effort.saturate_ran;
-    const std::uint64_t saturate_decided = flight_effort.saturate_decided;
-    const std::uint64_t saturate_edges = flight_effort.saturate_edges;
-    const std::uint64_t portfolio_races = flight_effort.portfolio_races;
-    const std::uint64_t wasted_states = flight_effort.portfolio_wasted_states;
-    const std::uint64_t wasted_transitions =
-        flight_effort.portfolio_wasted_transitions;
-    flight_effort = flight_effort_of(response.effort);
-    flight_effort.saturate_ran = saturate_ran;
-    flight_effort.saturate_decided = saturate_decided;
-    flight_effort.saturate_edges = saturate_edges;
-    flight_effort.portfolio_races = portfolio_races;
-    flight_effort.portfolio_wasted_states = wasted_states;
-    flight_effort.portfolio_wasted_transitions = wasted_transitions;
     obs::FlightScope::Summary summary;
     summary.verdict = vmc::to_string(response.verdict);
     summary.unknown = response.verdict == vmc::Verdict::kUnknown;
@@ -577,7 +557,7 @@ VerificationResponse VerificationService::execute(Slot& slot) {
     const double total_micros = response.queue_micros + response.run_micros;
     summary.latency_nanos =
         total_micros <= 0 ? 0 : static_cast<std::uint64_t>(total_micros * 1e3);
-    summary.effort = flight_effort;
+    summary.effort = flight_effort_of(response.effort, routing);
     response.flight_id = flight.finish(summary);
   }
   return response;
@@ -685,7 +665,7 @@ VerificationResponse VerificationService::verify_stream(
     summary.cancelled = response.cancelled;
     summary.shed = result.shed_events > 0;
     summary.latency_nanos = latency_nanos;
-    summary.effort = flight_effort_of(response.effort);
+    summary.effort = flight_effort_of(response.effort, result.routing);
     response.flight_id = flight.finish(summary);
   }
   slo_.record(obs::RequestKind::kStream, latency_nanos,

@@ -25,11 +25,6 @@ namespace {
 using vmc::CheckResult;
 using vmc::Verdict;
 
-bool interrupted(const vmc::ExactOptions& options) {
-  return options.deadline.expired() ||
-         (options.cancel && options.cancel->cancelled());
-}
-
 std::size_t resolve_shards(std::size_t requested) {
   if (requested != 0) return requested;
   const std::size_t hw = std::thread::hardware_concurrency();
@@ -72,7 +67,7 @@ struct StreamVerifier::Shard {
   const std::unordered_map<Addr, Value>* initials = nullptr;
   const std::unordered_map<Addr, Value>* finals = nullptr;
   const WriteOrderLog* orders = nullptr;
-  const vmc::ExactOptions* exact = nullptr;
+  const search::Limits* exact = nullptr;
 
   // kComplete accumulation: per-address event runs in arena storage.
   Arena arena;
@@ -94,7 +89,7 @@ struct StreamVerifier::Shard {
   void reset_for_run(bool run_ordered, std::uint32_t np,
                      const std::unordered_map<Addr, Value>* init,
                      const std::unordered_map<Addr, Value>* fin,
-                     const WriteOrderLog* wo, const vmc::ExactOptions* opts) {
+                     const WriteOrderLog* wo, const search::Limits* opts) {
     ordered = run_ordered;
     num_processes = np;
     initials = init;
@@ -227,7 +222,7 @@ void StreamVerifier::Shard::finish_ordered() {
   for (const Addr addr : sorted_addresses()) {
     vmc::OnlineCoherenceChecker& checker = *checkers.find(addr)->second;
     window_peak += checker.stats().max_retained_entries;
-    if (interrupted(*exact)) {
+    if (exact->interrupted()) {
       saw_interrupt = true;
       reports.push_back({addr, skipped_result()});
       continue;
@@ -256,7 +251,7 @@ void StreamVerifier::Shard::finish_ordered() {
 
 void StreamVerifier::Shard::finish_complete() {
   for (const Addr addr : sorted_addresses()) {
-    if (interrupted(*exact)) {
+    if (exact->interrupted()) {
       saw_interrupt = true;
       reports.push_back({addr, skipped_result()});
       continue;
@@ -373,7 +368,7 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
   bool cancelled = false;
 
   for (;;) {
-    if ((out.events & 1023u) == 0 && interrupted(options_.exact)) {
+    if ((out.events & 1023u) == 0 && options_.exact.interrupted()) {
       cancelled = true;
       break;
     }
@@ -416,7 +411,7 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
         // shard. No deadlock — the shard only stops draining after the
         // last block, which has not been sent yet.
         do {
-          if (interrupted(options_.exact)) {
+          if (options_.exact.interrupted()) {
             cancelled = true;
             break;
           }

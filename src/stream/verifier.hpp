@@ -40,7 +40,7 @@
 // either blocks (kBlock, the default — bounded memory, wire-speed
 // throttled by the slowest shard) or sheds the event (kShed — the
 // affected addresses degrade to kUnknown, never to a wrong verdict).
-// Cancellation/deadline (vmc::ExactOptions) is checked by the reader
+// Cancellation/deadline (search::Limits) is checked by the reader
 // and by every shard; a run interrupted mid-ingest reports its
 // addresses as skipped, identical to the batch path's convention.
 
@@ -52,8 +52,8 @@
 #include <vector>
 
 #include "analysis/router.hpp"
+#include "search/limits.hpp"
 #include "trace/binary_io.hpp"
-#include "vmc/exact.hpp"
 
 namespace vermem::stream {
 
@@ -79,7 +79,7 @@ struct StreamOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Budget / deadline / cancellation for the per-address checks; the
   /// deadline and cancel token also govern the ingest loop itself.
-  vmc::ExactOptions exact;
+  search::Limits exact;
   /// Decoder hardening limits (run(std::istream&) only).
   DecodeLimits limits;
 };

@@ -14,15 +14,10 @@ namespace vermem::vmc {
 // one arena-resident key plus one ParentLink, with no per-state heap
 // allocation.
 CheckResult check_bounded_k(const VmcInstance& instance,
-                            const BoundedKOptions& options) {
+                            const search::Limits& limits) {
   if (const auto why = instance.malformed())
     return CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
   const std::size_t k = instance.num_histories();
-  if (options.max_histories != 0 && k > options.max_histories)
-    return CheckResult::unknown(certify::UnknownReason::kNotApplicable,
-                                "more than " +
-                                    std::to_string(options.max_histories) +
-                                    " histories");
 
   const Execution& exec = instance.execution;
   const std::size_t total_ops = instance.num_operations();
@@ -71,24 +66,12 @@ CheckResult check_bounded_k(const VmcInstance& instance,
 
   std::vector<std::uint32_t> next_level;
   // Polled once per expanded state; the budget counts its own calls.
-  const search::Limits limits{.max_states = options.max_states,
-                              .deadline = options.deadline,
-                              .cancel = options.cancel};
   search::Budget budget(limits);
   for (std::size_t step = 0; step < total_ops; ++step) {
     next_level.clear();
     for (const std::uint32_t id : level) {
-      if (const auto why = budget.stop(stats)) {
-        // bounded-k keeps its own reason codes and details.
-        if (why->reason == certify::UnknownReason::kDeadline)
-          return with_arena(CheckResult::unknown(
-              certify::UnknownReason::kDeadline, "deadline exceeded", stats));
-        if (why->reason == certify::UnknownReason::kCancelled)
-          return with_arena(CheckResult::unknown(
-              certify::UnknownReason::kSkipped, "cancelled", stats));
-        return with_arena(CheckResult::unknown(
-            certify::UnknownReason::kBudget, "state budget exhausted", stats));
-      }
+      if (auto why = budget.stop(stats))
+        return with_arena(CheckResult::unknown(std::move(*why), stats));
 
       unpack(id);
       std::copy(positions.begin(), positions.end(), key_buf.begin());

@@ -10,29 +10,18 @@
 // keeps whole levels alive) and code path — which is exactly what makes
 // it valuable as a cross-check oracle in the property tests.
 
-#include "support/parallel.hpp"
-#include "support/stopwatch.hpp"
+#include "search/limits.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"
 
 namespace vermem::vmc {
 
-struct BoundedKOptions {
-  /// Refuse instances with more histories than this (0 = no cap). The
-  /// algorithm stays correct for any k, but the point of the row is that
-  /// k is a small constant.
-  std::size_t max_histories = 0;
-  std::uint64_t max_states = 0;
-  Deadline deadline = Deadline::never();
-  /// External cooperative cancellation (e.g. another portfolio engine
-  /// already produced a definite verdict). Checked at the same cadence
-  /// as the deadline; a cancelled run returns kUnknown. Not owned.
-  const CancellationToken* cancel = nullptr;
-};
-
 /// Decides VMC by level-synchronous BFS over frontier states. kCoherent
 /// results include a witness schedule reconstructed from parent links.
+/// Runs under `limits` like every exact engine: a spent budget, an
+/// expired deadline or a cancellation returns kUnknown with
+/// search::Budget's reason.
 [[nodiscard]] CheckResult check_bounded_k(const VmcInstance& instance,
-                                          const BoundedKOptions& options = {});
+                                          const search::Limits& limits = {});
 
 }  // namespace vermem::vmc

@@ -99,11 +99,7 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
   CheckResult result =
       malformed ? CheckResult::unknown(certify::UnknownReason::kMalformed,
                                        *malformed)
-                : search::Engine(VmcPolicy(instance, options),
-                                 {.max_states = options.max_states,
-                                  .max_transitions = options.max_transitions,
-                                  .deadline = options.deadline,
-                                  .cancel = options.cancel}).run();
+                : search::Engine(VmcPolicy(instance, options), options).run();
   // Four numeric attributes is the span cap; the other effort figures
   // (prunes, oracle prunes, frontier) ride in the counters below and in
   // each response's effort object.

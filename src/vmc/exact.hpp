@@ -14,8 +14,7 @@
 // callers can (and our tests always do) re-validate with
 // check_coherent_schedule().
 
-#include "support/parallel.hpp"
-#include "support/stopwatch.hpp"
+#include "search/limits.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"
 
@@ -95,24 +94,9 @@ struct MustPrecede {
 /// The search always memoizes visited states and schedules enabled pure
 /// reads eagerly without branching: reads do not change the search
 /// state, so this is sound and complete, and it prunes the branching
-/// factor to writing operations only.
-struct ExactOptions {
-  /// Abort with kUnknown after visiting this many states (0 = unlimited).
-  std::uint64_t max_states = 0;
-
-  /// Abort with kUnknown after this many transitions (0 = unlimited).
-  /// Unlike max_states this also bounds re-visits of memoized states, so
-  /// it is the robust budget for adversarial instances.
-  std::uint64_t max_transitions = 0;
-
-  /// Cooperative wall-clock budget.
-  Deadline deadline = Deadline::never();
-
-  /// External cooperative cancellation (e.g. a service request being
-  /// withdrawn or its batch shutting down). Checked at the same cadence
-  /// as the deadline; a cancelled search returns kUnknown. Not owned.
-  const CancellationToken* cancel = nullptr;
-
+/// factor to writing operations only. The budget is the shared
+/// search::Limits; the search adds only its pruning oracle.
+struct ExactOptions : search::Limits {
   /// Optional must-precede pruning oracle (see MustPrecede). Not owned;
   /// nullptr disables oracle pruning and leaves the hot path untouched.
   const MustPrecede* pruner = nullptr;

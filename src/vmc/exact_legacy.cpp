@@ -121,8 +121,7 @@ class LegacyExactSearch {
         stats_.transitions >= options_.max_transitions)
       return true;
     if ((stats_.transitions & 0xff) != 0) return false;
-    return options_.deadline.expired() ||
-           (options_.cancel && options_.cancel->cancelled());
+    return options_.interrupted();
   }
 
   void apply(std::uint32_t p) {

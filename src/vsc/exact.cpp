@@ -82,16 +82,13 @@ class ScPolicy {
 
 }  // namespace
 
-CheckResult check_sc_exact(const Execution& exec, const ScOptions& options) {
-  return check_sc_exact(AddressIndex(exec), options);
+CheckResult check_sc_exact(const Execution& exec, const search::Limits& limits) {
+  return check_sc_exact(AddressIndex(exec), limits);
 }
 
-CheckResult check_sc_exact(const AddressIndex& index, const ScOptions& options) {
-  return search::Engine(ScPolicy(index),
-                        {.max_states = options.max_states,
-                         .max_transitions = options.max_transitions,
-                         .deadline = options.deadline,
-                         .cancel = options.cancel}).run();
+CheckResult check_sc_exact(const AddressIndex& index,
+                           const search::Limits& limits) {
+  return search::Engine(ScPolicy(index), limits).run();
 }
 
 }  // namespace vermem::vsc

@@ -11,8 +11,7 @@
 // in the order but carry no data; under plain SC they are scheduled
 // eagerly like reads.
 
-#include "support/parallel.hpp"
-#include "support/stopwatch.hpp"
+#include "search/limits.hpp"
 #include "trace/address_index.hpp"
 #include "trace/execution.hpp"
 #include "vmc/result.hpp"
@@ -23,23 +22,15 @@ using vmc::CheckResult;
 using vmc::SearchStats;
 using vmc::Verdict;
 
-/// The search always memoizes visited (positions, memory) states and
-/// schedules enabled reads and sync ops eagerly.
-struct ScOptions {
-  std::uint64_t max_states = 0;       ///< 0 = unlimited (fresh states)
-  std::uint64_t max_transitions = 0;  ///< 0 = unlimited (bounds re-visits too)
-  Deadline deadline = Deadline::never();
-  /// External cooperative cancellation; checked alongside the deadline.
-  const CancellationToken* cancel = nullptr;
-};
-
 /// Decides VSC exactly. kCoherent here means "a sequentially consistent
 /// schedule exists"; the witness is that schedule. Builds a one-pass
 /// AddressIndex for the dense address numbering; callers that already
-/// hold one should pass it to the second overload.
+/// hold one should pass it to the second overload. The search memoizes
+/// visited (positions, memory) states and schedules enabled reads and
+/// sync ops eagerly.
 [[nodiscard]] CheckResult check_sc_exact(const Execution& exec,
-                                         const ScOptions& options = {});
+                                         const search::Limits& limits = {});
 [[nodiscard]] CheckResult check_sc_exact(const AddressIndex& index,
-                                         const ScOptions& options = {});
+                                         const search::Limits& limits = {});
 
 }  // namespace vermem::vsc

@@ -20,7 +20,7 @@ struct StateKeyHash {
 
 class LegacyScSearch {
  public:
-  LegacyScSearch(const AddressIndex& index, const ScOptions& options)
+  LegacyScSearch(const AddressIndex& index, const search::Limits& options)
       : exec_(index.execution()), options_(options),
         k_(exec_.num_processes()) {
     for (const Addr addr : index.addresses()) {
@@ -130,8 +130,7 @@ class LegacyScSearch {
         stats_.transitions >= options_.max_transitions)
       return true;
     if ((stats_.transitions & 0xff) != 0) return false;
-    return options_.deadline.expired() ||
-           (options_.cancel && options_.cancel->cancelled());
+    return options_.interrupted();
   }
 
   void apply(std::uint32_t p) {
@@ -176,7 +175,7 @@ class LegacyScSearch {
   }
 
   const Execution& exec_;
-  const ScOptions& options_;
+  const search::Limits& options_;
   std::size_t k_;
 
   std::unordered_map<Addr, std::size_t> addr_id_;
@@ -190,12 +189,12 @@ class LegacyScSearch {
 }  // namespace
 
 CheckResult check_sc_exact_legacy(const Execution& exec,
-                                  const ScOptions& options) {
+                                  const search::Limits& options) {
   return LegacyScSearch(AddressIndex(exec), options).run();
 }
 
 CheckResult check_sc_exact_legacy(const AddressIndex& index,
-                                  const ScOptions& options) {
+                                  const search::Limits& options) {
   return LegacyScSearch(index, options).run();
 }
 

@@ -10,9 +10,9 @@ namespace vermem::vsc {
 
 /// Same contract, search order, and stats semantics as check_sc_exact,
 /// minus the arena accounting (arena_* stats are always zero here).
-[[nodiscard]] CheckResult check_sc_exact_legacy(const Execution& exec,
-                                                const ScOptions& options = {});
-[[nodiscard]] CheckResult check_sc_exact_legacy(const AddressIndex& index,
-                                                const ScOptions& options = {});
+[[nodiscard]] CheckResult check_sc_exact_legacy(
+    const Execution& exec, const search::Limits& limits = {});
+[[nodiscard]] CheckResult check_sc_exact_legacy(
+    const AddressIndex& index, const search::Limits& limits = {});
 
 }  // namespace vermem::vsc

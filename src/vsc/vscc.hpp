@@ -13,15 +13,14 @@
 
 #include "encode/sweep.hpp"
 #include "vmc/checker.hpp"
-#include "vmc/exact.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
 
 namespace vermem::vsc {
 
 struct VsccOptions {
-  vmc::ExactOptions coherence;  ///< budget for per-address coherence checks
-  ScOptions sc;                 ///< budget for the exact SC fallback
+  search::Limits coherence;  ///< budget for per-address coherence checks
+  search::Limits sc;         ///< budget for the exact SC fallback
   bool fallback_to_exact_sc = true;
   /// Per-address write-orders (original coordinates). When supplied,
   /// coherence is verified with the polynomial Section 5.2 algorithm —

@@ -204,15 +204,6 @@ TEST(BoundedK, AgreesWithExactOnRandomTraces) {
   }
 }
 
-TEST(BoundedK, HonorsHistoryCap) {
-  const auto exec =
-      ExecutionBuilder().process(W(0, 1)).process(W(0, 2)).process(R(0, 1)).build();
-  vmc::BoundedKOptions options;
-  options.max_histories = 2;
-  EXPECT_EQ(vmc::check_bounded_k({exec, 0}, options).verdict,
-            vmc::Verdict::kUnknown);
-}
-
 TEST(BoundedK, EmptyAndFinalValueEdges) {
   EXPECT_EQ(vmc::check_bounded_k({Execution{}, 0}).verdict,
             vmc::Verdict::kCoherent);
@@ -224,15 +215,30 @@ TEST(BoundedK, EmptyAndFinalValueEdges) {
 }
 
 TEST(BoundedK, StateBudgetYieldsUnknown) {
+  // Bounded-k stops with search::Budget's reasons, as every engine does:
+  // a state or transition cap is a budget stop, a cancelled token a
+  // cancellation.
   Xoshiro256ss rng(17);
   workload::SingleAddressParams params;
   params.num_histories = 6;
   params.ops_per_history = 8;
   const auto trace = workload::generate_coherent(params, rng);
-  vmc::BoundedKOptions options;
-  options.max_states = 2;
-  EXPECT_EQ(vmc::check_bounded_k({trace.execution, 0}, options).verdict,
-            vmc::Verdict::kUnknown);
+  CancellationToken token;
+  token.cancel();
+  search::Limits few_states, few_transitions, cancelled;
+  few_states.max_states = 2;
+  few_transitions.max_transitions = 3;
+  cancelled.cancel = &token;
+  for (const auto& [limits, reason] :
+       {std::pair{few_states, certify::UnknownReason::kBudget},
+        std::pair{few_transitions, certify::UnknownReason::kBudget},
+        std::pair{cancelled, certify::UnknownReason::kCancelled}}) {
+    const auto result = vmc::check_bounded_k({trace.execution, 0}, limits);
+    ASSERT_EQ(result.verdict, vmc::Verdict::kUnknown);
+    ASSERT_NE(result.unknown_reason(), nullptr);
+    EXPECT_EQ(result.unknown_reason()->reason, reason)
+        << certify::to_string(reason);
+  }
 }
 
 // ---- SC via SAT -----------------------------------------------------------

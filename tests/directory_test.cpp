@@ -118,7 +118,7 @@ TEST(Directory, EagerWritesEventuallyViolateSc) {
     const DirectoryResult result =
         run_programs_directory(mp_programs(10), config);
 
-    vsc::ScOptions sc;
+    search::Limits sc;
     sc.max_transitions = 5'000'000;
     const auto verdict = vsc::check_sc_exact(result.execution, sc);
     if (verdict.verdict == Verdict::kIncoherent) {
@@ -154,7 +154,7 @@ TEST(Directory, DroppedInvalidationIsAConsistencyBugNotACoherenceBug) {
     const auto coherence = verify_with_log(result.execution, result.write_orders);
     EXPECT_TRUE(coherence.coherent()) << "seed " << seed;
 
-    vsc::ScOptions sc;
+    search::Limits sc;
     sc.max_transitions = 5'000'000;
     if (vsc::check_sc_exact(result.execution, sc).verdict ==
         Verdict::kIncoherent)

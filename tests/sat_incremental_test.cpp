@@ -749,6 +749,31 @@ TEST(StagedPortfolio, BeyondTheBudgetEscalatesToTheRace) {
   }
 }
 
+TEST(PortfolioDifferential, ForcedBoundedKHonorsTheCallersTransitionBudget) {
+  // The bounded-k arm runs under the caller's limits: forced alone, it
+  // decides this exact-tier address unbudgeted and stops on a small
+  // transition cap with the budget's reason.
+  const Execution exec = reduction_instance(3, 3);
+  const AddressIndex index(exec);
+  ASSERT_EQ(index.num_addresses(), 1u);
+  analysis::PortfolioOptions portfolio;
+  portfolio.enabled = true;
+  portfolio.only = analysis::Engine::kBoundedK;
+  ASSERT_NE(analysis::verify_coherence_routed(index, nullptr, {}, portfolio)
+                .report.verdict,
+            vmc::Verdict::kUnknown);
+
+  search::Limits few_transitions;
+  few_transitions.max_transitions = 16;
+  const auto forced = analysis::verify_coherence_routed(
+      index, nullptr, few_transitions, portfolio);
+  EXPECT_EQ(forced.routing.portfolio_races, 1u);
+  const vmc::CheckResult& result = forced.report.addresses.at(0).result;
+  EXPECT_EQ(result.verdict, vmc::Verdict::kUnknown);
+  ASSERT_NE(result.unknown_reason(), nullptr);
+  EXPECT_EQ(result.unknown_reason()->reason, certify::UnknownReason::kBudget);
+}
+
 TEST(StagedPortfolio, DeadlineAndCancellationReturnWithoutEscalating) {
   const Execution exec = reduction_instance(3, 3);
   const AddressIndex index(exec);

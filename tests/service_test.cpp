@@ -420,6 +420,38 @@ TEST(Service, ConsistencyModeChecksModels) {
             vmc::Verdict::kCoherent);
 }
 
+TEST(Service, ConsistencyModeHonorsTransitionBudget) {
+  // The request's budget reaches model mode: a TSO search capped at one
+  // transition stops on the budget, not on a deadline or cancellation,
+  // while the same trace unbudgeted is admissible (an SC trace).
+  Xoshiro256ss rng(13);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 8;
+  const Execution exec = workload::generate_sc(params, rng).execution;
+  VerificationService svc;
+
+  VerificationRequest unbudgeted = coherence_request(exec);
+  unbudgeted.mode = CheckMode::kConsistency;
+  unbudgeted.model = models::Model::kTso;
+  unbudgeted.bypass_cache = true;
+  const VerificationResponse decided =
+      svc.submit(std::move(unbudgeted)).response.get();
+  ASSERT_EQ(decided.verdict, vmc::Verdict::kCoherent);
+  ASSERT_GT(decided.effort.transitions, 1u);
+
+  VerificationRequest request = coherence_request(exec);
+  request.mode = CheckMode::kConsistency;
+  request.model = models::Model::kTso;
+  request.bypass_cache = true;
+  request.budget.max_transitions = 1;
+  const VerificationResponse response =
+      svc.submit(std::move(request)).response.get();
+  EXPECT_EQ(response.verdict, vmc::Verdict::kUnknown);
+  EXPECT_FALSE(response.timed_out);
+  EXPECT_FALSE(response.cancelled);
+}
+
 TEST(Service, VsccModeReportsSequentialConsistency) {
   VerificationService svc;
   VerificationRequest request = coherence_request(exec_from(kCoherentTrace));
@@ -595,6 +627,25 @@ TEST(Service, StreamRequestsCarryFlightRecords) {
       stats.slo.kinds[static_cast<std::size_t>(obs::RequestKind::kStream)]
           .total,
       1u);
+
+  // A contended trace streamed in complete mode routes addresses through
+  // the saturation tier; its retained record carries those tallies.
+  Xoshiro256ss rng(29);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 12;
+  params.num_addresses = 3;
+  params.num_values = 2;
+  std::istringstream contended(
+      encode_binary(workload::generate_sc(params, rng).execution));
+  service::StreamRequest complete;
+  complete.tag = "stream contended";
+  complete.options.mode = stream::IngestMode::kComplete;
+  const VerificationResponse routed = svc.verify_stream(contended, complete);
+  EXPECT_EQ(routed.verdict, vmc::Verdict::kCoherent);
+  ASSERT_NE(routed.flight_id, 0u);
+  ASSERT_TRUE(obs::flight_record_for(routed.flight_id, &record));
+  EXPECT_GT(record.effort.saturate_ran, 0u);
 }
 
 TEST(Service, CompleteModeStreamFoldsSaturationCounts) {

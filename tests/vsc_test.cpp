@@ -99,7 +99,7 @@ TEST(ScExact, BudgetYieldsUnknown) {
   params.num_processes = 6;
   params.ops_per_process = 10;
   const auto trace = workload::generate_sc(params, rng);
-  ScOptions options;
+  search::Limits options;
   options.max_states = 1;
   EXPECT_EQ(check_sc_exact(trace.execution, options).verdict, Verdict::kUnknown);
 }
