@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,20 +29,6 @@ namespace {
 using vmc::CheckResult;
 using vmc::Verdict;
 
-/// Labeled per-fragment routing counters, registered once. The label
-/// set matches the fragment names ServiceStats and vermemd report.
-void count_fragment(Fragment fragment) {
-  static const std::array<obs::Counter, kNumFragments> counters = [] {
-    std::array<obs::Counter, kNumFragments> out;
-    for (std::size_t f = 0; f < kNumFragments; ++f)
-      out[f] = obs::counter(
-          std::string("vermem_fragments_total{fragment=\"") +
-          to_string(static_cast<Fragment>(f)) + "\"}");
-    return out;
-  }();
-  counters[static_cast<std::size_t>(fragment)].add();
-}
-
 /// Wraps a saturation Contradiction into the matching typed evidence,
 /// in projected coordinates (the caller's translation pass maps back).
 certify::Incoherence contradiction_evidence(const ProjectedView& view,
@@ -60,18 +47,6 @@ certify::Incoherence contradiction_evidence(const ProjectedView& view,
       return certify::unwritable_final(addr, c.value);
   }
   return certify::unwritten_read(addr, OpRef{}, c.value);  // unreachable
-}
-
-void count_engine_win(Engine engine) {
-  static const std::array<obs::Counter, kNumEngines> counters = [] {
-    std::array<obs::Counter, kNumEngines> out;
-    for (std::size_t e = 0; e < kNumEngines; ++e)
-      out[e] = obs::counter(
-          std::string("vermem_portfolio_wins_total{engine=\"") +
-          to_string(static_cast<Engine>(e)) + "\"}");
-    return out;
-  }();
-  counters[static_cast<std::size_t>(engine)].add();
 }
 
 /// One engine's run in a portfolio race. Every arm is budgeted by the
@@ -208,14 +183,6 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
     obs::flight_event(obs::FlightEventKind::kTierVerdict, to_string(winner),
                       static_cast<std::uint64_t>(instance.addr),
                       static_cast<std::uint64_t>(result.verdict));
-    if (obs::enabled()) {
-      if (result.verdict != Verdict::kUnknown) count_engine_win(winner);
-      if (out.portfolio_escalated) {
-        static const obs::Counter escalations =
-            obs::counter("vermem_portfolio_escalations_total");
-        escalations.add();
-      }
-    }
     return result;
   };
 
@@ -290,25 +257,6 @@ CheckResult saturate_then_exact(const ProjectedView& view,
   out.saturation_status = sat.status;
   out.saturation_edges = sat.edges.size();
   out.saturation_branch_points = sat.branch_points;
-  if (obs::enabled()) {
-    static const obs::Counter cycles =
-        obs::counter("vermem_saturate_outcomes_total{outcome=\"cycle\"}");
-    static const obs::Counter forced =
-        obs::counter("vermem_saturate_outcomes_total{outcome=\"forced\"}");
-    static const obs::Counter partial =
-        obs::counter("vermem_saturate_outcomes_total{outcome=\"partial\"}");
-    static const obs::Counter contradictions = obs::counter(
-        "vermem_saturate_outcomes_total{outcome=\"contradiction\"}");
-    static const obs::Counter edges =
-        obs::counter("vermem_saturate_must_edges_total");
-    switch (sat.status) {
-      case saturate::Status::kCycle: cycles.add(); break;
-      case saturate::Status::kForcedTotal: forced.add(); break;
-      case saturate::Status::kPartial: partial.add(); break;
-      case saturate::Status::kContradiction: contradictions.add(); break;
-    }
-    edges.add(sat.edges.size());
-  }
 
   switch (sat.status) {
     case saturate::Status::kContradiction:
@@ -375,12 +323,10 @@ CheckResult saturate_then_exact(const ProjectedView& view,
   return vmc::check_exact(instance, pruned);
 }
 
-}  // namespace
-
-RouteOutcome check_routed(const ProjectedView& view,
-                          const std::vector<OpRef>* write_order,
-                          const search::Limits& limits,
-                          const PortfolioOptions& portfolio) {
+RouteOutcome route(const ProjectedView& view,
+                   const std::vector<OpRef>* write_order,
+                   const search::Limits& limits,
+                   const PortfolioOptions& portfolio) {
   obs::Span span("analysis.route");
   RouteOutcome out;
   const FragmentProfile profile = classify(view, write_order != nullptr);
@@ -404,11 +350,6 @@ RouteOutcome check_routed(const ProjectedView& view,
                       to_string(out.decider),
                       static_cast<std::uint64_t>(view.addr()),
                       static_cast<std::uint64_t>(out.result.verdict));
-    if (obs::enabled()) {
-      static const obs::Counter poly = obs::counter("vermem_poly_routed_total");
-      count_fragment(out.fragment);
-      poly.add();
-    }
     return out;
   }
 
@@ -475,14 +416,39 @@ RouteOutcome check_routed(const ProjectedView& view,
                     to_string(out.decider),
                     static_cast<std::uint64_t>(view.addr()),
                     static_cast<std::uint64_t>(out.result.verdict));
+  return out;
+}
+
+/// The registry series RouteTally::publish feeds from its scalar fields;
+/// RouteTally::merge sums these fields through the same table.
+constexpr std::pair<std::uint64_t RouteTally::*, const char*> kScalarSeries[] = {
+    {&RouteTally::poly_routed, "vermem_poly_routed_total"},
+    {&RouteTally::exact_routed, "vermem_exact_routed_total"},
+    {&RouteTally::fallbacks, "vermem_route_fallbacks_total"},
+    {&RouteTally::saturate_cycles,
+     "vermem_saturate_outcomes_total{outcome=\"cycle\"}"},
+    {&RouteTally::saturate_forced,
+     "vermem_saturate_outcomes_total{outcome=\"forced\"}"},
+    {&RouteTally::saturate_partial,
+     "vermem_saturate_outcomes_total{outcome=\"partial\"}"},
+    {&RouteTally::saturate_contradictions,
+     "vermem_saturate_outcomes_total{outcome=\"contradiction\"}"},
+    {&RouteTally::saturate_edges, "vermem_saturate_must_edges_total"},
+    {&RouteTally::portfolio_races, "vermem_portfolio_races_total"},
+    {&RouteTally::portfolio_escalations, "vermem_portfolio_escalations_total"},
+};
+
+}  // namespace
+
+RouteOutcome check_routed(const ProjectedView& view,
+                          const std::vector<OpRef>* write_order,
+                          const search::Limits& limits,
+                          const PortfolioOptions& portfolio) {
+  RouteOutcome out = route(view, write_order, limits, portfolio);
   if (obs::enabled()) {
-    static const obs::Counter poly = obs::counter("vermem_poly_routed_total");
-    static const obs::Counter exact = obs::counter("vermem_exact_routed_total");
-    static const obs::Counter fallbacks =
-        obs::counter("vermem_route_fallbacks_total");
-    count_fragment(out.fragment);
-    (out.decider == Decider::kExact ? exact : poly).add();
-    if (out.fell_back) fallbacks.add();
+    RouteTally one;
+    one.add(out);
+    one.publish();
   }
   return out;
 }
@@ -491,14 +457,17 @@ void RouteTally::add(const RouteOutcome& outcome) {
   ++fragment_counts[static_cast<std::size_t>(outcome.fragment)];
   ++decider_counts[static_cast<std::size_t>(outcome.decider)];
   ++(outcome.decider == Decider::kExact ? exact_routed : poly_routed);
+  if (outcome.fell_back) ++fallbacks;
   if (outcome.saturation_ran) {
     ++saturate_ran;
     saturate_edges += outcome.saturation_edges;
     if (outcome.decider == Decider::kSaturate) ++saturate_decided;
-    if (outcome.saturation_status == saturate::Status::kCycle)
-      ++saturate_cycles;
-    if (outcome.saturation_status == saturate::Status::kForcedTotal)
-      ++saturate_forced;
+    switch (outcome.saturation_status) {
+      case saturate::Status::kCycle: ++saturate_cycles; break;
+      case saturate::Status::kForcedTotal: ++saturate_forced; break;
+      case saturate::Status::kPartial: ++saturate_partial; break;
+      case saturate::Status::kContradiction: ++saturate_contradictions; break;
+    }
   }
   if (outcome.portfolio_ran) {
     ++portfolio_races;
@@ -514,18 +483,44 @@ void RouteTally::merge(const RouteTally& other) {
     fragment_counts[f] += other.fragment_counts[f];
   for (std::size_t d = 0; d < kNumDeciders; ++d)
     decider_counts[d] += other.decider_counts[d];
-  poly_routed += other.poly_routed;
-  exact_routed += other.exact_routed;
+  for (const auto& [field, name] : kScalarSeries) this->*field += other.*field;
   saturate_ran += other.saturate_ran;
   saturate_decided += other.saturate_decided;
-  saturate_cycles += other.saturate_cycles;
-  saturate_forced += other.saturate_forced;
-  saturate_edges += other.saturate_edges;
-  portfolio_races += other.portfolio_races;
-  portfolio_escalations += other.portfolio_escalations;
   for (std::size_t e = 0; e < kNumEngines; ++e)
     engine_wins[e] += other.engine_wins[e];
   wasted_effort.merge(other.wasted_effort);
+}
+
+void RouteTally::publish() const {
+  if (!obs::enabled()) return;
+  // Registered together on first use, so every series is exported (at 0
+  // until something counts), in the order the values are added below.
+  static const std::vector<obs::Counter> counters = [] {
+    std::vector<obs::Counter> out;
+    for (std::size_t f = 0; f < kNumFragments; ++f)
+      out.push_back(obs::counter(
+          std::string("vermem_fragments_total{fragment=\"") +
+          to_string(static_cast<Fragment>(f)) + "\"}"));
+    for (std::size_t e = 0; e < kNumEngines; ++e)
+      out.push_back(obs::counter(
+          std::string("vermem_portfolio_wins_total{engine=\"") +
+          to_string(static_cast<Engine>(e)) + "\"}"));
+    for (const auto& [field, name] : kScalarSeries)
+      out.push_back(obs::counter(name));
+    out.push_back(obs::counter("vermem_portfolio_wasted_states_total"));
+    out.push_back(obs::counter("vermem_portfolio_wasted_transitions_total"));
+    return out;
+  }();
+  std::size_t next = 0;
+  const auto add = [&](std::uint64_t n) {
+    if (n != 0) counters[next].add(n);
+    ++next;
+  };
+  for (const std::uint64_t n : fragment_counts) add(n);
+  for (const std::uint64_t n : engine_wins) add(n);
+  for (const auto& [field, name] : kScalarSeries) add(this->*field);
+  add(wasted_effort.states_visited);
+  add(wasted_effort.transitions);
 }
 
 RoutedReport verify_coherence_routed(const AddressIndex& index,

@@ -136,19 +136,24 @@ struct RouteOutcome {
     const ProjectedView& view, const std::vector<OpRef>* write_order,
     const search::Limits& limits = {}, const PortfolioOptions& portfolio = {});
 
-/// Routing provenance summed over addresses. The one fold shared by
-/// RoutedReport, stream::StreamResult, and service::ServiceStats, so a
-/// counter added here reaches every served path at once.
+/// Routing provenance summed over addresses. The one rule that counts
+/// routing: RoutedReport, stream::StreamResult, vsc::VsccReport,
+/// service::ServiceStats, flight records and the metrics registry all
+/// read it, so a counter added here reaches every consumer at once.
 struct RouteTally {
   std::array<std::uint64_t, kNumFragments> fragment_counts{};
   std::array<std::uint64_t, kNumDeciders> decider_counts{};
   std::uint64_t poly_routed = 0;   ///< addresses decided polynomially
   std::uint64_t exact_routed = 0;  ///< addresses that reached exact search
-  // Saturation tier tallies (subset of the addresses above).
+  std::uint64_t fallbacks = 0;     ///< structural deciders that bailed
+  // Saturation tier tallies (subset of the addresses above); the four
+  // outcome counts sum to saturate_ran.
   std::uint64_t saturate_ran = 0;      ///< addresses the tier analyzed
   std::uint64_t saturate_decided = 0;  ///< decided by it (no search needed)
   std::uint64_t saturate_cycles = 0;   ///< cycle refutations
   std::uint64_t saturate_forced = 0;   ///< forced-total orders found
+  std::uint64_t saturate_partial = 0;  ///< partial orders handed on
+  std::uint64_t saturate_contradictions = 0;  ///< contradiction refutations
   std::uint64_t saturate_edges = 0;    ///< must-edges exported to exact/SAT
   // Portfolio tallies (meaningful when a PortfolioOptions was enabled).
   std::uint64_t portfolio_races = 0;   ///< addresses that reached the tier
@@ -161,6 +166,12 @@ struct RouteTally {
   /// Counts one decided address.
   void add(const RouteOutcome& outcome);
   void merge(const RouteTally& other);
+  /// Adds this tally to the registry's routing series (see
+  /// docs/OBSERVABILITY.md), skipping zero fields; check_routed
+  /// publishes every outcome through it.
+  void publish() const;
+
+  friend bool operator==(const RouteTally&, const RouteTally&) = default;
 };
 
 /// Whole-trace coherence with routing provenance: per-address verdicts

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <variant>
 
 #include "encode/context.hpp"
+#include "search/engine.hpp"
 
 namespace vermem::encode {
 
@@ -298,29 +298,15 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
   return enc;
 }
 
-namespace {
-
-/// kUnknown for a run its deadline or cancel token stopped (the
-/// deadline wins when both fired), else nullopt.
-std::optional<vmc::CheckResult> interruption(
-    const sat::SolverOptions& options, const vmc::SearchStats& stats) {
-  if (options.deadline.expired())
-    return vmc::CheckResult::unknown(certify::UnknownReason::kDeadline,
-                                     "deadline exceeded", stats);
-  if (options.cancel != nullptr && options.cancel->cancelled())
-    return vmc::CheckResult::unknown(certify::UnknownReason::kSkipped,
-                                     "cancelled", stats);
-  return std::nullopt;
-}
-
-}  // namespace
-
 vmc::CheckResult check_via_sat(const vmc::VmcInstance& instance,
                                const sat::SolverOptions& solver_options) {
+  const search::Limits limits{.deadline = solver_options.deadline,
+                              .cancel = solver_options.cancel};
   const VmcEncoding enc = encode_vmc(instance, OrderHints{},
                                      solver_options.cancel,
                                      solver_options.deadline);
-  if (enc.interrupted) return *interruption(solver_options, {});
+  if (enc.interrupted)
+    return vmc::CheckResult::unknown(*search::interruption(limits));
   if (enc.trivially_incoherent) {
     if (const auto* unknown = std::get_if<certify::Unknown>(&enc.evidence))
       return vmc::CheckResult::unknown(*unknown);
@@ -342,7 +328,8 @@ vmc::CheckResult check_via_sat(const vmc::VmcInstance& instance,
       return vmc::CheckResult::no(
           certify::rup_refutation(instance.addr, solved.proof), stats);
     case sat::Status::kUnknown:
-      if (auto stopped = interruption(solver_options, stats)) return *stopped;
+      if (auto stopped = search::interruption(limits))
+        return vmc::CheckResult::unknown(std::move(*stopped), stats);
       return vmc::CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
                                        "SAT solver gave up", stats);
     case sat::Status::kSat:

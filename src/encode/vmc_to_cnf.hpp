@@ -99,9 +99,9 @@ struct OrderHints {
 /// solver, decode the write order, and certify the witness with the
 /// Section 5.2 polynomial checker. The options' deadline and cancel
 /// token bound every phase (encoding, clause loading, search); an
-/// interrupted run returns kUnknown — kDeadline when the deadline
-/// expired, kSkipped when cancelled — and never a verdict from a
-/// partial formula.
+/// interrupted run returns kUnknown, labelled by search::interruption
+/// like every engine (kDeadline / kCancelled), and never a verdict from
+/// a partial formula.
 [[nodiscard]] vmc::CheckResult check_via_sat(
     const vmc::VmcInstance& instance,
     const sat::SolverOptions& solver_options = {});

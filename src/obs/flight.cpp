@@ -118,10 +118,6 @@ void append_record_json(std::ostream& out, const FlightRecord& record) {
       << ",\"transitions\":" << e.transitions
       << ",\"max_frontier\":" << e.max_frontier << ",\"prunes\":" << e.prunes
       << ",\"oracle_prunes\":" << e.oracle_prunes
-      << ",\"sat_decisions\":" << e.sat_decisions
-      << ",\"sat_propagations\":" << e.sat_propagations
-      << ",\"sat_backtracks\":" << e.sat_backtracks
-      << ",\"sat_restarts\":" << e.sat_restarts
       << ",\"arena_reserved\":" << e.arena_reserved
       << ",\"arena_high_water\":" << e.arena_high_water
       << ",\"arena_allocations\":" << e.arena_allocations

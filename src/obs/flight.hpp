@@ -112,17 +112,14 @@ void set_flight_policy(const FlightPolicy& policy);
 
 /// Effort tallies copied into a retained record. Plain mirror of the
 /// solver/arena/saturation counters the upper layers track — obs/ is
-/// the bottom layer and cannot see their types.
+/// the bottom layer and cannot see their types. CDCL effort counts as
+/// states (decisions) and transitions (propagations), as in SearchStats.
 struct FlightEffort {
   std::uint64_t states = 0;
   std::uint64_t transitions = 0;
   std::uint64_t max_frontier = 0;
   std::uint64_t prunes = 0;
   std::uint64_t oracle_prunes = 0;
-  std::uint64_t sat_decisions = 0;
-  std::uint64_t sat_propagations = 0;
-  std::uint64_t sat_backtracks = 0;
-  std::uint64_t sat_restarts = 0;
   std::uint64_t arena_reserved = 0;
   std::uint64_t arena_high_water = 0;
   std::uint64_t arena_allocations = 0;

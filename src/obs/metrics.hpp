@@ -124,6 +124,12 @@ struct HistogramData {
     ++count;
     sum += value;
   }
+  void merge(const HistogramData& other) noexcept {
+    for (std::size_t b = 0; b < kHistogramBuckets; ++b)
+      buckets[b] += other.buckets[b];
+    count += other.count;
+    sum += other.sum;
+  }
   [[nodiscard]] double mean() const noexcept {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);

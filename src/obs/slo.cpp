@@ -72,10 +72,7 @@ SloSnapshot SloTracker::snapshot() const {
       kind.total += cell.total;
       kind.errors += cell.errors;
       kind.breaches += cell.breaches;
-      kind.latency.count += cell.latency.count;
-      kind.latency.sum += cell.latency.sum;
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-        kind.latency.buckets[b] += cell.latency.buckets[b];
+      kind.latency.merge(cell.latency);
     }
   }
   for (std::size_t k = 0; k < kNumRequestKinds; ++k) {

@@ -115,6 +115,17 @@ class DenseMemory {
   std::vector<std::vector<std::uint32_t>> op_ids_;
 };
 
+/// Why a run its deadline or cancel token stopped reports kUnknown (the
+/// deadline wins), or nullopt; every engine's rule, check_via_sat's too.
+[[nodiscard]] inline std::optional<certify::Unknown> interruption(
+    const Limits& limits) {
+  if (!limits.interrupted()) return std::nullopt;
+  using enum certify::UnknownReason;
+  return limits.deadline.expired()
+             ? certify::Unknown{kDeadline, "search deadline expired"}
+             : certify::Unknown{kCancelled, "search cancelled"};
+}
+
 /// State/transition budgets plus deadline and cancel polling. The clock
 /// and the token are read on the first call and then every kPollInterval
 /// calls, counted here rather than derived from a search counter, so no
@@ -134,12 +145,10 @@ class Budget {
                         stats.transitions >= limits_.max_transitions);
     if (!spent && until_poll_-- != 0) return std::nullopt;
     if (!spent) until_poll_ = kPollInterval - 1;
-    using enum certify::UnknownReason;
-    if (limits_.interrupted())
-      return limits_.deadline.expired()
-                 ? certify::Unknown{kDeadline, "search deadline expired"}
-                 : certify::Unknown{kCancelled, "search cancelled"};
-    if (spent) return certify::Unknown{kBudget, "search budget exhausted"};
+    if (auto why = interruption(limits_)) return why;
+    if (spent)
+      return certify::Unknown{certify::UnknownReason::kBudget,
+                              "search budget exhausted"};
     return std::nullopt;
   }
 

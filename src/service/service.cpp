@@ -63,12 +63,25 @@ constexpr obs::RequestKind kind_of(CheckMode mode) noexcept {
   return obs::RequestKind::kCoherence;
 }
 
-/// Copies solver effort and the router's saturation/portfolio tallies
-/// into the flight recorder's plain mirror struct (obs/ sits below vmc/
-/// and analysis/ and cannot see SearchStats or RouteTally itself).
-obs::FlightEffort flight_effort_of(const vmc::SearchStats& stats,
-                                   const analysis::RouteTally& routing) noexcept {
-  obs::FlightEffort out;
+/// The flight summary of one response, queued or streamed: its verdict
+/// flags, `latency_nanos`, and its solver effort plus the router's
+/// saturation/portfolio tallies copied into the recorder's plain mirror
+/// struct (obs/ sits below vmc/ and analysis/ and cannot see SearchStats
+/// or RouteTally itself).
+obs::FlightScope::Summary flight_summary(const VerificationResponse& response,
+                                         std::uint64_t latency_nanos,
+                                         const analysis::RouteTally& routing,
+                                         bool shed = false) {
+  obs::FlightScope::Summary summary;
+  summary.verdict = vmc::to_string(response.verdict);
+  summary.unknown = response.verdict == vmc::Verdict::kUnknown;
+  summary.incoherent = response.verdict == vmc::Verdict::kIncoherent;
+  summary.timed_out = response.timed_out;
+  summary.cancelled = response.cancelled;
+  summary.shed = shed;
+  summary.latency_nanos = latency_nanos;
+  const vmc::SearchStats& stats = response.effort;
+  obs::FlightEffort& out = summary.effort;
   out.states = stats.states_visited;
   out.transitions = stats.transitions;
   out.max_frontier = stats.max_frontier;
@@ -83,30 +96,30 @@ obs::FlightEffort flight_effort_of(const vmc::SearchStats& stats,
   out.portfolio_races = routing.portfolio_races;
   out.portfolio_wasted_states = routing.wasted_effort.states_visited;
   out.portfolio_wasted_transitions = routing.wasted_effort.transitions;
-  return out;
+  return summary;
 }
 
 }  // namespace
 
 std::string ServiceStats::to_prometheus() const {
   std::string out;
-  const auto counter = [&out](std::string_view name, std::uint64_t value) {
+  const auto series = [&out](std::string_view type, std::string_view name,
+                             std::uint64_t value) {
     out += "# TYPE ";
     out += name;
-    out += " counter\n";
+    out += ' ';
+    out += type;
+    out += '\n';
     out += name;
     out += ' ';
     out += std::to_string(value);
     out += '\n';
   };
-  const auto gauge = [&out](std::string_view name, std::uint64_t value) {
-    out += "# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
+  const auto counter = [&](std::string_view name, std::uint64_t value) {
+    series("counter", name, value);
+  };
+  const auto gauge = [&](std::string_view name, std::uint64_t value) {
+    series("gauge", name, value);
   };
   counter("vermem_service_submitted_total", submitted);
   counter("vermem_service_completed_total", completed);
@@ -124,30 +137,6 @@ std::string ServiceStats::to_prometheus() const {
   gauge("vermem_service_queue_depth", queue_depth);
   gauge("vermem_service_in_flight", in_flight);
   gauge("vermem_service_cache_entries", cache_entries);
-  out += "# TYPE vermem_service_fragments_total counter\n";
-  for (std::size_t f = 0; f < analysis::kNumFragments; ++f) {
-    out += "vermem_service_fragments_total{fragment=\"";
-    out += to_string(static_cast<analysis::Fragment>(f));
-    out += "\"} " + std::to_string(routing.fragment_counts[f]) + "\n";
-  }
-  counter("vermem_service_poly_routed_total", routing.poly_routed);
-  counter("vermem_service_exact_routed_total", routing.exact_routed);
-  counter("vermem_service_saturate_ran_total", routing.saturate_ran);
-  counter("vermem_service_saturate_decided_total", routing.saturate_decided);
-  counter("vermem_service_saturate_cycles_total", routing.saturate_cycles);
-  counter("vermem_service_saturate_forced_total", routing.saturate_forced);
-  counter("vermem_service_saturate_edges_total", routing.saturate_edges);
-  counter("vermem_service_portfolio_races_total", routing.portfolio_races);
-  out += "# TYPE vermem_service_portfolio_wins_total counter\n";
-  for (std::size_t e = 0; e < analysis::kNumEngines; ++e) {
-    out += "vermem_service_portfolio_wins_total{engine=\"";
-    out += to_string(static_cast<analysis::Engine>(e));
-    out += "\"} " + std::to_string(routing.engine_wins[e]) + "\n";
-  }
-  counter("vermem_service_wasted_effort_states_total",
-          routing.wasted_effort.states_visited);
-  counter("vermem_service_wasted_effort_transitions_total",
-          routing.wasted_effort.transitions);
   counter("vermem_service_vscc_sweeps_total", vscc_sweeps);
   counter("vermem_service_vscc_sweep_extended_total", vscc_sweep_extended);
   counter("vermem_service_vscc_sweep_reused_total", vscc_sweep_reused);
@@ -188,6 +177,16 @@ std::string ServiceStats::to_prometheus() const {
   return out;
 }
 
+/// What one response adds to the counters beyond its own fields.
+struct VerificationService::Accounting {
+  obs::RequestKind kind = obs::RequestKind::kCoherence;
+  std::uint64_t latency_nanos = 0;
+  analysis::RouteTally routing;
+  /// What the warm sweep did with a kVscc trace, when it served one.
+  std::optional<encode::VscSweep::Prepare> sweep;
+  std::uint64_t shed_events = 0;  ///< streamed runs only
+};
+
 struct VerificationService::Slot {
   VerificationRequest request;
   std::promise<VerificationResponse> promise;
@@ -203,6 +202,8 @@ struct VerificationService::Slot {
   /// checkers. Borrows request.execution, which lives in this Slot and
   /// never moves after construction.
   std::optional<AddressIndex> index;
+  /// Filled by execute(), completed and consumed by respond().
+  Accounting accounting;
 };
 
 VerificationService::VerificationService(ServiceOptions options)
@@ -336,24 +337,21 @@ void VerificationService::dispatcher_loop() {
 void VerificationService::run_request(const std::shared_ptr<Slot>& slot) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) {
-      // Resolved below, outside the lock.
-    } else {
+    // A shut-down service resolves the request as cancelled below.
+    if (shutting_down_)
+      slot->token->cancel();
+    else
       active_.insert(slot.get());
-    }
-    if (shutting_down_) slot->token->cancel();
   }
 
   VerificationResponse response = execute(*slot);
 
-  if (slot->cacheable && response.verdict != vmc::Verdict::kUnknown) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_.insert(slot->cache_key,
-                  CachedVerdict{response.verdict, response.reason,
-                                response.num_addresses});
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (slot->cacheable && response.verdict != vmc::Verdict::kUnknown)
+      cache_.insert(slot->cache_key,
+                    CachedVerdict{response.verdict, response.reason,
+                                  response.num_addresses});
     active_.erase(slot.get());
   }
   respond(*slot, std::move(response));
@@ -365,9 +363,6 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   // closes so the captured tree is complete when the policy evaluates.
   obs::FlightScope flight(to_string(slot.request.mode), slot.request.tag);
   VerificationResponse response;
-  // Routing provenance for the flight record (the routed report holding
-  // it is consumed inside the span scope below).
-  analysis::RouteTally routing;
   [&] {
   obs::Span span("service.request");
   response.tag = slot.request.tag;
@@ -430,15 +425,11 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // Portfolio races kept it winner-only: cancelled losers land in
       // wasted_effort, never in the latency-explaining tallies.
       response.effort = routed.report.effort;
-      routing = routed.routing;
-      response.portfolio_races = routing.portfolio_races;
-      response.engine_wins = routing.engine_wins;
-      response.wasted_effort = routing.wasted_effort;
+      response.portfolio_races = routed.routing.portfolio_races;
+      response.engine_wins = routed.routing.engine_wins;
+      response.wasted_effort = routed.routing.wasted_effort;
       response.coherence = std::move(routed.report);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        counters_.routing.merge(routing);
-      }
+      slot.accounting.routing = routed.routing;
       break;
     }
     case CheckMode::kVscc: {
@@ -464,19 +455,13 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       response.suffix_extension =
           report.used_sat_sweep &&
           report.sweep_prepare != encode::VscSweep::Prepare::kFresh;
-      if (report.used_sat_sweep) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.vscc_sweeps;
-        if (report.sweep_prepare == encode::VscSweep::Prepare::kExtended)
-          ++counters_.vscc_sweep_extended;
-        else if (report.sweep_prepare == encode::VscSweep::Prepare::kReused)
-          ++counters_.vscc_sweep_reused;
-      }
+      if (report.used_sat_sweep) slot.accounting.sweep = report.sweep_prepare;
       response.verdict = report.sc.verdict;
       response.reason = report.sc.reason();
       response.effort = report.coherence.effort;
       response.effort.merge(report.sc.stats);
       response.coherence = std::move(report.coherence);
+      slot.accounting.routing = report.routing;
       if (slot.request.certify) sc_result = std::move(report.sc);
       break;
     }
@@ -515,10 +500,6 @@ VerificationResponse VerificationService::execute(Slot& slot) {
         *slot.index,
         slot.request.write_orders ? &*slot.request.write_orders : nullptr);
     response.analyzed = true;
-    if (response.analysis.warning_count > 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      counters_.lint_warnings += response.analysis.warning_count;
-    }
   }
 
   if (response.verdict == vmc::Verdict::kUnknown) {
@@ -548,17 +529,11 @@ VerificationResponse VerificationService::execute(Slot& slot) {
     else if (response.cancelled)
       obs::flight_event(obs::FlightEventKind::kCancelled,
                         "request cancelled");
-    obs::FlightScope::Summary summary;
-    summary.verdict = vmc::to_string(response.verdict);
-    summary.unknown = response.verdict == vmc::Verdict::kUnknown;
-    summary.incoherent = response.verdict == vmc::Verdict::kIncoherent;
-    summary.timed_out = response.timed_out;
-    summary.cancelled = response.cancelled;
     const double total_micros = response.queue_micros + response.run_micros;
-    summary.latency_nanos =
-        total_micros <= 0 ? 0 : static_cast<std::uint64_t>(total_micros * 1e3);
-    summary.effort = flight_effort_of(response.effort, routing);
-    response.flight_id = flight.finish(summary);
+    response.flight_id = flight.finish(flight_summary(
+        response,
+        total_micros <= 0 ? 0 : static_cast<std::uint64_t>(total_micros * 1e3),
+        slot.accounting.routing));
   }
   return response;
 }
@@ -656,38 +631,14 @@ VerificationResponse VerificationService::verify_stream(
     obs::flight_event(obs::FlightEventKind::kCancelled, "stream cancelled");
   const std::uint64_t latency_nanos =
       static_cast<std::uint64_t>(response.run_micros * 1e3);
-  if (flight.active()) {
-    obs::FlightScope::Summary summary;
-    summary.verdict = vmc::to_string(response.verdict);
-    summary.unknown = response.verdict == vmc::Verdict::kUnknown;
-    summary.incoherent = response.verdict == vmc::Verdict::kIncoherent;
-    summary.timed_out = response.timed_out;
-    summary.cancelled = response.cancelled;
-    summary.shed = result.shed_events > 0;
-    summary.latency_nanos = latency_nanos;
-    summary.effort = flight_effort_of(response.effort, result.routing);
-    response.flight_id = flight.finish(summary);
-  }
-  slo_.record(obs::RequestKind::kStream, latency_nanos,
-              response.verdict == vmc::Verdict::kUnknown, response.flight_id);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.streamed;
-    counters_.stream_events += result.events;
-    counters_.stream_shed += result.shed_events;
-    switch (response.verdict) {
-      case vmc::Verdict::kCoherent: ++counters_.coherent; break;
-      case vmc::Verdict::kIncoherent: ++counters_.incoherent; break;
-      case vmc::Verdict::kUnknown: ++counters_.unknown; break;
-    }
-    counters_.routing.merge(result.routing);
-    counters_.effort.merge(response.effort);
-    auto& kind = counters_.kinds[static_cast<std::size_t>(
-        obs::RequestKind::kStream)];
-    ++kind.total;
-    kind.latency_nanos.record(latency_nanos);
-  }
+  if (flight.active())
+    response.flight_id = flight.finish(flight_summary(
+        response, latency_nanos, result.routing, result.shed_events > 0));
+  account(response, Accounting{.kind = obs::RequestKind::kStream,
+                               .latency_nanos = latency_nanos,
+                               .routing = std::move(result.routing),
+                               .sweep = std::nullopt,
+                               .shed_events = result.shed_events});
   return response;
 }
 
@@ -698,24 +649,9 @@ void VerificationService::respond(Slot& slot, VerificationResponse&& response) {
       end_to_end_nanos <= 0 ? 0
                             : static_cast<std::uint64_t>(end_to_end_nanos);
   const obs::RequestKind kind = kind_of(slot.request.mode);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.completed;
-    if (response.timed_out) ++counters_.timed_out;
-    if (response.cancelled) ++counters_.cancelled;
-    switch (response.verdict) {
-      case vmc::Verdict::kCoherent: ++counters_.coherent; break;
-      case vmc::Verdict::kIncoherent: ++counters_.incoherent; break;
-      case vmc::Verdict::kUnknown: ++counters_.unknown; break;
-    }
-    counters_.latency_nanos.record(latency_nanos);
-    auto& per_kind = counters_.kinds[static_cast<std::size_t>(kind)];
-    ++per_kind.total;
-    per_kind.latency_nanos.record(latency_nanos);
-    counters_.effort.merge(response.effort);
-  }
-  slo_.record(kind, latency_nanos,
-              response.verdict == vmc::Verdict::kUnknown, response.flight_id);
+  slot.accounting.kind = kind;
+  slot.accounting.latency_nanos = latency_nanos;
+  account(response, slot.accounting);
   if (response.verdict == vmc::Verdict::kUnknown && !response.cache_hit) {
     static const obs::LogSite unknown_site = obs::log_site("service.unknown");
     if (unknown_site.should(obs::LogLevel::kWarn))
@@ -739,6 +675,41 @@ void VerificationService::respond(Slot& slot, VerificationResponse&& response) {
   slot.promise.set_value(std::move(response));
 }
 
+void VerificationService::account(const VerificationResponse& response,
+                                  const Accounting& accounting) {
+  const bool streamed = accounting.kind == obs::RequestKind::kStream;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!streamed && response.timed_out) ++counters_.timed_out;
+    if (!streamed && response.cancelled) ++counters_.cancelled;
+    switch (response.verdict) {
+      case vmc::Verdict::kCoherent: ++counters_.coherent; break;
+      case vmc::Verdict::kIncoherent: ++counters_.incoherent; break;
+      case vmc::Verdict::kUnknown: ++counters_.unknown; break;
+    }
+    auto& kind = counters_.kinds[static_cast<std::size_t>(accounting.kind)];
+    ++kind.total;
+    kind.latency_nanos.record(accounting.latency_nanos);
+    counters_.effort.merge(response.effort);
+    counters_.routing.merge(accounting.routing);
+    if (accounting.sweep) {
+      ++counters_.vscc_sweeps;
+      if (*accounting.sweep == encode::VscSweep::Prepare::kExtended)
+        ++counters_.vscc_sweep_extended;
+      else if (*accounting.sweep == encode::VscSweep::Prepare::kReused)
+        ++counters_.vscc_sweep_reused;
+    }
+    if (response.analyzed)
+      counters_.lint_warnings += response.analysis.warning_count;
+    if (streamed) {
+      counters_.stream_events += response.num_operations;
+      counters_.stream_shed += accounting.shed_events;
+    }
+  }
+  slo_.record(accounting.kind, accounting.latency_nanos,
+              response.verdict == vmc::Verdict::kUnknown, response.flight_id);
+}
+
 ServiceStats VerificationService::stats() const {
   ServiceStats out;
   {
@@ -748,14 +719,23 @@ ServiceStats VerificationService::stats() const {
     out.in_flight = active_.size();
     out.cache_entries = cache_.size();
   }
-  if (out.latency_nanos.count > 0) {
-    out.p50_micros = out.latency_nanos.quantile(0.50) / 1e3;
-    out.p99_micros = out.latency_nanos.quantile(0.99) / 1e3;
-  }
-  for (auto& kind : out.kinds) {
+  // The aggregates are sums over the queued kinds; streamed runs stay
+  // out of them.
+  constexpr auto kStream = static_cast<std::size_t>(obs::RequestKind::kStream);
+  for (std::size_t k = 0; k < obs::kNumRequestKinds; ++k) {
+    ServiceStats::KindStats& kind = out.kinds[k];
+    if (k != kStream) {
+      out.completed += kind.total;
+      out.latency_nanos.merge(kind.latency_nanos);
+    }
     if (kind.latency_nanos.count == 0) continue;
     kind.p50_micros = kind.latency_nanos.quantile(0.50) / 1e3;
     kind.p99_micros = kind.latency_nanos.quantile(0.99) / 1e3;
+  }
+  out.streamed = out.kinds[kStream].total;
+  if (out.latency_nanos.count > 0) {
+    out.p50_micros = out.latency_nanos.quantile(0.50) / 1e3;
+    out.p99_micros = out.latency_nanos.quantile(0.99) / 1e3;
   }
   out.slo = slo_.snapshot();
   out.flight_retained = obs::flight_retained_count();

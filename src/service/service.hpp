@@ -81,7 +81,7 @@ struct ServiceStats {
   /// states/transitions/prunes summed, peak frontier maxed.
   vmc::SearchStats effort;
   /// Routing provenance, summed over every address of every
-  /// coherence-mode and streamed request: fragment and decider counts,
+  /// coherence, vscc and streamed request: fragment and decider counts,
   /// poly vs exact routing, saturation-tier outcomes, and portfolio
   /// races. `effort` above attributes each verdict to its winning engine
   /// only; the losers' effort lands in routing.wasted_effort instead of
@@ -98,15 +98,16 @@ struct ServiceStats {
   std::uint64_t lint_warnings = 0;
   /// Streaming ingestion (verify_stream): runs served, operations
   /// ingested, and events dropped under shed backpressure. Streamed runs
-  /// are not counted in submitted/completed (they never pass through the
-  /// queue) but their verdicts and routing provenance fold into the
-  /// shared counters above.
+  /// stay out of submitted/completed/timed_out/cancelled (they never pass
+  /// through the queue) but their verdicts and routing provenance fold
+  /// into the shared counters above.
   std::uint64_t streamed = 0;
   std::uint64_t stream_events = 0;
   std::uint64_t stream_shed = 0;
   /// Per-request-kind latency breakdown (coherence / vscc / consistency
-  /// / stream), recorded at the same choke points as the aggregate
-  /// fields above — which keep their lifetime-global meaning unchanged.
+  /// / stream), recorded once per response. stats() derives completed,
+  /// latency_nanos and p50/p99_micros from the queued kinds, streamed
+  /// from kStream.
   struct KindStats {
     std::uint64_t total = 0;
     double p50_micros = 0;
@@ -127,10 +128,10 @@ struct ServiceStats {
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
   }
 
-  /// Prometheus text exposition of every field (vermem_service_* names,
-  /// labeled vermem_service_fragments_total series, latency histogram
-  /// with cumulative le buckets). Concatenates cleanly with
-  /// obs::MetricsSnapshot::to_prometheus() — names do not collide.
+  /// Prometheus text exposition of every field but `routing`, which the
+  /// metrics registry exports once (RouteTally::publish; absent under
+  /// VERMEM_OBS=off). Its vermem_service_* names do not collide with
+  /// obs::MetricsSnapshot::to_prometheus()'s, so the two concatenate.
   [[nodiscard]] std::string to_prometheus() const;
 };
 
@@ -201,11 +202,16 @@ class VerificationService {
 
  private:
   struct Slot;
+  struct Accounting;
 
   void dispatcher_loop();
   void run_request(const std::shared_ptr<Slot>& slot);
   VerificationResponse execute(Slot& slot);
   void respond(Slot& slot, VerificationResponse&& response);
+  /// The one accounting step of every response, queued or streamed:
+  /// folds it into counters_ under one lock, then records the SLO.
+  void account(const VerificationResponse& response,
+               const Accounting& accounting);
 
   ServiceOptions options_;
 
@@ -216,8 +222,9 @@ class VerificationService {
   ResultCache cache_;                          // guarded by mutex_
   bool shutting_down_ = false;                 // guarded by mutex_
 
-  // Monotonic counters (including the latency histogram and effort
-  // aggregate embedded in ServiceStats), guarded by mutex_.
+  // Monotonic counters (including the per-kind latency histograms and
+  // effort aggregate embedded in ServiceStats), guarded by mutex_ and
+  // written only by account().
   ServiceStats counters_;
 
   // Rolling-window SLO accounting; internally synchronized.

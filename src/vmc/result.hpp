@@ -53,6 +53,8 @@ struct SearchStats {
     if (other.arena_high_water > arena_high_water)
       arena_high_water = other.arena_high_water;
   }
+
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
 };
 
 /// A verdict plus its evidence. kCoherent carries a witness schedule;

@@ -21,6 +21,49 @@ vmc::SearchStats delta_stats(const sat::SolverStats& before,
   return stats;
 }
 
+/// Stages 1 -> 2, shared by both pipelines once stage 1's coherence
+/// report is in: an incoherent or undecided stage 1 settles the SC
+/// verdict outright, otherwise the per-address witnesses are merged.
+/// Returns true when the report is final; false means the merge failed
+/// and only stage 3's exact SC query can tell whether a different set
+/// of coherent schedules would have merged.
+bool settle_before_fallback(const Execution& exec, const VsccOptions& options,
+                            VsccReport& report) {
+  if (report.coherence.verdict == vmc::Verdict::kIncoherent) {
+    // Not coherent => certainly not sequentially consistent. The
+    // address-level refutation is valid at execution scope, so the SC
+    // verdict reuses it verbatim.
+    const auto* violation = report.coherence.first_violation();
+    certify::Incoherence evidence;
+    if (violation) {
+      if (const auto* inc = violation->result.incoherence()) evidence = *inc;
+      evidence.addr = violation->addr;
+    }
+    report.sc = vmc::CheckResult::no(std::move(evidence));
+    report.conflict = report.sc;
+    return true;
+  }
+  if (report.coherence.verdict == vmc::Verdict::kUnknown) {
+    report.sc = vmc::CheckResult::unknown(
+        certify::UnknownReason::kBudget,
+        "coherence of some address could not be decided within budget");
+    report.conflict = report.sc;
+    return true;
+  }
+
+  CoherentSchedules schedules;
+  for (const auto& [addr, result] : report.coherence.addresses)
+    schedules[addr] = result.witness;
+  report.conflict = check_sc_conflict(exec, schedules);
+  if (report.conflict.verdict == vmc::Verdict::kCoherent ||
+      !options.fallback_to_exact_sc) {
+    report.sc = report.conflict;
+    return true;
+  }
+  report.used_exact_fallback = true;
+  return false;
+}
+
 /// The warm pipeline: every per-address query of stage 1 and the full SC
 /// query of stage 3 run on one incremental solver whose trace skeleton
 /// was encoded once (and, with a caller-retained sweep, possibly in a
@@ -72,16 +115,17 @@ VsccReport check_vscc_sweep(const AddressIndex& index,
               vmc::CheckResult::yes(std::move(witness), stats);
           break;
         }
-        case sat::Status::kUnsat:
+        case sat::Status::kUnsat: {
           // Typed evidence comes from the cold router; the sweep's
           // variable numbering differs from the plain re-encode that
           // certify::check replays, so its refutation is not citable.
-          address_report.result =
-              analysis::check_routed(index.view_at(i), nullptr,
-                                     options.coherence)
-                  .result;
+          analysis::RouteOutcome routed = analysis::check_routed(
+              index.view_at(i), nullptr, options.coherence);
+          report.routing.add(routed);
+          address_report.result = std::move(routed.result);
           address_report.result.stats.merge(stats);
           break;
+        }
         case sat::Status::kUnknown:
           address_report.result = vmc::CheckResult::unknown(
               certify::UnknownReason::kSolverGaveUp,
@@ -92,41 +136,10 @@ VsccReport check_vscc_sweep(const AddressIndex& index,
     reports.push_back(std::move(address_report));
   }
   report.coherence = vmc::aggregate_reports(std::move(reports));
-
-  if (report.coherence.verdict == vmc::Verdict::kIncoherent) {
-    const auto* violation = report.coherence.first_violation();
-    certify::Incoherence evidence;
-    if (violation) {
-      if (const auto* inc = violation->result.incoherence()) evidence = *inc;
-      evidence.addr = violation->addr;
-    }
-    report.sc = vmc::CheckResult::no(std::move(evidence));
-    report.conflict = report.sc;
-    return report;
-  }
-  if (report.coherence.verdict == vmc::Verdict::kUnknown) {
-    report.sc = vmc::CheckResult::unknown(
-        certify::UnknownReason::kBudget,
-        "coherence of some address could not be decided within budget");
-    report.conflict = report.sc;
-    return report;
-  }
-
-  // Stage 2: merge of the per-address witnesses (unchanged).
-  CoherentSchedules schedules;
-  for (const auto& [addr, result] : report.coherence.addresses)
-    schedules[addr] = result.witness;
-  report.conflict = check_sc_conflict(exec, schedules);
-
-  if (report.conflict.verdict == vmc::Verdict::kCoherent ||
-      !options.fallback_to_exact_sc) {
-    report.sc = report.conflict;
-    return report;
-  }
+  if (settle_before_fallback(exec, options, report)) return report;
 
   // Stage 3: full SC under every activation literal at once — the same
   // warm solver, now reusing whatever stage 1 learned.
-  report.used_exact_fallback = true;
   const sat::SolverStats before = sweep.cumulative_stats();
   const auto out = sweep.solve_all();
   const vmc::SearchStats stats = delta_stats(before, sweep.cumulative_stats());
@@ -172,47 +185,11 @@ VsccReport check_vscc(const AddressIndex& index, const VsccOptions& options) {
   VsccReport report;
   const Execution& exec = index.execution();
 
-  report.coherence = analysis::verify_coherence_routed(
-                         index, options.write_orders, options.coherence)
-                         .report;
-
-  if (report.coherence.verdict == vmc::Verdict::kIncoherent) {
-    // Not coherent => certainly not sequentially consistent. The
-    // address-level refutation is valid at execution scope, so the SC
-    // verdict reuses it verbatim.
-    const auto* violation = report.coherence.first_violation();
-    certify::Incoherence evidence;
-    if (violation) {
-      if (const auto* inc = violation->result.incoherence()) evidence = *inc;
-      evidence.addr = violation->addr;
-    }
-    report.sc = vmc::CheckResult::no(std::move(evidence));
-    report.conflict = report.sc;
-    return report;
-  }
-  if (report.coherence.verdict == vmc::Verdict::kUnknown) {
-    report.sc = vmc::CheckResult::unknown(
-        certify::UnknownReason::kBudget,
-        "coherence of some address could not be decided within budget");
-    report.conflict = report.sc;
-    return report;
-  }
-
-  // Merge the per-address witnesses.
-  CoherentSchedules schedules;
-  for (const auto& [addr, result] : report.coherence.addresses)
-    schedules[addr] = result.witness;
-  report.conflict = check_sc_conflict(exec, schedules);
-
-  if (report.conflict.verdict == vmc::Verdict::kCoherent ||
-      !options.fallback_to_exact_sc) {
-    report.sc = report.conflict;
-    return report;
-  }
-
-  // The merge failed; only the exact search can tell whether a different
-  // set of coherent schedules would have merged.
-  report.used_exact_fallback = true;
+  analysis::RoutedReport routed = analysis::verify_coherence_routed(
+      index, options.write_orders, options.coherence);
+  report.coherence = std::move(routed.report);
+  report.routing = routed.routing;
+  if (settle_before_fallback(exec, options, report)) return report;
   report.sc = check_sc_exact(index, options.sc);
   return report;
 }

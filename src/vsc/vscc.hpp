@@ -11,6 +11,7 @@
 // gap between the merge heuristic and the exact answer is measurable
 // (bench_fig62_vscc).
 
+#include "analysis/router.hpp"
 #include "encode/sweep.hpp"
 #include "vmc/checker.hpp"
 #include "vsc/conflict.hpp"
@@ -47,6 +48,9 @@ struct VsccOptions {
 struct VsccReport {
   /// Stage 1: per-address coherence (the promise check).
   vmc::CoherenceReport coherence;
+  /// Routing provenance of the addresses stage 1 routed: all of them on
+  /// the cold path, the ones the sweep refuted on the warm path.
+  analysis::RouteTally routing;
   /// Stage 2: merge of the coherence witnesses (meaningful when stage 1
   /// verified).
   vmc::CheckResult conflict;

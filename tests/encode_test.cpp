@@ -193,11 +193,11 @@ TEST(EncodeInterrupt, CheckViaSatNeverDecidesOnceInterrupted) {
   for (const Execution& exec : cases) {
     sat::SolverOptions cancelled;
     cancelled.cancel = &token;
-    const auto skipped = check_via_sat(make(exec), cancelled);
-    ASSERT_EQ(skipped.verdict, Verdict::kUnknown);
-    ASSERT_NE(skipped.unknown_reason(), nullptr);
-    EXPECT_EQ(skipped.unknown_reason()->reason,
-              certify::UnknownReason::kSkipped);
+    const auto stopped = check_via_sat(make(exec), cancelled);
+    ASSERT_EQ(stopped.verdict, Verdict::kUnknown);
+    ASSERT_NE(stopped.unknown_reason(), nullptr);
+    EXPECT_EQ(stopped.unknown_reason()->reason,
+              certify::UnknownReason::kCancelled);
 
     sat::SolverOptions late;
     late.deadline = expired_deadline();
@@ -230,7 +230,7 @@ TEST(EncodeInterrupt, CancelFromAnotherThreadStopsTheCdclRoute) {
   if (result.verdict == Verdict::kUnknown) {
     ASSERT_NE(result.unknown_reason(), nullptr);
     EXPECT_EQ(result.unknown_reason()->reason,
-              certify::UnknownReason::kSkipped);
+              certify::UnknownReason::kCancelled);
   } else {
     EXPECT_EQ(result.verdict, Verdict::kCoherent);
   }

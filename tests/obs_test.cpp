@@ -322,6 +322,84 @@ TEST_F(ObsTest, DocumentedSpanAttributesReachChromeTrace) {
   }
 }
 
+TEST_F(ObsTest, RegistryRoutingSeriesEqualTheRouteTally) {
+  // The registry's routing series are published from RouteTally alone,
+  // so after a reset they equal the sum of the routed reports' tallies.
+  std::vector<Execution> corpus;
+  // A branching RMW chain: two heads read the initial value, the chain
+  // walk bails and the address falls back.
+  corpus.push_back(ExecutionBuilder()
+                       .process_ops({RW(0, 0, 1), RW(0, 2, 4)})
+                       .process_ops({RW(0, 1, 0)})
+                       .process_ops({RW(0, 0, 2)})
+                       .build());
+  // A saturation cycle (the duplicate value 3 defeats write-once).
+  corpus.push_back(ExecutionBuilder()
+                       .process(W(0, 1), R(0, 2), W(0, 3))
+                       .process(W(0, 2), R(0, 1), W(0, 3))
+                       .build());
+  Xoshiro256ss rng(31);
+  for (int i = 0; i < 6; ++i) {
+    workload::MultiAddressParams params;
+    params.num_processes = 4;
+    params.ops_per_process = 8;
+    params.num_addresses = 3;
+    params.num_values = 2;
+    corpus.push_back(workload::generate_sc(params, rng).execution);
+  }
+
+  Registry::instance().reset();
+  analysis::RouteTally tally;
+  const analysis::PortfolioOptions cdcl{.enabled = true,
+                                        .only = analysis::Engine::kCdcl};
+  for (const Execution& exec : corpus) {
+    const AddressIndex index(exec);
+    tally.merge(analysis::verify_coherence_routed(index).routing);
+    tally.merge(
+        analysis::verify_coherence_routed(index, nullptr, {}, cdcl).routing);
+  }
+  ASSERT_GT(tally.fallbacks, 0u);
+  ASSERT_GT(tally.saturate_cycles, 0u);
+  ASSERT_GT(tally.portfolio_races, 0u);
+
+  const MetricsSnapshot snapshot = snapshot_metrics();
+  const auto expect_series = [&](const std::string& name,
+                                 std::uint64_t expected) {
+    const auto it = std::find_if(
+        snapshot.counters.begin(), snapshot.counters.end(),
+        [&](const auto& counter) { return counter.first == name; });
+    ASSERT_NE(it, snapshot.counters.end()) << name << " not exported";
+    EXPECT_EQ(it->second, expected) << name;
+  };
+  for (std::size_t f = 0; f < analysis::kNumFragments; ++f)
+    expect_series(std::string("vermem_fragments_total{fragment=\"") +
+                      to_string(static_cast<analysis::Fragment>(f)) + "\"}",
+                  tally.fragment_counts[f]);
+  for (std::size_t e = 0; e < analysis::kNumEngines; ++e)
+    expect_series(std::string("vermem_portfolio_wins_total{engine=\"") +
+                      to_string(static_cast<analysis::Engine>(e)) + "\"}",
+                  tally.engine_wins[e]);
+  expect_series("vermem_poly_routed_total", tally.poly_routed);
+  expect_series("vermem_exact_routed_total", tally.exact_routed);
+  expect_series("vermem_route_fallbacks_total", tally.fallbacks);
+  expect_series("vermem_saturate_outcomes_total{outcome=\"cycle\"}",
+                tally.saturate_cycles);
+  expect_series("vermem_saturate_outcomes_total{outcome=\"forced\"}",
+                tally.saturate_forced);
+  expect_series("vermem_saturate_outcomes_total{outcome=\"partial\"}",
+                tally.saturate_partial);
+  expect_series("vermem_saturate_outcomes_total{outcome=\"contradiction\"}",
+                tally.saturate_contradictions);
+  expect_series("vermem_saturate_must_edges_total", tally.saturate_edges);
+  expect_series("vermem_portfolio_races_total", tally.portfolio_races);
+  expect_series("vermem_portfolio_escalations_total",
+                tally.portfolio_escalations);
+  expect_series("vermem_portfolio_wasted_states_total",
+                tally.wasted_effort.states_visited);
+  expect_series("vermem_portfolio_wasted_transitions_total",
+                tally.wasted_effort.transitions);
+}
+
 TEST_F(ObsTest, SpansAcrossPoolThreadsCarryDistinctTids) {
   set_tracing_enabled(true);
   reset_trace();

@@ -462,6 +462,16 @@ TEST(Service, VsccModeReportsSequentialConsistency) {
   EXPECT_FALSE(response.coherence.addresses.empty());
 }
 
+TEST(Service, VsccRequestsReportRouting) {
+  VerificationService svc;
+  VerificationRequest request = coherence_request(exec_from(kFaultyTrace));
+  request.mode = CheckMode::kVscc;
+  EXPECT_EQ(svc.submit(std::move(request)).response.get().verdict,
+            vmc::Verdict::kIncoherent);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_GE(stats.routing.poly_routed + stats.routing.exact_routed, 1u);
+}
+
 TEST(Service, StatsTrackVerdictsAndLatency) {
   VerificationService svc;
   (void)svc.submit(coherence_request(exec_from(kCoherentTrace))).response.get();
@@ -497,6 +507,9 @@ TEST(Service, StatsExportPrometheusText) {
             std::string::npos);
   EXPECT_NE(text.find("vermem_service_stats_latency_nanos_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
+  // Routing is exported once, by the metrics registry.
+  EXPECT_EQ(text.find("routed_total"), std::string::npos);
+  EXPECT_EQ(text.find("portfolio"), std::string::npos);
 }
 
 TEST(Service, StatsBreakOutPerRequestKind) {

@@ -210,6 +210,25 @@ TEST(Vscc, WriteOrderPathAgrees) {
   EXPECT_EQ(report.sc.verdict, Verdict::kCoherent) << report.sc.reason();
 }
 
+TEST(Vscc, ColdPathReportsTheRoutersTally) {
+  // The cold pipeline routes every address through
+  // verify_coherence_routed, so its report carries that call's tally.
+  Xoshiro256ss rng(23);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 10;
+  params.num_addresses = 3;
+  params.num_values = 2;
+  const auto trace = workload::generate_sc(params, rng);
+  const AddressIndex index(trace.execution);
+  VsccOptions options;
+  options.use_sat_sweep = false;
+  const VsccReport report = check_vscc(index, options);
+  EXPECT_EQ(report.routing, analysis::verify_coherence_routed(index).routing);
+  EXPECT_EQ(report.routing.poly_routed + report.routing.exact_routed,
+            index.num_addresses());
+}
+
 TEST(Vscc, FallbackRescuesWrongScheduleSets) {
   // Section 6.3: when the conflict merge fails, the exact search may still
   // prove SC. Hunt for a trace where the independently-recomputed

@@ -32,10 +32,9 @@ FLIGHT_TRIGGERS = {'slow', 'unknown', 'incoherent', 'shed', 'cancelled',
 POLICY_KEYS = {'latency_threshold_nanos', 'capture_unknown',
                'capture_incoherent', 'capture_shed', 'capture_cancelled'}
 EFFORT_KEYS = {'states', 'transitions', 'max_frontier', 'prunes',
-               'oracle_prunes', 'sat_decisions', 'sat_propagations',
-               'sat_backtracks', 'sat_restarts', 'arena_reserved',
-               'arena_high_water', 'arena_allocations', 'saturate_ran',
-               'saturate_decided', 'saturate_edges', 'portfolio_races',
+               'oracle_prunes', 'arena_reserved', 'arena_high_water',
+               'arena_allocations', 'saturate_ran', 'saturate_decided',
+               'saturate_edges', 'portfolio_races',
                'portfolio_wasted_states', 'portfolio_wasted_transitions'}
 
 
