@@ -353,8 +353,8 @@ RouteOutcome route(const ProjectedView& view,
     return out;
   }
 
-  const auto projection = view.materialize();
-  const vmc::VmcInstance instance{projection.execution, view.addr()};
+  const vmc::VmcInstance instance{std::move(view.materialize().execution),
+                                  view.addr()};
 
   CheckResult result;
   switch (profile.fragment) {

@@ -108,11 +108,9 @@ class StoreBufferPolicy {
                : search::Status::kOpen;
   }
 
-  /// No choice is free, so every transition branches; reject() is never
-  /// called because status() never rejects.
-  [[nodiscard]] bool free(const std::uint32_t*, std::uint32_t) const {
-    return false;
-  }
+  /// No choice commutes with every other, so every transition branches;
+  /// reject() is never called because status() never rejects.
+  void close(std::uint32_t*, Schedule&) const {}
   [[nodiscard]] certify::Incoherence reject(const std::uint32_t*) const {
     return certify::search_exhaustion(0, 0, 0);
   }

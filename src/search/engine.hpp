@@ -6,18 +6,21 @@
 // A state is a packed fixed-stride key of uint32 words that policies read
 // and write in place, so the key memoized is the state itself. The engine
 // owns the depth-first loop over an SoA frame stack, the memo table
-// (Arena + FlatKeySet; a hit counts as a prune), the closure of free
-// choices, budgets and polling, SearchStats and the arena accounting. A
-// memory model is a policy P that supplies:
+// (Arena + FlatKeySet; a hit counts as a prune), budgets and polling,
+// SearchStats and the arena accounting. A memory model is a policy P
+// that supplies:
 //   key_words(), start(key)     layout and initial state
 //   num_choices()               choices are 0..num_choices()-1, tried in
 //                               order, so the policy alone fixes the
 //                               exploration sequence
 //   next(key, c, stats)         first enabled choice >= c, else
 //                               num_choices(); may count oracle prunes
-//   free(key, c)                c is enabled and commutes with every other
-//                               choice, so the closure takes it unbranched
 //   apply(key, c, schedule)     takes c, appending any issued operation
+//   close(key, schedule)        takes every choice that commutes with all
+//                               others (a pure read of the current value,
+//                               a sync op), unbranched, appending each
+//                               issued operation; runs after start() and
+//                               after every apply()
 //   status(key)                 open, accepted (a witness) or rejected
 //   reject(key), addr()         evidence for a rejected start state and
 //                               the address exhaustion is reported on
@@ -179,7 +182,7 @@ class Engine {
  private:
   CheckResult search() {
     policy_.start(key_.data());
-    close();
+    policy_.close(key_.data(), schedule_);
     switch (policy_.status(key_.data())) {
       case Status::kAccept: return CheckResult::yes(schedule_, stats_);
       case Status::kReject:
@@ -207,7 +210,7 @@ class Engine {
       ++stats_.transitions;
 
       policy_.apply(key_.data(), c, schedule_);
-      close();
+      policy_.close(key_.data(), schedule_);
       const Status status = policy_.status(key_.data());
       if (status == Status::kAccept) return CheckResult::yes(schedule_, stats_);
       // Rejected or already explored: the loop head restores the frame.
@@ -220,21 +223,6 @@ class Engine {
                                                       stats_.states_visited,
                                                       stats_.transitions),
                            stats_);
-  }
-
-  /// Takes free choices until none is left. Sound and complete because a
-  /// free choice commutes with every other: any accepted continuation can
-  /// be reordered to take it first.
-  void close() {
-    for (bool progressed = true; progressed;) {
-      progressed = false;
-      for (std::uint32_t c = 0; c < choices_; ++c) {
-        while (policy_.free(key_.data(), c)) {
-          policy_.apply(key_.data(), c, schedule_);
-          progressed = true;
-        }
-      }
-    }
   }
 
   /// False when the current state was seen before (a prune).

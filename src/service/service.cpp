@@ -122,7 +122,6 @@ std::string ServiceStats::to_prometheus() const {
     series("gauge", name, value);
   };
   counter("vermem_service_submitted_total", submitted);
-  counter("vermem_service_completed_total", completed);
   counter("vermem_service_cache_hits_total", cache_hits);
   counter("vermem_service_cache_misses_total", cache_misses);
   counter("vermem_service_timed_out_total", timed_out);
@@ -156,15 +155,10 @@ std::string ServiceStats::to_prometheus() const {
         effort.arena_high_water);
   gauge("vermem_service_flight_retained", flight_retained);
   counter("vermem_service_flight_retained_total", flight_retained_total);
-  // Same cumulative-le exposition obs::MetricsSnapshot uses, over the
-  // service-local latency distribution.
-  obs::MetricsSnapshot latency;
-  latency.histograms.push_back(
-      obs::HistogramSnapshot{"vermem_service_stats_latency_nanos",
-                             latency_nanos});
-  out += latency.to_prometheus();
-  // Per-kind breakdown of the same distribution, one labeled series per
-  // request kind (empty kinds are skipped, matching the SLO exposition).
+  // Responses and their latency are the registry's
+  // vermem_service_responses_total and vermem_service_latency_nanos; this
+  // is the per-kind breakdown, one labeled series per request kind (empty
+  // kinds are skipped, matching the SLO exposition).
   out += "# TYPE vermem_service_kind_latency_nanos histogram\n";
   for (std::size_t k = 0; k < obs::kNumRequestKinds; ++k) {
     if (kinds[k].total == 0) continue;
@@ -664,14 +658,6 @@ void VerificationService::respond(Slot& slot, VerificationResponse&& response) {
           .field("latency_nanos", latency_nanos)
           .field("tag", std::string_view(response.tag));
   }
-  if (obs::enabled()) {
-    static const obs::Counter responses =
-        obs::counter("vermem_service_responses_total");
-    static const obs::Histogram latency =
-        obs::histogram("vermem_service_latency_nanos");
-    responses.add(1);
-    latency.observe_nanos(end_to_end_nanos);
-  }
   slot.promise.set_value(std::move(response));
 }
 
@@ -708,6 +694,14 @@ void VerificationService::account(const VerificationResponse& response,
   }
   slo_.record(accounting.kind, accounting.latency_nanos,
               response.verdict == vmc::Verdict::kUnknown, response.flight_id);
+  if (obs::enabled()) {
+    static const obs::Counter responses =
+        obs::counter("vermem_service_responses_total");
+    static const obs::Histogram latency =
+        obs::histogram("vermem_service_latency_nanos");
+    responses.add(1);
+    latency.observe(accounting.latency_nanos);
+  }
 }
 
 ServiceStats VerificationService::stats() const {

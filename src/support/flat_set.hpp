@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <span>
 
 #include "support/arena.hpp"
 #include "support/hash.hpp"
@@ -51,8 +50,7 @@ class FlatKeySet {
     // Grow at 3/4 load: linear probing stays short and the doubling cost
     // is amortized against the arena's bump allocations.
     if ((size_ + 1) * 4 > capacity_ * 3) rehash(capacity_ * 2);
-    const std::uint64_t hash =
-        hash_span<std::uint32_t>(std::span<const std::uint32_t>(words, stride_));
+    const std::uint64_t hash = hash_words(words, stride_);
     const std::uint8_t fp = fingerprint(hash);
     std::size_t slot = static_cast<std::size_t>(hash) & mask_;
     while (true) {

@@ -38,4 +38,25 @@ template <typename T>
   return x;
 }
 
+/// Hash of a packed search-state key of `n` words (FlatKeySet): one
+/// multiply-xorshift step per word pair, then mix64. For a fixed input
+/// word pair each step is a bijection of the running state, so keys that
+/// differ only in their last word always hash apart.
+[[nodiscard]] constexpr std::uint64_t hash_words(const std::uint32_t* words,
+                                                 std::size_t n) noexcept {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = 0x6a09e667f3bcc908ULL ^ n;
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) {
+    h = (h ^ (words[i] | (static_cast<std::uint64_t>(words[i + 1]) << 32))) *
+        kMul;
+    h ^= h >> 32;
+  }
+  if (i < n) {
+    h = (h ^ words[i]) * kMul;
+    h ^= h >> 32;
+  }
+  return mix64(h);
+}
+
 }  // namespace vermem

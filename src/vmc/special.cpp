@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -16,6 +17,21 @@ CheckResult not_applicable(std::string why) {
 
 CheckResult malformed(std::string why) {
   return CheckResult::unknown(certify::UnknownReason::kMalformed, std::move(why));
+}
+
+/// Stable counting sort of `items` into `buckets` buckets by `bucket_of`:
+/// returns (begin, sorted), bucket b being sorted[begin[b], begin[b + 1])
+/// in the items' order.
+template <typename T, typename BucketOf>
+std::pair<std::vector<std::size_t>, std::vector<T>> bucket_stably(
+    const std::vector<T>& items, std::size_t buckets, BucketOf bucket_of) {
+  std::vector<std::size_t> begin(buckets + 1, 0);
+  for (const T& item : items) ++begin[bucket_of(item) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) begin[b + 1] += begin[b];
+  std::vector<T> sorted(items.size());
+  std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+  for (const T& item : items) sorted[fill[bucket_of(item)]++] = item;
+  return {std::move(begin), std::move(sorted)};
 }
 
 }  // namespace
@@ -213,79 +229,121 @@ CheckResult check_rmw_one_op_per_process(const VmcInstance& instance) {
 CheckResult check_read_map(const VmcInstance& instance) {
   if (const auto why = instance.malformed()) return malformed(*why);
 
+  constexpr std::uint32_t kUnwritten = 0xffffffffu;
   const Value initial = instance.initial_value();
+  const std::size_t num_ops = instance.num_operations();
   // Cluster 0 is the initial value's; each uniquely-written value gets its
-  // own cluster.
-  std::unordered_map<Value, std::size_t> cluster_of_value;
+  // own cluster, numbered in (history, position) order. The scan stops at
+  // the first RMW or write of the initial value, so a duplicate write
+  // before it is the reason reported, as an in-order scan finds it.
+  struct ValueCluster {
+    Value value;
+    std::uint32_t cluster;
+  };
+  std::vector<ValueCluster> by_value;
   std::vector<OpRef> write_of_cluster{OpRef{}};  // [0] unused (initial)
-  for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
-    const auto& history = instance.execution.history(p);
-    for (std::uint32_t i = 0; i < history.size(); ++i) {
-      const Operation& op = history[i];
-      if (op.kind == OpKind::kRmw)
-        return not_applicable("instance contains read-modify-writes");
-      if (op.kind != OpKind::kWrite) continue;
-      if (op.value_written == initial)
-        return not_applicable("a write stores the initial value (read-map ambiguous)");
-      const auto [it, fresh] =
-          cluster_of_value.try_emplace(op.value_written, write_of_cluster.size());
-      if (!fresh) return not_applicable("value written more than once");
-      write_of_cluster.push_back(OpRef{p, i});
+  by_value.reserve(num_ops);
+  write_of_cluster.reserve(num_ops + 1);
+  const auto collect_writes = [&]() -> const char* {
+    for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
+      const auto& history = instance.execution.history(p);
+      for (std::uint32_t i = 0; i < history.size(); ++i) {
+        const Operation& op = history[i];
+        if (op.kind == OpKind::kRmw) return "instance contains read-modify-writes";
+        if (op.kind != OpKind::kWrite) continue;
+        if (op.value_written == initial)
+          return "a write stores the initial value (read-map ambiguous)";
+        by_value.push_back({op.value_written,
+                            static_cast<std::uint32_t>(write_of_cluster.size())});
+        write_of_cluster.push_back(OpRef{p, i});
+      }
     }
-  }
+    return nullptr;
+  };
+  const char* stop = collect_writes();
+  std::sort(by_value.begin(), by_value.end(),
+            [](const ValueCluster& a, const ValueCluster& b) {
+              return a.value < b.value;
+            });
+  if (std::adjacent_find(by_value.begin(), by_value.end(),
+                         [](const ValueCluster& a, const ValueCluster& b) {
+                           return a.value == b.value;
+                         }) != by_value.end())
+    return not_applicable("value written more than once");
+  if (stop) return not_applicable(stop);
   const std::size_t num_clusters = write_of_cluster.size();
-
-  // Cluster of each operation; reads of unwritten non-initial values are
-  // incoherent outright.
-  auto cluster_of_op = [&](const Operation& op) -> std::optional<std::size_t> {
-    const Value v = op.kind == OpKind::kWrite ? op.value_written : op.value_read;
-    if (op.kind == OpKind::kRead && v == initial) return 0;
-    const auto it = cluster_of_value.find(v);
-    if (it == cluster_of_value.end()) return std::nullopt;
-    return it->second;
+  // Branch-free binary search: the last entry whose value is <= v.
+  const auto cluster_of_value = [&](Value v) {
+    if (by_value.empty()) return kUnwritten;
+    const ValueCluster* base = by_value.data();
+    for (std::size_t n = by_value.size(); n > 1; n -= n / 2)
+      base = base[n / 2].value <= v ? base + n / 2 : base;
+    return base->value == v ? base->cluster : kUnwritten;
   };
 
   // Build the precedence graph from program order, keeping the pair of
   // operations that induced each edge as evidence provenance; collect
-  // each cluster's reads for witness construction.
-  struct SuccEdge {
-    std::size_t to;
+  // each cluster's reads for witness construction. Edges and reads are
+  // gathered in (history, position) order, then bucketed by cluster
+  // stably (CSR), so each cluster lists them in that order.
+  struct Edge {
+    std::uint32_t from;
+    std::uint32_t to;
     OpRef from_ref;
     OpRef to_ref;
   };
-  std::vector<std::vector<SuccEdge>> successors(num_clusters);
+  struct ClusterRead {
+    std::uint32_t cluster;
+    OpRef ref;
+  };
+  std::vector<Edge> edges;
+  std::vector<ClusterRead> reads;
+  edges.reserve(num_ops);
+  reads.reserve(num_ops);
   std::vector<std::size_t> in_degree(num_clusters, 0);
-  std::vector<std::vector<OpRef>> cluster_reads(num_clusters);
   // First program-order edge forcing the initial cluster after another.
   std::optional<certify::ProgramOrderEdge> stale_edge;
+  std::uint32_t next_write_cluster = 1;
   for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
     const auto& history = instance.execution.history(p);
-    std::optional<std::size_t> prev;
+    std::uint32_t prev = kUnwritten;
     for (std::uint32_t i = 0; i < history.size(); ++i) {
       const Operation& op = history[i];
-      const auto cluster = cluster_of_op(op);
-      if (!cluster)
-        return CheckResult::no(
-            certify::unwritten_read(instance.addr, OpRef{p, i}, op.value_read));
+      std::uint32_t cluster = 0;
+      if (op.kind == OpKind::kWrite) {
+        cluster = next_write_cluster++;
+      } else if (op.value_read != initial) {
+        // Reads of unwritten non-initial values are incoherent outright.
+        cluster = cluster_of_value(op.value_read);
+        if (cluster == kUnwritten)
+          return CheckResult::no(
+              certify::unwritten_read(instance.addr, OpRef{p, i}, op.value_read));
+      }
       if (op.kind == OpKind::kRead) {
         // A read program-order-before its own cluster's write can never be
         // scheduled between that write and the next: detect via the write
         // appearing later in the same history.
-        const OpRef w = write_of_cluster[*cluster];
-        if (*cluster != 0 && w.process == p && w.index > i)
+        const OpRef w = write_of_cluster[cluster];
+        if (cluster != 0 && w.process == p && w.index > i)
           return CheckResult::no(certify::read_before_write(
               instance.addr, OpRef{p, i}, w, op.value_read));
-        cluster_reads[*cluster].push_back(OpRef{p, i});
+        reads.push_back({cluster, OpRef{p, i}});
       }
-      if (prev && *prev != *cluster) {
-        successors[*prev].push_back({*cluster, OpRef{p, i - 1}, OpRef{p, i}});
-        ++in_degree[*cluster];
-        if (*cluster == 0 && !stale_edge)
+      if (prev != kUnwritten && prev != cluster) {
+        edges.push_back({prev, cluster, OpRef{p, i - 1}, OpRef{p, i}});
+        ++in_degree[cluster];
+        if (cluster == 0 && !stale_edge)
           stale_edge = certify::ProgramOrderEdge{OpRef{p, i - 1}, OpRef{p, i}};
       }
       prev = cluster;
     }
   }
+  const auto [succ_begin, succ] = bucket_stably(
+      edges, num_clusters, [](const Edge& e) { return e.from; });
+  const auto successors = [&](std::size_t c) {
+    return std::span<const Edge>(succ.data() + succ_begin[c],
+                                 succ_begin[c + 1] - succ_begin[c]);
+  };
 
   // The initial cluster must be schedulable first: reads of d_I must
   // precede every write (no write restores d_I — excluded above).
@@ -298,12 +356,12 @@ CheckResult check_read_map(const VmcInstance& instance) {
   const auto fin = instance.final_value();
   std::size_t fin_cluster = 0;
   if (fin) {
-    if (const auto it = cluster_of_value.find(*fin); it != cluster_of_value.end())
-      fin_cluster = it->second;
+    if (const std::uint32_t c = cluster_of_value(*fin); c != kUnwritten)
+      fin_cluster = c;
     else if (*fin != initial || num_clusters > 1)
       return CheckResult::no(certify::unwritable_final(instance.addr, *fin));
-    if (!successors[fin_cluster].empty()) {
-      const SuccEdge& edge = successors[fin_cluster][0];
+    if (!successors(fin_cluster).empty()) {
+      const Edge& edge = successors(fin_cluster)[0];
       return CheckResult::no(certify::final_not_last(
           instance.addr, edge.from_ref, edge.to_ref, *fin));
     }
@@ -313,13 +371,15 @@ CheckResult check_read_map(const VmcInstance& instance) {
 
   // Kahn topological sort over all clusters.
   std::vector<std::size_t> ready, topo;
+  ready.reserve(num_clusters);
+  topo.reserve(num_clusters);
   for (std::size_t c = 0; c < num_clusters; ++c)
     if (in_degree[c] == 0) ready.push_back(c);
   while (!ready.empty()) {
     const std::size_t c = ready.back();
     ready.pop_back();
     topo.push_back(c);
-    for (const SuccEdge& s : successors[c])
+    for (const Edge& s : successors(c))
       if (--in_degree[s.to] == 0) ready.push_back(s.to);
   }
   if (topo.size() != num_clusters) {
@@ -337,7 +397,7 @@ CheckResult check_read_map(const VmcInstance& instance) {
     for (std::size_t u = 0; u < num_clusters; ++u) {
       if (!residual[u]) continue;
       if (first_residual == num_clusters) first_residual = u;
-      for (const SuccEdge& s : successors[u])
+      for (const Edge& s : successors(u))
         if (residual[s.to] && !pred[s.to])
           pred[s.to] = PredEdge{u, s.from_ref, s.to_ref};
     }
@@ -368,10 +428,14 @@ CheckResult check_read_map(const VmcInstance& instance) {
   // Witness: concatenate clusters, write first then its reads (reads are
   // collected in program order per history by construction above; across
   // histories the order is irrelevant).
+  const auto [reads_begin, cluster_reads] = bucket_stably(
+      reads, num_clusters, [](const ClusterRead& r) { return r.cluster; });
   Schedule schedule;
+  schedule.reserve(num_ops);
   for (const std::size_t c : topo) {
     if (c != 0) schedule.push_back(write_of_cluster[c]);
-    for (const OpRef r : cluster_reads[c]) schedule.push_back(r);
+    for (std::size_t r = reads_begin[c]; r != reads_begin[c + 1]; ++r)
+      schedule.push_back(cluster_reads[r].ref);
   }
   return CheckResult::yes(std::move(schedule));
 }

@@ -10,8 +10,8 @@ namespace {
 
 // The VSC policy of search/engine.hpp: the VMC state widened to one
 // current value per address. Key: k position words, then the dense
-// memory words. Pure reads and sync ops are free (neither changes any
-// location's value). exact_legacy.cpp keeps the pre-arena search as the
+// memory words. Pure reads and sync ops are closed over (neither changes
+// any location's value). exact_legacy.cpp keeps the pre-arena search as the
 // differential oracle.
 class ScPolicy {
  public:
@@ -39,10 +39,21 @@ class ScPolicy {
     return p;
   }
 
-  [[nodiscard]] bool free(const std::uint32_t* key, std::uint32_t p) const {
-    if (key[p] >= exec_.history(p).size()) return false;
-    const Operation& op = exec_.history(p)[key[p]];
-    return (op.is_sync() || op.kind == OpKind::kRead) && enabled(key, p, op);
+  /// Schedules, process by process, the run of sync ops and enabled pure
+  /// reads at each position. Neither changes any location's value, so
+  /// each commutes with every other choice, and one pass in choice order
+  /// reaches the fixed point.
+  void close(std::uint32_t* key, Schedule& schedule) const {
+    for (std::uint32_t p = 0; p < k_; ++p) {
+      const auto& history = exec_.history(p);
+      std::uint32_t& i = key[p];
+      for (; i < history.size(); ++i) {
+        const Operation& op = history[i];
+        if (!(op.is_sync() || op.kind == OpKind::kRead) || !enabled(key, p, op))
+          break;
+        schedule.push_back(OpRef{p, i});
+      }
+    }
   }
 
   void apply(std::uint32_t* key, std::uint32_t p, Schedule& schedule) const {

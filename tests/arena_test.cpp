@@ -191,6 +191,32 @@ TEST(FlatKeySet, CollidingKeysStayDistinct) {
   }
 }
 
+TEST(FlatKeySet, KeysDifferingInTheLastWordStayDistinct) {
+  // The key hash folds words in pairs, so a stride-1 key, a stride-2 key
+  // (one full pair) and a stride-5 key (two pairs and a lone last word)
+  // each exercise a different tail of the hash loop.
+  for (const std::size_t stride : {1u, 2u, 5u}) {
+    Arena arena;
+    FlatKeySet set(arena, stride, 16);
+    std::vector<std::uint32_t> words(stride, 3);
+    std::unordered_set<std::uint64_t> hashes;
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+      words.back() = i;
+      ASSERT_TRUE(set.insert(words.data()).fresh) << stride << ' ' << i;
+      hashes.insert(hash_words(words.data(), stride));
+    }
+    EXPECT_EQ(hashes.size(), 1000u) << stride;
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+      words.back() = i;
+      const auto r = set.insert(words.data());
+      ASSERT_FALSE(r.fresh) << stride << ' ' << i;
+      ASSERT_EQ(r.id, i);
+      EXPECT_EQ(set.key(i)[stride - 1], i);
+    }
+    EXPECT_EQ(set.size(), 1000u);
+  }
+}
+
 TEST(FlatKeySet, RandomizedDifferentialAgainstUnorderedSet) {
   // The searches' key distribution: short vectors of small, regular
   // values with many near-duplicates. FlatKeySet must agree with

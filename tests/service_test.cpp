@@ -14,10 +14,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "certify/check.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "reductions/sat_to_vmc.hpp"
 #include "sat/gen.hpp"
 #include "service/service.hpp"
@@ -503,13 +505,43 @@ TEST(Service, StatsExportPrometheusText) {
       std::string::npos);
   EXPECT_NE(text.find("# TYPE vermem_service_queue_depth gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("vermem_service_stats_latency_nanos_count 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("vermem_service_stats_latency_nanos_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  // Routing is exported once, by the metrics registry.
+  // Responses, their latency and routing are exported once, by the
+  // metrics registry.
+  EXPECT_EQ(text.find("vermem_service_completed_total"), std::string::npos);
+  EXPECT_EQ(text.find("vermem_service_stats_latency_nanos"), std::string::npos);
   EXPECT_EQ(text.find("routed_total"), std::string::npos);
   EXPECT_EQ(text.find("portfolio"), std::string::npos);
+}
+
+/// vermem_service_responses_total and the vermem_service_latency_nanos
+/// count in the registry, summed over this process's services.
+std::pair<std::uint64_t, std::uint64_t> registry_responses() {
+  const obs::MetricsSnapshot snapshot = obs::snapshot_metrics();
+  std::pair<std::uint64_t, std::uint64_t> out{0, 0};
+  for (const auto& [name, value] : snapshot.counters)
+    if (name == "vermem_service_responses_total") out.first = value;
+  for (const obs::HistogramSnapshot& h : snapshot.histograms)
+    if (h.name == "vermem_service_latency_nanos") out.second = h.data.count;
+  return out;
+}
+
+TEST(Service, RegistryCountsEveryResponseOnce) {
+  const bool metrics_were_on = obs::enabled();
+  obs::set_enabled(true);
+  const auto before = registry_responses();
+  VerificationService svc;
+  (void)svc.submit(coherence_request(exec_from(kCoherentTrace))).response.get();
+  (void)svc.submit(coherence_request(exec_from(kFaultyTrace))).response.get();
+  std::istringstream in(encode_binary(exec_from(kCoherentTrace)));
+  EXPECT_EQ(svc.verify_stream(in).verdict, vmc::Verdict::kCoherent);
+  // Two submitted responses and one streamed one, each counted once.
+  const auto after = registry_responses();
+  EXPECT_EQ(after.first - before.first, 3u);
+  EXPECT_EQ(after.second - before.second, 3u);
+  // ServiceStats' aggregates keep streamed runs apart.
+  EXPECT_EQ(svc.stats().completed, 2u);
+  EXPECT_EQ(svc.stats().streamed, 1u);
+  obs::set_enabled(metrics_were_on);
 }
 
 TEST(Service, StatsBreakOutPerRequestKind) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "trace/schedule.hpp"
 #include "support/parallel.hpp"
 #include "vmc/exact.hpp"
@@ -392,6 +395,41 @@ TEST(ReadMap, NotApplicableWhenWritingInitialValue) {
   EXPECT_EQ(check_read_map(make(exec)).verdict, Verdict::kUnknown);
 }
 
+TEST(ReadMap, NotApplicableReasonFollowsScanOrder) {
+  // The first offending operation in (history, position) order names the
+  // reason: a duplicate write before the first RMW or write of the
+  // initial value is reported as the duplicate, and the other way round.
+  const auto reason = [](const Execution& exec) {
+    const CheckResult result = check_read_map(make(exec));
+    EXPECT_EQ(result.verdict, Verdict::kUnknown);
+    return result.unknown_reason() ? result.unknown_reason()->detail : "";
+  };
+  const std::string duplicate = "value written more than once";
+  const std::string rmw = "instance contains read-modify-writes";
+  const std::string initial =
+      "a write stores the initial value (read-map ambiguous)";
+  EXPECT_EQ(reason(ExecutionBuilder()
+                       .process(W(0, 1), W(0, 1))
+                       .process(RW(0, 1, 2))
+                       .build()),
+            duplicate);
+  EXPECT_EQ(reason(ExecutionBuilder()
+                       .process(W(0, 1))
+                       .process(W(0, 1), W(0, 0))
+                       .build()),
+            duplicate);
+  EXPECT_EQ(reason(ExecutionBuilder()
+                       .process(W(0, 1), RW(0, 1, 2))
+                       .process(W(0, 1))
+                       .build()),
+            rmw);
+  EXPECT_EQ(reason(ExecutionBuilder()
+                       .process(W(0, 1), W(0, 0))
+                       .process(W(0, 1))
+                       .build()),
+            initial);
+}
+
 TEST(ReadMap, MatchesExactOnUniqueWriteInstances) {
   Xoshiro256ss rng(41);
   // Generate with many values so unique-write traces appear frequently;
@@ -675,6 +713,102 @@ TEST(ExactDifferential, ArenaStatsArePopulated) {
   EXPECT_LE(now.stats.arena_high_water, now.stats.arena_reserved);
   const auto legacy = check_exact_legacy(instance);
   EXPECT_EQ(legacy.stats.arena_reserved, 0u);
+}
+
+// ---- Closure edge cases ------------------------------------------------
+
+// The search closes over pure reads of the current value in one pass over
+// a per-op run table. Each case pins verdict, witness and counters to the
+// frozen legacy search, which takes the same reads one at a time.
+CheckResult expect_matches_legacy(const Execution& exec) {
+  const auto instance = make(exec);
+  const auto now = check_exact(instance);
+  const auto legacy = check_exact_legacy(instance);
+  EXPECT_EQ(now.verdict, legacy.verdict);
+  EXPECT_EQ(now.witness, legacy.witness);
+  EXPECT_EQ(now.reason(), legacy.reason());
+  expect_stats_match_legacy(now.stats, legacy.stats);
+  if (now.verdict == Verdict::kCoherent) expect_valid_witness(instance, now);
+  return now;
+}
+
+TEST(ExactClosure, ReadRunStopsWhereTheValueChanges) {
+  // P0's first two reads see the initial value and are closed over at the
+  // start; the run ends at R(0,1), which waits for P1's write.
+  const auto result = expect_matches_legacy(ExecutionBuilder()
+                                                .process(R(0, 0), R(0, 0), R(0, 1))
+                                                .process(W(0, 1))
+                                                .build());
+  EXPECT_EQ(result.witness,
+            (Schedule{{0, 0}, {0, 1}, {1, 0}, {0, 2}}));
+  EXPECT_EQ(result.stats.transitions, 1u);
+}
+
+TEST(ExactClosure, RmwReadingTheCurrentValueBranches) {
+  // Were P0's RMW taken as free (it reads the current value), P1's read
+  // of 0 could never run. It is a choice, so the closure takes P1's read
+  // first and the RMW follows.
+  const auto result = expect_matches_legacy(
+      ExecutionBuilder().process(RW(0, 0, 1)).process(R(0, 0)).build());
+  EXPECT_EQ(result.witness, (Schedule{{1, 0}, {0, 0}}));
+  EXPECT_EQ(result.stats.transitions, 1u);
+}
+
+TEST(ExactClosure, EmptyHistoriesAreSkipped) {
+  const auto result = expect_matches_legacy(ExecutionBuilder()
+                                                .process()
+                                                .process(W(0, 1), R(0, 1))
+                                                .process()
+                                                .build());
+  EXPECT_EQ(result.witness, (Schedule{{1, 0}, {1, 1}}));
+  (void)expect_matches_legacy(
+      ExecutionBuilder().process().process().final_value(0, 0).build());
+}
+
+TEST(ExactClosure, FinalValueNothingWritesIsRejected) {
+  // Only reads of the initial value: the closure consumes them all and
+  // the start state itself is rejected with the unwritable final value.
+  const auto reads_only = expect_matches_legacy(ExecutionBuilder()
+                                                    .process(R(0, 0), R(0, 0))
+                                                    .process(R(0, 0))
+                                                    .final_value(0, 7)
+                                                    .build());
+  ASSERT_EQ(reads_only.verdict, Verdict::kIncoherent);
+  EXPECT_EQ(reads_only.incoherence()->kind,
+            certify::IncoherenceKind::kUnwritableFinal);
+  EXPECT_EQ(reads_only.stats.transitions, 0u);
+  // With writes, no value id matches the final value and the search
+  // exhausts.
+  const auto written = expect_matches_legacy(
+      ExecutionBuilder().process(W(0, 1)).process(R(0, 1)).final_value(0, 7).build());
+  EXPECT_EQ(written.verdict, Verdict::kIncoherent);
+}
+
+TEST(ExactClosure, ExtremeValuesGetDenseIds) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const auto coherent = expect_matches_legacy(ExecutionBuilder()
+                                                  .process(R(0, kMin), W(0, kMax))
+                                                  .process(R(0, kMax), W(0, kMin))
+                                                  .process(R(0, kMin))
+                                                  .initial(0, kMin)
+                                                  .final_value(0, kMin)
+                                                  .build());
+  EXPECT_EQ(coherent.verdict, Verdict::kCoherent);
+  // A read of a value next to an extreme one is never satisfiable.
+  const auto unwritten = expect_matches_legacy(ExecutionBuilder()
+                                                   .process(W(0, kMax))
+                                                   .process(R(0, kMax - 1))
+                                                   .initial(0, kMin)
+                                                   .build());
+  EXPECT_EQ(unwritten.verdict, Verdict::kIncoherent);
+  const auto final_max = expect_matches_legacy(ExecutionBuilder()
+                                                   .process(W(0, kMax), R(0, kMax))
+                                                   .process(R(0, kMin))
+                                                   .initial(0, kMin)
+                                                   .final_value(0, kMax)
+                                                   .build());
+  EXPECT_EQ(final_max.verdict, Verdict::kCoherent);
 }
 
 }  // namespace

@@ -304,6 +304,29 @@ TEST(ScExactDifferential, MatchesLegacyOnRandomizedTraces) {
   }
 }
 
+TEST(ScExact, ClosureRunsSyncOpsBetweenReadsOfTwoAddresses) {
+  // P0's reads of addresses 0 and 1 sit between sync ops. The closure
+  // takes the enabled reads and the sync ops in one pass and stops at the
+  // first read whose value is not in memory yet, exactly as the legacy
+  // search's one-at-a-time closure does.
+  const auto exec = ExecutionBuilder()
+                        .process(R(0, 0), Acq(9), R(1, 0), Rel(9), R(0, 1),
+                                 Acq(9), R(1, 1), R(0, 1), Rel(9))
+                        .process(Acq(8), W(0, 1), Rel(8), R(0, 1), W(1, 1))
+                        .build();
+  const auto now = check_sc_exact(exec);
+  const auto legacy = check_sc_exact_legacy(exec);
+  ASSERT_EQ(now.verdict, Verdict::kCoherent);
+  EXPECT_EQ(now.witness, legacy.witness);
+  EXPECT_EQ(now.witness,
+            (Schedule{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 1}, {0, 4},
+                      {0, 5}, {1, 2}, {1, 3}, {1, 4}, {0, 6}, {0, 7}, {0, 8}}));
+  EXPECT_EQ(now.stats.states_visited, legacy.stats.states_visited);
+  EXPECT_EQ(now.stats.transitions, legacy.stats.transitions);
+  EXPECT_EQ(now.stats.prunes, legacy.stats.prunes);
+  EXPECT_EQ(now.stats.max_frontier, legacy.stats.max_frontier);
+}
+
 TEST(ScExact, MemoHitsCountAsPrunes) {
   // Two processes writing independent addresses reach the same state in
   // either order, so the memo table must cut (and count) revisits.
