@@ -131,7 +131,7 @@ vmc::Verdict run_exact(const FragmentTrace& trace) {
   const AddressIndex index(trace.exec);
   const auto projection = index.view_at(0).materialize();
   const vmc::CheckResult result = vmc::check_exact(
-      vmc::VmcInstance{projection.execution, index.entry(0).addr});
+      vmc::VmcInstance{projection, index.entry(0).addr});
   benchmark::DoNotOptimize(result);
   return result.verdict;
 }

@@ -64,7 +64,7 @@ std::size_t run_indexed(const Execution& exec) {
   std::size_t ops = 0;
   for (std::size_t i = 0; i < index.num_addresses(); ++i) {
     const auto projection = index.view_at(i).materialize();
-    ops += projection.execution.num_operations();
+    ops += projection.num_operations();
     benchmark::DoNotOptimize(projection);
   }
   return ops;

@@ -1,7 +1,9 @@
 #include "analysis/fragment.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
+
+#include "analysis/saturate/core.hpp"
 
 namespace vermem::analysis {
 
@@ -36,36 +38,32 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
   }
 
   const Value initial = view.initial_value();
-  // Per-value usage: writes (to find duplicates) and whether any read
-  // observes the value (to find dead writes).
-  struct ValueUse {
-    std::uint32_t writes = 0;
-    bool read = false;
-    bool last_write = false;  ///< written by some history's last write
-  };
-  std::unordered_map<Value, ValueUse> values;
-  values.reserve(profile.num_writes);
+  // Per value (dense ids): whether any read observes it (to find dead
+  // writes) and whether some history's last write stores it; the table
+  // itself counts its writes (to find duplicates).
+  const ValueTable values(view);
+  constexpr std::uint8_t kRead = 1, kLastWrite = 2;
+  std::vector<std::uint8_t> use(values.size(), 0);
 
+  std::size_t base = 0;  // index of the history's first record
   for (std::size_t h = 0; h < view.num_histories(); ++h) {
     const auto run = view.history(h);
     profile.max_ops_per_history = std::max(
         profile.max_ops_per_history, static_cast<std::uint32_t>(run.size()));
     bool prev_was_pure_read = false;
-    for (const OpRecord& record : run) {
-      const Operation& op = record.op;
+    for (std::size_t j = 0; j < run.size(); ++j) {
+      const Operation& op = run[j].op;
       switch (op.kind) {
         case OpKind::kRead:
           ++profile.num_reads;
-          values[op.value_read].read = true;
+          use[values.read(base + j)] |= kRead;
           break;
         case OpKind::kRmw:
           ++profile.num_rmws;
-          values[op.value_read].read = true;
-          ++values[op.value_written].writes;
+          use[values.read(base + j)] |= kRead;
           if (op.value_written == initial) profile.writes_initial_value = true;
           break;
         case OpKind::kWrite:
-          ++values[op.value_written].writes;
           if (op.value_written == initial) profile.writes_initial_value = true;
           // A pure read immediately followed (on this address, in this
           // history) by a write is the classic non-atomic increment
@@ -79,23 +77,25 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
       prev_was_pure_read = op.kind == OpKind::kRead;
     }
     for (std::size_t i = run.size(); i-- > 0;) {
-      const Operation& op = run[i].op;
-      if (!op.writes_memory()) continue;
-      values[op.value_written].last_write = true;
+      const std::uint32_t id = values.written(base + i);
+      if (id == ValueTable::kNone) continue;
+      use[id] |= kLastWrite;
       break;
     }
+    base += run.size();
   }
 
   const auto fin = view.final_value();
-  for (const auto& [value, use] : values) {
-    if (use.writes == 0) continue;
-    profile.max_writes_per_value =
-        std::max(profile.max_writes_per_value, use.writes);
-    if (use.writes > 2) ++profile.values_written_thrice;
+  for (std::uint32_t id = 0; id < values.size(); ++id) {
+    const std::uint32_t writes = values.writes(id);
+    if (writes == 0) continue;
+    profile.max_writes_per_value = std::max(profile.max_writes_per_value, writes);
+    if (writes > 2) ++profile.values_written_thrice;
     // Mirrors lint W002: with no recorded final value, a value produced
     // by some history's last write may legitimately be the end state.
-    const bool final_candidate = fin ? *fin == value : use.last_write;
-    if (!use.read && !final_candidate) ++profile.unread_values;
+    const bool final_candidate =
+        fin ? *fin == values.value(id) : (use[id] & kLastWrite) != 0;
+    if ((use[id] & kRead) == 0 && !final_candidate) ++profile.unread_values;
   }
   profile.write_once =
       profile.max_writes_per_value <= 1 && !profile.writes_initial_value;
@@ -122,6 +122,9 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
   } else {
     profile.fragment = Fragment::kGeneral;
   }
+  // Only these fragments route to saturation; the table is already built.
+  if (!is_polynomial(profile.fragment))
+    profile.saturation_inert = saturate::inert(view, values);
   return profile;
 }
 

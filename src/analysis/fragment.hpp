@@ -11,7 +11,8 @@
 // per-address instance occupies, so the router can dispatch it straight
 // to a dedicated polynomial decider instead of the exact frontier
 // search. The same scan gathers the value-usage statistics the lint
-// rules (analysis/lint.hpp) report on.
+// rules (analysis/lint.hpp) report on, and over the same value table
+// tells the router when the saturation tier would derive nothing.
 
 #include <cstdint>
 #include <string>
@@ -115,6 +116,10 @@ struct FragmentProfile {
   bool write_once = false;
   /// An external write-order log covers this address.
   bool has_write_order = false;
+  /// saturate::inert(view): the saturation pass would derive program-order
+  /// edges only, so the router skips it. Computed for the fragments that
+  /// route to saturation (kBoundedProcesses, kGeneral); false otherwise.
+  bool saturation_inert = false;
 
   /// Human-readable one-liner used by the I001 diagnostic.
   [[nodiscard]] std::string summary() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -227,16 +228,17 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
                 race.join_wait_ns);
 }
 
-/// The saturation tier for kBoundedProcesses/kGeneral (and structural
-/// fallbacks): derive the must-precede graph, decide outright when it
-/// resolves (cycle / forced total order / contradiction), otherwise hand
-/// the edges to the exact search as a pruning oracle. All evidence and
-/// witnesses leave in projected coordinates.
-CheckResult saturate_then_exact(const ProjectedView& view,
-                                const vmc::VmcInstance& instance,
-                                const search::Limits& limits,
-                                const PortfolioOptions& portfolio,
-                                RouteOutcome& out) {
+/// The saturation pass: derive the must-precede graph and decide
+/// outright when it resolves (cycle / forced total order /
+/// contradiction). Otherwise return nullopt with the cross-history edges
+/// in `oracle`: a program-order edge never prunes (next() offers (p, i)
+/// only once every (p, j < i) is scheduled), so those stay out, and with
+/// none left `oracle` stays empty. All evidence leaves in projected
+/// coordinates.
+std::optional<CheckResult> saturate_or_oracle(const ProjectedView& view,
+                                              const vmc::VmcInstance& instance,
+                                              RouteOutcome& out,
+                                              vmc::MustPrecede& oracle) {
   obs::flight_event(obs::FlightEventKind::kTierEnter, "saturate",
                     static_cast<std::uint64_t>(view.addr()));
   const saturate::Result sat = [&] {
@@ -294,32 +296,52 @@ CheckResult saturate_then_exact(const ProjectedView& view,
       break;
   }
 
-  // Partial order: export the derived must-edges as a pruning oracle.
-  // Every edge is necessary, so pruned subtrees are witness-free and the
-  // search keeps bit-identical verdicts and witnesses.
-  vmc::MustPrecede oracle;
-  vmc::ExactOptions pruned{limits};
-  if (!sat.edges.empty()) {
-    for (const auto& [a, b] : sat.edges)
-      oracle.add_edge(sat.writes_local[a], sat.writes_local[b]);
-    std::vector<std::uint32_t> sizes;
-    sizes.reserve(instance.execution.num_processes());
-    for (std::uint32_t p = 0; p < instance.execution.num_processes(); ++p)
-      sizes.push_back(
-          static_cast<std::uint32_t>(instance.execution.history(p).size()));
-    oracle.finalize(sizes);
-    pruned.pruner = &oracle;
+  bool cross = false;
+  for (const auto& [a, b] : sat.edges) {
+    const OpRef before = sat.writes_local[a];
+    const OpRef after = sat.writes_local[b];
+    if (before.process == after.process) continue;
+    oracle.add_edge(before, after);
+    cross = true;
   }
+  if (cross) {
+    std::vector<std::uint32_t> sizes;
+    sizes.reserve(view.num_histories());
+    for (std::size_t h = 0; h < view.num_histories(); ++h)
+      sizes.push_back(static_cast<std::uint32_t>(view.history(h).size()));
+    oracle.finalize(sizes);
+  }
+  return std::nullopt;
+}
+
+/// The saturation tier for kBoundedProcesses/kGeneral (and structural
+/// fallbacks), then the exact search with the tier's cross-history
+/// must-edges as a pruning oracle. Every edge is necessary, so pruned
+/// subtrees are witness-free and the search keeps bit-identical verdicts
+/// and witnesses. An `inert` address (saturate::inert) skips the pass: it
+/// would derive program-order edges only.
+CheckResult saturate_then_exact(const ProjectedView& view,
+                                const vmc::VmcInstance& instance,
+                                const search::Limits& limits,
+                                const PortfolioOptions& portfolio, bool inert,
+                                RouteOutcome& out) {
+  vmc::MustPrecede oracle;
+  if (inert)
+    out.saturation_skipped = true;
+  else if (auto decided = saturate_or_oracle(view, instance, out, oracle))
+    return std::move(*decided);
+  vmc::ExactOptions pruned{limits};
+  if (!oracle.empty()) pruned.pruner = &oracle;
   out.decider = Decider::kExact;
   if (portfolio.enabled) {
     obs::flight_event(obs::FlightEventKind::kTierEnter, "portfolio",
                       static_cast<std::uint64_t>(view.addr()),
-                      sat.edges.size());
+                      oracle.preds.size());
     return race_portfolio(instance, pruned, portfolio, out);
   }
   obs::flight_event(obs::FlightEventKind::kTierEnter, "exact",
                     static_cast<std::uint64_t>(view.addr()),
-                    sat.edges.size());
+                    oracle.preds.size());
   return vmc::check_exact(instance, pruned);
 }
 
@@ -353,8 +375,7 @@ RouteOutcome route(const ProjectedView& view,
     return out;
   }
 
-  const vmc::VmcInstance instance{std::move(view.materialize().execution),
-                                  view.addr()};
+  const vmc::VmcInstance instance{view.materialize(), view.addr()};
 
   CheckResult result;
   switch (profile.fragment) {
@@ -388,7 +409,8 @@ RouteOutcome route(const ProjectedView& view,
     case Fragment::kEmpty:  // handled above
     case Fragment::kBoundedProcesses:
     case Fragment::kGeneral:
-      result = saturate_then_exact(view, instance, limits, portfolio, out);
+      result = saturate_then_exact(view, instance, limits, portfolio,
+                                   profile.saturation_inert, out);
       break;
   }
 
@@ -400,7 +422,8 @@ RouteOutcome route(const ProjectedView& view,
   // (surfaced separately as lint rule W004).
   if (result.verdict == Verdict::kUnknown && out.decider != Decider::kExact &&
       out.decider != Decider::kSaturate && out.decider != Decider::kWriteOrder) {
-    result = saturate_then_exact(view, instance, limits, portfolio, out);
+    result = saturate_then_exact(view, instance, limits, portfolio,
+                                 profile.saturation_inert, out);
     out.fell_back = true;
   }
 
@@ -434,6 +457,7 @@ constexpr std::pair<std::uint64_t RouteTally::*, const char*> kScalarSeries[] = 
     {&RouteTally::saturate_contradictions,
      "vermem_saturate_outcomes_total{outcome=\"contradiction\"}"},
     {&RouteTally::saturate_edges, "vermem_saturate_must_edges_total"},
+    {&RouteTally::saturate_skipped, "vermem_saturate_skipped_total"},
     {&RouteTally::portfolio_races, "vermem_portfolio_races_total"},
     {&RouteTally::portfolio_escalations, "vermem_portfolio_escalations_total"},
 };
@@ -458,6 +482,7 @@ void RouteTally::add(const RouteOutcome& outcome) {
   ++decider_counts[static_cast<std::size_t>(outcome.decider)];
   ++(outcome.decider == Decider::kExact ? exact_routed : poly_routed);
   if (outcome.fell_back) ++fallbacks;
+  if (outcome.saturation_skipped) ++saturate_skipped;
   if (outcome.saturation_ran) {
     ++saturate_ran;
     saturate_edges += outcome.saturation_edges;

@@ -112,6 +112,9 @@ struct RouteOutcome {
   /// Saturation provenance, populated when the saturation tier ran
   /// (kBoundedProcesses/kGeneral routes and structural fallbacks).
   bool saturation_ran = false;
+  /// The address reached the tier but was inert (saturate::inert), so
+  /// the pass was skipped and the exact search ran without a pruner.
+  bool saturation_skipped = false;
   saturate::Status saturation_status = saturate::Status::kPartial;
   std::uint64_t saturation_edges = 0;         ///< must-edges derived
   std::uint64_t saturation_branch_points = 0; ///< unordered Kahn steps
@@ -154,7 +157,10 @@ struct RouteTally {
   std::uint64_t saturate_forced = 0;   ///< forced-total orders found
   std::uint64_t saturate_partial = 0;  ///< partial orders handed on
   std::uint64_t saturate_contradictions = 0;  ///< contradiction refutations
-  std::uint64_t saturate_edges = 0;    ///< must-edges exported to exact/SAT
+  std::uint64_t saturate_edges = 0;    ///< must-edges derived by the runs
+  /// Addresses that reached the tier inert and skipped it (not in
+  /// saturate_ran).
+  std::uint64_t saturate_skipped = 0;
   // Portfolio tallies (meaningful when a PortfolioOptions was enabled).
   std::uint64_t portfolio_races = 0;   ///< addresses that reached the tier
   std::uint64_t portfolio_escalations = 0;  ///< of those, raced in stage 2

@@ -562,6 +562,58 @@ Result saturate(const ProjectedView& view) {
   return res;
 }
 
+bool inert(const ProjectedView& view, const ValueTable& values) {
+  constexpr std::uint32_t kNoValue = ValueTable::kNone;
+  // (b): a unique final writer is pinned after every history's last
+  // write, and an unwritten final value is a contradiction.
+  if (const auto fin = view.final_value()) {
+    const std::uint32_t id = values.id_of(*fin);
+    if (id == kNoValue || values.writes(id) < 2) return false;
+  }
+  // own[v]: writes of value v in the current history, so writes of v in
+  // the other histories are values.writes(v) - own[v]. Slot size() counts
+  // the history's operations that do not write.
+  const auto d = static_cast<std::uint32_t>(values.size());
+  if (d == 0) return false;  // nothing reads or writes
+  std::vector<std::uint32_t> own(d + 1, 0);
+  // The history's reads whose candidates lie in other histories only
+  // (not xm, not the initial value): each needs two such writes.
+  std::vector<std::uint32_t> remote(view.num_ops());
+  const Value initial = view.initial_value();
+  std::size_t writing_histories = 0;
+  std::size_t base = 0;  // index of the history's first record
+  for (std::size_t h = 0; h < view.num_histories(); ++h) {
+    const std::size_t n = view.history(h).size();
+    // One branch-free pass: a record's kind is as good as random, so
+    // branching on it would mispredict about once per record.
+    std::size_t pending = 0;
+    std::uint32_t xm = kNoValue;  // id of the last write so far
+    for (std::size_t k = base; k != base + n; ++k) {
+      const std::uint32_t v = values.read(k);
+      const std::uint32_t w = values.written(k);
+      const bool reads = v != kNoValue;
+      const std::uint32_t id = reads ? v : 0;
+      const bool local = xm != kNoValue ? id == xm
+                                        : values.value(id) == initial;
+      remote[pending] = id;
+      pending += reads && !local ? 1 : 0;
+      ++own[std::min(w, d)];
+      xm = w != kNoValue ? w : xm;
+    }
+    writing_histories += own[d] != n ? 1 : 0;
+    for (std::size_t i = 0; i < pending; ++i)
+      if (values.writes(remote[i]) - own[remote[i]] < 2) return false;
+    for (std::size_t k = base; k != base + n; ++k)
+      --own[std::min(values.written(k), d)];
+    base += n;
+  }
+  // (a): two writing histories leave two ready writes in Kahn's first
+  // step, so the pass cannot find a forced total order.
+  return writing_histories >= 2;
+}
+
+bool inert(const ProjectedView& view) { return inert(view, ValueTable(view)); }
+
 bool reaches(const Result& result, std::uint32_t a, std::uint32_t b) {
   const auto n = static_cast<std::uint32_t>(result.writes.size());
   if (a >= n || b >= n || a == b) return false;

@@ -122,6 +122,18 @@ struct Result {
 /// certificate checker calls it to re-derive evidence independently.
 [[nodiscard]] Result saturate(const ProjectedView& view);
 
+/// True only when saturate(view) would return kPartial with program-order
+/// edges alone, which prune nothing the exact search does not already
+/// obey; O(n) over a ValueTable of the view (docs/ALGORITHMS.md §13).
+/// It holds when (a) at least two histories write, (b) no final value is
+/// recorded or the recorded one has two or more writers, and (c) every
+/// read of v in history h has t >= 2 candidates, or t = 1 whose single
+/// candidate is xm (the last write of h before the read) or the initial
+/// value, where t = (writes of v in other histories) + [xm writes v] +
+/// [no xm and v = initial] is its candidate count after R2.
+[[nodiscard]] bool inert(const ProjectedView& view, const ValueTable& values);
+[[nodiscard]] bool inert(const ProjectedView& view);
+
 /// True iff edge (a, b) is derivable from `result`'s direct edges by
 /// transitivity (DFS over the direct graph; used by the checker).
 [[nodiscard]] bool reaches(const Result& result, std::uint32_t a, std::uint32_t b);

@@ -426,8 +426,8 @@ CheckOutcome check_order_kind(const Execution& exec, const Incoherence& e) {
                   std::to_string(e.addr));
     order.push_back(*projected);
   }
-  const ExecutionProjection projection = view.materialize();
-  const vmc::VmcInstance instance{projection.execution, e.addr};
+  const Execution projection = view.materialize();
+  const vmc::VmcInstance instance{projection, e.addr};
   const vmc::CheckResult decided = vmc::check_with_write_order(instance, order);
   if (decided.verdict == Verdict::kIncoherent) return pass();
   if (decided.verdict == Verdict::kCoherent)
@@ -554,12 +554,12 @@ CheckOutcome check_forced_order_refutation(const Execution& exec,
       return fail("forced-order-refutation: position " + std::to_string(i) +
                   " does not match the forced order");
   }
-  const ExecutionProjection projection = view.materialize();
+  const Execution projection = view.materialize();
   vmc::WriteOrder order;
   order.reserve(derived.forced.size());
   for (const std::uint32_t node : derived.forced)
     order.push_back(derived.writes_local[node]);
-  const vmc::VmcInstance instance{projection.execution, e.addr};
+  const vmc::VmcInstance instance{projection, e.addr};
   const vmc::CheckResult decided = vmc::check_with_write_order(instance, order);
   if (decided.verdict == Verdict::kIncoherent) return pass();
   if (decided.verdict == Verdict::kCoherent)

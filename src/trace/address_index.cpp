@@ -1,6 +1,7 @@
 #include "trace/address_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -48,24 +49,68 @@ std::optional<OpRef> ProjectedView::projected_of(OpRef original) const {
   return OpRef{h, flat - history_begin_[h]};
 }
 
-ExecutionProjection ProjectedView::materialize() const {
-  ExecutionProjection proj;
+Execution ProjectedView::materialize() const {
+  Execution exec;
   for (std::size_t h = 0; h < num_histories(); ++h) {
     const auto run = history(h);
     std::vector<Operation> ops;
-    std::vector<OpRef> refs;
     ops.reserve(run.size());
-    refs.reserve(run.size());
-    for (const OpRecord& r : run) {
-      ops.push_back(r.op);
-      refs.push_back(r.ref);
-    }
-    proj.execution.add_history(ProcessHistory{std::move(ops)});
-    proj.origin.push_back(std::move(refs));
+    for (const OpRecord& r : run) ops.push_back(r.op);
+    exec.add_history(ProcessHistory{std::move(ops)});
   }
-  proj.execution.set_initial_value(addr(), initial_);
-  if (final_) proj.execution.set_final_value(addr(), *final_);
-  return proj;
+  exec.set_initial_value(addr(), initial_);
+  if (final_) exec.set_final_value(addr(), *final_);
+  return exec;
+}
+
+ValueTable::ValueTable(const ProjectedView& view) {
+  const auto records = view.records();
+  // At most one value per read half and one per write half; at least
+  // twice that many slots keeps the table at most half full.
+  const std::size_t most = records.size() + view.stats().write_count;
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * most, 8));
+  shift_ = 64 - std::countr_zero(slots);
+  slots_.assign(slots, 0);
+  values_.reserve(most);
+  writes_.reserve(most);
+  ids_.resize(2 * records.size());
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const Operation& op = records[k].op;
+    std::uint32_t written = kNone;
+    std::uint32_t read = kNone;
+    if (op.reads_memory()) read = intern(op.value_read);
+    if (op.writes_memory()) {
+      written = intern(op.value_written);
+      ++writes_[written];
+    }
+    ids_[2 * k] = written;
+    ids_[2 * k + 1] = read;
+  }
+}
+
+std::size_t ValueTable::slot_of(Value value) const noexcept {
+  // Fibonacci hashing, then linear probing to the value or an empty slot.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(value) * 0x9e3779b97f4a7c15ull) >> shift_);
+  while (slots_[slot] != 0 && values_[slots_[slot] - 1] != value)
+    slot = (slot + 1) & mask;
+  return slot;
+}
+
+std::uint32_t ValueTable::intern(Value value) {
+  const std::size_t slot = slot_of(value);
+  if (slots_[slot] != 0) return slots_[slot] - 1;
+  const auto id = static_cast<std::uint32_t>(values_.size());
+  values_.push_back(value);
+  writes_.push_back(0);
+  slots_[slot] = id + 1;
+  return id;
+}
+
+std::uint32_t ValueTable::id_of(Value value) const noexcept {
+  const std::uint32_t entry = slots_[slot_of(value)];
+  return entry != 0 ? entry - 1 : kNone;
 }
 
 AddressIndex::AddressIndex(const Execution& exec) : exec_(&exec) {

@@ -10,8 +10,8 @@
 // linear pass over an Execution (instead of Execution::project's
 // O(addresses x total_ops) rescans), and the streaming ingester builds
 // views directly over its own arena runs. materialize() rebuilds the
-// exact ExecutionProjection that Execution::project() returns, in
-// O(ops_on_address).
+// single-address Execution that Execution::project() returns, in
+// O(ops_on_address); original_of() stands in for its origin table.
 //
 // AddressIndex borrows the Execution it was built from (execution()); it
 // must not outlive it, and the Execution must not be mutated while the
@@ -91,9 +91,10 @@ class ProjectedView {
     return record(projected).ref;
   }
 
-  /// Builds the same ExecutionProjection Execution::project(addr) returns
-  /// (histories, origin refs, initial/final values), in O(ops_on_address).
-  [[nodiscard]] ExecutionProjection materialize() const;
+  /// Builds the single-address Execution that Execution::project(addr)
+  /// returns (histories, initial/final values), in O(ops_on_address).
+  /// Its refs map back to the original execution through original_of().
+  [[nodiscard]] Execution materialize() const;
 
  private:
   AddressEntry entry_;
@@ -102,6 +103,46 @@ class ProjectedView {
   std::optional<Value> final_;
   std::vector<std::uint32_t> history_begin_;    // size num_histories + 1
   std::vector<std::uint32_t> history_process_;  // size num_histories
+};
+
+/// Dense ids for the values one address's operations read or write, in
+/// order of first appearance, so a per-value tally is a flat array indexed
+/// by id. One pass over the records interns every value through a small
+/// open-addressing table (no node per value, no sort); each record keeps
+/// the id of the value it writes and of the value it reads.
+class ValueTable {
+ public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  explicit ValueTable(const ProjectedView& view);
+
+  /// Distinct values read or written.
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] Value value(std::uint32_t id) const noexcept { return values_[id]; }
+  /// Writing operations that store value `id` (0 for a value only read).
+  [[nodiscard]] std::uint32_t writes(std::uint32_t id) const noexcept {
+    return writes_[id];
+  }
+  /// The id of `value`, or kNone when no operation reads or writes it.
+  [[nodiscard]] std::uint32_t id_of(Value value) const noexcept;
+  /// Ids of the values record k (of view.records()) writes and reads;
+  /// kNone for an operation that does not write, or does not read.
+  [[nodiscard]] std::uint32_t written(std::size_t k) const noexcept {
+    return ids_[2 * k];
+  }
+  [[nodiscard]] std::uint32_t read(std::size_t k) const noexcept {
+    return ids_[2 * k + 1];
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(Value value) const noexcept;
+  std::uint32_t intern(Value value);
+
+  std::vector<Value> values_;          // by id
+  std::vector<std::uint32_t> writes_;  // by id
+  std::vector<std::uint32_t> ids_;     // (written, read) per record
+  std::vector<std::uint32_t> slots_;   // id + 1 per slot, 0 = empty
+  int shift_ = 64;                     // 64 - log2(slots_.size())
 };
 
 /// One O(n) sweep over an Execution; afterwards every per-address

@@ -65,7 +65,7 @@ Differential run_differential(const Execution& exec,
   const Addr addr = index.entry(0).addr;
   const auto projection = index.view_at(0).materialize();
   const vmc::CheckResult exact =
-      vmc::check_exact(vmc::VmcInstance{projection.execution, addr});
+      vmc::check_exact(vmc::VmcInstance{projection, addr});
 
   const auto& result = routed.report.addresses[0].result;
   if (result.verdict == vmc::Verdict::kCoherent) {
@@ -80,7 +80,7 @@ Differential run_differential(const Execution& exec,
 /// saturation oracle, cross-checked by the level-synchronous BFS.
 vmc::Verdict reference_verdict(const AddressIndex& index, std::size_t i) {
   const auto projection = index.view_at(i).materialize();
-  const vmc::VmcInstance instance{projection.execution, index.entry(i).addr};
+  const vmc::VmcInstance instance{projection, index.entry(i).addr};
   const vmc::CheckResult exact = vmc::check_exact(instance);
   EXPECT_EQ(exact.verdict, vmc::check_bounded_k(instance).verdict)
       << "@a" << instance.addr;

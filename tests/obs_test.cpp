@@ -287,17 +287,39 @@ std::vector<std::string> documented_attributes(const std::string& span) {
   return {};
 }
 
+/// `exec` with one more write per address, of a value nothing else
+/// writes, at the end of history 0, recorded as the final value. Still
+/// coherent (the write runs last), and the unique final writer gives the
+/// saturation pass a cross-history edge to derive, so the tier runs.
+Execution with_unique_final_writers(const Execution& exec) {
+  ExecutionBuilder builder;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
+    std::vector<Operation> ops = exec.history(p).ops();
+    if (p == 0)
+      for (const Addr addr : exec.addresses())
+        ops.push_back(W(addr, 1000000 + static_cast<Value>(addr)));
+    builder.process_ops(std::move(ops));
+  }
+  for (const auto& [addr, value] : exec.initial_values())
+    builder.initial(addr, value);
+  for (const Addr addr : exec.addresses())
+    builder.final_value(addr, 1000000 + static_cast<Value>(addr));
+  return builder.build();
+}
+
 TEST_F(ObsTest, DocumentedSpanAttributesReachChromeTrace) {
-  // One contended address (4 processes, 2 values): it goes through the
-  // saturation tier and on to the exact search.
+  // One contended address (4 processes, 2 values) with a unique final
+  // writer: it goes through the saturation tier and on to the exact
+  // search.
   Xoshiro256ss rng(7);
   workload::MultiAddressParams params;
   params.num_processes = 4;
   params.ops_per_process = 16;
   params.num_addresses = 1;
   params.num_values = 2;
-  const auto trace = workload::generate_sc(params, rng);
-  const AddressIndex index(trace.execution);
+  const Execution exec =
+      with_unique_final_writers(workload::generate_sc(params, rng).execution);
+  const AddressIndex index(exec);
   set_tracing_enabled(true);
   reset_trace();
   const auto routed = analysis::verify_coherence_routed(index);
@@ -360,6 +382,7 @@ TEST_F(ObsTest, RegistryRoutingSeriesEqualTheRouteTally) {
   }
   ASSERT_GT(tally.fallbacks, 0u);
   ASSERT_GT(tally.saturate_cycles, 0u);
+  ASSERT_GT(tally.saturate_skipped, 0u);
   ASSERT_GT(tally.portfolio_races, 0u);
 
   const MetricsSnapshot snapshot = snapshot_metrics();
@@ -391,6 +414,7 @@ TEST_F(ObsTest, RegistryRoutingSeriesEqualTheRouteTally) {
   expect_series("vermem_saturate_outcomes_total{outcome=\"contradiction\"}",
                 tally.saturate_contradictions);
   expect_series("vermem_saturate_must_edges_total", tally.saturate_edges);
+  expect_series("vermem_saturate_skipped_total", tally.saturate_skipped);
   expect_series("vermem_portfolio_races_total", tally.portfolio_races);
   expect_series("vermem_portfolio_escalations_total",
                 tally.portfolio_escalations);

@@ -394,7 +394,7 @@ void expect_sweep_matches_cold(encode::VscSweep& sweep, const Execution& exec) {
     ASSERT_NE(outcome.status, sat::Status::kUnknown);
     const auto materialized = index.view(addr).materialize();
     const vmc::CheckResult exact =
-        vmc::check_exact(vmc::VmcInstance{materialized.execution, addr});
+        vmc::check_exact(vmc::VmcInstance{materialized, addr});
     ASSERT_NE(exact.verdict, vmc::Verdict::kUnknown);
     EXPECT_EQ(outcome.status == sat::Status::kSat,
               exact.verdict == vmc::Verdict::kCoherent)

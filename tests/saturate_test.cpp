@@ -342,7 +342,7 @@ TEST(SaturateDifferential, RoutedMatchesExactOnRandomTraces) {
       const Addr addr = index.entry(0).addr;
       const auto projection = index.view_at(0).materialize();
       const vmc::CheckResult exact =
-          vmc::check_exact(vmc::VmcInstance{projection.execution, addr});
+          vmc::check_exact(vmc::VmcInstance{projection, addr});
       EXPECT_EQ(routed.report.verdict, exact.verdict) << "seed " << seed;
 
       const vmc::CheckResult& result = routed.report.addresses[0].result;
@@ -386,7 +386,7 @@ TEST(SaturateOracle, PrunedSearchIsBitIdentical) {
       const auto sat = saturate::saturate(view);
       if (sat.edges.empty()) continue;
       const auto projection = view.materialize();
-      const vmc::VmcInstance instance{projection.execution,
+      const vmc::VmcInstance instance{projection,
                                       index.entry(0).addr};
       const vmc::MustPrecede oracle = oracle_for(sat, instance);
 
@@ -407,6 +407,52 @@ TEST(SaturateOracle, PrunedSearchIsBitIdentical) {
   }
   // The oracle must actually cut branches somewhere in the mix.
   EXPECT_GT(total_oracle_prunes, 0u);
+}
+
+TEST(PruneOracle, ProgramOrderEdgesNeverPrune) {
+  // Every same-history pair (p, j) -> (p, i), j < i, as a must-precede
+  // edge: next() offers (p, i) only after (p, j), so no branch is cut and
+  // the search is the unpruned one, field for field.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Xoshiro256ss rng(seed * 0x9e3779b97f4a7c15ull);
+    workload::SingleAddressParams params;
+    params.num_histories = 2 + seed % 4;
+    params.ops_per_history = 6 + seed % 5;
+    params.num_values = 2 + seed % 3;
+    const workload::GeneratedTrace trace =
+        workload::generate_coherent(params, rng);
+    std::vector<Execution> cases{trace.execution};
+    if (auto faulty = workload::inject_fault(
+            trace, static_cast<workload::Fault>(seed % 4), rng))
+      cases.push_back(std::move(*faulty));
+    for (const Execution& exec : cases) {
+      const AddressIndex index(exec);
+      if (index.num_addresses() == 0) continue;
+      const vmc::VmcInstance instance{index.view_at(0).materialize(),
+                                      index.entry(0).addr};
+      vmc::MustPrecede oracle;
+      std::vector<std::uint32_t> sizes;
+      for (std::uint32_t p = 0; p < instance.execution.num_processes(); ++p) {
+        const auto n = static_cast<std::uint32_t>(
+            instance.execution.history(p).size());
+        sizes.push_back(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+          for (std::uint32_t j = 0; j < i; ++j)
+            oracle.add_edge(OpRef{p, j}, OpRef{p, i});
+      }
+      oracle.finalize(sizes);
+      ASSERT_FALSE(oracle.empty());
+      vmc::ExactOptions with_oracle;
+      with_oracle.pruner = &oracle;
+      const vmc::CheckResult plain = vmc::check_exact(instance);
+      const vmc::CheckResult pruned = vmc::check_exact(instance, with_oracle);
+      EXPECT_EQ(plain.verdict, pruned.verdict) << "seed " << seed;
+      EXPECT_EQ(plain.witness, pruned.witness) << "seed " << seed;
+      EXPECT_EQ(plain.reason(), pruned.reason()) << "seed " << seed;
+      EXPECT_EQ(plain.stats, pruned.stats) << "seed " << seed;
+      EXPECT_EQ(pruned.stats.oracle_prunes, 0u) << "seed " << seed;
+    }
+  }
 }
 
 // --- CNF order hints ------------------------------------------------------
@@ -433,7 +479,7 @@ TEST(SaturateEncode, HintedEncodingPreservesSatisfiability) {
       const auto view = index.view_at(0);
       const auto sat = saturate::saturate(view);
       const auto projection = view.materialize();
-      const vmc::VmcInstance instance{projection.execution,
+      const vmc::VmcInstance instance{projection,
                                       index.entry(0).addr};
 
       encode::OrderHints hints;
@@ -596,10 +642,11 @@ struct Differential {
   }
 };
 
-/// One pure read rewritten to a value no write produces (the
-/// `unwritten-read` shape), chosen by `rng`; nullopt without a pure read.
-std::optional<Execution> with_fabricated_read(const Execution& exec,
-                                              Xoshiro256ss& rng) {
+/// One pure read, chosen by `rng`, rewritten to the value `pick()`
+/// returns; nullopt without a pure read.
+template <typename Pick>
+std::optional<Execution> with_read_rewritten(const Execution& exec,
+                                             Xoshiro256ss& rng, Pick pick) {
   std::vector<OpRef> reads;
   for (std::uint32_t p = 0; p < exec.num_processes(); ++p)
     for (std::uint32_t i = 0; i < exec.history(p).size(); ++i)
@@ -609,8 +656,7 @@ std::optional<Execution> with_fabricated_read(const Execution& exec,
   ExecutionBuilder builder;
   for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
     std::vector<Operation> ops = exec.history(p).ops();
-    if (p == target.process)
-      ops[target.index].value_read = -1 - static_cast<Value>(rng.below(1000));
+    if (p == target.process) ops[target.index].value_read = pick();
     builder.process_ops(std::move(ops));
   }
   for (const auto& [addr, value] : exec.initial_values())
@@ -618,6 +664,15 @@ std::optional<Execution> with_fabricated_read(const Execution& exec,
   for (const auto& [addr, value] : exec.final_values())
     builder.final_value(addr, value);
   return builder.build();
+}
+
+/// One pure read rewritten to a value no write produces (the
+/// `unwritten-read` shape), chosen by `rng`; nullopt without a pure read.
+std::optional<Execution> with_fabricated_read(const Execution& exec,
+                                              Xoshiro256ss& rng) {
+  return with_read_rewritten(exec, rng, [&rng] {
+    return -1 - static_cast<Value>(rng.below(1000));
+  });
 }
 
 /// bench_saturate's forced-order zip: P1 pins every P0 write between two
@@ -654,9 +709,10 @@ Execution chain_trace(std::size_t histories, std::size_t writes) {
   return builder.build();
 }
 
-TEST(SaturateReference, MatchesParent) {
-  Differential diff;
-
+/// Calls `visit(exec, label)` on every shape SaturateReference.MatchesParent
+/// checks; returns how many committed text traces it visited.
+template <typename Visit>
+std::size_t for_each_reference_shape(Visit&& visit) {
   // The contended_exact shape (4 x 48 ops, 3 addresses, 2 values) and
   // the fleet_text shapes, each with a fabricated read in every fourth
   // trace.
@@ -676,10 +732,10 @@ TEST(SaturateReference, MatchesParent) {
     }
     const auto trace = workload::generate_sc(params, rng);
     const std::string label = "sc seed " + std::to_string(seed);
-    diff.check(trace.execution, label);
+    visit(trace.execution, label);
     if (seed % 4 < 2)
       if (auto faulty = with_fabricated_read(trace.execution, rng))
-        diff.check(*faulty, label + " fabricated");
+        visit(*faulty, label + " fabricated");
   }
 
   // Single-address coherent traces (4 x 10 ops, 3 values; every tenth
@@ -695,11 +751,11 @@ TEST(SaturateReference, MatchesParent) {
     const workload::GeneratedTrace trace =
         workload::generate_coherent(params, rng);
     const std::string label = "coherent seed " + std::to_string(seed);
-    diff.check(trace.execution, label);
+    visit(trace.execution, label);
     for (int f = 0; f < 4; ++f) {
       const auto fault = static_cast<workload::Fault>(f);
       if (auto faulty = workload::inject_fault(trace, fault, rng))
-        diff.check(*faulty, label + " " + workload::to_string(fault));
+        visit(*faulty, label + " " + workload::to_string(fault));
     }
   }
 
@@ -724,23 +780,23 @@ TEST(SaturateReference, MatchesParent) {
     }
     if (rng.chance(0.5))
       builder.final_value(0, static_cast<Value>(rng.range(0, 3)));
-    diff.check(builder.build(), "random seed " + std::to_string(seed));
+    visit(builder.build(), "random seed " + std::to_string(seed));
   }
 
   for (const std::size_t rungs : {32u, 64u, 128u, 256u, 512u, 1024u})
-    diff.check(zip_trace(rungs), "zip " + std::to_string(rungs));
-  diff.check(chain_trace(2, 12), "chain k2 w12");
-  diff.check(chain_trace(3, 8), "chain k3 w8");
-  diff.check(chain_trace(3, 12), "chain k3 w12");
+    visit(zip_trace(rungs), "zip " + std::to_string(rungs));
+  visit(chain_trace(2, 12), "chain k2 w12");
+  visit(chain_trace(3, 8), "chain k3 w8");
+  visit(chain_trace(3, 12), "chain k3 w12");
 
   // The transient-cycle fixture of SccCondensationCollapsesTransientCycle.
-  diff.check(ExecutionBuilder()
-                 .process(W(0, 1), R(0, 2))
-                 .process(W(0, 2), R(0, 1), R(0, 3))
-                 .process(W(0, 3))
-                 .process(W(0, 3))
-                 .build(),
-             "transient cycle");
+  visit(ExecutionBuilder()
+            .process(W(0, 1), R(0, 2))
+            .process(W(0, 2), R(0, 1), R(0, 3))
+            .process(W(0, 3))
+            .process(W(0, 3))
+            .build(),
+        "transient cycle");
 
   // Every address of the committed text traces (write-order lines are
   // the log, not part of the execution).
@@ -753,10 +809,20 @@ TEST(SaturateReference, MatchesParent) {
     while (std::getline(in, line))
       if (line.rfind("wo ", 0) != 0) text += line + "\n";
     const ParseResult parsed = parse_execution(text);
-    ASSERT_TRUE(parsed.ok()) << entry.path() << ": " << parsed.error;
-    diff.check(parsed.execution, entry.path().filename().string());
+    EXPECT_TRUE(parsed.ok()) << entry.path() << ": " << parsed.error;
+    if (!parsed.ok()) continue;
+    visit(parsed.execution, entry.path().filename().string());
     ++files;
   }
+  return files;
+}
+
+TEST(SaturateReference, MatchesParent) {
+  Differential diff;
+  const std::size_t files = for_each_reference_shape(
+      [&](const Execution& exec, const std::string& label) {
+        diff.check(exec, label);
+      });
   EXPECT_GE(files, 6u);
 
   EXPECT_TRUE(diff.mismatches.empty())
@@ -768,6 +834,108 @@ TEST(SaturateReference, MatchesParent) {
   // Every outcome is exercised, and R2 queries ran.
   for (const std::size_t count : diff.statuses) EXPECT_GT(count, 0u);
   EXPECT_GT(diff.with_queries, 0u);
+}
+
+// --- inertness: when the router may skip the pass -------------------------
+
+/// Checks saturate::inert on every address of an execution: whenever it
+/// holds, the full pass must return kPartial with same-history edges only,
+/// and the exact search must not notice that oracle (verdict, witness,
+/// evidence and every SearchStats field equal the unpruned run's).
+/// classify's folded copy must agree on the fragments that reach the tier.
+struct InertCheck {
+  static constexpr std::uint64_t kStates = 4096;
+  std::size_t addresses = 0;
+  std::size_t inert = 0;
+  std::vector<std::string> failures;
+
+  void check(const Execution& exec, const std::string& label) {
+    const AddressIndex index(exec);
+    for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+      const ProjectedView view = index.view_at(i);
+      const std::string where = label + " addr " + std::to_string(view.addr());
+      ++addresses;
+      const bool skip = saturate::inert(view);
+      const analysis::FragmentProfile profile = analysis::classify(view);
+      if (!analysis::is_polynomial(profile.fragment) &&
+          profile.saturation_inert != skip)
+        failures.push_back(where + ": classify disagrees");
+      if (!skip) continue;
+      ++inert;
+      const saturate::Result sat = saturate::saturate(view);
+      if (sat.status != Status::kPartial) {
+        failures.push_back(where + ": status " + saturate::to_string(sat.status));
+        continue;
+      }
+      for (const auto& [a, b] : sat.edges)
+        if (sat.writes_local[a].process != sat.writes_local[b].process)
+          failures.push_back(where + ": cross-history edge");
+      const vmc::VmcInstance instance{view.materialize(), view.addr()};
+      const vmc::MustPrecede oracle = oracle_for(sat, instance);
+      // Both runs share a state budget: a search it stops must stop at
+      // the same point, and wide addresses stay cheap.
+      vmc::ExactOptions unpruned;
+      unpruned.max_states = kStates;
+      vmc::ExactOptions with_oracle = unpruned;
+      with_oracle.pruner = &oracle;
+      const vmc::CheckResult plain = vmc::check_exact(instance, unpruned);
+      const vmc::CheckResult pruned = vmc::check_exact(instance, with_oracle);
+      if (plain.verdict != pruned.verdict || plain.witness != pruned.witness ||
+          plain.reason() != pruned.reason() || !(plain.stats == pruned.stats))
+        failures.push_back(where + ": the oracle changed the search");
+    }
+  }
+};
+
+TEST(Saturate, InertAddressesDeriveOnlyProgramOrder) {
+  InertCheck inert;
+  const auto visit = [&](const Execution& exec, const std::string& label) {
+    inert.check(exec, label);
+  };
+  for_each_reference_shape(visit);
+
+  // Read-mutated contended traces: one read moved to another value of
+  // the domain, so reads change their candidate counts at random.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Xoshiro256ss rng(seed * 0x94d049bb133111ebull);
+    workload::MultiAddressParams params;
+    params.num_processes = 4;
+    params.ops_per_process = 12;
+    params.num_addresses = 2;
+    params.num_values = 3;
+    params.rmw_fraction = seed % 3 == 0 ? 0.3 : 0.0;
+    params.record_final_values = seed % 2 == 0;
+    const auto trace = workload::generate_sc(params, rng);
+    const auto pick = [&rng] { return static_cast<Value>(rng.range(0, 3)); };
+    if (auto mutated = with_read_rewritten(trace.execution, rng, pick))
+      visit(*mutated, "mutated seed " + std::to_string(seed));
+  }
+
+  // One fixture per clause: each satisfies the other two clauses, and
+  // the pass derives more than program order, so deleting the clause
+  // from inert() fails the checks above.
+  // (a) one writing history: a single write is a forced total order.
+  visit(ExecutionBuilder().process(W(0, 1)).process(R(0, 0)).build(),
+        "clause a: one writing history");
+  // (b) a unique final writer is pinned after every other history.
+  visit(ExecutionBuilder()
+            .process(W(0, 1))
+            .process(W(0, 2))
+            .final_value(0, 2)
+            .build(),
+        "clause b: unique final writer");
+  // (c) one candidate in another history: R1 pins W(2) -> W(1).
+  visit(ExecutionBuilder()
+            .process(W(0, 1))
+            .process(W(0, 2), R(0, 1))
+            .build(),
+        "clause c: one cross-history candidate");
+
+  EXPECT_TRUE(inert.failures.empty())
+      << inert.failures.size() << " failures, first: " << inert.failures.front();
+  // Both answers occur in the mix.
+  EXPECT_GT(inert.inert, 0u);
+  EXPECT_LT(inert.inert, inert.addresses);
 }
 
 }  // namespace

@@ -39,6 +39,26 @@ using service::VerificationRequest;
 using service::VerificationResponse;
 using service::VerificationService;
 
+/// `exec` with one more write per address, of a value nothing else
+/// writes, at the end of history 0, recorded as the final value. Still
+/// coherent (the write runs last), and the unique final writer gives the
+/// saturation pass a cross-history edge to derive, so the tier runs.
+Execution with_unique_final_writers(const Execution& exec) {
+  ExecutionBuilder builder;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
+    std::vector<Operation> ops = exec.history(p).ops();
+    if (p == 0)
+      for (const Addr addr : exec.addresses())
+        ops.push_back(W(addr, 1000000 + static_cast<Value>(addr)));
+    builder.process_ops(std::move(ops));
+  }
+  for (const auto& [addr, value] : exec.initial_values())
+    builder.initial(addr, value);
+  for (const Addr addr : exec.addresses())
+    builder.final_value(addr, 1000000 + static_cast<Value>(addr));
+  return builder.build();
+}
+
 Execution exec_from(std::string_view text) {
   ParseResult parsed = parse_execution(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
@@ -681,8 +701,8 @@ TEST(Service, StreamRequestsCarryFlightRecords) {
   params.ops_per_process = 12;
   params.num_addresses = 3;
   params.num_values = 2;
-  std::istringstream contended(
-      encode_binary(workload::generate_sc(params, rng).execution));
+  std::istringstream contended(encode_binary(
+      with_unique_final_writers(workload::generate_sc(params, rng).execution)));
   service::StreamRequest complete;
   complete.tag = "stream contended";
   complete.options.mode = stream::IngestMode::kComplete;
@@ -704,14 +724,15 @@ TEST(Service, CompleteModeStreamFoldsSaturationCounts) {
   params.ops_per_process = 12;
   params.num_addresses = 3;
   params.num_values = 2;
-  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
-  const AddressIndex index(trace.execution);
+  const Execution exec =
+      with_unique_final_writers(workload::generate_sc(params, rng).execution);
+  const AddressIndex index(exec);
   const analysis::RouteTally batch =
       analysis::verify_coherence_routed(index).routing;
   ASSERT_GT(batch.saturate_ran, 0u);
 
   VerificationService svc;
-  std::istringstream in(encode_binary(trace.execution));
+  std::istringstream in(encode_binary(exec));
   const VerificationResponse response = svc.verify_stream(in);
   EXPECT_EQ(response.verdict, vmc::Verdict::kCoherent);
   const service::ServiceStats stats = svc.stats();

@@ -29,7 +29,7 @@ bool exact_coherent(const Execution& exec) {
   for (std::size_t i = 0; i < index.num_addresses(); ++i) {
     const auto projection = index.view_at(i).materialize();
     const vmc::CheckResult result =
-        vmc::check_exact({projection.execution, index.entry(i).addr});
+        vmc::check_exact({projection, index.entry(i).addr});
     if (result.verdict != Verdict::kCoherent) return false;
   }
   return true;

@@ -526,7 +526,7 @@ int main(int argc, char** argv) {
                  "\"poly_routed\":%llu,\"exact_routed\":%llu,"
                  "\"saturate_ran\":%llu,\"saturate_decided\":%llu,"
                  "\"saturate_cycles\":%llu,\"saturate_forced\":%llu,"
-                 "\"saturate_edges\":%llu,"
+                 "\"saturate_edges\":%llu,\"saturate_skipped\":%llu,"
                  "\"portfolio_races\":%llu,\"portfolio_escalations\":%llu,"
                  "\"engine_wins\":{%s},"
                  "\"wasted_states\":%llu,\"wasted_transitions\":%llu,"
@@ -551,6 +551,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(routing.saturate_cycles),
                  static_cast<unsigned long long>(routing.saturate_forced),
                  static_cast<unsigned long long>(routing.saturate_edges),
+                 static_cast<unsigned long long>(routing.saturate_skipped),
                  static_cast<unsigned long long>(routing.portfolio_races),
                  static_cast<unsigned long long>(routing.portfolio_escalations),
                  wins.c_str(),
