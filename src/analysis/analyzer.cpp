@@ -3,7 +3,8 @@
 namespace vermem::analysis {
 
 AnalysisReport analyze(const AddressIndex& index,
-                       const vmc::WriteOrderMap* write_orders) {
+                       const vmc::WriteOrderMap* write_orders,
+                       std::span<std::optional<RouteFacts>> routed) {
   AnalysisReport out;
   out.addresses.reserve(index.num_addresses());
   for (std::size_t i = 0; i < index.num_addresses(); ++i) {
@@ -13,16 +14,23 @@ AnalysisReport analyze(const AddressIndex& index,
       const auto it = write_orders->find(view.addr());
       if (it != write_orders->end()) order = &it->second;
     }
+    std::optional<RouteFacts>* facts =
+        i < routed.size() && routed[i] ? &routed[i] : nullptr;
     AddressAnalysis address;
-    address.profile = classify(view, order != nullptr);
+    address.profile =
+        facts ? (*facts)->profile : classify(view, order != nullptr);
     // Saturation feeds W005 (contention hotspots on exact-bound
     // fragments) and W006 (log entries the trace itself contradicts);
-    // it is skipped wherever neither rule can fire.
+    // it is skipped wherever neither rule can fire. Routing ran the same
+    // log-free pass on the non-inert exact-bound addresses.
     if (address.profile.num_writes >= 2 &&
         (order != nullptr ||
          address.profile.fragment == Fragment::kBoundedProcesses ||
          address.profile.fragment == Fragment::kGeneral)) {
-      address.saturation = saturate::saturate(view);
+      if (facts && (*facts)->saturation)
+        address.saturation = std::move((*facts)->saturation);
+      else
+        address.saturation = saturate::saturate(view);
     }
     lint_view(view, address.profile, order,
               address.saturation ? &*address.saturation : nullptr,

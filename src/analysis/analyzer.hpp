@@ -11,10 +11,12 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/fragment.hpp"
 #include "analysis/lint.hpp"
+#include "analysis/router.hpp"
 #include "vmc/checker.hpp"
 
 namespace vermem::analysis {
@@ -42,10 +44,14 @@ struct AnalysisReport {
 
 /// Analyzes every address of an indexed execution. `write_orders`, when
 /// non-null, enables the write-order fragment and rule W004 for the
-/// addresses it covers.
+/// addresses it covers. `routed`, when not empty, is a routing pass's
+/// RoutedReport::facts over the same index and logs (parallel to its
+/// addresses): an address routing decided takes its profile from there,
+/// and its saturation result (moved out) wherever routing ran the pass,
+/// instead of computing them again.
 [[nodiscard]] AnalysisReport analyze(
-    const AddressIndex& index,
-    const vmc::WriteOrderMap* write_orders = nullptr);
+    const AddressIndex& index, const vmc::WriteOrderMap* write_orders = nullptr,
+    std::span<std::optional<RouteFacts>> routed = {});
 
 /// Convenience overload building the index internally.
 [[nodiscard]] AnalysisReport analyze(

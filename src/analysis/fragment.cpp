@@ -22,6 +22,11 @@ std::string FragmentProfile::summary() const {
 }
 
 FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
+  return classify(view, ValueTable(view), has_write_order);
+}
+
+FragmentProfile classify(const ProjectedView& view, const ValueTable& values,
+                         bool has_write_order) {
   FragmentProfile profile;
   profile.addr = view.addr();
   profile.has_write_order = has_write_order;
@@ -41,7 +46,6 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
   // Per value (dense ids): whether any read observes it (to find dead
   // writes) and whether some history's last write stores it; the table
   // itself counts its writes (to find duplicates).
-  const ValueTable values(view);
   constexpr std::uint8_t kRead = 1, kLastWrite = 2;
   std::vector<std::uint8_t> use(values.size(), 0);
 
@@ -122,7 +126,7 @@ FragmentProfile classify(const ProjectedView& view, bool has_write_order) {
   } else {
     profile.fragment = Fragment::kGeneral;
   }
-  // Only these fragments route to saturation; the table is already built.
+  // Only these fragments route to saturation.
   if (!is_polynomial(profile.fragment))
     profile.saturation_inert = saturate::inert(view, values);
   return profile;

@@ -130,5 +130,10 @@ struct FragmentProfile {
 /// log's *validity* is checked separately; see lint rule W004).
 [[nodiscard]] FragmentProfile classify(const ProjectedView& view,
                                        bool has_write_order = false);
+/// Same, over a ValueTable of the view the caller already holds (the
+/// router builds one per address and hands it on to the exact tier).
+[[nodiscard]] FragmentProfile classify(const ProjectedView& view,
+                                       const ValueTable& values,
+                                       bool has_write_order = false);
 
 }  // namespace vermem::analysis

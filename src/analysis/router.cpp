@@ -50,29 +50,46 @@ certify::Incoherence contradiction_evidence(const ProjectedView& view,
   return certify::unwritten_read(addr, OpRef{}, c.value);  // unreachable
 }
 
-/// One engine's run in a portfolio race. Every arm is budgeted by the
-/// caller's limits with the race's linked cancellation token in place of
-/// the caller's, and every definite verdict obeys the certification
-/// discipline of its engine.
-CheckResult run_engine(Engine engine, const vmc::VmcInstance& instance,
+/// One address as the deciders see it. The frontier search reads the
+/// view and its value table; the polynomial deciders, the §5.2 re-check
+/// and the CDCL and bounded-k engines take an Execution, which instance()
+/// materializes on first use, so an address the search alone decides
+/// never builds one.
+struct Subject {
+  const ProjectedView& view;
+  const ValueTable& values;
+  std::optional<vmc::VmcInstance> materialized;
+
+  const vmc::VmcInstance& instance() {
+    if (!materialized) materialized.emplace(view.materialize(), view.addr());
+    return *materialized;
+  }
+};
+
+/// One engine's run in a portfolio race, which materialized the instance
+/// before it started. Every arm is budgeted by the caller's limits with
+/// the race's linked cancellation token in place of the caller's, and
+/// every definite verdict obeys the certification discipline of its
+/// engine.
+CheckResult run_engine(Engine engine, const Subject& subject,
                        const vmc::ExactOptions& exact_options,
                        const CancellationToken& stop) {
   switch (engine) {
     case Engine::kExactSearch: {
       vmc::ExactOptions options = exact_options;
       options.cancel = &stop;
-      return vmc::check_exact(instance, options);
+      return vmc::check_exact(subject.view, subject.values, options);
     }
     case Engine::kCdcl: {
       sat::SolverOptions options;
       options.deadline = exact_options.deadline;
       options.cancel = &stop;
-      return encode::check_via_sat(instance, options);
+      return encode::check_via_sat(*subject.materialized, options);
     }
     case Engine::kBoundedK: {
       search::Limits limits = exact_options;
       limits.cancel = &stop;
-      return vmc::check_bounded_k(instance, limits);
+      return vmc::check_bounded_k(*subject.materialized, limits);
     }
   }
   return CheckResult::unknown(certify::UnknownReason::kSolverGaveUp,
@@ -90,8 +107,7 @@ struct Race {
 /// finish time) wins the CAS and cancels the rest through `stop`.
 /// engines[0] runs on the calling thread; only the other arms get
 /// threads of their own.
-Race run_race(const std::vector<Engine>& engines,
-              const vmc::VmcInstance& instance,
+Race run_race(const std::vector<Engine>& engines, const Subject& subject,
               const vmc::ExactOptions& exact_options, CancellationToken& stop) {
   Race race;
   race.results.resize(engines.size());
@@ -101,7 +117,7 @@ Race run_race(const std::vector<Engine>& engines,
   // after every arm has joined.
   std::int64_t decided_ns = 0;
   const auto arm = [&](std::size_t i) {
-    CheckResult result = run_engine(engines[i], instance, exact_options, stop);
+    CheckResult result = run_engine(engines[i], subject, exact_options, stop);
     if (result.verdict != Verdict::kUnknown) {
       int expected = -1;
       if (first_definite.compare_exchange_strong(expected,
@@ -142,10 +158,11 @@ bool budget_spent(const CheckResult& result) {
 // portfolio_race) the frontier search decides an address in a mean of
 // ~115 states and none needs 4096, while the race costs ~7x the lone
 // search there (two thread spawns and a CNF encoding per address). At
-// the ~350 ns per state measured there (4 vCPU, RelWithDebInfo), 4096
-// states take ~1.5 ms: the most an instance that does escalate pays on
-// top of its race, which on the SAT-reduction instances that need it
-// runs from milliseconds to hundreds of milliseconds.
+// the ~150 ns per state measured there (vmc.exact_ns_per_state, 4 vCPU,
+// RelWithDebInfo), 4096 states take ~0.6 ms: the most an instance that
+// does escalate pays on top of its race, which on the SAT-reduction
+// instances that need it runs from milliseconds to hundreds of
+// milliseconds.
 const std::uint64_t kSoloStates = 4096;
 
 namespace {
@@ -163,7 +180,7 @@ namespace {
 /// an escalation and the losers' effort are surfaced separately in
 /// RouteOutcome::wasted_effort. `only` skips stage 1 and runs the one
 /// engine it names.
-CheckResult race_portfolio(const vmc::VmcInstance& instance,
+CheckResult race_portfolio(Subject& subject,
                            const vmc::ExactOptions& exact_options,
                            const PortfolioOptions& portfolio,
                            RouteOutcome& out) {
@@ -173,7 +190,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
                           std::int64_t join_wait_ns) {
     out.portfolio_winner = winner;
     if (span.active()) {
-      span.attr("addr", static_cast<std::uint64_t>(instance.addr));
+      span.attr("addr", static_cast<std::uint64_t>(subject.view.addr()));
       span.attr("escalated", out.portfolio_escalated);
       span.attr("wasted_states", out.wasted_effort.states_visited);
       // Time the losers took to notice the cancel and be joined.
@@ -182,7 +199,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
       span.attr("verdict", vmc::to_string(result.verdict));
     }
     obs::flight_event(obs::FlightEventKind::kTierVerdict, to_string(winner),
-                      static_cast<std::uint64_t>(instance.addr),
+                      static_cast<std::uint64_t>(subject.view.addr()),
                       static_cast<std::uint64_t>(result.verdict));
     return result;
   };
@@ -196,7 +213,7 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
                                 exact_options.max_states <= kSoloStates;
     vmc::ExactOptions options = exact_options;
     options.max_states = callers_states ? exact_options.max_states : kSoloStates;
-    solo = vmc::check_exact(instance, options);
+    solo = vmc::check_exact(subject.view, subject.values, options);
     if (!budget_spent(solo))
       return finish(std::move(solo), Engine::kExactSearch, 0);
     out.portfolio_escalated = true;
@@ -210,8 +227,9 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
     engines.push_back(Engine::kBoundedK);
   }
 
+  subject.instance();  // before any arm's thread starts
   CancellationToken stop(exact_options.cancel);
-  Race race = run_race(engines, instance, exact_options, stop);
+  Race race = run_race(engines, subject, exact_options, stop);
   // With no definite verdict the frontier search's answer stands in, so
   // kUnknown evidence stays meaningful: engines[0] when it raced, else
   // stage 1's.
@@ -234,14 +252,14 @@ CheckResult race_portfolio(const vmc::VmcInstance& instance,
 /// in `oracle`: a program-order edge never prunes (next() offers (p, i)
 /// only once every (p, j < i) is scheduled), so those stay out, and with
 /// none left `oracle` stays empty. All evidence leaves in projected
-/// coordinates.
-std::optional<CheckResult> saturate_or_oracle(const ProjectedView& view,
-                                              const vmc::VmcInstance& instance,
+/// coordinates; the pass's result stays in `out.saturation`.
+std::optional<CheckResult> saturate_or_oracle(Subject& subject,
                                               RouteOutcome& out,
                                               vmc::MustPrecede& oracle) {
+  const ProjectedView& view = subject.view;
   obs::flight_event(obs::FlightEventKind::kTierEnter, "saturate",
                     static_cast<std::uint64_t>(view.addr()));
-  const saturate::Result sat = [&] {
+  const saturate::Result& sat = out.saturation.emplace([&] {
     obs::Span span("analysis.saturate");
     saturate::Result r = saturate::saturate(view);
     // The enclosing analysis.route span carries the address; four
@@ -254,11 +272,8 @@ std::optional<CheckResult> saturate_or_oracle(const ProjectedView& view,
       span.attr("status", saturate::to_string(r.status));
     }
     return r;
-  }();
+  }());
   out.saturation_ran = true;
-  out.saturation_status = sat.status;
-  out.saturation_edges = sat.edges.size();
-  out.saturation_branch_points = sat.branch_points;
 
   switch (sat.status) {
     case saturate::Status::kContradiction:
@@ -279,7 +294,8 @@ std::optional<CheckResult> saturate_or_oracle(const ProjectedView& view,
       order.reserve(sat.forced.size());
       for (const std::uint32_t n : sat.forced)
         order.push_back(sat.writes_local[n]);
-      CheckResult decided = vmc::check_with_write_order(instance, order);
+      CheckResult decided =
+          vmc::check_with_write_order(subject.instance(), order);
       if (decided.verdict == Verdict::kCoherent) {
         out.decider = Decider::kSaturate;
         return decided;
@@ -320,15 +336,14 @@ std::optional<CheckResult> saturate_or_oracle(const ProjectedView& view,
 /// subtrees are witness-free and the search keeps bit-identical verdicts
 /// and witnesses. An `inert` address (saturate::inert) skips the pass: it
 /// would derive program-order edges only.
-CheckResult saturate_then_exact(const ProjectedView& view,
-                                const vmc::VmcInstance& instance,
-                                const search::Limits& limits,
+CheckResult saturate_then_exact(Subject& subject, const search::Limits& limits,
                                 const PortfolioOptions& portfolio, bool inert,
                                 RouteOutcome& out) {
+  const ProjectedView& view = subject.view;
   vmc::MustPrecede oracle;
   if (inert)
     out.saturation_skipped = true;
-  else if (auto decided = saturate_or_oracle(view, instance, out, oracle))
+  else if (auto decided = saturate_or_oracle(subject, out, oracle))
     return std::move(*decided);
   vmc::ExactOptions pruned{limits};
   if (!oracle.empty()) pruned.pruner = &oracle;
@@ -337,12 +352,12 @@ CheckResult saturate_then_exact(const ProjectedView& view,
     obs::flight_event(obs::FlightEventKind::kTierEnter, "portfolio",
                       static_cast<std::uint64_t>(view.addr()),
                       oracle.preds.size());
-    return race_portfolio(instance, pruned, portfolio, out);
+    return race_portfolio(subject, pruned, portfolio, out);
   }
   obs::flight_event(obs::FlightEventKind::kTierEnter, "exact",
                     static_cast<std::uint64_t>(view.addr()),
                     oracle.preds.size());
-  return vmc::check_exact(instance, pruned);
+  return vmc::check_exact(view, subject.values, pruned);
 }
 
 RouteOutcome route(const ProjectedView& view,
@@ -351,8 +366,9 @@ RouteOutcome route(const ProjectedView& view,
                    const PortfolioOptions& portfolio) {
   obs::Span span("analysis.route");
   RouteOutcome out;
-  const FragmentProfile profile = classify(view, write_order != nullptr);
-  out.fragment = profile.fragment;
+  const ValueTable values(view);
+  const FragmentProfile& profile = out.profile =
+      classify(view, values, write_order != nullptr);
   if (span.active()) {
     span.attr("addr", static_cast<std::uint64_t>(view.addr()));
     span.attr("ops", view.num_ops());
@@ -375,7 +391,7 @@ RouteOutcome route(const ProjectedView& view,
     return out;
   }
 
-  const vmc::VmcInstance instance{view.materialize(), view.addr()};
+  Subject subject{view, values, std::nullopt};
 
   CheckResult result;
   switch (profile.fragment) {
@@ -385,31 +401,32 @@ RouteOutcome route(const ProjectedView& view,
       // flag only makes the checker bail (kUnknown), never lie.
       obs::Span poly_span("poly.one_op");
       out.decider = Decider::kOneOp;
-      result = profile.rmw_only ? vmc::check_rmw_one_op_per_process(instance)
-                                : vmc::check_one_op_per_process(instance);
+      result = profile.rmw_only
+                   ? vmc::check_rmw_one_op_per_process(subject.instance())
+                   : vmc::check_one_op_per_process(subject.instance());
       break;
     }
     case Fragment::kWriteOnce:
     case Fragment::kWriteOnceRmw: {
       obs::Span poly_span("poly.write_once");
       out.decider = Decider::kWriteOnce;
-      result = profile.rmw_only ? vmc::check_rmw_read_map(instance)
-                                : vmc::check_read_map(instance);
+      result = profile.rmw_only ? vmc::check_rmw_read_map(subject.instance())
+                                : vmc::check_read_map(subject.instance());
       break;
     }
     case Fragment::kWriteOrder:
       out.decider = Decider::kWriteOrder;
-      result = poly::decide_with_write_order(instance, view, *write_order,
-                                             profile.rmw_only);
+      result = poly::decide_with_write_order(subject.instance(), view,
+                                             *write_order, profile.rmw_only);
       break;
     case Fragment::kRmwChain:
       out.decider = Decider::kRmwChain;
-      result = poly::decide_rmw_chain(instance);
+      result = poly::decide_rmw_chain(subject.instance());
       break;
     case Fragment::kEmpty:  // handled above
     case Fragment::kBoundedProcesses:
     case Fragment::kGeneral:
-      result = saturate_then_exact(view, instance, limits, portfolio,
+      result = saturate_then_exact(subject, limits, portfolio,
                                    profile.saturation_inert, out);
       break;
   }
@@ -422,7 +439,7 @@ RouteOutcome route(const ProjectedView& view,
   // (surfaced separately as lint rule W004).
   if (result.verdict == Verdict::kUnknown && out.decider != Decider::kExact &&
       out.decider != Decider::kSaturate && out.decider != Decider::kWriteOrder) {
-    result = saturate_then_exact(view, instance, limits, portfolio,
+    result = saturate_then_exact(subject, limits, portfolio,
                                  profile.saturation_inert, out);
     out.fell_back = true;
   }
@@ -478,16 +495,16 @@ RouteOutcome check_routed(const ProjectedView& view,
 }
 
 void RouteTally::add(const RouteOutcome& outcome) {
-  ++fragment_counts[static_cast<std::size_t>(outcome.fragment)];
+  ++fragment_counts[static_cast<std::size_t>(outcome.profile.fragment)];
   ++decider_counts[static_cast<std::size_t>(outcome.decider)];
   ++(outcome.decider == Decider::kExact ? exact_routed : poly_routed);
   if (outcome.fell_back) ++fallbacks;
   if (outcome.saturation_skipped) ++saturate_skipped;
-  if (outcome.saturation_ran) {
+  if (outcome.saturation) {
     ++saturate_ran;
-    saturate_edges += outcome.saturation_edges;
+    saturate_edges += outcome.saturation->edges.size();
     if (outcome.decider == Decider::kSaturate) ++saturate_decided;
-    switch (outcome.saturation_status) {
+    switch (outcome.saturation->status) {
       case saturate::Status::kCycle: ++saturate_cycles; break;
       case saturate::Status::kForcedTotal: ++saturate_forced; break;
       case saturate::Status::kPartial: ++saturate_partial; break;
@@ -573,10 +590,12 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
   reports.reserve(count);
   out.fragments.reserve(count);
   out.deciders.reserve(count);
+  out.facts.reserve(count);
   const auto record = [&](std::size_t i, RouteOutcome&& outcome) {
     out.routing.add(outcome);
-    out.fragments.push_back(outcome.fragment);
+    out.fragments.push_back(outcome.profile.fragment);
     out.deciders.push_back(outcome.decider);
+    out.facts.push_back(RouteFacts{outcome.profile, std::move(outcome.saturation)});
     reports.push_back({index.entry(i).addr, std::move(outcome.result)});
   };
   // Skipped addresses carry no routing information; they are not
@@ -587,6 +606,7 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
          CheckResult::unknown(certify::UnknownReason::kSkipped, why)});
     out.fragments.push_back(Fragment::kGeneral);
     out.deciders.push_back(Decider::kExact);
+    out.facts.emplace_back();
   };
   const char* const kInterrupted = "deadline expired or request cancelled";
 

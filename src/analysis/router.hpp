@@ -104,20 +104,19 @@ struct PortfolioOptions {
 /// Verdict plus routing provenance for one address.
 struct RouteOutcome {
   vmc::CheckResult result;
-  Fragment fragment = Fragment::kGeneral;
+  /// The address's classification; profile.fragment is what it routed on.
+  FragmentProfile profile;
   Decider decider = Decider::kExact;
   /// True when a polynomial decider bailed (kUnknown) and the exact
   /// search produced the verdict instead.
   bool fell_back = false;
-  /// Saturation provenance, populated when the saturation tier ran
-  /// (kBoundedProcesses/kGeneral routes and structural fallbacks).
+  /// The saturation tier ran the pass (kBoundedProcesses/kGeneral routes
+  /// and structural fallbacks); `saturation` holds its result.
   bool saturation_ran = false;
   /// The address reached the tier but was inert (saturate::inert), so
   /// the pass was skipped and the exact search ran without a pruner.
   bool saturation_skipped = false;
-  saturate::Status saturation_status = saturate::Status::kPartial;
-  std::uint64_t saturation_edges = 0;         ///< must-edges derived
-  std::uint64_t saturation_branch_points = 0; ///< unordered Kahn steps
+  std::optional<saturate::Result> saturation;
   /// Portfolio provenance. `result.stats` carries ONLY the winning
   /// engine's effort; the losers' effort, and stage 1's when it
   /// escalated, lands in `wasted_effort` so aggregate effort accounting
@@ -180,6 +179,15 @@ struct RouteTally {
   friend bool operator==(const RouteTally&, const RouteTally&) = default;
 };
 
+/// What routing computed for one address besides its verdict.
+/// analysis::analyze takes these instead of classifying the address, and
+/// saturating it, a second time.
+struct RouteFacts {
+  FragmentProfile profile;
+  /// The log-free saturation result, when the tier ran the pass.
+  std::optional<saturate::Result> saturation;
+};
+
 /// Whole-trace coherence with routing provenance: per-address verdicts
 /// in sorted address order, aggregated by vmc::aggregate_reports, plus
 /// per-address fragments/deciders and the summed RouteTally.
@@ -188,6 +196,8 @@ struct RoutedReport {
   /// Parallel to report.addresses.
   std::vector<Fragment> fragments;
   std::vector<Decider> deciders;
+  /// Parallel to report.addresses; nullopt for a skipped address.
+  std::vector<std::optional<RouteFacts>> facts;
   /// Decided addresses only; skipped ones carry no routing information.
   RouteTally routing;
 };

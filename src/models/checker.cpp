@@ -80,12 +80,12 @@ class StoreBufferPolicy {
     return c;
   }
 
-  void apply(std::uint32_t* key, std::uint32_t c, Schedule& schedule) const {
+  void apply(std::uint32_t* key, std::uint32_t c, Schedule* schedule) const {
     if (c < k_) {
       // A write joins the buffer, which the bumped position already says;
       // an atomic acts on memory directly.
       const Operation& op = exec_.history(c)[key[c]];
-      schedule.push_back(OpRef{c, key[c]});
+      if (schedule != nullptr) schedule->push_back(OpRef{c, key[c]});
       if (op.kind == OpKind::kRmw)
         search::store_value(memory_word(key, memory_.id(c, key[c])),
                             op.value_written);
@@ -110,7 +110,7 @@ class StoreBufferPolicy {
 
   /// No choice commutes with every other, so every transition branches;
   /// reject() is never called because status() never rejects.
-  void close(std::uint32_t*, Schedule&) const {}
+  void close(std::uint32_t*, Schedule*) const {}
   [[nodiscard]] certify::Incoherence reject(const std::uint32_t*) const {
     return certify::search_exhaustion(0, 0, 0);
   }

@@ -7,23 +7,29 @@
 // and write in place, so the key memoized is the state itself. The engine
 // owns the depth-first loop over an SoA frame stack, the memo table
 // (Arena + FlatKeySet; a hit counts as a prune), budgets and polling,
-// SearchStats and the arena accounting. A memory model is a policy P
-// that supplies:
+// SearchStats and the arena accounting; the storage behind the table and
+// the stack is borrowed from the thread's Workspace. A memory model is a
+// policy P that supplies:
 //   key_words(), start(key)     layout and initial state
 //   num_choices()               choices are 0..num_choices()-1, tried in
 //                               order, so the policy alone fixes the
 //                               exploration sequence
 //   next(key, c, stats)         first enabled choice >= c, else
 //                               num_choices(); may count oracle prunes
-//   apply(key, c, schedule)     takes c, appending any issued operation
+//   apply(key, c, schedule)     takes c; when `schedule` is non-null,
+//                               appends any issued operation to it
 //   close(key, schedule)        takes every choice that commutes with all
 //                               others (a pure read of the current value,
 //                               a sync op), unbranched, appending each
-//                               issued operation; runs after start() and
-//                               after every apply()
+//                               issued operation to a non-null `schedule`;
+//                               runs after start() and after every apply()
 //   status(key)                 open, accepted (a witness) or rejected
 //   reject(key), addr()         evidence for a rejected start state and
 //                               the address exhaustion is reported on
+// The search passes a null schedule: no step records anything. On accept
+// the engine replays start(), then each frame's taken choice, with a
+// schedule, which yields the witness; apply() and close() must therefore
+// be deterministic functions of the key.
 // See docs/ALGORITHMS.md §2 and §12.
 
 #include <algorithm>
@@ -167,57 +173,125 @@ enum class Status : std::uint8_t {
   kReject,  ///< a dead end, not memoized
 };
 
+/// Storage one search borrows: the memo arena, the current key and the
+/// frame stack. Each thread keeps one (WorkspaceLease), so back-to-back
+/// searches on a thread allocate nothing once it is warm.
+struct Workspace {
+  /// What an idle workspace keeps: arena extents up to this many bytes,
+  /// and each frame-stack vector while its capacity is within it. 64 KiB
+  /// holds the first four arena extents (4 + 8 + 16 + 32 KiB), enough for
+  /// searches of several hundred states (a contended 4-history address
+  /// takes ~116 states and ~12 KiB); one larger search no longer pins its
+  /// peak on every thread that ever ran it.
+  static constexpr std::size_t kKeepBytes = 64 * 1024;
+
+  Arena arena;
+  std::vector<std::uint32_t> key;         ///< the current state
+  std::vector<std::uint32_t> frame_keys;  ///< row i belongs to frame i
+  std::vector<std::uint32_t> frame_next;  ///< frame i's next choice to try
+
+  /// Back to an idle state within kKeepBytes.
+  void trim() noexcept {
+    arena.rewind(kKeepBytes);
+    for (auto* vec : {&key, &frame_keys, &frame_next}) {
+      if (vec->capacity() * sizeof(std::uint32_t) > kKeepBytes)
+        std::vector<std::uint32_t>().swap(*vec);
+      vec->clear();
+    }
+  }
+};
+
+/// The calling thread's workspace for one search, or a private one when
+/// that is already lent further up the stack (a policy that runs a search
+/// of its own from inside a search). Trims what it lent on return.
+class WorkspaceLease {
+ public:
+  WorkspaceLease() {
+    thread_local Workspace shared;
+    thread_local bool lent = false;
+    if (lent) {
+      ws_ = &private_.emplace();
+    } else {
+      lent = true;
+      lent_ = &lent;
+      ws_ = &shared;
+    }
+  }
+  ~WorkspaceLease() {
+    ws_->trim();
+    if (lent_ != nullptr) *lent_ = false;
+  }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  [[nodiscard]] Workspace& get() const noexcept { return *ws_; }
+
+ private:
+  std::optional<Workspace> private_;
+  Workspace* ws_;
+  bool* lent_ = nullptr;  ///< the thread's flag, when its workspace is lent
+};
+
 /// The memoized search for policy P; run() once per engine. Holds the
 /// policy and the limits by reference: both must outlive the engine.
 template <typename P>
 class Engine {
  public:
   Engine(const P& policy, const Limits& limits)
-      : policy_(policy), limits_(limits), stride_(policy.key_words()),
-        choices_(policy.num_choices()), key_(stride_, 0),
-        visited_(arena_, stride_), budget_(limits) {}
+      : policy_(policy), stride_(policy.key_words()),
+        choices_(policy.num_choices()), budget_(limits) {}
 
-  CheckResult run() { return with_arena(search(), arena_); }
+  CheckResult run() {
+    const WorkspaceLease lease;
+    Workspace& ws = lease.get();
+    ws.key.assign(stride_, 0);
+    FlatKeySet visited(ws.arena, stride_);
+    ws_ = &ws;
+    visited_ = &visited;
+    return with_arena(search(), ws.arena);
+  }
 
  private:
   CheckResult search() {
-    policy_.start(key_.data());
-    policy_.close(key_.data(), schedule_);
-    switch (policy_.status(key_.data())) {
-      case Status::kAccept: return CheckResult::yes(schedule_, stats_);
+    std::uint32_t* const key = ws_->key.data();
+    auto& frame_keys = ws_->frame_keys;
+    auto& frame_next = ws_->frame_next;
+    policy_.start(key);
+    policy_.close(key, nullptr);
+    switch (policy_.status(key)) {
+      case Status::kAccept: return CheckResult::yes(witness(), stats_);
       case Status::kReject:
-        return CheckResult::no(policy_.reject(key_.data()), stats_);
+        return CheckResult::no(policy_.reject(key), stats_);
       case Status::kOpen: break;
     }
     remember();
     push_frame();
 
-    while (!frame_len_.empty()) {
+    while (!frame_next.empty()) {
       if (auto why = budget_.stop(stats_))
         return CheckResult::unknown(std::move(*why), stats_);
 
-      const std::size_t top = frame_len_.size() - 1;
-      const std::uint32_t* row = frame_keys_.data() + top * stride_;
-      std::copy(row, row + stride_, key_.begin());
-      schedule_.resize(frame_len_[top]);
+      const std::size_t top = frame_next.size() - 1;
+      const std::uint32_t* row = frame_keys.data() + top * stride_;
+      std::copy(row, row + stride_, key);
 
-      const std::uint32_t c = policy_.next(key_.data(), frame_next_[top], stats_);
+      const std::uint32_t c = policy_.next(key, frame_next[top], stats_);
       if (c >= choices_) {
         pop_frame();
         continue;
       }
-      frame_next_[top] = c + 1;
+      frame_next[top] = c + 1;
       ++stats_.transitions;
 
-      policy_.apply(key_.data(), c, schedule_);
-      policy_.close(key_.data(), schedule_);
-      const Status status = policy_.status(key_.data());
-      if (status == Status::kAccept) return CheckResult::yes(schedule_, stats_);
+      policy_.apply(key, c, nullptr);
+      policy_.close(key, nullptr);
+      const Status status = policy_.status(key);
+      if (status == Status::kAccept) return CheckResult::yes(witness(), stats_);
       // Rejected or already explored: the loop head restores the frame.
       if (status == Status::kReject || !remember()) continue;
       push_frame();
       stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, frame_len_.size());
+          std::max<std::uint64_t>(stats_.max_frontier, frame_next.size());
     }
     return CheckResult::no(certify::search_exhaustion(policy_.addr(),
                                                       stats_.states_visited,
@@ -225,41 +299,48 @@ class Engine {
                            stats_);
   }
 
+  /// The accepted path's schedule: start() and close(), then the choice
+  /// each frame took (its next choice minus one) and close(), replayed
+  /// with a schedule. Overwrites the current key.
+  Schedule witness() const {
+    Schedule schedule;
+    std::uint32_t* const key = ws_->key.data();
+    policy_.start(key);
+    policy_.close(key, &schedule);
+    for (const std::uint32_t next : ws_->frame_next) {
+      policy_.apply(key, next - 1, &schedule);
+      policy_.close(key, &schedule);
+    }
+    return schedule;
+  }
+
   /// False when the current state was seen before (a prune).
   bool remember() {
     ++stats_.states_visited;
-    if (visited_.insert(key_.data()).fresh) return true;
+    if (visited_->insert(ws_->key.data()).fresh) return true;
     --stats_.states_visited;
     ++stats_.prunes;
     return false;
   }
 
   void push_frame() {
-    frame_keys_.insert(frame_keys_.end(), key_.begin(), key_.end());
-    frame_len_.push_back(schedule_.size());
-    frame_next_.push_back(0);
+    ws_->frame_keys.insert(ws_->frame_keys.end(), ws_->key.begin(),
+                           ws_->key.end());
+    ws_->frame_next.push_back(0);
   }
 
   void pop_frame() {
-    frame_keys_.resize(frame_keys_.size() - stride_);
-    frame_len_.pop_back();
-    frame_next_.pop_back();
+    ws_->frame_keys.resize(ws_->frame_keys.size() - stride_);
+    ws_->frame_next.pop_back();
   }
 
   const P& policy_;
-  const Limits& limits_;
   std::size_t stride_;
   std::uint32_t choices_;
-  std::vector<std::uint32_t> key_;  ///< the current state
-  Schedule schedule_;
-  // SoA frame stack: row i of frame_keys_ belongs to frame i.
-  std::vector<std::uint32_t> frame_keys_;
-  std::vector<std::size_t> frame_len_;
-  std::vector<std::uint32_t> frame_next_;
-  Arena arena_;  ///< owns all visited-key storage for this call
-  FlatKeySet visited_;
   Budget budget_;
   SearchStats stats_;
+  Workspace* ws_ = nullptr;        ///< set by run() for its duration
+  FlatKeySet* visited_ = nullptr;  ///< lives in ws_->arena, run() owns it
 };
 
 }  // namespace vermem::search

@@ -385,6 +385,8 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   // The whole-execution SC result, kept for the execution-scope
   // certificate when a certified kVscc request runs.
   std::optional<vmc::CheckResult> sc_result;
+  // What coherence routing computed per address, for the --analyze pass.
+  std::vector<std::optional<analysis::RouteFacts>> route_facts;
 
   // The one budget of this request; every mode runs under it.
   const search::Limits limits{
@@ -424,6 +426,7 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       response.wasted_effort = routed.routing.wasted_effort;
       response.coherence = std::move(routed.report);
       slot.accounting.routing = routed.routing;
+      route_facts = std::move(routed.facts);
       break;
     }
     case CheckMode::kVscc: {
@@ -490,9 +493,11 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   if (slot.request.analyze) {
     // Static pass over the same AddressIndex the checkers used; cheap
     // (O(n)) and deterministic, so it runs even after an unknown verdict.
+    // It reuses what coherence routing already computed per address.
     response.analysis = analysis::analyze(
         *slot.index,
-        slot.request.write_orders ? &*slot.request.write_orders : nullptr);
+        slot.request.write_orders ? &*slot.request.write_orders : nullptr,
+        route_facts);
     response.analyzed = true;
   }
 

@@ -5,17 +5,23 @@
 // and never free anything until the whole verification call finishes —
 // the textbook arena workload. An Arena hands out pointer-bumped chunks
 // from geometrically growing extents (one ::operator new per extent,
-// never per allocation) and releases everything wholesale: either at
-// destruction or via reset(), which retains the largest extent so a
-// reused arena reaches steady state with zero system allocations.
+// never per allocation) and releases everything wholesale: at
+// destruction, via reset(), which retains the largest extent so a
+// reused arena reaches steady state with zero system allocations, or via
+// rewind() (below).
 //
 // Nothing is ever freed individually, so allocation is a pointer bump
 // plus an alignment round-up, and the memory for one search is dense:
 // keys inserted consecutively sit consecutively, which is what makes the
 // open-addressing table in support/flat_set.hpp cache-friendly.
 //
-// Not thread-safe by design: each search owns a private arena (the
-// parallel per-address sweep gives every worker its own search object).
+// rewind() serves a long-lived arena that runs one search after another
+// (search::Workspace): it returns the arena to the state of a new one but
+// keeps a bounded prefix of its extents, which later growth takes back in
+// order, so each search's accounting is the one a new arena would report.
+//
+// Not thread-safe by design: each search uses one arena at a time (the
+// search engine borrows its thread's workspace arena).
 
 #include <cstddef>
 #include <cstdint>
@@ -26,11 +32,13 @@
 
 namespace vermem {
 
-/// Accounting for one arena. `reserved`/`extents` describe live extents;
-/// `used`, `high_water` and `allocations` are lifetime totals that
-/// survive reset() so callers can report effort after wholesale reuse.
+/// Accounting for one arena. `reserved`/`extents` describe the extents
+/// serving allocations (spares kept by rewind() are not counted until
+/// growth takes them back); `used`, `high_water` and `allocations` are
+/// lifetime totals that survive reset() so callers can report effort
+/// after wholesale reuse. rewind() zeroes all five.
 struct ArenaStats {
-  std::uint64_t reserved = 0;     ///< bytes obtained from the system (live)
+  std::uint64_t reserved = 0;     ///< bytes of the extents in service
   std::uint64_t used = 0;         ///< bytes handed out since construction
   std::uint64_t high_water = 0;   ///< peak of bytes simultaneously in use
   std::uint64_t allocations = 0;  ///< bump allocations served
@@ -42,12 +50,16 @@ class Arena {
   static constexpr std::size_t kDefaultFirstExtent = 4096;
 
   explicit Arena(std::size_t first_extent_bytes = kDefaultFirstExtent) noexcept
-      : next_extent_bytes_(first_extent_bytes < 64 ? 64 : first_extent_bytes) {}
+      : first_extent_bytes_(first_extent_bytes < 64 ? 64 : first_extent_bytes),
+        next_extent_bytes_(first_extent_bytes_) {}
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  ~Arena() { release(nullptr); }
+  ~Arena() {
+    release(nullptr);
+    free_chain(spare_);
+  }
 
   /// Returns `bytes` of storage aligned to `align` (a power of two).
   /// Never returns nullptr; throws std::bad_alloc on exhaustion like any
@@ -82,6 +94,8 @@ class Arena {
   /// steady state with no system allocation per cycle; the lifetime
   /// counters (`used`, `high_water`, `allocations`) are preserved.
   void reset() noexcept {
+    free_chain(spare_);
+    spare_ = nullptr;
     Extent* keep = nullptr;
     for (Extent* e = head_; e != nullptr; e = e->prev)
       if (keep == nullptr || e->size > keep->size) keep = e;
@@ -101,7 +115,49 @@ class Arena {
     live_ = 0;
   }
 
+  /// Returns the arena to the state of a new one: every allocation
+  /// invalid, every ArenaStats field zero, the first extent size restored.
+  /// Its extents, in the order they were made, are kept as spares while
+  /// their running total stays within `keep_bytes`; the rest is freed.
+  /// grow() takes the next spare when its size is exactly the one a new
+  /// arena would allocate there, so the same requests land at the same
+  /// offsets of extents of the same sizes, and the stats a rewound arena
+  /// reports are a function of the requests since the rewind alone.
+  void rewind(std::size_t keep_bytes) noexcept {
+    // Live extents run newest first; put them, oldest first, ahead of the
+    // spares no growth took back (those were made after them).
+    Extent* order = spare_;
+    for (Extent* e = head_; e != nullptr;) {
+      Extent* prev = e->prev;
+      e->prev = order;
+      order = e;
+      e = prev;
+    }
+    spare_ = nullptr;
+    Extent** tail = &spare_;
+    std::size_t kept = 0;
+    for (; order != nullptr && kept + order->size <= keep_bytes;
+         order = order->prev) {
+      kept += order->size;
+      *tail = order;
+      tail = &order->prev;
+    }
+    *tail = nullptr;
+    free_chain(order);
+    head_ = nullptr;
+    cursor_ = end_ = nullptr;
+    next_extent_bytes_ = first_extent_bytes_;
+    live_ = 0;
+    stats_ = {};
+  }
+
   [[nodiscard]] const ArenaStats& stats() const noexcept { return stats_; }
+  /// Bytes of the spare extents rewind() kept and growth has not taken.
+  [[nodiscard]] std::size_t spare_bytes() const noexcept {
+    std::size_t bytes = 0;
+    for (const Extent* e = spare_; e != nullptr; e = e->prev) bytes += e->size;
+    return bytes;
+  }
 
  private:
   struct Extent {
@@ -117,9 +173,18 @@ class Arena {
     std::size_t size = next_extent_bytes_;
     if (size < min_bytes) size = min_bytes;
     next_extent_bytes_ = size * 2;
-    auto* raw = static_cast<char*>(
-        ::operator new(sizeof(Extent) + size, std::align_val_t{alignof(std::max_align_t)}));
-    auto* extent = new (raw) Extent{head_, size};
+    Extent* extent = spare_;
+    if (extent != nullptr && extent->size == size) {
+      spare_ = extent->prev;
+      extent->prev = head_;
+    } else {
+      // The requests left the sequence the spares were made for.
+      free_chain(spare_);
+      spare_ = nullptr;
+      auto* raw = static_cast<char*>(::operator new(
+          sizeof(Extent) + size, std::align_val_t{alignof(std::max_align_t)}));
+      extent = new (raw) Extent{head_, size};
+    }
     head_ = extent;
     cursor_ = data(extent);
     end_ = cursor_ + size;
@@ -127,21 +192,34 @@ class Arena {
     ++stats_.extents;
   }
 
-  /// Frees every extent except `keep` (which may be nullptr).
+  /// Frees every live extent except `keep` (which may be nullptr).
   void release(Extent* keep) noexcept {
     Extent* e = head_;
     while (e != nullptr) {
       Extent* prev = e->prev;
-      if (e != keep)
-        ::operator delete(static_cast<void*>(e),
-                          std::align_val_t{alignof(std::max_align_t)});
+      if (e != keep) free_extent(e);
       e = prev;
     }
+  }
+
+  static void free_chain(Extent* e) noexcept {
+    while (e != nullptr) {
+      Extent* prev = e->prev;
+      free_extent(e);
+      e = prev;
+    }
+  }
+
+  static void free_extent(Extent* e) noexcept {
+    ::operator delete(static_cast<void*>(e),
+                      std::align_val_t{alignof(std::max_align_t)});
   }
 
   char* cursor_ = nullptr;
   char* end_ = nullptr;
   Extent* head_ = nullptr;
+  Extent* spare_ = nullptr;  ///< kept by rewind(), oldest first via prev
+  std::size_t first_extent_bytes_;
   std::size_t next_extent_bytes_;
   std::uint64_t live_ = 0;  ///< bytes in use since the last reset
   ArenaStats stats_;

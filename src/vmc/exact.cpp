@@ -1,6 +1,8 @@
 #include "vmc/exact.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -15,48 +17,41 @@ namespace {
 // history, then the dense id of the location's current value. Choice p
 // schedules the next operation of history p; pure reads are closed over,
 // so only writing operations branch. Every question the search asks of an
-// operation is answered by one flat per-op table built here, so the hot
-// path touches neither the histories nor a 64-bit value.
-// exact_legacy.cpp keeps the pre-arena search as the differential oracle.
+// operation is answered by one flat per-op table built here from the
+// view's records, so the hot path touches neither the records nor a
+// 64-bit value. exact_legacy.cpp keeps the pre-arena search as the
+// differential oracle.
 class VmcPolicy {
  public:
-  VmcPolicy(const VmcInstance& instance, const ExactOptions& options)
-      : instance_(instance), options_(options),
-        k_(static_cast<std::uint32_t>(instance.num_histories())) {
-    const Execution& exec = instance.execution;
-    // Dense value ids: the initial value and every written value, the
-    // only values the location can hold, sorted. A read of any other
-    // value gets kNever, which no state's value equals.
-    std::vector<Value> values{instance.initial_value()};
-    for (const auto& history : exec.histories())
-      for (const Operation& op : history)
-        if (op.writes_memory()) values.push_back(op.value_written);
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    const auto id_of = [&values](Value value) {
-      const auto it = std::lower_bound(values.begin(), values.end(), value);
-      return it != values.end() && *it == value
-                 ? static_cast<std::uint32_t>(it - values.begin())
-                 : kNever;
-    };
-    initial_id_ = id_of(instance.initial_value());
-    if (const auto fin = instance.final_value()) {
-      has_final_ = true;
-      final_id_ = id_of(*fin);
-    }
+  VmcPolicy(const ProjectedView& view, const ValueTable& values,
+            const ExactOptions& options)
+      : addr_(view.addr()), final_(view.final_value()), options_(options),
+        k_(static_cast<std::uint32_t>(view.num_histories())) {
+    // Dense value ids are the table's, plus one past them for an initial
+    // value no operation reads or writes. A value that is read but never
+    // held (not written, not initial) keeps its id, which no state's
+    // value equals, so a read or RMW of it never runs.
+    const Value initial = view.initial_value();
+    initial_id_ = values.id_of(initial);
+    if (initial_id_ == ValueTable::kNone)
+      initial_id_ = static_cast<std::uint32_t>(values.size());
+    if (final_)
+      final_id_ = *final_ == initial ? initial_id_ : values.id_of(*final_);
 
     begin_.reserve(k_ + 1);
-    ops_.reserve(exec.num_operations() + k_);
+    ops_.reserve(view.num_ops() + k_);
+    std::size_t record = 0;  // index into view.records()
     for (std::uint32_t p = 0; p < k_; ++p) {
-      const auto& history = exec.history(p);
+      const auto history = view.history(p);
       begin_.push_back(static_cast<std::uint32_t>(ops_.size()));
-      for (std::uint32_t i = 0; i < history.size(); ++i) {
-        const Operation& op = history[i];
-        Op row{kNever, kNever, kNever, i + 1};
-        if (op.kind == OpKind::kRead) row.closes = id_of(op.value_read);
-        if (op.kind == OpKind::kWrite) row.branch = kAny;
-        if (op.kind == OpKind::kRmw) row.branch = id_of(op.value_read);
-        if (op.writes_memory()) row.write = id_of(op.value_written);
+      for (std::uint32_t i = 0; i < history.size(); ++i, ++record) {
+        const OpKind kind = history[i].op.kind;
+        // written() is kNone (== kNever) for an operation that stores
+        // nothing.
+        Op row{kNever, kNever, values.written(record), i + 1};
+        if (kind == OpKind::kRead) row.closes = values.read(record);
+        if (kind == OpKind::kWrite) row.branch = kAny;
+        if (kind == OpKind::kRmw) row.branch = values.read(record);
         ops_.push_back(row);
       }
       // Sentinel one past the end: it neither branches nor closes, so
@@ -78,7 +73,7 @@ class VmcPolicy {
 
   [[nodiscard]] std::size_t key_words() const noexcept { return k_ + 1; }
   [[nodiscard]] std::uint32_t num_choices() const noexcept { return k_; }
-  [[nodiscard]] Addr addr() const noexcept { return instance_.addr; }
+  [[nodiscard]] Addr addr() const noexcept { return addr_; }
 
   void start(std::uint32_t* key) const {
     std::fill(key, key + k_, 0u);
@@ -103,8 +98,8 @@ class VmcPolicy {
   }
 
   /// Takes choice p, which next() returned, so a write or an RMW.
-  void apply(std::uint32_t* key, std::uint32_t p, Schedule& schedule) const {
-    schedule.push_back(OpRef{p, key[p]});
+  void apply(std::uint32_t* key, std::uint32_t p, Schedule* schedule) const {
+    if (schedule != nullptr) schedule->push_back(OpRef{p, key[p]});
     key[k_] = ops_[begin_[p] + key[p]].write;
     ++key[p];
   }
@@ -113,13 +108,14 @@ class VmcPolicy {
   /// value at each position. A pure read leaves the value alone, so any
   /// coherent continuation can run it first, and one pass in choice order
   /// reaches the fixed point.
-  void close(std::uint32_t* key, Schedule& schedule) const {
+  void close(std::uint32_t* key, Schedule* schedule) const {
     const std::uint32_t value = key[k_];
     for (std::uint32_t p = 0; p < k_; ++p) {
       const Op& op = ops_[begin_[p] + key[p]];
       if (op.closes != value) continue;
-      for (std::uint32_t i = key[p]; i != op.run_end; ++i)
-        schedule.push_back(OpRef{p, i});
+      if (schedule != nullptr)
+        for (std::uint32_t i = key[p]; i != op.run_end; ++i)
+          schedule->push_back(OpRef{p, i});
       key[p] = op.run_end;
     }
   }
@@ -127,7 +123,7 @@ class VmcPolicy {
   [[nodiscard]] search::Status status(const std::uint32_t* key) const {
     for (std::uint32_t p = 0; p < k_; ++p)
       if (begin_[p] + key[p] + 1 != begin_[p + 1]) return search::Status::kOpen;
-    return !has_final_ || key[k_] == final_id_
+    return !final_ || key[k_] == final_id_
                ? search::Status::kAccept
                : search::Status::kReject;
   }
@@ -136,7 +132,7 @@ class VmcPolicy {
   /// reads of the initial value were consumed), so a final value other
   /// than the initial one is unwritable.
   [[nodiscard]] certify::Incoherence reject(const std::uint32_t*) const {
-    return certify::unwritable_final(instance_.addr, *instance_.final_value());
+    return certify::unwritable_final(addr_, *final_);
   }
 
  private:
@@ -153,25 +149,18 @@ class VmcPolicy {
     std::uint32_t run_end;  ///< pure reads: end of the same-value read run
   };
 
-  const VmcInstance& instance_;
+  Addr addr_;
+  std::optional<Value> final_;
   const ExactOptions& options_;
   std::uint32_t k_;
   std::uint32_t initial_id_ = 0;
-  bool has_final_ = false;
-  std::uint32_t final_id_ = kNever;  ///< kNever: no holdable value matches
+  std::uint32_t final_id_ = kNever;  ///< kNever: no operation names it
   std::vector<std::uint32_t> begin_;  ///< history p's ops start; k+1 entries
   std::vector<Op> ops_;  ///< every history's ops, each then its sentinel
 };
 
-}  // namespace
-
-CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options) {
-  obs::Span span("vmc.exact");
-  const auto malformed = instance.malformed();
-  CheckResult result =
-      malformed ? CheckResult::unknown(certify::UnknownReason::kMalformed,
-                                       *malformed)
-                : search::Engine(VmcPolicy(instance, options), options).run();
+/// Reports one search on its span, the registry and the flight recorder.
+CheckResult observed(obs::Span& span, CheckResult result) {
   // Four numeric attributes is the span cap; the other effort figures
   // (prunes, oracle prunes, frontier) ride in the counters below and in
   // each response's effort object.
@@ -207,6 +196,77 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
     obs::flight_event(obs::FlightEventKind::kArenaHighWater, "vmc.exact",
                       result.stats.arena_high_water,
                       result.stats.states_visited);
+  return result;
+}
+
+constexpr std::uint32_t kNoHistory = 0xffffffffu;
+
+/// `pruner`, which names instance histories, renumbered to the view's,
+/// which skip the instance's empty ones.
+MustPrecede renumbered(const MustPrecede& pruner, const ProjectedView& view) {
+  std::vector<std::uint32_t> history_of(pruner.spans.size(), kNoHistory);
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t h = 0; h < view.num_histories(); ++h) {
+    if (view.history_process(h) < history_of.size())
+      history_of[view.history_process(h)] = h;
+    sizes.push_back(static_cast<std::uint32_t>(view.history(h).size()));
+  }
+  MustPrecede out;
+  for (std::uint32_t p = 0; p < pruner.spans.size(); ++p) {
+    if (history_of[p] == kNoHistory) continue;
+    for (std::uint32_t i = 0; i < pruner.spans[p].size(); ++i) {
+      const MustPrecede::Span s = pruner.spans[p][i];
+      for (std::uint32_t e = s.offset; e != s.offset + s.count; ++e) {
+        const OpRef before = pruner.preds[e];
+        // A predecessor in an empty history names no operation.
+        if (before.process < history_of.size() &&
+            history_of[before.process] != kNoHistory)
+          out.add_edge({history_of[before.process], before.index},
+                       {history_of[p], i});
+      }
+    }
+  }
+  out.finalize(sizes);
+  return out;
+}
+
+}  // namespace
+
+CheckResult check_exact(const ProjectedView& view, const ValueTable& values,
+                        const ExactOptions& options) {
+  obs::Span span("vmc.exact");
+  return observed(
+      span, search::Engine(VmcPolicy(view, values, options), options).run());
+}
+
+CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options) {
+  if (const auto malformed = instance.malformed()) {
+    obs::Span span("vmc.exact");
+    return observed(span, CheckResult::unknown(
+                              certify::UnknownReason::kMalformed, *malformed));
+  }
+  // Record refs are instance coordinates, so original_of() maps the
+  // view's coordinates back to the instance's.
+  std::vector<OpRecord> run;
+  run.reserve(instance.num_operations());
+  for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
+    const auto& history = instance.execution.history(p);
+    for (std::uint32_t i = 0; i < history.size(); ++i)
+      run.push_back({OpRef{p, i}, history[i]});
+  }
+  const ProjectedView view(AddressEntry::of(instance.addr, run), run,
+                           instance.initial_value(), instance.final_value());
+  ExactOptions local = options;
+  MustPrecede pruner;
+  if (options.pruner != nullptr &&
+      view.num_histories() != instance.num_histories()) {
+    pruner = renumbered(*options.pruner, view);
+    local.pruner = &pruner;
+  }
+  CheckResult result = check_exact(view, ValueTable(view), local);
+  const auto to_instance = [&](OpRef& ref) { ref = view.original_of(ref); };
+  for (OpRef& ref : result.witness) to_instance(ref);
+  certify::for_each_ref(result.evidence, to_instance);
   return result;
 }
 

@@ -15,6 +15,7 @@
 // check_coherent_schedule().
 
 #include "search/limits.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"
 
@@ -102,7 +103,18 @@ struct ExactOptions : search::Limits {
   const MustPrecede* pruner = nullptr;
 };
 
+/// Decides VMC exactly for one address, reading its operations straight
+/// from the view: `values` is a ValueTable of the same view (the router
+/// builds one per address and shares it with classify). The pruner, the
+/// witness and any evidence use the view's projected coordinates (view
+/// history, position); view.original_of() maps them back.
+[[nodiscard]] CheckResult check_exact(const ProjectedView& view,
+                                      const ValueTable& values,
+                                      const ExactOptions& options = {});
+
 /// Decides VMC exactly. kCoherent results include a witness schedule.
+/// Runs the view overload over a one-address view of the instance; the
+/// pruner and the witness use instance coordinates.
 [[nodiscard]] CheckResult check_exact(const VmcInstance& instance,
                                       const ExactOptions& options = {});
 

@@ -43,7 +43,7 @@ class ScPolicy {
   /// reads at each position. Neither changes any location's value, so
   /// each commutes with every other choice, and one pass in choice order
   /// reaches the fixed point.
-  void close(std::uint32_t* key, Schedule& schedule) const {
+  void close(std::uint32_t* key, Schedule* schedule) const {
     for (std::uint32_t p = 0; p < k_; ++p) {
       const auto& history = exec_.history(p);
       std::uint32_t& i = key[p];
@@ -51,14 +51,14 @@ class ScPolicy {
         const Operation& op = history[i];
         if (!(op.is_sync() || op.kind == OpKind::kRead) || !enabled(key, p, op))
           break;
-        schedule.push_back(OpRef{p, i});
+        if (schedule != nullptr) schedule->push_back(OpRef{p, i});
       }
     }
   }
 
-  void apply(std::uint32_t* key, std::uint32_t p, Schedule& schedule) const {
+  void apply(std::uint32_t* key, std::uint32_t p, Schedule* schedule) const {
     const Operation& op = exec_.history(p)[key[p]];
-    schedule.push_back(OpRef{p, key[p]});
+    if (schedule != nullptr) schedule->push_back(OpRef{p, key[p]});
     if (op.writes_memory())
       search::store_value(key + k_ + 2 * memory_.id(p, key[p]), op.value_written);
     ++key[p];

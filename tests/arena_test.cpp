@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "support/arena.hpp"
@@ -98,6 +99,63 @@ TEST(Arena, HighWaterTracksPeakNotCurrent) {
   arena.reset();
   (void)arena.allocate(8, 8);
   EXPECT_GE(arena.stats().high_water, peak);  // peak is a lifetime maximum
+}
+
+/// A request sequence with mixed sizes and alignments, one request
+/// larger than the extent it arrives at, and enough volume for several
+/// extents.
+void serve(Arena& arena, std::size_t scale) {
+  for (std::size_t i = 0; i < 300 * scale; ++i)
+    (void)arena.allocate(1 + (i * 13) % 90, std::size_t{1} << (i % 4));
+  (void)arena.allocate(20'000, 8);
+  for (std::size_t i = 0; i < 50; ++i) (void)arena.allocate(24, 8);
+}
+
+TEST(Arena, RewoundArenaReportsWhatANewOneWould) {
+  // The oversized request lands at a different extent in runs of
+  // different scale, so the kept extents of one run do not all fit the
+  // other: growth must take a spare only when a new arena would allocate
+  // exactly its size.
+  for (const auto& [before, after] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
+    Arena fresh(64);
+    serve(fresh, after);
+    const ArenaStats want = fresh.stats();
+    EXPECT_GT(want.extents, 2u);
+
+    Arena reused(64);
+    serve(reused, before);
+    reused.rewind(1 << 20);
+    const ArenaStats zero = reused.stats();
+    EXPECT_EQ(zero.reserved, 0u);
+    EXPECT_EQ(zero.extents, 0u);
+    EXPECT_EQ(zero.used, 0u);
+    EXPECT_EQ(zero.high_water, 0u);
+    EXPECT_EQ(zero.allocations, 0u);
+    EXPECT_GT(reused.spare_bytes(), 0u);
+    serve(reused, after);
+    const ArenaStats got = reused.stats();
+    EXPECT_EQ(got.reserved, want.reserved) << before << " then " << after;
+    EXPECT_EQ(got.extents, want.extents);
+    EXPECT_EQ(got.used, want.used);
+    EXPECT_EQ(got.high_water, want.high_water);
+    EXPECT_EQ(got.allocations, want.allocations);
+  }
+}
+
+TEST(Arena, RewindKeepsAPrefixWithinItsBudget) {
+  Arena arena(64);
+  serve(arena, 4);
+  arena.rewind(1000);
+  EXPECT_LE(arena.spare_bytes(), 1000u);
+  EXPECT_GT(arena.spare_bytes(), 0u);  // 64 + 128 + 256 + 512 fit
+  arena.rewind(0);
+  EXPECT_EQ(arena.spare_bytes(), 0u);
+  // A rewound arena takes its spares back instead of asking the system.
+  serve(arena, 1);
+  arena.rewind(1 << 20);
+  const std::size_t spares = arena.spare_bytes();
+  (void)arena.allocate(8, 8);
+  EXPECT_EQ(arena.spare_bytes(), spares - 64);
 }
 
 TEST(ArenaVec, PushGrowAndIndex) {

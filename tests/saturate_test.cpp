@@ -4,8 +4,10 @@
 // their independent re-checking, the must-precede pruning oracle's
 // bit-identical-search guarantee, the CNF order hints, and the
 // graph-derived lint rules W005/W006 plus the W002 final-section
-// regression, and a field-by-field differential against the frozen
-// reference pass in saturate_reference.cpp.
+// regression, a field-by-field differential against the frozen
+// reference pass in saturate_reference.cpp, the exact tier's view and
+// instance entry points against each other, and analyze()'s reuse of
+// the routing pass.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,8 @@
 #include "certify/certificate.hpp"
 #include "certify/check.hpp"
 #include "encode/vmc_to_cnf.hpp"
+#include "reductions/sat_to_vmc.hpp"
+#include "sat/gen.hpp"
 #include "sat/solver.hpp"
 #include "saturate_reference.hpp"
 #include "trace/address_index.hpp"
@@ -936,6 +940,173 @@ TEST(Saturate, InertAddressesDeriveOnlyProgramOrder) {
   // Both answers occur in the mix.
   EXPECT_GT(inert.inert, 0u);
   EXPECT_LT(inert.inert, inert.addresses);
+}
+
+// --- the exact tier's two entry points ------------------------------------
+
+/// The reductions StagedPortfolio uses: a seeded random 3-SAT formula
+/// over three variables, one address that saturation leaves to the
+/// exact tier.
+Execution reduction_trace(std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  const auto cnf = sat::random_ksat(3, 12, 3, rng);
+  return reductions::sat_to_vmc(cnf).instance.execution;
+}
+
+/// Every address of an execution through check_exact's view overload and
+/// its VmcInstance overload, with and without the saturation pass's edges
+/// as a pruner, under a generous and a 64-state budget. A third run pads
+/// the instance with an empty history in front, which the adapter's view
+/// drops, so its renumbering of the pruner and of the witness shows.
+/// Verdict, witness, evidence and every SearchStats field but the three
+/// arena ones must agree (the padded key is one word wider).
+struct OverloadCheck {
+  static constexpr std::uint64_t kStates = 1u << 15;
+  static constexpr std::uint64_t kFewStates = 64;
+  std::size_t runs = 0;
+  std::size_t unknown = 0;
+  std::size_t oracle_pruned = 0;
+  std::vector<std::string> failures;
+
+  static vmc::SearchStats without_arena(vmc::SearchStats stats) {
+    stats.arena_reserved = stats.arena_high_water = stats.arena_allocations = 0;
+    return stats;
+  }
+
+  void compare(const vmc::CheckResult& got, const vmc::CheckResult& want,
+               const std::string& where) {
+    if (got.verdict != want.verdict || got.witness != want.witness ||
+        got.reason() != want.reason() ||
+        !(without_arena(got.stats) == without_arena(want.stats)))
+      failures.push_back(where);
+  }
+
+  void check(const Execution& exec, const std::string& label) {
+    const AddressIndex index(exec);
+    for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+      const ProjectedView view = index.view_at(i);
+      const ValueTable values(view);
+      const vmc::VmcInstance instance{view.materialize(), view.addr()};
+      vmc::VmcInstance padded{Execution{}, view.addr()};
+      padded.execution.add_history(ProcessHistory{});
+      for (const auto& history : instance.execution.histories())
+        padded.execution.add_history(history);
+      padded.execution.set_initial_value(view.addr(), view.initial_value());
+      if (const auto fin = view.final_value())
+        padded.execution.set_final_value(view.addr(), *fin);
+
+      const saturate::Result sat = saturate::saturate(view);
+      const vmc::MustPrecede oracle = oracle_for(sat, instance);
+      saturate::Result shifted = sat;
+      for (OpRef& ref : shifted.writes_local) ++ref.process;
+      const vmc::MustPrecede padded_oracle = oracle_for(shifted, padded);
+
+      for (const bool prune : {false, true}) {
+        for (const std::uint64_t states : {kStates, kFewStates}) {
+          const std::string where = label + " addr " +
+                                    std::to_string(view.addr()) +
+                                    (prune ? " pruned" : "") + " budget " +
+                                    std::to_string(states);
+          vmc::ExactOptions options;
+          options.max_states = states;
+          options.pruner = prune ? &oracle : nullptr;
+          const vmc::CheckResult via_view =
+              vmc::check_exact(view, values, options);
+          compare(vmc::check_exact(instance, options), via_view, where);
+          options.pruner = prune ? &padded_oracle : nullptr;
+          vmc::CheckResult via_padded = vmc::check_exact(padded, options);
+          for (OpRef& ref : via_padded.witness) --ref.process;
+          compare(via_padded, via_view, where + " padded");
+          ++runs;
+          if (via_view.verdict == vmc::Verdict::kUnknown) ++unknown;
+          if (via_view.stats.oracle_prunes > 0) ++oracle_pruned;
+        }
+      }
+    }
+  }
+};
+
+TEST(ExactOverloads, ViewAndInstanceEntryPointsAgree) {
+  OverloadCheck check;
+  for_each_reference_shape([&](const Execution& exec, const std::string& label) {
+    check.check(exec, label);
+  });
+  for (const std::uint64_t seed : {1u, 3u, 5u, 16u})
+    check.check(reduction_trace(seed), "reduction seed " + std::to_string(seed));
+  EXPECT_TRUE(check.failures.empty())
+      << check.failures.size() << " mismatches, first: "
+      << check.failures.front();
+  // Budgets bind on some runs and the oracle prunes on some.
+  EXPECT_GT(check.unknown, 0u);
+  EXPECT_LT(check.unknown, check.runs);
+  EXPECT_GT(check.oracle_pruned, 0u);
+}
+
+// --- analyze() on top of routing ------------------------------------------
+
+bool same_diagnostics(const analysis::AddressAnalysis& a,
+                      const analysis::AddressAnalysis& b) {
+  if (a.diagnostics.size() != b.diagnostics.size()) return false;
+  for (std::size_t d = 0; d < a.diagnostics.size(); ++d) {
+    const analysis::Diagnostic& x = a.diagnostics[d];
+    const analysis::Diagnostic& y = b.diagnostics[d];
+    if (x.rule != y.rule || x.severity != y.severity || x.addr != y.addr ||
+        x.location != y.location || x.message != y.message)
+      return false;
+  }
+  return a.profile.summary() == b.profile.summary() &&
+         a.saturation.has_value() == b.saturation.has_value();
+}
+
+TEST(AnalyzeReuse, TakesProfilesAndSaturationFromRouting) {
+  // analyze() handed routing's facts reports exactly what it reports
+  // alone. Where routing ran the pass, the result analyze lints with is
+  // routing's: a marker planted in it reaches W005's message, which a
+  // recomputed pass would not carry. Inert addresses, which routing
+  // never saturates, still get the pass from analyze itself.
+  constexpr std::uint64_t kMarker = 987654321;
+  std::size_t reused = 0, ran_itself = 0;
+  search::Limits limits;
+  limits.max_states = 4096;
+  for_each_reference_shape([&](const Execution& exec, const std::string& label) {
+    const AddressIndex index(exec);
+    const analysis::AnalysisReport alone = analysis::analyze(index);
+    analysis::RoutedReport routed =
+        analysis::verify_coherence_routed(index, nullptr, limits);
+    auto facts = routed.facts;
+    const analysis::AnalysisReport shared =
+        analysis::analyze(index, nullptr, facts);
+    ASSERT_EQ(shared.addresses.size(), alone.addresses.size()) << label;
+    std::vector<std::size_t> planted;
+    for (std::size_t i = 0; i < alone.addresses.size(); ++i) {
+      EXPECT_TRUE(same_diagnostics(shared.addresses[i], alone.addresses[i]))
+          << label << " address " << i;
+      if (!alone.addresses[i].saturation) continue;
+      auto& fact = routed.facts[i];
+      if (!fact || !fact->saturation) {
+        ++ran_itself;
+        continue;
+      }
+      fact->saturation->branch_points = kMarker;
+      fact->saturation->unordered_example = {0, 1};
+      planted.push_back(i);
+    }
+    if (planted.empty()) return;
+    const analysis::AnalysisReport marked =
+        analysis::analyze(index, nullptr, routed.facts);
+    for (const std::size_t i : planted) {
+      bool found = false;
+      for (const analysis::Diagnostic& d : marked.addresses[i].diagnostics)
+        found = found || (d.rule == RuleId::kUnorderedWritePair &&
+                          d.message.find(std::to_string(kMarker)) !=
+                              std::string::npos);
+      EXPECT_TRUE(found) << label << " address " << i
+                         << ": analyze recomputed what routing saturated";
+      ++reused;
+    }
+  });
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(ran_itself, 0u);
 }
 
 }  // namespace
