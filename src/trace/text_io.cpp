@@ -1,7 +1,6 @@
 #include "trace/text_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -16,74 +15,197 @@ enum class TokenParse : std::uint8_t { kOk, kMalformed, kOverflow };
 /// Operation tokens carry at most three numbers (RW(addr, read, write)).
 constexpr std::size_t kMaxOperands = 3;
 
-/// Parses the comma-separated fields of `inner` into `out`, keeping the
-/// first kMaxOperands and checking every field, so an overflow anywhere
-/// still reports as overflow. Returns the field count in `count`; a count
-/// above kMaxOperands fails the caller's arity check.
-TokenParse parse_numbers(std::string_view inner,
-                         long long (&out)[kMaxOperands], std::size_t& count) {
-  count = 0;
-  while (true) {
-    const std::size_t comma = inner.find(',');
-    long long v = 0;
-    switch (parse_i64_checked(trim(inner.substr(0, comma)), v)) {
-      case ParseIntStatus::kOk: break;
-      case ParseIntStatus::kOutOfRange: return TokenParse::kOverflow;
-      case ParseIntStatus::kMalformed: return TokenParse::kMalformed;
-    }
-    if (count < kMaxOperands) out[count] = v;
-    ++count;
-    if (comma == std::string_view::npos) return TokenParse::kOk;
-    inner.remove_prefix(comma + 1);
-  }
+constexpr long long kMaxAddr = static_cast<long long>(~Addr{0});
+
+/// The C locale's isspace set: ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-/// Full-detail operation parse: distinguishes syntactic garbage from
-/// numerically valid tokens whose address/value overflows its type, so
-/// trace ingestion can report overflow explicitly instead of a generic
-/// "malformed" (or, worse, silently wrapping).
-TokenParse parse_operation_checked(std::string_view token, Operation& out) {
-  const std::size_t open = token.find('(');
-  if (open == std::string_view::npos || token.back() != ')')
-    return TokenParse::kMalformed;
-  const std::string_view name = token.substr(0, open);
-  const std::string_view inner = token.substr(open + 1, token.size() - open - 2);
+constexpr std::string_view trim_space(std::string_view text) noexcept {
+  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
+  return text;
+}
+
+/// Cuts the next whitespace-delimited field off the front of `rest`;
+/// returns an empty view when only whitespace is left.
+constexpr std::string_view next_field(std::string_view& rest) noexcept {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view field = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return field;
+}
+
+/// Forward walk over the '\n'-separated lines of a text (find() is a
+/// memchr). Each line comes back with its '#' comment cut off and
+/// surrounding whitespace trimmed; line() is the 1-based number of the
+/// line last returned. A text of k newlines has k + 1 lines, the last
+/// possibly empty.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) noexcept : rest_(text) {}
+
+  bool next(std::string_view& line) noexcept {
+    if (done_) return false;
+    ++line_no_;
+    const std::size_t newline = rest_.find('\n');
+    line = rest_.substr(0, newline);
+    if (newline == std::string_view::npos)
+      done_ = true;
+    else
+      rest_.remove_prefix(newline + 1);
+    line = trim_space(line.substr(0, line.find('#')));
+    return true;
+  }
+
+  [[nodiscard]] std::size_t line() const noexcept { return line_no_; }
+
+ private:
+  std::string_view rest_;
+  std::size_t line_no_ = 0;
+  bool done_ = false;
+};
+
+/// Reads one comma-separated operand of an operation token, starting at
+/// `i` and stopping at the next ',' or at `end`, with the same result as
+/// parse_i64_checked on the trimmed field: an optional '-', one or more
+/// digits and nothing else is kOk, or kOverflow when it does not fit a
+/// long long; anything else is kMalformed. On return `i` is at the ','
+/// or at `end`.
+TokenParse parse_operand(std::string_view token, std::size_t& i,
+                         std::size_t end, long long& out) noexcept {
+  while (i < end && is_space(token[i])) ++i;
+  const bool negative = i < end && token[i] == '-';
+  if (negative) ++i;
+  // Magnitude bound: 2^63 for a negative value, 2^63 - 1 otherwise.
+  const unsigned long long limit =
+      (~0ULL >> 1) + (negative ? 1ULL : 0ULL);
+  unsigned long long magnitude = 0;
+  bool overflow = false;
+  const std::size_t digits_begin = i;
+  for (; i < end; ++i) {
+    const auto digit = static_cast<unsigned>(token[i] - '0');
+    if (digit > 9) break;
+    if (magnitude > (limit - digit) / 10)
+      overflow = true;
+    else
+      magnitude = magnitude * 10 + digit;
+  }
+  const bool any_digits = i != digits_begin;
+  while (i < end && is_space(token[i])) ++i;
+  if (!any_digits || (i < end && token[i] != ',')) return TokenParse::kMalformed;
+  if (overflow) return TokenParse::kOverflow;
+  out = negative ? static_cast<long long>(0ULL - magnitude)
+                 : static_cast<long long>(magnitude);
+  return TokenParse::kOk;
+}
+
+/// The one operation-token parser (parse_execution and parse_operation
+/// both use it), a single scan of the token. Distinguishes syntactic
+/// garbage from numerically valid tokens whose address/value overflows
+/// its type, so trace ingestion can report overflow explicitly instead of
+/// a generic "malformed" (or, worse, silently wrapping). Every operand is
+/// checked before the name and arity, so an overflow anywhere still
+/// reports as overflow. A valid token holds exactly one ')', its last
+/// byte.
+TokenParse parse_token(std::string_view token, Operation& out) noexcept {
+  std::size_t open = 0;
+  while (open < token.size() && token[open] != '(') ++open;
+  if (open == token.size() || token.back() != ')') return TokenParse::kMalformed;
+  const std::size_t end = token.size() - 1;  // the closing ')'
   long long nums[kMaxOperands] = {};
   std::size_t count = 0;
-  if (const TokenParse status = parse_numbers(inner, nums, count);
-      status != TokenParse::kOk)
-    return status;
-
-  auto arity_ok = [&](std::size_t want) { return count == want; };
-  auto addr_overflow = [&] {
-    return nums[0] < 0 || nums[0] > static_cast<long long>(~Addr{0});
-  };
-  TokenParse status = TokenParse::kMalformed;
-  if (name == "R" && arity_ok(2)) {
-    out = R(static_cast<Addr>(nums[0]), nums[1]);
-    status = TokenParse::kOk;
-  } else if (name == "W" && arity_ok(2)) {
-    out = W(static_cast<Addr>(nums[0]), nums[1]);
-    status = TokenParse::kOk;
-  } else if (name == "RW" && arity_ok(3)) {
-    out = RW(static_cast<Addr>(nums[0]), nums[1], nums[2]);
-    status = TokenParse::kOk;
-  } else if (name == "Acq" && arity_ok(1)) {
-    out = Acq(static_cast<Addr>(nums[0]));
-    status = TokenParse::kOk;
-  } else if (name == "Rel" && arity_ok(1)) {
-    out = Rel(static_cast<Addr>(nums[0]));
-    status = TokenParse::kOk;
+  for (std::size_t i = open + 1;; ++i) {  // i steps over each ','
+    long long value = 0;
+    if (const TokenParse status = parse_operand(token, i, end, value);
+        status != TokenParse::kOk)
+      return status;
+    if (count < kMaxOperands) nums[count] = value;
+    ++count;
+    if (i == end) break;
   }
-  if (status == TokenParse::kOk && addr_overflow()) return TokenParse::kOverflow;
-  return status;
+
+  const std::string_view name = token.substr(0, open);
+  const auto addr = static_cast<Addr>(nums[0]);
+  if (name == "R" && count == 2) {
+    out = R(addr, nums[1]);
+  } else if (name == "W" && count == 2) {
+    out = W(addr, nums[1]);
+  } else if (name == "RW" && count == 3) {
+    out = RW(addr, nums[1], nums[2]);
+  } else if (name == "Acq" && count == 1) {
+    out = Acq(addr);
+  } else if (name == "Rel" && count == 1) {
+    out = Rel(addr);
+  } else {
+    return TokenParse::kMalformed;
+  }
+  return nums[0] < 0 || nums[0] > kMaxAddr ? TokenParse::kOverflow
+                                           : TokenParse::kOk;
+}
+
+/// Parses the operation tokens of one "P:" line (`tokens` is the line
+/// after "P:") into a new history of `exec`. The vector is sized once:
+/// each valid token holds one ')'. Returns the error, empty on success.
+std::string parse_history(std::string_view tokens, Execution& exec) {
+  std::vector<Operation> ops;
+  ops.reserve(static_cast<std::size_t>(
+      std::count(tokens.begin(), tokens.end(), ')')));
+  for (std::string_view token = next_field(tokens); !token.empty();
+       token = next_field(tokens)) {
+    Operation op;
+    switch (parse_token(token, op)) {
+      case TokenParse::kOk: break;
+      case TokenParse::kOverflow:
+        return "integer overflow in operation: " + std::string(token);
+      case TokenParse::kMalformed:
+        return "malformed operation: " + std::string(token);
+    }
+    ops.push_back(op);
+  }
+  exec.add_history(ProcessHistory{std::move(ops)});
+  return {};
+}
+
+/// Parses an "init <addr> <value>" / "final <addr> <value>" line into
+/// `exec`. Returns the error, empty on success.
+std::string parse_location_directive(std::string_view line, bool is_init,
+                                     Execution& exec) {
+  std::string_view rest = line.substr(is_init ? 5 : 6);
+  const std::string_view addr_field = next_field(rest);
+  const std::string_view value_field = next_field(rest);
+  if (value_field.empty() || !next_field(rest).empty())
+    return "malformed init/final directive";
+  long long addr = 0, value = 0;
+  const auto addr_status = parse_i64_checked(addr_field, addr);
+  const auto value_status = parse_i64_checked(value_field, value);
+  if (addr_status == ParseIntStatus::kOutOfRange ||
+      value_status == ParseIntStatus::kOutOfRange ||
+      (addr_status == ParseIntStatus::kOk && (addr < 0 || addr > kMaxAddr)))
+    return "integer overflow in init/final directive: " + std::string(line);
+  if (addr_status != ParseIntStatus::kOk || value_status != ParseIntStatus::kOk)
+    return "malformed init/final directive";
+  const auto& seen = is_init ? exec.initial_values() : exec.final_values();
+  if (seen.contains(static_cast<Addr>(addr)))
+    return (is_init ? "duplicate init directive for address "
+                    : "duplicate final directive for address ") +
+           std::string(addr_field);
+  if (is_init)
+    exec.set_initial_value(static_cast<Addr>(addr), value);
+  else
+    exec.set_final_value(static_cast<Addr>(addr), value);
+  return {};
 }
 
 }  // namespace
 
 std::optional<Operation> parse_operation(std::string_view token) {
   Operation op;
-  if (parse_operation_checked(token, op) != TokenParse::kOk) return std::nullopt;
+  if (parse_token(token, op) != TokenParse::kOk) return std::nullopt;
   return op;
 }
 
@@ -91,71 +213,22 @@ namespace {
 
 ParseResult parse_execution_impl(std::string_view text) {
   ParseResult result;
-  std::size_t line_no = 0;
-  for (std::string_view raw_line : split(text, '\n')) {
-    ++line_no;
-    std::string_view line = raw_line;
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos)
-      line = line.substr(0, hash);
-    line = trim(line);
+  LineCursor lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
     if (line.empty()) continue;
-
-    auto fail = [&](std::string why) {
-      result.error = std::move(why);
-      result.line = line_no;
+    std::string error;
+    if (line.size() >= 2 && line[0] == 'P' && (line[1] == ':' || line[1] == ' '))
+      error = parse_history(line.substr(2), result.execution);
+    else if (starts_with(line, "init ") || starts_with(line, "final "))
+      error = parse_location_directive(line, line[0] == 'i', result.execution);
+    else
+      error = "unrecognized directive: " + std::string(line);
+    if (!error.empty()) {
+      result.error = std::move(error);
+      result.line = lines.line();
       return result;
-    };
-
-    if (starts_with(line, "init ") || starts_with(line, "final ")) {
-      const auto fields = split_ws(line);
-      long long addr = 0, value = 0;
-      if (fields.size() != 3)
-        return fail("malformed init/final directive");
-      const auto addr_status = parse_i64_checked(fields[1], addr);
-      const auto value_status = parse_i64_checked(fields[2], value);
-      if (addr_status == ParseIntStatus::kOutOfRange ||
-          value_status == ParseIntStatus::kOutOfRange ||
-          (addr_status == ParseIntStatus::kOk &&
-           (addr < 0 || addr > static_cast<long long>(~Addr{0}))))
-        return fail("integer overflow in init/final directive: " +
-                    std::string(line));
-      if (addr_status != ParseIntStatus::kOk ||
-          value_status != ParseIntStatus::kOk)
-        return fail("malformed init/final directive");
-      if (fields[0] == "init") {
-        if (result.execution.initial_values().contains(static_cast<Addr>(addr)))
-          return fail("duplicate init directive for address " +
-                      std::string(fields[1]));
-        result.execution.set_initial_value(static_cast<Addr>(addr), value);
-      } else {
-        if (result.execution.final_values().contains(static_cast<Addr>(addr)))
-          return fail("duplicate final directive for address " +
-                      std::string(fields[1]));
-        result.execution.set_final_value(static_cast<Addr>(addr), value);
-      }
-      continue;
     }
-
-    if (starts_with(line, "P:") || starts_with(line, "P ")) {
-      const auto tokens = split_ws(line.substr(2));
-      std::vector<Operation> ops;
-      ops.reserve(tokens.size());
-      for (std::string_view token : tokens) {
-        Operation op;
-        switch (parse_operation_checked(token, op)) {
-          case TokenParse::kOk: break;
-          case TokenParse::kOverflow:
-            return fail("integer overflow in operation: " + std::string(token));
-          case TokenParse::kMalformed:
-            return fail("malformed operation: " + std::string(token));
-        }
-        ops.push_back(op);
-      }
-      result.execution.add_history(ProcessHistory{std::move(ops)});
-      continue;
-    }
-
-    return fail("unrecognized directive: " + std::string(line));
   }
   return result;
 }
@@ -202,35 +275,37 @@ std::string serialize_write_orders(const WriteOrderLog& orders) {
 
 WriteOrderParseResult parse_write_orders(std::string_view text) {
   WriteOrderParseResult result;
-  std::size_t line_no = 0;
-  for (std::string_view raw_line : split(text, '\n')) {
-    ++line_no;
-    std::string_view line = raw_line;
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos)
-      line = line.substr(0, hash);
-    line = trim(line);
+  LineCursor lines(text);
+  std::string_view line;
+  const auto fail = [&](std::string why) {
+    result.error = std::move(why);
+    result.line = lines.line();
+    return result;
+  };
+  while (lines.next(line)) {
     if (line.empty()) continue;
-
-    auto fail = [&](std::string why) {
-      result.error = std::move(why);
-      result.line = line_no;
-      return result;
-    };
-    const auto fields = split_ws(line);
-    if (fields.size() < 2 || fields[0] != "wo")
+    std::string_view rest = line;
+    const std::string_view keyword = next_field(rest);
+    const std::string_view addr_field = next_field(rest);
+    if (keyword != "wo" || addr_field.empty())
       return fail("expected: wo <addr> <proc>:<index> ...");
     long long addr = 0;
-    if (!parse_i64(fields[1], addr) || addr < 0 ||
-        addr > static_cast<long long>(~Addr{0}))
-      return fail("bad address: " + std::string(fields[1]));
+    if (!parse_i64(addr_field, addr) || addr < 0 || addr > kMaxAddr)
+      return fail("bad address: " + std::string(addr_field));
     auto& order = result.orders[static_cast<Addr>(addr)];
-    for (std::size_t f = 2; f < fields.size(); ++f) {
-      const auto parts = split(fields[f], ':');
+    // Each valid reference holds one ':'.
+    if (order.empty())
+      order.reserve(static_cast<std::size_t>(
+          std::count(rest.begin(), rest.end(), ':')));
+    for (std::string_view field = next_field(rest); !field.empty();
+         field = next_field(rest)) {
+      const std::size_t colon = field.find(':');
       long long proc = 0, index = 0;
-      if (parts.size() != 2 || !parse_i64(parts[0], proc) ||
-          !parse_i64(parts[1], index) || proc < 0 || index < 0 ||
-          proc > 0xffffffffLL || index > 0xffffffffLL)
-        return fail("bad op reference: " + std::string(fields[f]));
+      if (colon == std::string_view::npos ||
+          !parse_i64(field.substr(0, colon), proc) ||
+          !parse_i64(field.substr(colon + 1), index) || proc < 0 ||
+          index < 0 || proc > 0xffffffffLL || index > 0xffffffffLL)
+        return fail("bad op reference: " + std::string(field));
       order.push_back(OpRef{static_cast<std::uint32_t>(proc),
                             static_cast<std::uint32_t>(index)});
     }

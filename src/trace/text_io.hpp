@@ -7,7 +7,9 @@
 //   final <addr> <value>       final-value constraint for a location
 //   P: <op> <op> ...           next process history, program order
 // with operations spelled as in the paper: R(a,d)  W(a,d)  RW(a,dr,dw)
-// Acq(a)  Rel(a).
+// Acq(a)  Rel(a). Each parser is one forward scan over the text; the
+// whitespace set, comment, error and line-number rules are in
+// docs/TRACE_FORMAT.md ("Parsing rules").
 
 #include <string>
 #include <string_view>

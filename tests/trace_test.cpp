@@ -3,12 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+
+#include "support/format.hpp"
 #include "support/rng.hpp"
 #include "trace/address_index.hpp"
 #include "trace/execution.hpp"
 #include "trace/schedule.hpp"
 #include "trace/stats.hpp"
 #include "trace/text_io.hpp"
+#include "trace_stream.hpp"
+#include "workload/random.hpp"
 
 namespace vermem {
 namespace {
@@ -477,6 +486,390 @@ TEST(ParserFuzz, StructuredMutationsNeverCrash) {
       EXPECT_EQ(again.execution, parsed.execution);
     }
   }
+}
+
+// --- Parser equivalence guard ---------------------------------------------
+//
+// A seeded mutation corpus over the example traces and generated traces
+// in the fleet_text and contended_exact bench shapes. Each of the three
+// text parsers folds every result into one digest: ok, error, line, the
+// canonical re-serialization of whatever it built (also on failure) and
+// every field of every parsed operation. The constants were recorded from
+// the split()-based parsers the single-pass ones replaced, so any change to
+// the accept set, an error string, a line number or a partial result shows
+// here. The digests also depend on six traces/*.txt examples,
+// workload::generate_sc and the two serializers: if one of those changes,
+// re-record the digests with the parsers left as they are.
+
+/// FNV-1a over `bytes`, then a delimiter byte so adjacent fields cannot
+/// trade bytes.
+std::uint64_t fold(std::uint64_t h, std::string_view bytes) {
+  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return (h ^ 0x100) * 0x100000001b3ULL;
+}
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return fold(h, std::to_string(word));
+}
+
+std::uint64_t fold(std::uint64_t h, const Operation& op) {
+  h = fold(h, static_cast<std::uint64_t>(op.kind));
+  h = fold(h, static_cast<std::uint64_t>(op.addr));
+  h = fold(h, static_cast<std::uint64_t>(op.value_read));
+  return fold(h, static_cast<std::uint64_t>(op.value_written));
+}
+
+bool is_wo_line(std::string_view line) {
+  return starts_with(line, "wo ") || line == "wo";
+}
+
+struct ParserCorpus {
+  std::vector<std::string> execution_texts;
+  std::vector<std::string> write_order_texts;
+};
+
+/// The unmutated inputs: each example trace split at its column-0 "wo"
+/// lines, then generated traces and their write-order logs.
+ParserCorpus parser_corpus_bases() {
+  // The examples at the time the digests were recorded; a new example
+  // does not move them.
+  static constexpr const char* kExamples[] = {
+      "coherent_basic.txt",  "coherent_with_write_order.txt",
+      "faulty_never_written.txt", "faulty_stale_read.txt",
+      "lint_clean.txt",      "lint_findings.txt"};
+  ParserCorpus bases;
+  for (const char* name : kExamples) {
+    std::ifstream file(std::filesystem::path(VERMEM_TRACES_DIR) / name,
+                       std::ios::binary);
+    EXPECT_TRUE(file.is_open()) << name;
+    std::string execution_text, write_order_text, line;
+    while (std::getline(file, line))
+      (is_wo_line(line) ? write_order_text : execution_text) += line + '\n';
+    bases.execution_texts.push_back(std::move(execution_text));
+    if (!write_order_text.empty())
+      bases.write_order_texts.push_back(std::move(write_order_text));
+  }
+  Xoshiro256ss rng(2803);
+  for (std::size_t i = 0; i < 32; ++i) {
+    workload::MultiAddressParams params;
+    if (i < 24) {  // fleet_text
+      params.num_processes = static_cast<std::size_t>(rng.range(2, 4));
+      params.ops_per_process = static_cast<std::size_t>(rng.range(32, 80));
+      params.num_addresses = static_cast<std::size_t>(rng.range(4, 8));
+      params.num_values = i % 3 == 0 ? 0 : 6;
+    } else {  // contended_exact
+      params.num_processes = 4;
+      params.ops_per_process = 48;
+      params.num_addresses = 3;
+      params.num_values = 2;
+    }
+    const auto trace = workload::generate_sc(params, rng);
+    bases.execution_texts.push_back(serialize_execution(trace.execution));
+    bases.write_order_texts.push_back(serialize_write_orders(trace.write_orders));
+  }
+  return bases;
+}
+
+/// One to three edits: erase a run, insert a byte, overwrite a byte, or
+/// replace the next digit run with an out-of-range literal. Half the
+/// bytes come from the format's own alphabet, half are arbitrary.
+std::string mutate(std::string text, Xoshiro256ss& rng) {
+  static constexpr std::string_view kAlphabet =
+      "()-,:# \t\r\n\v\f0123456789RWAcqelPinitfalwo";
+  static constexpr std::string_view kLiterals[] = {
+      "99999999999999999999", "9223372036854775808", "-9223372036854775809",
+      "4294967296", "4294967295", "-1"};
+  const auto any_byte = [&] {
+    return rng.chance(0.5) ? kAlphabet[rng.below(kAlphabet.size())]
+                           : static_cast<char>(rng.below(256));
+  };
+  const std::uint64_t edits = 1 + rng.below(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.below(text.size() + 1);
+    switch (rng.below(4)) {
+      case 0:
+        text.erase(pos, 1 + rng.below(4));
+        break;
+      case 1:
+        text.insert(pos, 1, any_byte());
+        break;
+      case 2:
+        if (pos < text.size()) text[pos] = any_byte();
+        break;
+      default: {
+        const std::string_view literal = kLiterals[rng.below(std::size(kLiterals))];
+        const std::size_t digit = text.find_first_of("0123456789", pos);
+        if (digit == std::string::npos) {
+          text.insert(pos, literal);
+        } else {
+          const std::size_t end = text.find_first_not_of("0123456789", digit);
+          text.replace(digit, end == std::string::npos ? end : end - digit,
+                       literal);
+        }
+      }
+    }
+  }
+  return text;
+}
+
+std::size_t line_count(std::string_view text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+}
+
+struct ParserDigests {
+  std::uint64_t execution = 0xcbf29ce484222325ULL;
+  std::uint64_t operation = 0xcbf29ce484222325ULL;
+  std::uint64_t write_order = 0xcbf29ce484222325ULL;
+  std::size_t execution_inputs = 0, execution_accepted = 0;
+  std::size_t write_order_inputs = 0, write_order_accepted = 0;
+};
+
+constexpr std::size_t kMutantsPerBase = 300;
+
+ParserDigests parser_digests() {
+  const ParserCorpus bases = parser_corpus_bases();
+  ParserDigests d;
+  Xoshiro256ss rng(2804);
+  for (const std::string& base : bases.execution_texts) {
+    for (std::size_t m = 0; m <= kMutantsPerBase; ++m) {
+      const std::string text = m == 0 ? base : mutate(base, rng);
+      const ParseResult parsed = parse_execution(text);
+      ++d.execution_inputs;
+      d.execution_accepted += parsed.ok() ? 1 : 0;
+      if (!parsed.ok()) {
+        EXPECT_GE(parsed.line, 1u) << text;
+        EXPECT_LE(parsed.line, line_count(text)) << text;
+      }
+      d.execution = fold(d.execution, parsed.ok() ? "ok" : "error");
+      d.execution = fold(d.execution, parsed.error);
+      d.execution = fold(d.execution, parsed.line);
+      d.execution = fold(d.execution, serialize_execution(parsed.execution));
+      for (const ProcessHistory& history : parsed.execution.histories())
+        for (const Operation& op : history) d.execution = fold(d.execution, op);
+      // parse_operation sees every whitespace-separated token and every
+      // raw line, spaces and all.
+      std::vector<std::string_view> tokens = split_ws(text);
+      for (const std::string_view line : split(text, '\n')) tokens.push_back(line);
+      for (const std::string_view token : tokens) {
+        const std::optional<Operation> op = parse_operation(token);
+        d.operation = fold(d.operation, op ? "ok" : "error");
+        if (op) d.operation = fold(d.operation, *op);
+      }
+    }
+  }
+  for (const std::string& base : bases.write_order_texts) {
+    for (std::size_t m = 0; m <= kMutantsPerBase; ++m) {
+      const std::string text = m == 0 ? base : mutate(base, rng);
+      const WriteOrderParseResult parsed = parse_write_orders(text);
+      ++d.write_order_inputs;
+      d.write_order_accepted += parsed.ok() ? 1 : 0;
+      d.write_order = fold(d.write_order, parsed.ok() ? "ok" : "error");
+      d.write_order = fold(d.write_order, parsed.error);
+      d.write_order = fold(d.write_order, parsed.line);
+      d.write_order =
+          fold(d.write_order, serialize_write_orders(parsed.orders));
+    }
+  }
+  return d;
+}
+
+TEST(ParserEquivalence, MutationCorpusDigestsAreUnchanged) {
+  const ParserDigests d = parser_digests();
+  // The corpus must exercise both outcomes of both parsers.
+  EXPECT_GT(d.execution_accepted, d.execution_inputs / 50);
+  EXPECT_LT(d.execution_accepted, d.execution_inputs / 2);
+  EXPECT_GT(d.write_order_accepted, d.write_order_inputs / 50);
+  EXPECT_LT(d.write_order_accepted, d.write_order_inputs / 2);
+  std::ostringstream got;
+  got << std::hex << "execution 0x" << d.execution << " operation 0x"
+      << d.operation << " write_order 0x" << d.write_order << std::dec
+      << " (" << d.execution_accepted << '/' << d.execution_inputs
+      << " executions, " << d.write_order_accepted << '/'
+      << d.write_order_inputs << " write-order logs accepted)";
+  EXPECT_EQ(d.execution, 0x133f025f8edbb60dULL) << got.str();
+  EXPECT_EQ(d.operation, 0x48fc1d7238c53feeULL) << got.str();
+  EXPECT_EQ(d.write_order, 0xf4e801107b7bf68cULL) << got.str();
+}
+
+// --- Write-order log mutations ---------------------------------------------
+
+TEST(WriteOrderFuzz, MutatedLogsFailTypedOrRoundTrip) {
+  const ParserCorpus bases = parser_corpus_bases();
+  Xoshiro256ss rng(2805);
+  std::size_t accepted = 0, rejected = 0;
+  for (const std::string& base : bases.write_order_texts) {
+    for (std::size_t m = 0; m < kMutantsPerBase; ++m) {
+      const std::string text = mutate(base, rng);
+      const WriteOrderParseResult parsed = parse_write_orders(text);
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_GE(parsed.line, 1u) << text;
+        EXPECT_LE(parsed.line, line_count(text)) << text;
+        EXPECT_TRUE(starts_with(parsed.error, "expected: wo <addr> ") ||
+                    starts_with(parsed.error, "bad address: ") ||
+                    starts_with(parsed.error, "bad op reference: "))
+            << parsed.error;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(parsed.line, 0u);
+      const std::string canonical = serialize_write_orders(parsed.orders);
+      const WriteOrderParseResult again = parse_write_orders(canonical);
+      ASSERT_TRUE(again.ok()) << again.error << "\n" << canonical;
+      EXPECT_EQ(again.orders, parsed.orders) << text;
+      EXPECT_EQ(serialize_write_orders(again.orders), canonical);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// --- CLI input plumbing (tools/trace_stream.hpp) ---------------------------
+
+tools::TraceSource split_source(std::string_view text) {
+  tools::TraceSource source;
+  tools::split_wo_lines(text, source);
+  return source;
+}
+
+TEST(TraceStream, ParseErrorsNameTheInputLine) {
+  // A "wo" line ahead of the bad token must not shift its line number.
+  const auto source =
+      split_source("wo 1 0:0 0:1\ninit 0 0\nP: W(1,1)\nP: W(1,2) banana\n");
+  EXPECT_EQ(source.execution_text, "\ninit 0 0\nP: W(1,1)\nP: W(1,2) banana\n");
+  EXPECT_EQ(source.write_order_text, "wo 1 0:0 0:1\n");
+  const ParseResult parsed = parse_execution(source.execution_text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error, "malformed operation: banana");
+  EXPECT_EQ(parsed.line, 4u);
+  // Nor may execution lines shift a write-order error.
+  const auto log =
+      split_source("P: W(0,1)\n# note\nwo 0 0:0\nP: W(0,2)\nwo 0 frog\n");
+  EXPECT_EQ(log.execution_text, "P: W(0,1)\n# note\n\nP: W(0,2)\n");
+  EXPECT_EQ(log.write_order_text, "\n\nwo 0 0:0\n\nwo 0 frog\n");
+  const WriteOrderParseResult orders = parse_write_orders(log.write_order_text);
+  ASSERT_FALSE(orders.ok());
+  EXPECT_EQ(orders.error, "bad op reference: frog");
+  EXPECT_EQ(orders.line, 5u);
+}
+
+TEST(TraceStream, NoWoLineLeavesTheWriteOrderTextEmpty) {
+  const std::string text = "init 0 0\n\nP: W(0,1) R(0,1)\n# wo 0 0:0\n";
+  const auto source = split_source(text);
+  EXPECT_EQ(source.execution_text, text);
+  EXPECT_TRUE(source.write_order_text.empty());
+  EXPECT_TRUE(split_source("").execution_text.empty());
+  EXPECT_TRUE(split_source("").write_order_text.empty());
+}
+
+TEST(TraceStream, CrlfInput) {
+  const auto source =
+      split_source("init 0 0\r\nP: W(0,1) R(0,1)\r\nwo 0 0:0\r\nwo\r\n");
+  // "wo\r" is not a bare "wo": it stays in the execution text.
+  EXPECT_EQ(source.execution_text, "init 0 0\r\nP: W(0,1) R(0,1)\r\n\nwo\r\n");
+  EXPECT_EQ(source.write_order_text, "\n\nwo 0 0:0\r\n");
+  const WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
+  ASSERT_TRUE(orders.ok()) << orders.error;
+  EXPECT_EQ(orders.orders, (WriteOrderLog{{0, {{0, 0}}}}));
+  const ParseResult parsed = parse_execution(source.execution_text);
+  EXPECT_EQ(parsed.error, "unrecognized directive: wo");
+  EXPECT_EQ(parsed.line, 4u);
+  const ParseResult clean = parse_execution(
+      split_source("init 0 0\r\nP: W(0,1) R(0,1)\r\n").execution_text);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  EXPECT_EQ(clean.execution.num_operations(), 2u);
+}
+
+TEST(TraceStream, MissingFinalNewline) {
+  EXPECT_EQ(split_source("P: W(0,1)").execution_text, "P: W(0,1)\n");
+  const auto source = split_source("P: W(0,1)\nwo 0 0:0");
+  EXPECT_EQ(source.execution_text, "P: W(0,1)\n");
+  EXPECT_EQ(source.write_order_text, "\nwo 0 0:0\n");
+  const auto bare = split_source("P: W(0,1)\nwo");
+  EXPECT_EQ(bare.write_order_text, "\nwo\n");
+}
+
+TEST(TraceStream, BareWoIsAWriteOrderLine) {
+  const auto source = split_source("P: W(0,1)\nwo\n");
+  EXPECT_EQ(source.execution_text, "P: W(0,1)\n");
+  EXPECT_EQ(source.write_order_text, "\nwo\n");
+  const WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
+  ASSERT_FALSE(orders.ok());
+  EXPECT_EQ(orders.error, "expected: wo <addr> <proc>:<index> ...");
+  EXPECT_EQ(orders.line, 2u);
+}
+
+TEST(TraceStream, IndentedWoStaysInTheExecutionText) {
+  // Only column-0 "wo" lines are routed; parse_execution then rejects
+  // the indented one as a directive of its own.
+  const auto source = split_source("P: W(0,1)\n  wo 0 0:0\n\two 0 0:0\n");
+  EXPECT_EQ(source.execution_text, "P: W(0,1)\n  wo 0 0:0\n\two 0 0:0\n");
+  EXPECT_TRUE(source.write_order_text.empty());
+  const ParseResult parsed = parse_execution(source.execution_text);
+  EXPECT_EQ(parsed.error, "unrecognized directive: wo 0 0:0");
+  EXPECT_EQ(parsed.line, 2u);
+}
+
+std::vector<tools::TraceSource> split_stream(std::string_view all) {
+  std::vector<tools::TraceSource> sources;
+  tools::split_concatenated_sources(all, "stdin", sources);
+  return sources;
+}
+
+TEST(TraceStream, SeparatorsAndTags) {
+  const auto sources = split_stream(
+      "P: W(0,1)\n---\nP: W(0,2)\n-----\nP: W(0,3)\n--\nP: W(0,4)");
+  ASSERT_EQ(sources.size(), 3u);
+  EXPECT_EQ(sources[0].tag, "stdin[0]");
+  EXPECT_EQ(sources[0].execution_text, "P: W(0,1)\n");
+  EXPECT_EQ(sources[1].tag, "stdin[1]");
+  EXPECT_EQ(sources[1].execution_text, "P: W(0,2)\n");
+  // "--" is not a separator.
+  EXPECT_EQ(sources[2].tag, "stdin[2]");
+  EXPECT_EQ(sources[2].execution_text, "P: W(0,3)\n--\nP: W(0,4)\n");
+  // A separator on the last line, without a newline.
+  const auto last = split_stream("P: W(0,1)\n----");
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].execution_text, "P: W(0,1)\n");
+}
+
+TEST(TraceStream, WhitespaceOnlyChunksAreSkippedUnnumbered) {
+  const auto sources =
+      split_stream("---\n \t\r\n\n---\nP: W(0,1)\n---\n\n---\nwo 0 0:0\n---\n");
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_EQ(sources[0].tag, "stdin[0]");
+  EXPECT_EQ(sources[0].execution_text, "P: W(0,1)\n");
+  EXPECT_EQ(sources[1].tag, "stdin[1]");
+  EXPECT_TRUE(sources[1].execution_text.empty());
+  EXPECT_EQ(sources[1].write_order_text, "wo 0 0:0\n");
+  EXPECT_TRUE(split_stream("").empty());
+  EXPECT_TRUE(split_stream("---\n---\n").empty());
+}
+
+TEST(TraceStream, StreamLineNumbersCountFromTheSeparator) {
+  const auto sources =
+      split_stream("P: W(0,1)\n---\nwo 0 0:0\n# c\nP: bad\n---\n"
+                   "P: W(0,1)\n\nwo x\n");
+  ASSERT_EQ(sources.size(), 3u);
+  const ParseResult parsed = parse_execution(sources[1].execution_text);
+  EXPECT_EQ(parsed.error, "malformed operation: bad");
+  EXPECT_EQ(parsed.line, 3u);
+  const WriteOrderParseResult orders =
+      parse_write_orders(sources[2].write_order_text);
+  EXPECT_EQ(orders.error, "bad address: x");
+  EXPECT_EQ(orders.line, 3u);
+}
+
+TEST(TraceStream, ReadAllReadsPastItsBlockSize) {
+  std::string bytes(200'000, 'x');
+  for (std::size_t i = 0; i < bytes.size(); i += 97) bytes[i] = '\n';
+  std::istringstream in(bytes);
+  std::string out = "stale";
+  tools::read_all(in, out);
+  EXPECT_EQ(out, bytes);
+  std::istringstream empty;
+  tools::read_all(empty, out);
+  EXPECT_TRUE(out.empty());
 }
 
 // --- Trace statistics ----------------------------------------------------

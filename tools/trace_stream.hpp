@@ -1,14 +1,15 @@
 #pragma once
-// Shared input plumbing for the deployable CLIs (vermemd, vermemlint):
-// loading trace sources from files or a multi-trace stdin stream
-// (traces separated by "---" lines), splitting out "wo " write-order
-// lines, and minimal JSON string escaping for the one-line-per-trace
-// output format.
+// Shared input plumbing for the deployable CLIs (vermemd, vermemlint,
+// vermemcert, vermemconv): reading files and stdin, splitting a
+// multi-trace stdin stream (traces separated by "---" lines), splitting
+// out "wo " write-order lines, and minimal JSON string escaping for the
+// one-line-per-trace output format. Each splitter is one forward scan
+// over the bytes.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,70 +30,119 @@ struct TraceSource {
   std::string write_order_text;
 };
 
-inline void split_wo_lines(const std::string& text, TraceSource& out) {
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const bool is_wo = line.rfind("wo ", 0) == 0 || line == "wo";
-    (is_wo ? out.write_order_text : out.execution_text) += line;
-    (is_wo ? out.write_order_text : out.execution_text) += '\n';
+/// Splits `text` into its column-0 write-order lines ("wo" alone or
+/// "wo " onward) and everything else, keeping input line numbers: line k
+/// of either output is line k of `text`, or blank when it went to the
+/// other one (both parsers skip blank lines). An output ends at its last
+/// routed line, so `write_order_text` stays empty when no line is "wo",
+/// and each routed line ends in '\n'.
+inline void split_wo_lines(std::string_view text, TraceSource& out) {
+  std::string& execution = out.execution_text;
+  std::string& write_order = out.write_order_text;
+  execution.clear();
+  write_order.clear();
+  execution.reserve(text.size() + 1);
+  std::size_t execution_lines = 0;   // lines `execution` holds
+  std::size_t write_order_lines = 0;  // lines `write_order` holds
+  // Appends input lines first..last, whose bytes are `lines`, to `to`.
+  const auto route = [](std::string& to, std::size_t& held, std::size_t first,
+                        std::size_t last, std::string_view lines) {
+    to.append(first - 1 - held, '\n');
+    to.append(lines);
+    if (lines.back() != '\n') to += '\n';
+    held = last;
+  };
+  std::size_t line_no = 0;
+  // The execution lines not yet routed start at byte run_begin and at
+  // line run_first.
+  std::size_t run_begin = 0;
+  std::size_t run_first = 1;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t newline = text.find('\n', pos);
+    const std::size_t end =
+        newline == std::string_view::npos ? text.size() : newline + 1;
+    const std::string_view line = text.substr(pos, end - pos);
+    ++line_no;
+    if (line.starts_with("wo ") || line == "wo\n" || line == "wo") {
+      if (run_begin < pos)
+        route(execution, execution_lines, run_first, line_no - 1,
+              text.substr(run_begin, pos - run_begin));
+      if (write_order.empty()) write_order.reserve(line_no + text.size() - pos);
+      route(write_order, write_order_lines, line_no, line_no, line);
+      run_begin = end;
+      run_first = line_no + 1;
+    }
+    pos = end;
   }
+  if (run_begin < text.size())
+    route(execution, execution_lines, run_first, line_no,
+          text.substr(run_begin));
 }
 
-/// Splits an already-read multi-trace text stream (traces separated by
-/// "---" lines) into sources tagged "<tag_prefix>[i]".
-inline void split_concatenated_sources(const std::string& all,
+/// Splits an already-read multi-trace text stream into sources tagged
+/// "<tag_prefix>[i]". A separator line is three or more '-' and nothing
+/// else; whitespace-only traces are skipped and take no number. Line
+/// numbers in a source count from the line after its separator.
+inline void split_concatenated_sources(std::string_view all,
                                        const std::string& tag_prefix,
                                        std::vector<TraceSource>& sources) {
   std::size_t count = 0;
-  std::istringstream lines(all);
-  std::string line;
-  std::string chunk;
-  auto flush = [&] {
-    if (chunk.find_first_not_of(" \t\r\n") == std::string::npos) {
-      chunk.clear();
-      return;
-    }
-    TraceSource current;
+  const auto flush = [&](std::string_view chunk) {
+    if (chunk.find_first_not_of(" \t\r\n") == std::string_view::npos) return;
+    TraceSource& current = sources.emplace_back();
     current.tag = tag_prefix + "[" + std::to_string(count++) + "]";
     split_wo_lines(chunk, current);
-    sources.push_back(std::move(current));
-    chunk.clear();
   };
-  while (std::getline(lines, line)) {
-    if (line.find_first_not_of('-') == std::string::npos && line.size() >= 3) {
-      flush();
-    } else {
-      chunk += line;
-      chunk += '\n';
+  std::size_t chunk_begin = 0;
+  for (std::size_t pos = 0; pos < all.size();) {
+    const std::size_t end = std::min(all.find('\n', pos), all.size());
+    const std::string_view line = all.substr(pos, end - pos);
+    const std::size_t next = end + 1;
+    if (line.size() >= 3 && line.find_first_not_of('-') == std::string_view::npos) {
+      flush(all.substr(chunk_begin, pos - chunk_begin));
+      chunk_begin = next;
     }
+    pos = next;
   }
-  flush();
+  flush(all.substr(std::min(chunk_begin, all.size())));
 }
 
-/// Loads sources from the given paths, or from stdin when `paths` is
-/// empty (splitting the stream into traces on "---" separator lines).
-/// On an unreadable file prints a message to stderr and returns false.
+/// Reads the rest of `in` into `out`.
+inline void read_all(std::istream& in, std::string& out) {
+  out.clear();
+  std::streambuf* buffer = in.rdbuf();
+  std::size_t filled = 0;
+  while (true) {
+    out.resize(filled + (std::size_t{1} << 16));
+    const std::streamsize got = buffer->sgetn(
+        out.data() + filled, static_cast<std::streamsize>(out.size() - filled));
+    filled += static_cast<std::size_t>(got);
+    if (filled < out.size()) break;
+  }
+  out.resize(filled);
+}
+
+/// Reads the file at `path` into `out`; false if it cannot be opened.
+inline bool read_file(const std::string& path, std::string& out) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return false;
+  read_all(file, out);
+  return true;
+}
+
+/// Loads one source per path, tagged with the path. On an unreadable
+/// file prints a message to stderr and returns false.
 inline bool load_trace_sources(const std::vector<std::string>& paths,
                                std::vector<TraceSource>& sources) {
-  if (paths.empty()) {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    split_concatenated_sources(buffer.str(), "stdin", sources);
-    return true;
-  }
+  std::string bytes;
   for (const std::string& path : paths) {
-    std::ifstream file(path);
-    if (!file) {
+    if (!read_file(path, bytes)) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return false;
     }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    TraceSource source;
+    TraceSource& source = sources.emplace_back();
     source.tag = path;
-    split_wo_lines(buffer.str(), source);
-    sources.push_back(std::move(source));
+    split_wo_lines(bytes, source);
   }
   return true;
 }

@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -73,18 +72,10 @@ int main(int argc, char** argv) {
 
   std::string input;
   if (paths.empty()) {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    input = buffer.str();
-  } else {
-    std::ifstream file(paths[0], std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", paths[0].c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    input = buffer.str();
+    tools::read_all(std::cin, input);
+  } else if (!tools::read_file(paths[0], input)) {
+    std::fprintf(stderr, "cannot open %s\n", paths[0].c_str());
+    return 2;
   }
   const std::string input_tag = paths.empty() ? "stdin" : paths[0];
 
@@ -121,8 +112,8 @@ int main(int argc, char** argv) {
     if (!source.write_order_text.empty()) {
       WriteOrderParseResult wo = parse_write_orders(source.write_order_text);
       if (!wo.ok()) {
-        std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                     input_tag.c_str(), wo.error.c_str());
+        std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                     input_tag.c_str(), wo.line, wo.error.c_str());
         return 2;
       }
       orders = std::move(wo.orders);

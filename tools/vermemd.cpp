@@ -85,7 +85,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -382,9 +381,8 @@ int main(int argc, char** argv) {
     items.push_back({sources.back().tag, false, {}, sources.size() - 1});
   };
   if (paths.empty()) {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    std::string all = buffer.str();
+    std::string all;
+    tools::read_all(std::cin, all);
     if (force_binary || looks_like_binary_trace(all)) {
       items.push_back({"stdin", true, std::move(all), 0});
     } else {
@@ -397,14 +395,12 @@ int main(int argc, char** argv) {
     }
   } else {
     for (const std::string& path : paths) {
-      std::ifstream file(path, std::ios::binary);
-      if (!file) {
+      std::string data;
+      if (!tools::read_file(path, data)) {
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return exporters.finish(2);
       }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      classify(path, buffer.str());
+      classify(path, std::move(data));
     }
   }
   if (items.empty()) {
@@ -435,8 +431,8 @@ int main(int argc, char** argv) {
     if (!source.write_order_text.empty()) {
       WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
       if (!orders.ok()) {
-        std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                     source.tag.c_str(), orders.error.c_str());
+        std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                     source.tag.c_str(), orders.line, orders.error.c_str());
         return exporters.finish(2);
       }
       request.write_orders.emplace(orders.orders.begin(), orders.orders.end());

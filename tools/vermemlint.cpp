@@ -28,10 +28,8 @@
 //   2  usage or parse error
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -160,8 +158,9 @@ bool parse_text_source(const tools::TraceSource& source,
     WriteOrderParseResult parsed_orders =
         parse_write_orders(source.write_order_text);
     if (!parsed_orders.ok()) {
-      std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                   source.tag.c_str(), parsed_orders.error.c_str());
+      std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                   source.tag.c_str(), parsed_orders.line,
+                   parsed_orders.error.c_str());
       return false;
     }
     input.orders.insert(parsed_orders.orders.begin(),
@@ -227,9 +226,8 @@ int main(int argc, char** argv) {
   // "VMTB" magic, per file and on (whole) stdin, exactly like vermemd.
   std::vector<LintInput> inputs;
   if (paths.empty()) {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    std::string all = buffer.str();
+    std::string all;
+    tools::read_all(std::cin, all);
     if (looks_like_binary_trace(all)) {
       if (!parse_binary_source("stdin", all, inputs)) return fatal_exit();
     } else {
@@ -240,14 +238,11 @@ int main(int argc, char** argv) {
     }
   } else {
     for (const std::string& path : paths) {
-      std::ifstream file(path, std::ios::binary);
-      if (!file) {
+      std::string data;
+      if (!tools::read_file(path, data)) {
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return 2;
       }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      std::string data = buffer.str();
       if (looks_like_binary_trace(data)) {
         if (!parse_binary_source(path, data, inputs)) return fatal_exit();
       } else {
