@@ -227,12 +227,12 @@ vmc::CheckResult check_model(const Execution& exec, Model m,
           return vmc::CheckResult::no(std::move(evidence), report.effort);
         }
         case vmc::Verdict::kUnknown:
-          // The first undecided address speaks for the trace.
-          for (const auto& address : report.addresses)
-            if (const auto* why = address.result.unknown_reason())
+          if (const auto* undecided = report.first_undecided())
+            if (const auto* why = undecided->result.unknown_reason())
               return vmc::CheckResult::unknown(
                   why->reason,
-                  "address " + std::to_string(address.addr) + ": " + why->detail,
+                  "address " + std::to_string(undecided->addr) + ": " +
+                      why->detail,
                   report.effort);
           break;
       }

@@ -146,9 +146,10 @@ struct VerificationResponse {
   std::uint64_t portfolio_races = 0;
   std::array<std::uint64_t, analysis::kNumEngines> engine_wins{};
   vmc::SearchStats wasted_effort;
-  /// kVscc: the per-address sweep ran on the service's retained warm
-  /// incremental solver, and whether that solver's state was carried
-  /// over from a previous trace of which this one is a suffix extension.
+  /// No service path sets these: every kVscc request runs the routed
+  /// pipeline of vsc::check_vscc. They remain for bench/e2e, whose
+  /// traced replay still runs the warm SAT sweep and reports whether it
+  /// carried state over from a trace this one extends by a suffix.
   bool warm_sweep = false;
   bool suffix_extension = false;
   /// Per-address detail for coherence-bearing modes; empty for cache hits

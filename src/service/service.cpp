@@ -43,12 +43,10 @@ std::string reason_for(const vmc::CoherenceReport& report) {
     return "address " + std::to_string(violation->addr) + ": " +
            (violation->result.reason().empty() ? "no coherent schedule exists"
                                            : violation->result.reason());
-  if (report.verdict == vmc::Verdict::kUnknown) {
-    for (const auto& address : report.addresses)
-      if (address.result.verdict == vmc::Verdict::kUnknown)
-        return "address " + std::to_string(address.addr) + ": " +
-               address.result.reason();
-  }
+  if (report.verdict == vmc::Verdict::kUnknown)
+    if (const auto* undecided = report.first_undecided())
+      return "address " + std::to_string(undecided->addr) + ": " +
+             undecided->result.reason();
   return {};
 }
 
@@ -136,9 +134,6 @@ std::string ServiceStats::to_prometheus() const {
   gauge("vermem_service_queue_depth", queue_depth);
   gauge("vermem_service_in_flight", in_flight);
   gauge("vermem_service_cache_entries", cache_entries);
-  counter("vermem_service_vscc_sweeps_total", vscc_sweeps);
-  counter("vermem_service_vscc_sweep_extended_total", vscc_sweep_extended);
-  counter("vermem_service_vscc_sweep_reused_total", vscc_sweep_reused);
   counter("vermem_service_lint_warnings_total", lint_warnings);
   counter("vermem_service_streamed_total", streamed);
   counter("vermem_service_stream_events_total", stream_events);
@@ -176,8 +171,6 @@ struct VerificationService::Accounting {
   obs::RequestKind kind = obs::RequestKind::kCoherence;
   std::uint64_t latency_nanos = 0;
   analysis::RouteTally routing;
-  /// What the warm sweep did with a kVscc trace, when it served one.
-  std::optional<encode::VscSweep::Prepare> sweep;
   std::uint64_t shed_events = 0;  ///< streamed runs only
 };
 
@@ -430,29 +423,16 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       break;
     }
     case CheckMode::kVscc: {
+      // Routed per-address coherence (honouring the write-order log),
+      // the VSC-Conflict merge, and the exact SC search only when the
+      // merge fails, all under this request's limits. There is one
+      // pipeline, so the answer never depends on which worker ran it.
       vsc::VsccOptions vscc;
       vscc.coherence = limits;
       vscc.sc = limits;
-      vscc.solver.deadline = limits.deadline;
-      vscc.solver.cancel = limits.cancel;
       if (slot.request.write_orders)
         vscc.write_orders = &*slot.request.write_orders;
-      // Warm sweep: the retained incremental solver serves one request
-      // at a time. A contended request falls back to the cold
-      // per-address pipeline (identical verdicts) instead of convoying
-      // behind the holder.
-      std::unique_lock<std::mutex> sweep_lock(sweep_mutex_, std::try_to_lock);
-      if (sweep_lock.owns_lock()) {
-        vscc.use_sat_sweep = true;
-        vscc.sweep = &sweep_;
-      }
       vsc::VsccReport report = vsc::check_vscc(*slot.index, vscc);
-      sweep_lock = {};
-      response.warm_sweep = report.used_sat_sweep;
-      response.suffix_extension =
-          report.used_sat_sweep &&
-          report.sweep_prepare != encode::VscSweep::Prepare::kFresh;
-      if (report.used_sat_sweep) slot.accounting.sweep = report.sweep_prepare;
       response.verdict = report.sc.verdict;
       response.reason = report.sc.reason();
       response.effort = report.coherence.effort;
@@ -636,7 +616,6 @@ VerificationResponse VerificationService::verify_stream(
   account(response, Accounting{.kind = obs::RequestKind::kStream,
                                .latency_nanos = latency_nanos,
                                .routing = std::move(result.routing),
-                               .sweep = std::nullopt,
                                .shed_events = result.shed_events});
   return response;
 }
@@ -683,13 +662,6 @@ void VerificationService::account(const VerificationResponse& response,
     kind.latency_nanos.record(accounting.latency_nanos);
     counters_.effort.merge(response.effort);
     counters_.routing.merge(accounting.routing);
-    if (accounting.sweep) {
-      ++counters_.vscc_sweeps;
-      if (*accounting.sweep == encode::VscSweep::Prepare::kExtended)
-        ++counters_.vscc_sweep_extended;
-      else if (*accounting.sweep == encode::VscSweep::Prepare::kReused)
-        ++counters_.vscc_sweep_reused;
-    }
     if (response.analyzed)
       counters_.lint_warnings += response.analysis.warning_count;
     if (streamed) {

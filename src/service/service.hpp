@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "analysis/router.hpp"
-#include "encode/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "service/cache.hpp"
@@ -87,13 +86,6 @@ struct ServiceStats {
   /// only; the losers' effort lands in routing.wasted_effort instead of
   /// inflating the latency-explaining tallies.
   analysis::RouteTally routing;
-  /// Warm-sweep tallies (kVscc): requests served on the retained
-  /// incremental solver, and how many of those reused retained state —
-  /// suffix extensions re-solved from the previous trace's frames, and
-  /// identical resubmissions that skipped re-encoding entirely.
-  std::uint64_t vscc_sweeps = 0;
-  std::uint64_t vscc_sweep_extended = 0;
-  std::uint64_t vscc_sweep_reused = 0;
   /// Warning-severity lint diagnostics emitted by analyze requests.
   std::uint64_t lint_warnings = 0;
   /// Streaming ingestion (verify_stream): runs served, operations
@@ -240,16 +232,6 @@ class VerificationService {
   std::unique_ptr<stream::StreamVerifier> stream_verifier_;
   std::size_t stream_shards_ = 0;
   std::size_t stream_queue_blocks_ = 0;
-
-  // Retained warm sweep for kVscc requests: the incremental solver's
-  // trace skeleton and learned clauses persist across requests, so a
-  // trace that extends the previous one by a suffix re-solves from the
-  // retained state (VscSweep::prepare detects the extension itself).
-  // One request uses it at a time; a contended request falls back to
-  // the cold per-address pipeline rather than convoying behind the
-  // holder.
-  std::mutex sweep_mutex_;
-  encode::VscSweep sweep_;
 };
 
 }  // namespace vermem::service

@@ -55,6 +55,13 @@ struct CoherenceReport {
                ? nullptr
                : &addresses[first_violation_index];
   }
+  /// First (lowest) undecided address, or null: its reason (a spent
+  /// budget, the deadline, a cancellation) speaks for a kUnknown verdict.
+  [[nodiscard]] const AddressReport* first_undecided() const noexcept {
+    for (const AddressReport& address : addresses)
+      if (address.result.verdict == Verdict::kUnknown) return &address;
+    return nullptr;
+  }
 };
 
 /// Folds per-address reports into a CoherenceReport: first incoherent

@@ -44,9 +44,16 @@ bool settle_before_fallback(const Execution& exec, const VsccOptions& options,
     return true;
   }
   if (report.coherence.verdict == vmc::Verdict::kUnknown) {
+    // The first undecided address's reason is the trace's, so a deadline
+    // or a cancellation is not reported as a spent budget.
     report.sc = vmc::CheckResult::unknown(
         certify::UnknownReason::kBudget,
-        "coherence of some address could not be decided within budget");
+        "coherence of some address could not be decided");
+    if (const auto* undecided = report.coherence.first_undecided())
+      if (const auto* why = undecided->result.unknown_reason())
+        report.sc = vmc::CheckResult::unknown(
+            why->reason,
+            "address " + std::to_string(undecided->addr) + ": " + why->detail);
     report.conflict = report.sc;
     return true;
   }

@@ -38,8 +38,8 @@ struct VsccOptions {
   bool use_sat_sweep = false;
   /// Budget knobs (deadline / cancel / max_conflicts) for sweep solves.
   sat::SolverOptions solver;
-  /// Optional caller-retained sweep, e.g. the verification service's
-  /// per-session instance: suffix extensions of the previous trace then
+  /// Optional caller-retained sweep, e.g. one kept across a client's
+  /// requests: suffix extensions of the previous trace then
   /// re-solve from retained clauses instead of re-encoding. When null
   /// (and use_sat_sweep is set) a call-local sweep is built.
   encode::VscSweep* sweep = nullptr;

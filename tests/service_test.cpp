@@ -21,6 +21,7 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "reductions/sat_to_vmc.hpp"
+#include "reductions/sat_to_vscc.hpp"
 #include "sat/gen.hpp"
 #include "service/service.hpp"
 #include "support/rng.hpp"
@@ -492,6 +493,99 @@ TEST(Service, VsccRequestsReportRouting) {
             vmc::Verdict::kIncoherent);
   const service::ServiceStats stats = svc.stats();
   EXPECT_GE(stats.routing.poly_routed + stats.routing.exact_routed, 1u);
+}
+
+TEST(Service, VsccHonorsWriteOrderLog) {
+  // traces/lint_findings.txt: a coherent execution whose "wo 2" log
+  // orders P3's W(2,2) before P2's W(2,1), which P2's R(2,2) after its
+  // own write refutes (order-read-window at address 2). Under that log
+  // the execution is incoherent, so it is not SC either: a kVscc request
+  // must say so, with the kCoherence request's evidence, whatever the
+  // worker count and however many copies run at once.
+  constexpr std::string_view kLintFindings =
+      "init 0 0\ninit 1 0\ninit 2 0\ninit 3 0\n"
+      "P: W(0,7) R(0,7) W(0,7) W(0,9) W(0,7)\n"
+      "P: R(1,0) W(1,5) R(0,7)\n"
+      "P: W(2,1) R(2,2) W(3,1) W(3,4)\n"
+      "P: W(2,2) W(3,2) W(3,4)\n";
+  const WriteOrderParseResult log = parse_write_orders("wo 1 1:0\nwo 2 3:0 2:0\n");
+  ASSERT_TRUE(log.ok()) << log.error;
+  const auto request_for = [&](CheckMode mode) {
+    VerificationRequest request = coherence_request(exec_from(kLintFindings));
+    request.mode = mode;
+    request.write_orders.emplace(log.orders.begin(), log.orders.end());
+    request.bypass_cache = true;
+    return request;
+  };
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    service::ServiceOptions options;
+    options.workers = workers;
+    VerificationService svc(options);
+    const VerificationResponse coherence =
+        svc.submit(request_for(CheckMode::kCoherence)).response.get();
+    ASSERT_EQ(coherence.verdict, vmc::Verdict::kIncoherent);
+    const vmc::AddressReport* expected = coherence.coherence.first_violation();
+    ASSERT_NE(expected, nullptr);
+    ASSERT_NE(expected->result.incoherence(), nullptr);
+    EXPECT_EQ(expected->addr, 2u);
+    EXPECT_EQ(expected->result.incoherence()->kind,
+              certify::IncoherenceKind::kOrderReadWindow);
+
+    std::vector<VerificationService::Ticket> tickets;
+    for (int i = 0; i < 8; ++i)
+      tickets.push_back(svc.submit(request_for(CheckMode::kVscc)));
+    for (auto& ticket : tickets) {
+      const VerificationResponse vscc = ticket.response.get();
+      EXPECT_EQ(vscc.verdict, vmc::Verdict::kIncoherent) << "workers " << workers;
+      const vmc::AddressReport* got = vscc.coherence.first_violation();
+      ASSERT_NE(got, nullptr) << "workers " << workers;
+      ASSERT_NE(got->result.incoherence(), nullptr);
+      EXPECT_EQ(got->addr, expected->addr);
+      EXPECT_EQ(got->result.incoherence()->kind,
+                expected->result.incoherence()->kind);
+      EXPECT_EQ(got->result.incoherence()->ops,
+                expected->result.incoherence()->ops);
+      EXPECT_EQ(got->result.incoherence()->write_order,
+                expected->result.incoherence()->write_order);
+    }
+  }
+}
+
+TEST(Service, VsccDeadlineHoldsOnReductionTrace) {
+  // Figure 6.2: random 3-SAT at clause ratio 4.26 (n = 10, seed 1)
+  // reduced to VSCC. Every address is coherent, so only the whole-
+  // execution SC search can answer, and it is exponential; the request's
+  // 500 ms deadline must stop it and say so.
+  Xoshiro256ss rng(1);
+  const sat::Cnf cnf = sat::random_ksat(10, 42, 3, rng);
+  VerificationRequest request =
+      coherence_request(reductions::sat_to_vscc(cnf).execution);
+  request.mode = CheckMode::kVscc;
+  request.deadline = std::chrono::milliseconds(500);
+  service::ServiceOptions options;
+  options.workers = 1;
+  VerificationService svc(options);
+  const auto start = std::chrono::steady_clock::now();
+  const VerificationResponse response =
+      svc.submit(std::move(request)).response.get();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(response.verdict, vmc::Verdict::kUnknown);
+  EXPECT_TRUE(response.timed_out);
+  EXPECT_NE(response.reason.find("deadline"), std::string::npos)
+      << response.reason;
+  // Measured at 0.51 s optimized and 0.56 s under ASan+UBSan Debug; a
+  // service that encodes the whole O(n^3) SAT skeleton first takes ~7 s.
+  EXPECT_LT(elapsed, std::chrono::seconds(3));
+
+  // A deadline that stops the coherence stage (the Figure 4.1 reduction
+  // of an UNSAT formula) is reported as a deadline too, not as a budget.
+  VerificationRequest hard = coherence_request(adversarial_trace());
+  hard.mode = CheckMode::kVscc;
+  hard.deadline = std::chrono::milliseconds(50);
+  const VerificationResponse stopped = svc.submit(std::move(hard)).response.get();
+  EXPECT_EQ(stopped.verdict, vmc::Verdict::kUnknown);
+  EXPECT_TRUE(stopped.timed_out);
+  EXPECT_TRUE(stopped.reason.starts_with("deadline: address ")) << stopped.reason;
 }
 
 TEST(Service, StatsTrackVerdictsAndLatency) {

@@ -765,19 +765,24 @@ TEST(TraceStream, NoWoLineLeavesTheWriteOrderTextEmpty) {
 TEST(TraceStream, CrlfInput) {
   const auto source =
       split_source("init 0 0\r\nP: W(0,1) R(0,1)\r\nwo 0 0:0\r\nwo\r\n");
-  // "wo\r" is not a bare "wo": it stays in the execution text.
-  EXPECT_EQ(source.execution_text, "init 0 0\r\nP: W(0,1) R(0,1)\r\n\nwo\r\n");
-  EXPECT_EQ(source.write_order_text, "\n\nwo 0 0:0\r\n");
+  // "wo\r" is a bare "wo" with a CRLF line end: a write-order line.
+  EXPECT_EQ(source.execution_text, "init 0 0\r\nP: W(0,1) R(0,1)\r\n");
+  EXPECT_EQ(source.write_order_text, "\n\nwo 0 0:0\r\nwo\r\n");
   const WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
-  ASSERT_TRUE(orders.ok()) << orders.error;
-  EXPECT_EQ(orders.orders, (WriteOrderLog{{0, {{0, 0}}}}));
+  EXPECT_EQ(orders.error, "expected: wo <addr> <proc>:<index> ...");
+  EXPECT_EQ(orders.line, 4u);
+  const WriteOrderParseResult valid =
+      parse_write_orders(split_source("P: W(0,1)\r\nwo 0 0:0\r\n").write_order_text);
+  ASSERT_TRUE(valid.ok()) << valid.error;
+  EXPECT_EQ(valid.orders, (WriteOrderLog{{0, {{0, 0}}}}));
   const ParseResult parsed = parse_execution(source.execution_text);
-  EXPECT_EQ(parsed.error, "unrecognized directive: wo");
-  EXPECT_EQ(parsed.line, 4u);
-  const ParseResult clean = parse_execution(
-      split_source("init 0 0\r\nP: W(0,1) R(0,1)\r\n").execution_text);
-  ASSERT_TRUE(clean.ok()) << clean.error;
-  EXPECT_EQ(clean.execution.num_operations(), 2u);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.execution.num_operations(), 2u);
+  // Only one trailing '\r' is a line end: anything after it is part of
+  // the line, which then is no bare "wo".
+  const auto inner = split_source("P: W(0,1)\nwo\rx\n");
+  EXPECT_EQ(inner.execution_text, "P: W(0,1)\nwo\rx\n");
+  EXPECT_TRUE(inner.write_order_text.empty());
 }
 
 TEST(TraceStream, MissingFinalNewline) {
@@ -831,6 +836,25 @@ TEST(TraceStream, SeparatorsAndTags) {
   const auto last = split_stream("P: W(0,1)\n----");
   ASSERT_EQ(last.size(), 1u);
   EXPECT_EQ(last[0].execution_text, "P: W(0,1)\n");
+}
+
+TEST(TraceStream, CrlfSeparators) {
+  const auto sources = split_stream(
+      "P: W(0,1)\r\n---\r\nP: W(0,2)\r\nwo 0 0:0\r\n-----\r\n"
+      "P: W(0,3)\r\n--\r\n---\r\r\nP: W(0,4)\r\n---\r");
+  ASSERT_EQ(sources.size(), 3u);
+  EXPECT_EQ(sources[0].tag, "stdin[0]");
+  EXPECT_EQ(sources[0].execution_text, "P: W(0,1)\r\n");
+  EXPECT_EQ(sources[1].tag, "stdin[1]");
+  EXPECT_EQ(sources[1].execution_text, "P: W(0,2)\r\n");
+  EXPECT_EQ(sources[1].write_order_text, "\nwo 0 0:0\r\n");
+  // "--" is no separator, nor is "---" followed by two '\r'.
+  EXPECT_EQ(sources[2].tag, "stdin[2]");
+  EXPECT_EQ(sources[2].execution_text,
+            "P: W(0,3)\r\n--\r\n---\r\r\nP: W(0,4)\r\n");
+  const ParseResult first = parse_execution(sources[0].execution_text);
+  ASSERT_TRUE(first.ok()) << first.error;
+  EXPECT_EQ(first.execution.num_operations(), 1u);
 }
 
 TEST(TraceStream, WhitespaceOnlyChunksAreSkippedUnnumbered) {

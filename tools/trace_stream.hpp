@@ -31,7 +31,8 @@ struct TraceSource {
 };
 
 /// Splits `text` into its column-0 write-order lines ("wo" alone or
-/// "wo " onward) and everything else, keeping input line numbers: line k
+/// "wo " onward, ending in "\n", "\r\n" or neither) and everything
+/// else, keeping input line numbers: line k
 /// of either output is line k of `text`, or blank when it went to the
 /// other one (both parsers skip blank lines). An output ends at its last
 /// routed line, so `write_order_text` stays empty when no line is "wo",
@@ -63,7 +64,10 @@ inline void split_wo_lines(std::string_view text, TraceSource& out) {
         newline == std::string_view::npos ? text.size() : newline + 1;
     const std::string_view line = text.substr(pos, end - pos);
     ++line_no;
-    if (line.starts_with("wo ") || line == "wo\n" || line == "wo") {
+    std::string_view body = line;  // without its "\n" or "\r\n"
+    if (body.ends_with('\n')) body.remove_suffix(1);
+    if (body.ends_with('\r')) body.remove_suffix(1);
+    if (body.starts_with("wo ") || body == "wo") {
       if (run_begin < pos)
         route(execution, execution_lines, run_first, line_no - 1,
               text.substr(run_begin, pos - run_begin));
@@ -81,7 +85,8 @@ inline void split_wo_lines(std::string_view text, TraceSource& out) {
 
 /// Splits an already-read multi-trace text stream into sources tagged
 /// "<tag_prefix>[i]". A separator line is three or more '-' and nothing
-/// else; whitespace-only traces are skipped and take no number. Line
+/// else but an optional trailing '\r'; whitespace-only traces are
+/// skipped and take no number. Line
 /// numbers in a source count from the line after its separator.
 inline void split_concatenated_sources(std::string_view all,
                                        const std::string& tag_prefix,
@@ -96,7 +101,8 @@ inline void split_concatenated_sources(std::string_view all,
   std::size_t chunk_begin = 0;
   for (std::size_t pos = 0; pos < all.size();) {
     const std::size_t end = std::min(all.find('\n', pos), all.size());
-    const std::string_view line = all.substr(pos, end - pos);
+    std::string_view line = all.substr(pos, end - pos);
+    if (line.ends_with('\r')) line.remove_suffix(1);
     const std::size_t next = end + 1;
     if (line.size() >= 3 && line.find_first_not_of('-') == std::string_view::npos) {
       flush(all.substr(chunk_begin, pos - chunk_begin));

@@ -34,9 +34,7 @@
 // single-engine routed cascade. The per-trace JSON gains a
 // "portfolio" object whenever at least one address reached the
 // portfolio tier, --stats counts the addresses that raced as
-// "portfolio_escalations", and kVscc
-// responses report "warm_sweep"/"suffix_extension" when served from
-// the service's retained incremental solver.
+// "portfolio_escalations".
 //
 // --deadline-ms bounds each request's wall-clock latency (late requests
 // report "unknown" with "timed_out": true). --repeat submits the input
@@ -229,9 +227,6 @@ void print_response(const std::string& tag,
             response.wasted_effort.states_visited),
         static_cast<unsigned long long>(response.wasted_effort.transitions));
   }
-  if (response.warm_sweep)
-    std::printf(",\"warm_sweep\":true,\"suffix_extension\":%s",
-                response.suffix_extension ? "true" : "false");
   if (response.analyzed)
     std::printf(",\"analysis\":%s",
                 tools::analysis_json(response.analysis).c_str());
@@ -526,8 +521,6 @@ int main(int argc, char** argv) {
                  "\"portfolio_races\":%llu,\"portfolio_escalations\":%llu,"
                  "\"engine_wins\":{%s},"
                  "\"wasted_states\":%llu,\"wasted_transitions\":%llu,"
-                 "\"vscc_sweeps\":%llu,\"vscc_sweep_extended\":%llu,"
-                 "\"vscc_sweep_reused\":%llu,"
                  "\"lint_warnings\":%llu,"
                  "\"streamed\":%llu,\"stream_events\":%llu,"
                  "\"stream_shed\":%llu,\"fragments\":{%s}}\n",
@@ -555,9 +548,6 @@ int main(int argc, char** argv) {
                      routing.wasted_effort.states_visited),
                  static_cast<unsigned long long>(
                      routing.wasted_effort.transitions),
-                 static_cast<unsigned long long>(stats.vscc_sweeps),
-                 static_cast<unsigned long long>(stats.vscc_sweep_extended),
-                 static_cast<unsigned long long>(stats.vscc_sweep_reused),
                  static_cast<unsigned long long>(stats.lint_warnings),
                  static_cast<unsigned long long>(stats.streamed),
                  static_cast<unsigned long long>(stats.stream_events),
