@@ -5,12 +5,11 @@
 // hardware or simulator team would actually point at their logs.
 //
 // Usage:
-//   trace_doctor [--model=coherence|sc|tso|pso] [--sat] [--parallel]
+//   trace_doctor [--model=coherence|sc|tso|pso] [--sat]
 //                [--write-order=WOFILE] [FILE]
 //
 // With no FILE, reads stdin. --sat routes single-address coherence
 // through the CNF encoder + CDCL solver instead of the native cascade;
-// --parallel fans the per-address checks out over all cores;
 // --write-order supplies the memory system's recorded per-address write
 // serialization (format: "wo <addr> <proc>:<index> ..."), switching
 // coherence checking to the polynomial Section 5.2 path.
@@ -40,7 +39,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: trace_doctor [--model=coherence|sc|tso|pso] [--sat] "
-               "[--parallel] [FILE]\n");
+               "[--write-order=WOFILE] [FILE]\n");
   return 2;
 }
 
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
 
   std::string model = "coherence";
   bool use_sat = false;
-  bool use_parallel = false;
   std::string path;
   std::string write_order_path;
   for (int i = 1; i < argc; ++i) {
@@ -60,8 +58,6 @@ int main(int argc, char** argv) {
       model = arg.substr(8);
     else if (arg == "--sat")
       use_sat = true;
-    else if (arg == "--parallel")
-      use_parallel = true;
     else if (arg.rfind("--write-order=", 0) == 0)
       write_order_path = arg.substr(14);
     else if (arg.rfind("--", 0) == 0)
@@ -133,9 +129,7 @@ int main(int argc, char** argv) {
     }
   } else if (model == "coherence") {
     const AddressIndex index(exec);
-    const auto report = analysis::verify_coherence_routed(
-                            index, nullptr, {}, {}, use_parallel ? 0 : 1)
-                            .report;
+    const auto report = analysis::verify_coherence_routed(index).report;
     verdict = report.verdict;
     if (const auto* violation = report.first_violation())
       detail = "address " + std::to_string(violation->addr) + ": " +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,7 +15,7 @@
 #include "analysis/poly/write_order.hpp"
 #include "analysis/saturate/core.hpp"
 #include "encode/vmc_to_cnf.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/stopwatch.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/exact.hpp"
@@ -568,8 +567,7 @@ void RouteTally::publish() const {
 RoutedReport verify_coherence_routed(const AddressIndex& index,
                                      const vmc::WriteOrderMap* write_orders,
                                      const search::Limits& limits,
-                                     const PortfolioOptions& portfolio,
-                                     std::size_t workers) {
+                                     const PortfolioOptions& portfolio) {
   obs::Span span("analysis.verify_routed");
   const std::size_t count = index.num_addresses();
   if (span.active()) {
@@ -608,52 +606,11 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
     out.deciders.push_back(Decider::kExact);
     out.facts.emplace_back();
   };
-  const char* const kInterrupted = "deadline expired or request cancelled";
-
-  if (effective_workers(workers, count) <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (limits.interrupted())
-        skip(i, kInterrupted);
-      else
-        record(i, route(i));
-    }
-  } else {
-    // Size-aware dispatch: hand the fattest instances out first so the
-    // sweep's tail is a cheap address, not the one hard one. Outcomes
-    // keep address-sorted slots, so the report is schedule-independent.
-    std::vector<std::size_t> order(count);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return index.entry(a).op_count > index.entry(b).op_count;
-                     });
-    std::vector<std::optional<RouteOutcome>> outcomes(count);
-    std::atomic<bool> incoherent{false};
-    CancellationToken stop;
-    parallel_for_each_cancellable(count, workers, stop, [&](std::size_t k) {
-      // Stop scheduling once the caller's own budget fires; in-flight
-      // checks notice through the same limits.
-      if (limits.interrupted()) {
-        stop.cancel();
-        return;
-      }
-      const std::size_t slot = order[k];
-      outcomes[slot] = route(slot);
-      // An incoherent address decides the whole trace; stop the fleet.
-      if (outcomes[slot]->result.verdict == Verdict::kIncoherent) {
-        incoherent.store(true, std::memory_order_relaxed);
-        stop.cancel();
-      }
-    });
-    const char* skip_note = incoherent.load(std::memory_order_relaxed)
-                                ? "another address already proved incoherent"
-                                : kInterrupted;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (outcomes[i])
-        record(i, std::move(*outcomes[i]));
-      else
-        skip(i, skip_note);
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (limits.interrupted())
+      skip(i, "deadline expired or request cancelled");
+    else
+      record(i, route(i));
   }
   out.report = vmc::aggregate_reports(std::move(reports));
   if (span.active()) {

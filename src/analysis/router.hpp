@@ -206,20 +206,15 @@ struct RoutedReport {
 /// check_routed. `write_orders` supplies per-address serialization logs
 /// (original coordinates); addresses without one are classified as usual.
 ///
-/// `workers` fans the addresses out over that many threads (0 = hardware
-/// concurrency). With more than one worker the largest address is
-/// dispatched first, so one fat address cannot become the tail, and the
-/// sweep stops scheduling once any address proves incoherent; addresses
-/// that never started report kSkipped, which never changes the aggregate
-/// verdict. Completed verdicts are identical to the sequential sweep.
-/// `workers == 1` is that sequential sweep: no early cancel, so every
-/// address gets a verdict (the service's per-address certificates rely
-/// on it). Either way, once the caller's deadline or cancel token fires
-/// the remaining addresses report kSkipped.
+/// The sweep runs on the calling thread in address order and never stops
+/// early on an incoherent address, so every address gets a verdict (the
+/// service's per-address certificates rely on it). Once the caller's
+/// deadline or cancel token fires, the remaining addresses report
+/// kSkipped. Independent traces run in parallel as independent requests
+/// on the service's pool.
 [[nodiscard]] RoutedReport verify_coherence_routed(
     const AddressIndex& index,
     const vmc::WriteOrderMap* write_orders = nullptr,
-    const search::Limits& limits = {}, const PortfolioOptions& portfolio = {},
-    std::size_t workers = 1);
+    const search::Limits& limits = {}, const PortfolioOptions& portfolio = {});
 
 }  // namespace vermem::analysis

@@ -28,7 +28,7 @@
 
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/stopwatch.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "support/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -83,32 +84,18 @@ void count_capture_drops(std::uint64_t n) {
   kDroppedEvents.add(n);
 }
 
-void append_json_escaped(std::ostream& out, const char* text) {
-  out << '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out << '\\';
-    out << *p;
-  }
-  out << '"';
-}
-
 void append_event_json(std::ostream& out, const FlightEvent& event) {
   out << "{\"ts_ns\":" << event.ts_ns << ",\"request_id\":" << event.request_id
-      << ",\"kind\":\"" << to_string(event.kind) << "\",\"detail\":";
-  append_json_escaped(out, event.detail != nullptr ? event.detail : "");
-  out << ",\"a\":" << event.a << ",\"b\":" << event.b << '}';
+      << ",\"kind\":\"" << to_string(event.kind) << "\",\"detail\":\""
+      << json_escape(event.detail != nullptr ? event.detail : "")
+      << "\",\"a\":" << event.a << ",\"b\":" << event.b << '}';
 }
 
 void append_record_json(std::ostream& out, const FlightRecord& record) {
-  out << "{\"id\":" << record.id << ",\"tag\":";
-  append_json_escaped(out, record.tag);
-  out << ",\"kind\":";
-  append_json_escaped(out, record.kind);
-  out << ",\"trigger\":";
-  append_json_escaped(out, record.trigger);
-  out << ",\"verdict\":";
-  append_json_escaped(out, record.verdict);
-  out << ",\"start_ns\":" << record.start_ns
+  out << "{\"id\":" << record.id << ",\"tag\":\"" << json_escape(record.tag)
+      << "\",\"kind\":\"" << json_escape(record.kind) << "\",\"trigger\":\""
+      << json_escape(record.trigger) << "\",\"verdict\":\""
+      << json_escape(record.verdict) << "\",\"start_ns\":" << record.start_ns
       << ",\"latency_nanos\":" << record.latency_nanos
       << ",\"timed_out\":" << (record.timed_out ? "true" : "false")
       << ",\"cancelled\":" << (record.cancelled ? "true" : "false")
@@ -137,9 +124,8 @@ void append_record_json(std::ostream& out, const FlightRecord& record) {
   for (std::uint32_t i = 0; i < record.num_spans; ++i) {
     const CapturedSpan& span = record.spans[i];
     if (i != 0) out << ',';
-    out << "{\"name\":";
-    append_json_escaped(out, span.name != nullptr ? span.name : "");
-    out << ",\"start_ns\":" << span.start_ns << ",\"dur_ns\":" << span.dur_ns
+    out << "{\"name\":\"" << json_escape(span.name != nullptr ? span.name : "")
+        << "\",\"start_ns\":" << span.start_ns << ",\"dur_ns\":" << span.dur_ns
         << ",\"id\":" << span.id << ",\"parent\":" << span.parent_id << '}';
   }
   out << "],\"dropped_events\":" << record.dropped_events
@@ -231,18 +217,18 @@ std::uint64_t FlightScope::finish(const Summary& summary) {
   t_scope = nullptr;  // stop span/event attribution before copying
   const FlightPolicy policy = flight_policy();
   const char* trigger = nullptr;
-  if (summary.timed_out && policy.capture_cancelled) {
+  if (summary.timed_out) {
     trigger = "deadline";
-  } else if (summary.cancelled && policy.capture_cancelled) {
+  } else if (summary.cancelled) {
     trigger = "cancelled";
-  } else if (summary.shed && policy.capture_shed) {
+  } else if (summary.shed) {
     trigger = "shed";
-  } else if (summary.incoherent && policy.capture_incoherent) {
+  } else if (summary.incoherent) {
     trigger = "incoherent";
   } else if (policy.latency_threshold_nanos != 0 &&
              summary.latency_nanos >= policy.latency_threshold_nanos) {
     trigger = "slow";
-  } else if (summary.unknown && policy.capture_unknown) {
+  } else if (summary.unknown) {
     trigger = "unknown";
   }
   if (trigger == nullptr) return 0;
@@ -323,13 +309,7 @@ void write_flight_json(std::ostream& out) {
   FlightLog& log = flight_log();
   std::lock_guard<std::mutex> lock(log.mutex);
   out << "{\"policy\":{\"latency_threshold_nanos\":"
-      << policy.latency_threshold_nanos << ",\"capture_unknown\":"
-      << (policy.capture_unknown ? "true" : "false")
-      << ",\"capture_incoherent\":"
-      << (policy.capture_incoherent ? "true" : "false")
-      << ",\"capture_shed\":" << (policy.capture_shed ? "true" : "false")
-      << ",\"capture_cancelled\":"
-      << (policy.capture_cancelled ? "true" : "false")
+      << policy.latency_threshold_nanos
       << "},\"retained_total\":" << log.retained_total << ",\"records\":[";
   for (std::size_t i = 0; i < log.records.size(); ++i) {
     if (i != 0) out << ',';

@@ -97,14 +97,11 @@ void flight_capture_span(const char* name, std::int64_t start_ns,
 void set_flight_enabled(bool on) noexcept;
 
 /// Capture policy evaluated at FlightScope::finish(). A request is
-/// retained when ANY armed trigger matches.
+/// retained when it hit its deadline, was cancelled or shed, got an
+/// incoherent or unknown verdict, or was slow.
 struct FlightPolicy {
   /// Retain requests at or over this end-to-end latency; 0 disarms.
   std::uint64_t latency_threshold_nanos = 50'000'000;
-  bool capture_unknown = true;     ///< verdict kUnknown (incl. budget)
-  bool capture_incoherent = true;
-  bool capture_shed = true;
-  bool capture_cancelled = true;   ///< also covers deadline expiry
 };
 
 void set_flight_policy(const FlightPolicy& policy);

@@ -12,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "support/json.hpp"
 
 namespace vermem::obs {
 
@@ -62,15 +63,6 @@ std::uint32_t local_log_tid() {
   thread_local const std::uint32_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-void append_json_escaped(std::ostream& out, const char* text) {
-  out << '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out << '\\';
-    out << *p;
-  }
-  out << '"';
 }
 
 // Registered eagerly so zero drops export as an explicit 0.
@@ -193,26 +185,25 @@ void write_log_jsonl(std::ostream& out) {
     const detail::LogFrame& frame =
         registry.ring[(registry.start + i) % count];
     out << "{\"ts_ns\":" << frame.ts_ns << ",\"level\":\""
-        << to_string(frame.level) << "\",\"site\":";
-    append_json_escaped(out, frame.site < registry.sites.size()
-                                 ? registry.sites[frame.site].name.c_str()
-                                 : "");
-    out << ",\"tid\":" << frame.tid << ",\"msg\":";
-    append_json_escaped(out, frame.msg != nullptr ? frame.msg : "");
-    out << ",\"suppressed\":" << frame.suppressed << ",\"fields\":{";
+        << to_string(frame.level) << "\",\"site\":\""
+        << json_escape(frame.site < registry.sites.size()
+                           ? registry.sites[frame.site].name
+                           : std::string())
+        << "\",\"tid\":" << frame.tid << ",\"msg\":\""
+        << json_escape(frame.msg != nullptr ? frame.msg : "")
+        << "\",\"suppressed\":" << frame.suppressed << ",\"fields\":{";
     bool first = true;
     for (std::uint8_t f = 0; f < frame.num_fields; ++f) {
       if (!first) out << ',';
       first = false;
-      append_json_escaped(out, frame.field_keys[f]);
-      out << ':' << frame.field_values[f];
+      out << '"' << json_escape(frame.field_keys[f]) << "\":"
+          << frame.field_values[f];
     }
     for (std::uint8_t s = 0; s < frame.num_strings; ++s) {
       if (!first) out << ',';
       first = false;
-      append_json_escaped(out, frame.string_keys[s]);
-      out << ':';
-      append_json_escaped(out, frame.string_values[s]);
+      out << '"' << json_escape(frame.string_keys[s]) << "\":\""
+          << json_escape(frame.string_values[s]) << '"';
     }
     out << "}}\n";
   }

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "support/json.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -265,17 +267,6 @@ namespace {
   return brace == std::string_view::npos ? name : name.substr(0, brace);
 }
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::to_prometheus() const {
@@ -294,25 +285,44 @@ std::string MetricsSnapshot::to_prometheus() const {
     out += std::to_string(value);
     out += '\n';
   }
-  char buf[64];
   for (const HistogramSnapshot& hist : histograms) {
     out += "# TYPE " + hist.name + " histogram\n";
-    std::uint64_t cumulative = 0;
-    std::size_t top = 0;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-      if (hist.data.buckets[b] != 0) top = b;
-    for (std::size_t b = 0; b <= top; ++b) {
-      cumulative += hist.data.buckets[b];
-      std::snprintf(buf, sizeof buf, "%.0f", std::ldexp(1.0, static_cast<int>(b)));
-      out += hist.name + "_bucket{le=\"" + buf + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += hist.name + "_bucket{le=\"+Inf\"} " +
-           std::to_string(hist.data.count) + "\n";
-    out += hist.name + "_sum " + std::to_string(hist.data.sum) + "\n";
-    out += hist.name + "_count " + std::to_string(hist.data.count) + "\n";
+    append_histogram_prometheus(out, hist.name, {}, hist.data);
   }
   return out;
+}
+
+void append_histogram_prometheus(
+    std::string& out, std::string_view name, std::string_view labels,
+    const HistogramData& data,
+    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_id,
+    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_nanos) {
+  char buf[64];
+  const std::string prefix = std::string(name) + "_bucket{" +
+                             std::string(labels) +
+                             (labels.empty() ? "le=\"" : ",le=\"");
+  std::uint64_t cumulative = 0;
+  std::size_t top = 0;
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b)
+    if (data.buckets[b] != 0) top = b;
+  for (std::size_t b = 0; b <= top; ++b) {
+    cumulative += data.buckets[b];
+    std::snprintf(buf, sizeof buf, "%.0f", std::ldexp(1.0, static_cast<int>(b)));
+    out += prefix + buf + "\"} " + std::to_string(cumulative);
+    if (exemplar_id != nullptr && (*exemplar_id)[b] != 0) {
+      out += " # {flight_id=\"" + std::to_string((*exemplar_id)[b]) + "\"} " +
+             std::to_string(exemplar_nanos != nullptr ? (*exemplar_nanos)[b]
+                                                      : std::uint64_t{0});
+    }
+    out += '\n';
+  }
+  out += prefix + "+Inf\"} " + std::to_string(data.count) + '\n';
+  const std::string tail_labels =
+      labels.empty() ? std::string() : '{' + std::string(labels) + '}';
+  out += std::string(name) + "_sum" + tail_labels + ' ' +
+         std::to_string(data.sum) + '\n';
+  out += std::string(name) + "_count" + tail_labels + ' ' +
+         std::to_string(data.count) + '\n';
 }
 
 std::string MetricsSnapshot::to_json() const {
@@ -321,9 +331,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : counters) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_json_escaped(out, name);
-    out += "\":" + std::to_string(value);
+    out += '"' + json_escape(name) + "\":" + std::to_string(value);
   }
   out += "},\"histograms\":{";
   char buf[64];
@@ -331,9 +339,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const HistogramSnapshot& hist : histograms) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_json_escaped(out, hist.name);
-    out += "\":{\"count\":" + std::to_string(hist.data.count) +
+    out += '"' + json_escape(hist.name) +
+           "\":{\"count\":" + std::to_string(hist.data.count) +
            ",\"sum\":" + std::to_string(hist.data.sum);
     for (const auto& [label, q] :
          {std::pair<const char*, double>{"p50", 0.50},

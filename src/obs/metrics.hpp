@@ -144,6 +144,20 @@ struct HistogramSnapshot {
   HistogramData data;
 };
 
+/// Appends one Prometheus histogram (cumulative le buckets, then
+/// _sum/_count) with `labels` on every series line
+/// (`name_bucket{<labels>,le="..."}`; empty labels give
+/// `name_bucket{le="..."}` and bare _sum/_count), optionally decorated
+/// with per-bucket exemplars. The caller emits the `# TYPE` line once
+/// per family. The one histogram writer: the registry's exposition, the
+/// SLO exposition and the per-kind service latency export all use it.
+void append_histogram_prometheus(
+    std::string& out, std::string_view name, std::string_view labels,
+    const HistogramData& data,
+    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_id = nullptr,
+    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_nanos =
+        nullptr);
+
 /// Point-in-time aggregate of every registered metric (counters summed
 /// across shards, sorted by name).
 struct MetricsSnapshot {

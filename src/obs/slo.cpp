@@ -1,7 +1,6 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/span.hpp"
@@ -101,39 +100,6 @@ void SloTracker::reset() {
   for (Window& window : windows_) window = Window{};
   for (auto& per_kind : exemplar_id_) per_kind.fill(0);
   for (auto& per_kind : exemplar_nanos_) per_kind.fill(0);
-}
-
-void append_histogram_prometheus(
-    std::string& out, std::string_view name, std::string_view labels,
-    const HistogramData& data,
-    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_id,
-    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_nanos) {
-  char buf[64];
-  const std::string prefix = std::string(name) + "_bucket{" +
-                             std::string(labels) +
-                             (labels.empty() ? "le=\"" : ",le=\"");
-  std::uint64_t cumulative = 0;
-  std::size_t top = 0;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-    if (data.buckets[b] != 0) top = b;
-  for (std::size_t b = 0; b <= top; ++b) {
-    cumulative += data.buckets[b];
-    std::snprintf(buf, sizeof buf, "%.0f", std::ldexp(1.0, static_cast<int>(b)));
-    out += prefix + buf + "\"} " + std::to_string(cumulative);
-    if (exemplar_id != nullptr && (*exemplar_id)[b] != 0) {
-      out += " # {flight_id=\"" + std::to_string((*exemplar_id)[b]) + "\"} " +
-             std::to_string(exemplar_nanos != nullptr ? (*exemplar_nanos)[b]
-                                                      : std::uint64_t{0});
-    }
-    out += '\n';
-  }
-  out += prefix + "+Inf\"} " + std::to_string(data.count) + '\n';
-  const std::string tail_labels =
-      labels.empty() ? std::string() : '{' + std::string(labels) + '}';
-  out += std::string(name) + "_sum" + tail_labels + ' ' +
-         std::to_string(data.sum) + '\n';
-  out += std::string(name) + "_count" + tail_labels + ' ' +
-         std::to_string(data.count) + '\n';
 }
 
 std::string SloSnapshot::to_prometheus() const {

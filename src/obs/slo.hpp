@@ -112,16 +112,4 @@ class SloTracker {
       exemplar_nanos_{};
 };
 
-/// Appends one Prometheus histogram with an explicit label set on every
-/// series line (`name_bucket{<labels>,le="..."}`), optionally decorated
-/// with per-bucket exemplars. The caller emits the `# TYPE` line once
-/// per family. Shared by the SLO exposition and the per-kind service
-/// latency export.
-void append_histogram_prometheus(
-    std::string& out, std::string_view name, std::string_view labels,
-    const HistogramData& data,
-    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_id = nullptr,
-    const std::array<std::uint64_t, kHistogramBuckets>* exemplar_nanos =
-        nullptr);
-
 }  // namespace vermem::obs

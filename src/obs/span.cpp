@@ -10,6 +10,7 @@
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "support/json.hpp"
 
 namespace vermem::obs {
 
@@ -78,15 +79,6 @@ ThreadState& local_state() {
     state.block_end = log.next_span_id;
   }
   return ++state.next_id;  // pre-increment keeps 0 = "no parent"
-}
-
-void append_json_string(std::ostream& out, const char* text) {
-  out << '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out << '\\';
-    out << *p;
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -169,8 +161,7 @@ void write_chrome_trace(std::ostream& out) {
     for (const SpanEvent& event : events) {
       if (!first) out << ',';
       first = false;
-      out << "\n{\"name\":";
-      append_json_string(out, event.name);
+      out << "\n{\"name\":\"" << json_escape(event.name) << '"';
       std::snprintf(buf, sizeof buf,
                     ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f",
                     static_cast<double>(event.start_ns) / 1e3,
@@ -179,15 +170,12 @@ void write_chrome_trace(std::ostream& out) {
           << ",\"args\":{\"id\":" << event.id
           << ",\"parent\":" << event.parent_id;
       for (std::uint8_t i = 0; i < event.num_numeric; ++i) {
-        out << ',';
-        append_json_string(out, event.numeric_keys[i]);
-        out << ':' << event.numeric_values[i];
+        out << ",\"" << json_escape(event.numeric_keys[i])
+            << "\":" << event.numeric_values[i];
       }
       for (std::uint8_t i = 0; i < event.num_strings; ++i) {
-        out << ',';
-        append_json_string(out, event.string_keys[i]);
-        out << ':';
-        append_json_string(out, event.string_values[i]);
+        out << ",\"" << json_escape(event.string_keys[i]) << "\":\""
+            << json_escape(event.string_values[i]) << '"';
       }
       out << "}}";
     }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "sat/cnf.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace vermem::sat {

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace vermem::search {

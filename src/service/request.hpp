@@ -138,11 +138,11 @@ struct VerificationResponse {
   /// when every address routed polynomially (the cheap-path signature)
   /// and for cache hits.
   vmc::SearchStats effort;
-  /// Portfolio provenance (kCoherence with solver != kAuto): how many
-  /// addresses were decided by a race, which engine won each, and the
-  /// cancelled losers' merged effort. `effort` above stays winner-only;
-  /// the waste is surfaced here so latency-explaining tallies stay
-  /// honest.
+  /// Portfolio provenance (kCoherence or kVscc with solver != kAuto):
+  /// how many addresses were decided by a race, which engine won each,
+  /// and the cancelled losers' merged effort. `effort` above stays
+  /// winner-only; the waste is surfaced here so latency-explaining
+  /// tallies stay honest.
   std::uint64_t portfolio_races = 0;
   std::array<std::uint64_t, analysis::kNumEngines> engine_wins{};
   vmc::SearchStats wasted_effort;

@@ -50,6 +50,31 @@ std::string reason_for(const vmc::CoherenceReport& report) {
   return {};
 }
 
+/// The exact-tier engine policy of a request's routed coherence checks,
+/// for every mode that routes addresses (kCoherence and kVscc).
+analysis::PortfolioOptions portfolio_for(SolverChoice choice) {
+  analysis::PortfolioOptions portfolio;
+  switch (choice) {
+    case SolverChoice::kAuto: break;
+    case SolverChoice::kPortfolio: portfolio.enabled = true; break;
+    case SolverChoice::kCdcl:
+      portfolio.enabled = true;
+      portfolio.only = analysis::Engine::kCdcl;
+      break;
+  }
+  return portfolio;
+}
+
+/// Copies the routing's race provenance into the response. Races keep
+/// `effort` winner-only: cancelled losers land in wasted_effort, never in
+/// the latency-explaining tallies.
+void set_portfolio_provenance(VerificationResponse& response,
+                              const analysis::RouteTally& routing) {
+  response.portfolio_races = routing.portfolio_races;
+  response.engine_wins = routing.engine_wins;
+  response.wasted_effort = routing.wasted_effort;
+}
+
 /// SLO/stats bucket for a queued request's mode (streamed runs use
 /// obs::RequestKind::kStream directly).
 constexpr obs::RequestKind kind_of(CheckMode mode) noexcept {
@@ -394,29 +419,16 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // its Figure 5.3 fragment and decide it with the dedicated
       // polynomial checker; only general-shaped instances reach the
       // saturation tier and the exact search.
-      analysis::PortfolioOptions portfolio;
-      switch (slot.request.solver) {
-        case SolverChoice::kAuto: break;
-        case SolverChoice::kPortfolio: portfolio.enabled = true; break;
-        case SolverChoice::kCdcl:
-          portfolio.enabled = true;
-          portfolio.only = analysis::Engine::kCdcl;
-          break;
-      }
       analysis::RoutedReport routed = analysis::verify_coherence_routed(
           *slot.index,
           slot.request.write_orders ? &*slot.request.write_orders : nullptr,
-          limits, portfolio);
+          limits, portfolio_for(slot.request.solver));
       response.verdict = routed.report.verdict;
       response.reason = reason_for(routed.report);
       // Effort (including arena counters and peak provenance) was merged
       // once at aggregation time; reuse it rather than re-summing here.
-      // Portfolio races kept it winner-only: cancelled losers land in
-      // wasted_effort, never in the latency-explaining tallies.
       response.effort = routed.report.effort;
-      response.portfolio_races = routed.routing.portfolio_races;
-      response.engine_wins = routed.routing.engine_wins;
-      response.wasted_effort = routed.routing.wasted_effort;
+      set_portfolio_provenance(response, routed.routing);
       response.coherence = std::move(routed.report);
       slot.accounting.routing = routed.routing;
       route_facts = std::move(routed.facts);
@@ -432,11 +444,13 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       vscc.sc = limits;
       if (slot.request.write_orders)
         vscc.write_orders = &*slot.request.write_orders;
+      vscc.portfolio = portfolio_for(slot.request.solver);
       vsc::VsccReport report = vsc::check_vscc(*slot.index, vscc);
       response.verdict = report.sc.verdict;
       response.reason = report.sc.reason();
       response.effort = report.coherence.effort;
       response.effort.merge(report.sc.stats);
+      set_portfolio_provenance(response, report.routing);
       response.coherence = std::move(report.coherence);
       slot.accounting.routing = report.routing;
       if (slot.request.certify) sc_result = std::move(report.sc);

@@ -40,7 +40,7 @@
 #include "service/cache.hpp"
 #include "service/request.hpp"
 #include "stream/verifier.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/thread_pool.hpp"
 
 namespace vermem::service {

@@ -69,11 +69,11 @@ struct StreamVerifier::Shard {
   const WriteOrderLog* orders = nullptr;
   const search::Limits* exact = nullptr;
 
-  // kComplete accumulation: per-address event runs in arena storage.
+  // Complete-mode accumulation: per-address event runs in arena storage.
   Arena arena;
   std::unordered_map<Addr, ArenaVec<OpRecord>> accum;
 
-  // kOrdered state: one pooled checker per live address; latched
+  // Ordered-mode state: one pooled checker per live address; latched
   // violations keep the CheckResult built at the offending event.
   std::unordered_map<Addr, std::unique_ptr<vmc::OnlineCoherenceChecker>> checkers;
   std::vector<std::unique_ptr<vmc::OnlineCoherenceChecker>> checker_pool;
@@ -340,15 +340,7 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
     out.report.verdict = Verdict::kUnknown;
     return out;
   }
-  const bool ordered = options_.mode == IngestMode::kOrdered ||
-                       (options_.mode == IngestMode::kAuto && reader.ordered());
-  if (ordered && !reader.ordered()) {
-    out.error =
-        "ordered ingest requires a trace encoded with the ordered "
-        "stream flag (encode_binary_ordered)";
-    out.report.verdict = Verdict::kUnknown;
-    return out;
-  }
+  const bool ordered = reader.ordered();
   out.ordered = ordered;
 
   const WriteOrderLog* orders =

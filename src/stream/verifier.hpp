@@ -13,9 +13,10 @@
 // Two ingest modes, because exact VMC needs the whole per-address
 // subtrace (it is NP-complete — no online algorithm can decide it in
 // bounded memory), while the Section 5.2 write-order algorithm is
-// naturally incremental:
+// naturally incremental. The trace picks the mode: its VMTB header's
+// ordered flag selects ordered mode, every other trace runs complete.
 //
-//  - kComplete (any trace): shards accumulate each address's run of
+//  - complete mode (any trace): shards accumulate each address's run of
 //    OpRecords in arena-backed storage and, at end-of-stream, sort the
 //    run by ref and build a ProjectedView directly over it — the same
 //    view type AddressIndex hands the batch path, with no rebuilt
@@ -27,7 +28,7 @@
 //    O(ops), but streamed into per-shard arenas that are recycled
 //    across runs.
 //
-//  - kOrdered (traces whose encoder declared an ordered event stream,
+//  - ordered mode (traces whose encoder declared an ordered event stream,
 //    e.g. recorded from a bus/directory commit order): each shard feeds
 //    a pooled per-address OnlineCoherenceChecker as events arrive.
 //    Verdicts are emitted at the first offending event, with typed
@@ -57,12 +58,6 @@
 
 namespace vermem::stream {
 
-enum class IngestMode : std::uint8_t {
-  kAuto,      ///< kOrdered when the trace declares it, else kComplete
-  kComplete,  ///< accumulate per-address, decide at end-of-stream (exact)
-  kOrdered,   ///< online per-address checking; requires the ordered flag
-};
-
 enum class BackpressurePolicy : std::uint8_t {
   kBlock,  ///< reader spins when a shard ring is full (bounded memory)
   kShed,   ///< reader drops events; affected addresses become kUnknown
@@ -75,7 +70,6 @@ struct StreamOptions {
   /// Per-shard ring capacity in event blocks (rounded up to a power of
   /// two). Together with the block size this bounds queued bytes.
   std::size_t queue_blocks = 64;
-  IngestMode mode = IngestMode::kAuto;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Budget / deadline / cancellation for the per-address checks; the
   /// deadline and cancel token also govern the ingest loop itself.
@@ -96,11 +90,11 @@ struct EventBlock {
 };
 
 struct StreamResult {
-  /// Aggregated per-address verdicts, same shape (and, in kComplete
+  /// Aggregated per-address verdicts, same shape (and, in complete
   /// mode, same content) as the batch path's CoherenceReport.
   vmc::CoherenceReport report;
 
-  /// Routing provenance (kComplete mode; empty in kOrdered mode, where
+  /// Routing provenance (complete mode; empty in ordered mode, where
   /// every address is decided by the online checker).
   analysis::RouteTally routing;
 
@@ -110,13 +104,13 @@ struct StreamResult {
   std::uint64_t shed_events = 0;       ///< dropped under kShed backpressure
   std::uint64_t queue_peak_blocks = 0; ///< max observed ring occupancy
   /// Peak bytes of pipeline-owned state: ring storage plus, per mode,
-  /// arena high water (kComplete) or the online checkers' retained write
-  /// windows (kOrdered). Excludes the decoder's fixed 64 KiB buffer.
+  /// arena high water (complete) or the online checkers' retained write
+  /// windows (ordered). Excludes the decoder's fixed 64 KiB buffer.
   std::uint64_t resident_peak_bytes = 0;
-  /// Sum of per-address retained-window peaks (kOrdered mode).
+  /// Sum of per-address retained-window peaks (ordered mode).
   std::uint64_t online_window_peak = 0;
 
-  bool ordered = false;     ///< which mode actually ran
+  bool ordered = false;     ///< the header's ordered flag: which mode ran
   bool cancelled = false;   ///< deadline/cancel interrupted the run
   bool degraded = false;    ///< kShed dropped events somewhere
   std::size_t shards_used = 0;
@@ -148,13 +142,12 @@ class StreamVerifier {
   /// Convenience: wraps `in` in a BinaryTraceReader with options.limits.
   [[nodiscard]] StreamResult run(std::istream& in);
 
-  /// Updates the per-run policy (mode, backpressure, exact options,
+  /// Updates the per-run policy (backpressure, exact options,
   /// decode limits) for subsequent run() calls. The structural fields —
   /// shard count and queue capacity — are fixed at construction and
   /// keep their constructed values; a pooling caller (the verification
   /// service) rebuilds the verifier when those change.
   void set_options(const StreamOptions& options) {
-    options_.mode = options.mode;
     options_.backpressure = options.backpressure;
     options_.exact = options.exact;
     options_.limits = options.limits;

@@ -1,11 +1,11 @@
 #pragma once
 // Persistent worker pool for long-lived services.
 //
-// parallel_for_each (above in this directory) spawns and joins a fresh
-// thread fleet per call — the right shape for a one-shot sweep, and the
-// wrong one for a service that fields a stream of requests: per-call
-// thread creation dominates small requests and defeats any cross-request
-// scheduling. ThreadPool keeps the workers alive: tasks are closures
+// The verification service's one unit of parallelism is the request:
+// independent traces run at once on this pool, and each request verifies
+// its addresses on the worker that picked it up. Spawning threads per
+// request would dominate small requests and defeat any cross-request
+// scheduling, so ThreadPool keeps the workers alive: tasks are closures
 // pushed onto a mutex+condvar queue, executed FIFO by whichever worker
 // frees up first. Deliberately small: no work stealing, no priorities
 // (callers order their own submissions — the verification service sorts

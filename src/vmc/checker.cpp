@@ -18,7 +18,7 @@ CoherenceReport aggregate_reports(std::vector<AddressReport> reports) {
 
     // Effort aggregation with peak provenance: merge sums the counters
     // and maxes the peaks; remember which address owned each new peak so
-    // per-shard provenance survives a parallel sweep.
+    // per-shard provenance survives the stream's sharded sweep.
     const SearchStats& stats = report.result.stats;
     if (stats.max_frontier > out.effort.max_frontier)
       out.peak_frontier_index = i;

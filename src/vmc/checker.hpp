@@ -31,11 +31,11 @@ struct CoherenceReport {
   /// Index into `addresses` of the lowest-address incoherent report,
   /// recorded at aggregation time (kNoViolation when every address
   /// verified). Reports are address-sorted, so this is deterministic even
-  /// when a parallel sweep early-cancelled.
+  /// when the stream's shards finish in any order.
   std::size_t first_violation_index = kNoViolation;
   /// Whole-trace solver effort: per-address SearchStats merged (counters
-  /// summed, peaks maxed) at aggregation time, for sequential and
-  /// parallel sweeps alike — per-shard stats are never dropped.
+  /// summed, peaks maxed) at aggregation time, for the router's sweep and
+  /// the stream's shards alike — per-shard stats are never dropped.
   SearchStats effort;
   /// Peak provenance: which address report owned each maxed peak in
   /// `effort` (kNoViolation when no address did any search work). Lets

@@ -127,7 +127,7 @@ VsccReport check_vscc_sweep(const AddressIndex& index,
           // variable numbering differs from the plain re-encode that
           // certify::check replays, so its refutation is not citable.
           analysis::RouteOutcome routed = analysis::check_routed(
-              index.view_at(i), nullptr, options.coherence);
+              index.view_at(i), nullptr, options.coherence, options.portfolio);
           report.routing.add(routed);
           address_report.result = std::move(routed.result);
           address_report.result.stats.merge(stats);
@@ -193,7 +193,7 @@ VsccReport check_vscc(const AddressIndex& index, const VsccOptions& options) {
   const Execution& exec = index.execution();
 
   analysis::RoutedReport routed = analysis::verify_coherence_routed(
-      index, options.write_orders, options.coherence);
+      index, options.write_orders, options.coherence, options.portfolio);
   report.coherence = std::move(routed.report);
   report.routing = routed.routing;
   if (settle_before_fallback(exec, options, report)) return report;

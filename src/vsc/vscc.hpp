@@ -28,6 +28,9 @@ struct VsccOptions {
   /// the "information that makes verifying coherence tractable" setting
   /// in which VSCC is *still* NP-complete.
   const vmc::WriteOrderMap* write_orders = nullptr;
+  /// Exact-tier engine policy for stage 1's routed per-address checks
+  /// (the service fills it from the request's solver choice).
+  analysis::PortfolioOptions portfolio;
   /// Run stage 1's per-address queries and the stage-3 SC fallback on
   /// ONE warm incremental SAT solver (encode::VscSweep): the O(n^3)
   /// trace skeleton is encoded once and every query reuses the learned

@@ -564,13 +564,12 @@ TEST(DifferentialRouting, MultiAddressAgreesWithExact) {
   }
 }
 
-// --- whole-trace sweep: sequential and parallel ----------------------------
+// --- whole-trace sweep ------------------------------------------------------
 
-/// Every address of `exec` through the router on `workers` threads.
-vmc::CoherenceReport verify(const Execution& exec, std::size_t workers = 1) {
+/// Every address of `exec` through the router.
+vmc::CoherenceReport verify(const Execution& exec) {
   const AddressIndex index(exec);
-  return analysis::verify_coherence_routed(index, nullptr, {}, {}, workers)
-      .report;
+  return analysis::verify_coherence_routed(index).report;
 }
 
 /// Four addresses, each with a cross-reader conflict.
@@ -656,13 +655,53 @@ TEST(VerifyCoherence, FirstViolationIsRecordedAtAggregation) {
   const auto clean = verify(ExecutionBuilder().process(W(0, 1), R(0, 1)).build());
   EXPECT_EQ(clean.first_violation_index, vmc::CoherenceReport::kNoViolation);
   EXPECT_EQ(clean.first_violation(), nullptr);
+}
 
-  // The parallel sweep records the same index deterministically, even
-  // though its early cancel may skip later addresses.
-  const auto parallel = verify(exec, 4);
-  EXPECT_EQ(parallel.first_violation_index, report.first_violation_index);
-  ASSERT_NE(parallel.first_violation(), nullptr);
-  EXPECT_EQ(parallel.first_violation()->addr, 2u);
+TEST(VerifyCoherence, DecidesEveryAddressAfterAViolation) {
+  // The sweep never stops early: an incoherent first address still
+  // leaves every later address with a verdict (and hence a certificate).
+  const auto exec = ExecutionBuilder()
+                        .process(W(0, 1), W(1, 1), W(2, 1), W(3, 1))
+                        .process(W(0, 2))
+                        .process(R(0, 1), R(0, 2))
+                        .process(R(0, 2), R(0, 1))
+                        .build();
+  const auto report = verify(exec);
+  EXPECT_EQ(report.verdict, vmc::Verdict::kIncoherent);
+  ASSERT_EQ(report.addresses.size(), 4u);
+  EXPECT_EQ(report.first_violation_index, 0u);
+  for (std::size_t i = 1; i < report.addresses.size(); ++i)
+    EXPECT_EQ(report.addresses[i].result.verdict, vmc::Verdict::kCoherent)
+        << "@a" << report.addresses[i].addr;
+
+  const auto all_bad = verify(every_address_incoherent());
+  ASSERT_EQ(all_bad.addresses.size(), 4u);
+  for (const auto& address : all_bad.addresses)
+    EXPECT_EQ(address.result.verdict, vmc::Verdict::kIncoherent)
+        << "@a" << address.addr;
+}
+
+TEST(VerifyCoherence, OneIndexServesRepeatedSweeps) {
+  Xoshiro256ss rng(127);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 24;
+  params.num_addresses = 5;
+  const auto trace = workload::generate_sc(params, rng);
+  const AddressIndex index(trace.execution);
+  const analysis::RoutedReport first = analysis::verify_coherence_routed(index);
+  const analysis::RoutedReport again = analysis::verify_coherence_routed(index);
+  EXPECT_EQ(again.report.verdict, first.report.verdict);
+  EXPECT_EQ(again.fragments, first.fragments);
+  EXPECT_EQ(again.deciders, first.deciders);
+  ASSERT_EQ(again.report.addresses.size(), first.report.addresses.size());
+  for (std::size_t i = 0; i < first.report.addresses.size(); ++i) {
+    EXPECT_EQ(again.report.addresses[i].addr, first.report.addresses[i].addr);
+    EXPECT_EQ(again.report.addresses[i].result.verdict,
+              first.report.addresses[i].result.verdict);
+    EXPECT_EQ(again.report.addresses[i].result.witness,
+              first.report.addresses[i].result.witness);
+  }
 }
 
 TEST(VerifyCoherenceWithWriteOrder, UsesRecordedOrders) {
@@ -694,134 +733,6 @@ TEST(VerifyCoherenceWithWriteOrder, BadOrderRejects) {
             vmc::Verdict::kIncoherent);
 }
 
-TEST(VerifyCoherenceParallel, MatchesSerialVerdicts) {
-  Xoshiro256ss rng(113);
-  for (int trial = 0; trial < 6; ++trial) {
-    workload::MultiAddressParams params;
-    params.num_processes = 4;
-    params.ops_per_process = 20;
-    params.num_addresses = 6;
-    const auto trace = workload::generate_sc(params, rng);
-    const AddressIndex index(trace.execution);
-
-    const analysis::RoutedReport serial =
-        analysis::verify_coherence_routed(index);
-    for (const std::size_t workers : {2, 4}) {
-      const analysis::RoutedReport parallel =
-          analysis::verify_coherence_routed(index, nullptr, {}, {}, workers);
-      EXPECT_EQ(parallel.report.verdict, serial.report.verdict);
-      EXPECT_EQ(parallel.fragments, serial.fragments);
-      EXPECT_EQ(parallel.deciders, serial.deciders);
-      EXPECT_EQ(parallel.routing.fragment_counts,
-                serial.routing.fragment_counts);
-      EXPECT_EQ(parallel.routing.saturate_ran, serial.routing.saturate_ran);
-      ASSERT_EQ(parallel.report.addresses.size(),
-                serial.report.addresses.size());
-      for (std::size_t i = 0; i < serial.report.addresses.size(); ++i) {
-        const vmc::AddressReport& p = parallel.report.addresses[i];
-        const vmc::AddressReport& s = serial.report.addresses[i];
-        EXPECT_EQ(p.addr, s.addr);
-        EXPECT_EQ(p.result.verdict, s.result.verdict);
-        // Same decider on the same projection: the same witness, and it
-        // certifies regardless of which thread produced it.
-        EXPECT_EQ(p.result.witness, s.result.witness);
-        if (p.result.verdict == vmc::Verdict::kCoherent) {
-          const auto valid =
-              check_coherent_schedule(trace.execution, p.addr, p.result.witness);
-          EXPECT_TRUE(valid.ok) << valid.violation;
-        }
-      }
-    }
-  }
-}
-
-TEST(VerifyCoherenceParallel, EarlyCancelKeepsVerdictDeterministic) {
-  // Several incoherent addresses: whichever one a worker proves first
-  // cancels the fleet, but the aggregate verdict must always equal the
-  // sequential sweep's, on every thread schedule.
-  const auto exec = every_address_incoherent();
-  const auto serial = verify(exec);
-  ASSERT_EQ(serial.verdict, vmc::Verdict::kIncoherent);
-  for (int round = 0; round < 10; ++round) {
-    for (const std::size_t workers : {2, 4}) {
-      const auto parallel = verify(exec, workers);
-      EXPECT_EQ(parallel.verdict, vmc::Verdict::kIncoherent);
-      EXPECT_EQ(parallel.addresses.size(), serial.addresses.size());
-      ASSERT_NE(parallel.first_violation(), nullptr);
-      // Skipped addresses are marked, never silently coherent.
-      for (const auto& report : parallel.addresses) {
-        EXPECT_NE(report.result.verdict, vmc::Verdict::kCoherent);
-        if (const auto* unknown = report.result.unknown_reason()) {
-          EXPECT_EQ(unknown->reason, certify::UnknownReason::kSkipped);
-        }
-      }
-    }
-  }
-}
-
-TEST(VerifyCoherenceParallel, SingleWorkerDecidesEveryAddress) {
-  // workers == 1 never cancels early: an incoherent first address still
-  // leaves every later address with a verdict (and hence a certificate).
-  const auto exec = ExecutionBuilder()
-                        .process(W(0, 1), W(1, 1), W(2, 1), W(3, 1))
-                        .process(W(0, 2))
-                        .process(R(0, 1), R(0, 2))
-                        .process(R(0, 2), R(0, 1))
-                        .build();
-  const auto report = verify(exec, 1);
-  EXPECT_EQ(report.verdict, vmc::Verdict::kIncoherent);
-  ASSERT_EQ(report.addresses.size(), 4u);
-  EXPECT_EQ(report.first_violation_index, 0u);
-  for (std::size_t i = 1; i < report.addresses.size(); ++i)
-    EXPECT_EQ(report.addresses[i].result.verdict, vmc::Verdict::kCoherent)
-        << "@a" << report.addresses[i].addr;
-
-  const auto all_bad = verify(every_address_incoherent(), 1);
-  for (const auto& address : all_bad.addresses)
-    EXPECT_EQ(address.result.verdict, vmc::Verdict::kIncoherent)
-        << "@a" << address.addr;
-}
-
-TEST(VerifyCoherenceParallel, SharedIndexOverloadMatches) {
-  // One index serves any number of sweeps, sequential or parallel.
-  Xoshiro256ss rng(127);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 24;
-  params.num_addresses = 5;
-  const auto trace = workload::generate_sc(params, rng);
-  const AddressIndex index(trace.execution);
-  const auto first = analysis::verify_coherence_routed(index).report;
-  const auto again = analysis::verify_coherence_routed(index).report;
-  const auto parallel =
-      analysis::verify_coherence_routed(index, nullptr, {}, {}, 3).report;
-  ASSERT_EQ(again.addresses.size(), first.addresses.size());
-  ASSERT_EQ(parallel.addresses.size(), first.addresses.size());
-  EXPECT_EQ(again.verdict, first.verdict);
-  EXPECT_EQ(parallel.verdict, first.verdict);
-  for (std::size_t i = 0; i < first.addresses.size(); ++i) {
-    EXPECT_EQ(again.addresses[i].result.verdict,
-              first.addresses[i].result.verdict);
-    EXPECT_EQ(parallel.addresses[i].result.verdict,
-              first.addresses[i].result.verdict);
-  }
-}
-
-TEST(VerifyCoherenceParallel, FlagsViolationsLikeSerial) {
-  const auto exec = ExecutionBuilder()
-                        .process(W(0, 1), W(1, 1))
-                        .process(W(1, 2))
-                        .process(R(1, 1), R(1, 2))
-                        .process(R(1, 2), R(1, 1))
-                        .build();
-  for (const std::size_t workers : {2, 3, 4}) {
-    const auto report = verify(exec, workers);
-    EXPECT_EQ(report.verdict, vmc::Verdict::kIncoherent);
-    ASSERT_NE(report.first_violation(), nullptr);
-    EXPECT_EQ(report.first_violation()->addr, 1u);
-  }
-}
-
 TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
   // Two addresses with very different search sizes: the peaks in the
   // merged effort must be attributed to the address that produced them.
@@ -846,16 +757,11 @@ TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
     ASSERT_NE(report.peak_arena_index, vmc::CoherenceReport::kNoViolation);
     EXPECT_EQ(report.addresses[report.peak_arena_index].addr, 1u);
   }
-  // Sequential and parallel sweeps agree on effort totals and
-  // provenance (per-shard stats are merged, never dropped).
-  for (const std::size_t workers : {2, 4}) {
-    const auto parallel = verify(merged, workers);
-    EXPECT_EQ(parallel.effort.states_visited, report.effort.states_visited);
-    EXPECT_EQ(parallel.effort.max_frontier, report.effort.max_frontier);
-    EXPECT_EQ(parallel.peak_frontier_index, report.peak_frontier_index);
-    EXPECT_EQ(parallel.peak_visited_index, report.peak_visited_index);
-    EXPECT_EQ(parallel.peak_arena_index, report.peak_arena_index);
-  }
+  // The merged effort is the sum over addresses, never a dropped share.
+  std::uint64_t states = 0;
+  for (const auto& address : report.addresses)
+    states += address.result.stats.states_visited;
+  EXPECT_EQ(report.effort.states_visited, states);
 }
 
 }  // namespace

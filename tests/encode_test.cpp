@@ -11,7 +11,7 @@
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
 #include "sat/solver.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/stopwatch.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/exact.hpp"

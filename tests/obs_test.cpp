@@ -738,6 +738,60 @@ TEST_F(FlightTest, WriteFlightJsonEmitsPolicyAndRecords) {
   EXPECT_NE(text.find("\"kind\":\"request_end\""), std::string::npos);
 }
 
+/// True when `text` holds a control byte other than the exporters' own
+/// line breaks between records.
+bool has_raw_control_byte(const std::string& text) {
+  return std::any_of(text.begin(), text.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 && c != '\n';
+  });
+}
+
+TEST_F(FlightTest, ExportersEscapeControlCharacters) {
+  // A tab, a newline and a quote in a flight tag, a log string field and
+  // a span string attribute: every exporter must print them escaped, so
+  // each output stays valid JSON.
+  static constexpr const char* kNasty = "tab\there\nquote\"end";
+  static constexpr std::string_view kEscaped = "tab\\there\\nquote\\\"end";
+  const LogLevel level_was = log_level();
+  set_log_level(LogLevel::kDebug);
+  reset_log();
+  set_tracing_enabled(true);
+  reset_trace();
+  {
+    FlightScope scope("coherence", kNasty);
+    Span span("obs.test.escape");
+    span.attr("note", kNasty);
+    const LogSite site = log_site("obs.test.escape");
+    ASSERT_TRUE(site.should(LogLevel::kInfo));
+    LogLine(site, LogLevel::kInfo, "escape check")
+        .field("tag", std::string_view(kNasty));
+    FlightScope::Summary summary;
+    summary.verdict = "incoherent";
+    summary.incoherent = true;
+    ASSERT_NE(scope.finish(summary), 0u);
+  }
+  set_tracing_enabled(false);
+
+  std::ostringstream flight;
+  write_flight_json(flight);
+  std::ostringstream log;
+  write_log_jsonl(log);
+  std::ostringstream trace;
+  write_chrome_trace(trace);
+  reset_log();
+  set_log_level(level_was);
+  reset_trace();
+
+  for (const auto& [name, text] :
+       {std::pair<const char*, std::string>{"flight", flight.str()},
+        {"log", log.str()},
+        {"trace", trace.str()}}) {
+    EXPECT_NE(text.find(kEscaped), std::string::npos) << name << ": " << text;
+    EXPECT_FALSE(has_raw_control_byte(text)) << name << ": " << text;
+    EXPECT_EQ(text.find("here\nquote"), std::string::npos) << name;
+  }
+}
+
 TEST_F(FlightTest, ConcurrentScopesRetainEveryTriggeredRequest) {
   // Per-thread rings: concurrent captures must not interfere and must
   // lose nothing (run under TSan in CI).

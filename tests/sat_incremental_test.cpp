@@ -37,7 +37,7 @@
 #include "sat/incremental.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "trace/address_index.hpp"

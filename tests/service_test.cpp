@@ -36,6 +36,7 @@ namespace {
 
 using namespace vermem;
 using service::CheckMode;
+using service::SolverChoice;
 using service::VerificationRequest;
 using service::VerificationResponse;
 using service::VerificationService;
@@ -495,6 +496,16 @@ TEST(Service, VsccRequestsReportRouting) {
   EXPECT_GE(stats.routing.poly_routed + stats.routing.exact_routed, 1u);
 }
 
+/// traces/lint_findings.txt without its "wo" lines. Saturation leaves
+/// address 3 (W(3,1) W(3,4) and W(3,2) W(3,4) in two processes) partial,
+/// so it reaches the exact tier.
+constexpr std::string_view kLintFindings =
+    "init 0 0\ninit 1 0\ninit 2 0\ninit 3 0\n"
+    "P: W(0,7) R(0,7) W(0,7) W(0,9) W(0,7)\n"
+    "P: R(1,0) W(1,5) R(0,7)\n"
+    "P: W(2,1) R(2,2) W(3,1) W(3,4)\n"
+    "P: W(2,2) W(3,2) W(3,4)\n";
+
 TEST(Service, VsccHonorsWriteOrderLog) {
   // traces/lint_findings.txt: a coherent execution whose "wo 2" log
   // orders P3's W(2,2) before P2's W(2,1), which P2's R(2,2) after its
@@ -502,12 +513,6 @@ TEST(Service, VsccHonorsWriteOrderLog) {
   // the execution is incoherent, so it is not SC either: a kVscc request
   // must say so, with the kCoherence request's evidence, whatever the
   // worker count and however many copies run at once.
-  constexpr std::string_view kLintFindings =
-      "init 0 0\ninit 1 0\ninit 2 0\ninit 3 0\n"
-      "P: W(0,7) R(0,7) W(0,7) W(0,9) W(0,7)\n"
-      "P: R(1,0) W(1,5) R(0,7)\n"
-      "P: W(2,1) R(2,2) W(3,1) W(3,4)\n"
-      "P: W(2,2) W(3,2) W(3,4)\n";
   const WriteOrderParseResult log = parse_write_orders("wo 1 1:0\nwo 2 3:0 2:0\n");
   ASSERT_TRUE(log.ok()) << log.error;
   const auto request_for = [&](CheckMode mode) {
@@ -549,6 +554,42 @@ TEST(Service, VsccHonorsWriteOrderLog) {
                 expected->result.incoherence()->write_order);
     }
   }
+}
+
+TEST(Service, VsccHonorsSolverChoice) {
+  // --solver applies to kVscc's routed coherence stage as it does to
+  // kCoherence: a forced CDCL engine decides the exact-tier address,
+  // reports its win, and leaves the verdict of the default cascade.
+  const auto request_for = [&](CheckMode mode, SolverChoice solver) {
+    VerificationRequest request = coherence_request(exec_from(kLintFindings));
+    request.mode = mode;
+    request.solver = solver;
+    request.bypass_cache = true;
+    return request;
+  };
+  constexpr auto kCdclIndex = static_cast<std::size_t>(analysis::Engine::kCdcl);
+  VerificationService svc;
+  const VerificationResponse coherence =
+      svc.submit(request_for(CheckMode::kCoherence, SolverChoice::kCdcl))
+          .response.get();
+  ASSERT_GT(coherence.portfolio_races, 0u) << "no exact-tier address";
+
+  const VerificationResponse automatic =
+      svc.submit(request_for(CheckMode::kVscc, SolverChoice::kAuto))
+          .response.get();
+  EXPECT_EQ(automatic.portfolio_races, 0u);
+  const VerificationResponse cdcl =
+      svc.submit(request_for(CheckMode::kVscc, SolverChoice::kCdcl))
+          .response.get();
+  EXPECT_EQ(cdcl.verdict, automatic.verdict);
+  EXPECT_EQ(cdcl.portfolio_races, coherence.portfolio_races);
+  EXPECT_EQ(cdcl.engine_wins[kCdclIndex], cdcl.portfolio_races);
+  ASSERT_EQ(cdcl.coherence.addresses.size(),
+            automatic.coherence.addresses.size());
+  for (std::size_t i = 0; i < cdcl.coherence.addresses.size(); ++i)
+    EXPECT_EQ(cdcl.coherence.addresses[i].result.verdict,
+              automatic.coherence.addresses[i].result.verdict)
+        << "@a" << cdcl.coherence.addresses[i].addr;
 }
 
 TEST(Service, VsccDeadlineHoldsOnReductionTrace) {
@@ -787,8 +828,9 @@ TEST(Service, StreamRequestsCarryFlightRecords) {
           .total,
       1u);
 
-  // A contended trace streamed in complete mode routes addresses through
-  // the saturation tier; its retained record carries those tallies.
+  // A contended trace streamed in complete mode (its header is not
+  // ordered) routes addresses through the saturation tier; its retained
+  // record carries those tallies.
   Xoshiro256ss rng(29);
   workload::MultiAddressParams params;
   params.num_processes = 4;
@@ -799,7 +841,6 @@ TEST(Service, StreamRequestsCarryFlightRecords) {
       with_unique_final_writers(workload::generate_sc(params, rng).execution)));
   service::StreamRequest complete;
   complete.tag = "stream contended";
-  complete.options.mode = stream::IngestMode::kComplete;
   const VerificationResponse routed = svc.verify_stream(contended, complete);
   EXPECT_EQ(routed.verdict, vmc::Verdict::kCoherent);
   ASSERT_NE(routed.flight_id, 0u);

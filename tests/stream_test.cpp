@@ -593,7 +593,7 @@ TEST(StreamOrdered, AcceptsCoherentOrderedStream) {
   ASSERT_FALSE(bytes.empty());
 
   stream::StreamOptions opts;
-  opts.shards = 2;  // mode kAuto follows the header's ordered flag
+  opts.shards = 2;  // the header's ordered flag selects ordered mode
   stream::StreamVerifier verifier(opts);
   BinaryTraceReader reader{std::string_view(bytes)};
   const stream::StreamResult result = verifier.run(reader);
@@ -637,51 +637,6 @@ TEST(StreamOrdered, FlagsViolationsWithTypedEvidence) {
       final_result.report.first_violation()->result.incoherence();
   ASSERT_NE(final_evidence, nullptr);
   EXPECT_EQ(final_evidence->kind, certify::IncoherenceKind::kOrderFinalMismatch);
-}
-
-TEST(StreamOrdered, OrderedModeRequiresOrderedHeader) {
-  const Execution exec = parse_or_die("P: W(0,1)\n");
-  const std::string bytes = encode_binary(exec);  // ordered flag unset
-  stream::StreamOptions opts;
-  opts.shards = 1;
-  opts.mode = stream::IngestMode::kOrdered;
-  stream::StreamVerifier verifier(opts);
-  BinaryTraceReader reader{std::string_view(bytes)};
-  const stream::StreamResult result = verifier.run(reader);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.report.verdict, vmc::Verdict::kUnknown);
-}
-
-TEST(StreamOrdered, CompleteModeOverridesOrderedHeader) {
-  // Forcing kComplete on an ordered stream re-sorts per-address events
-  // into program order and must agree with the batch path.
-  Xoshiro256ss rng(3);
-  workload::MultiAddressParams params;
-  params.num_processes = 3;
-  params.ops_per_process = 10;
-  params.num_addresses = 2;
-  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
-  const std::string bytes =
-      encode_binary_ordered(trace.execution, trace.witness);
-  ASSERT_FALSE(bytes.empty());
-
-  stream::StreamOptions opts;
-  opts.shards = 2;
-  opts.mode = stream::IngestMode::kComplete;
-  stream::StreamVerifier verifier(opts);
-  BinaryTraceReader reader{std::string_view(bytes)};
-  const stream::StreamResult result = verifier.run(reader);
-  ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_FALSE(result.ordered);
-
-  AddressIndex index(trace.execution);
-  const analysis::RoutedReport batch = analysis::verify_coherence_routed(index);
-  EXPECT_EQ(result.report.verdict, batch.report.verdict);
-  ASSERT_EQ(result.report.addresses.size(), batch.report.addresses.size());
-  for (std::size_t i = 0; i < batch.report.addresses.size(); ++i) {
-    EXPECT_EQ(result.report.addresses[i].result.verdict,
-              batch.report.addresses[i].result.verdict);
-  }
 }
 
 // ---------------------------------------------------------------------------

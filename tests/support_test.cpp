@@ -7,13 +7,12 @@
 #include <set>
 #include <vector>
 
-#include <atomic>
 #include <stdexcept>
 
 #include "support/bitset.hpp"
 #include "support/format.hpp"
 #include "support/hash.hpp"
-#include "support/parallel.hpp"
+#include "support/cancellation.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -186,58 +185,33 @@ TEST(Table, RejectsRaggedRow) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(CancellableFor, RunsEverythingWithoutCancel) {
-  std::vector<std::atomic<int>> hits(64);
+TEST(CancellationToken, CancelIsSticky) {
   CancellationToken token;
-  parallel_for_each_cancellable(64, 4, token, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancellableFor, CancelStopsSchedulingInline) {
-  // One worker runs inline, so the cutoff is exact: indices after the
-  // cancelling one never start.
-  std::vector<int> ran;
-  CancellationToken token;
-  parallel_for_each_cancellable(100, 1, token, [&](std::size_t i) {
-    ran.push_back(static_cast<int>(i));
-    if (i == 3) token.cancel();
-  });
-  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_TRUE(token.cancelled());
-}
-
-TEST(CancellableFor, CancelStopsSchedulingAcrossThreads) {
-  // With threads the cutoff is cooperative: in-flight tasks finish, but
-  // the bulk of the range must never be scheduled.
-  std::atomic<int> executed{0};
-  CancellationToken token;
-  parallel_for_each_cancellable(100000, 4, token, [&](std::size_t) {
-    ++executed;
-    token.cancel();
-  });
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_GE(executed.load(), 1);
-  EXPECT_LT(executed.load(), 100000);
-}
-
-TEST(CancellableFor, ExceptionsStillRethrow) {
-  CancellationToken token;
-  EXPECT_THROW(
-      parallel_for_each_cancellable(16, 4, token,
-                                    [&](std::size_t i) {
-                                      if (i % 2 == 0)
-                                        throw std::runtime_error("boom");
-                                    }),
-      std::runtime_error);
-}
-
-TEST(CancellableFor, AlreadyCancelledRunsNothing) {
-  std::atomic<int> executed{0};
-  CancellationToken token;
   token.cancel();
-  parallel_for_each_cancellable(50, 4, token, [&](std::size_t) { ++executed; });
-  EXPECT_EQ(executed.load(), 0);
+  EXPECT_TRUE(token.cancelled());
+  token.cancel();
+  EXPECT_TRUE(token.cancelled());
+}
+
+TEST(CancellationToken, LinkedParentCancelsChildOnly) {
+  // A child reports its parent's cancel; cancelling the child leaves the
+  // parent (and a sibling) running.
+  CancellationToken parent;
+  CancellationToken child(&parent);
+  CancellationToken sibling(&parent);
+  child.cancel();
+  EXPECT_TRUE(child.cancelled());
+  EXPECT_FALSE(parent.cancelled());
+  EXPECT_FALSE(sibling.cancelled());
+  parent.cancel();
+  EXPECT_TRUE(sibling.cancelled());
+
+  CancellationToken root;
+  CancellationToken grandchild_parent(&root);
+  CancellationToken grandchild(&grandchild_parent);
+  root.cancel();
+  EXPECT_TRUE(grandchild.cancelled());
 }
 
 TEST(Stopwatch, Monotone) {

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "trace/schedule.hpp"
-#include "support/parallel.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/exact_legacy.hpp"
 #include "vmc/special.hpp"
@@ -611,30 +610,6 @@ TEST(RmwWriteOrder, NotApplicableWithPureOps) {
   const auto exec = ExecutionBuilder().process(W(0, 1)).build();
   EXPECT_EQ(check_rmw_with_write_order(make(exec), {{0, 0}}).verdict,
             Verdict::kUnknown);
-}
-
-// --- Fork-join helper behind the parallel sweeps ------------------------
-
-TEST(ParallelFor, CoversEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for_each(100, 4, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(parallel_for_each(16, 4,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ParallelFor, HandlesEmptyAndSingle) {
-  int calls = 0;
-  parallel_for_each(0, 4, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  parallel_for_each(1, 4, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
 }
 
 // ---- Differential: arena/packed-key search vs frozen legacy ----------

@@ -29,8 +29,7 @@ EVENT_KINDS = {
 }
 FLIGHT_TRIGGERS = {'slow', 'unknown', 'incoherent', 'shed', 'cancelled',
                    'deadline'}
-POLICY_KEYS = {'latency_threshold_nanos', 'capture_unknown',
-               'capture_incoherent', 'capture_shed', 'capture_cancelled'}
+POLICY_KEYS = {'latency_threshold_nanos'}
 EFFORT_KEYS = {'states', 'transitions', 'max_frontier', 'prunes',
                'oracle_prunes', 'arena_reserved', 'arena_high_water',
                'arena_allocations', 'saturate_ran', 'saturate_decided',

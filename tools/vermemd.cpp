@@ -26,11 +26,12 @@
 // Streamed traces support coherence mode only, and --analyze/--certify
 // do not apply to them.
 //
-// --solver selects the exact-tier engine policy for text traces:
-// "portfolio" first runs the frontier search alone under a state
-// budget, and only an address that exhausts it races the frontier
-// search, CDCL, and bounded-k (first definite verdict wins, losers are
-// cancelled); "cdcl" forces that one engine. Default "auto" keeps the
+// --solver selects the exact-tier engine policy of the per-address
+// coherence checks for text traces in --mode=coherence and --mode=vscc
+// (the model modes ignore it): "portfolio" first runs the frontier
+// search alone under a state budget, and only an address that exhausts
+// it races the frontier search, CDCL, and bounded-k (first definite
+// verdict wins, losers are cancelled); "cdcl" forces that one engine. Default "auto" keeps the
 // single-engine routed cascade. The per-trace JSON gains a
 // "portfolio" object whenever at least one address reached the
 // portfolio tier, --stats counts the addresses that raced as
