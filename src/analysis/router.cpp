@@ -49,11 +49,11 @@ certify::Incoherence contradiction_evidence(const ProjectedView& view,
   return certify::unwritten_read(addr, OpRef{}, c.value);  // unreachable
 }
 
-/// One address as the deciders see it. The frontier search reads the
-/// view and its value table; the polynomial deciders, the §5.2 re-check
-/// and the CDCL and bounded-k engines take an Execution, which instance()
-/// materializes on first use, so an address the search alone decides
-/// never builds one.
+/// One address as the deciders see it. The frontier search and the
+/// write-once read-map decider read the view and its value table; the
+/// other polynomial deciders, the §5.2 re-check and the CDCL and
+/// bounded-k engines take an Execution, which instance() materializes on
+/// first use, so an address those two decide never builds one.
 struct Subject {
   const ProjectedView& view;
   const ValueTable& values;
@@ -410,7 +410,7 @@ RouteOutcome route(const ProjectedView& view,
       obs::Span poly_span("poly.write_once");
       out.decider = Decider::kWriteOnce;
       result = profile.rmw_only ? vmc::check_rmw_read_map(subject.instance())
-                                : vmc::check_read_map(subject.instance());
+                                : vmc::check_read_map(view, values);
       break;
     }
     case Fragment::kWriteOrder:

@@ -171,10 +171,11 @@ class VerificationService {
   /// Verifies one binary trace by streaming it through the sharded
   /// ingest pipeline (src/stream/) without ever materializing an
   /// Execution. Synchronous — the caller's thread acts as the pipeline's
-  /// reader; shard threads and per-address checker state are pooled
-  /// across calls. Serialized internally: concurrent callers take turns
-  /// on the pooled pipeline. Results are never cached (there is no
-  /// materialized trace to fingerprint).
+  /// reader, and each call starts and joins its own shard threads; the
+  /// shards' queues, arenas and per-address slots are pooled across
+  /// calls. Serialized internally: concurrent callers take turns on the
+  /// pooled pipeline. Results are never cached (there is no materialized
+  /// trace to fingerprint).
   [[nodiscard]] VerificationResponse verify_stream(std::istream& in,
                                                    StreamRequest request = {});
 
@@ -225,9 +226,10 @@ class VerificationService {
   ThreadPool pool_;
   std::thread dispatcher_;
 
-  // Pooled streaming pipeline: shard threads, arenas, and online
-  // checkers persist across verify_stream calls. Rebuilt only when a
-  // request changes the structural options (shard count / queue size).
+  // Pooled streaming pipeline: shard queues, arenas, and per-address
+  // slots persist across verify_stream calls (the shard threads are
+  // started per call). Rebuilt only when a request changes the
+  // structural options (shard count / queue size).
   std::mutex stream_mutex_;
   std::unique_ptr<stream::StreamVerifier> stream_verifier_;
   std::size_t stream_shards_ = 0;

@@ -16,6 +16,7 @@
 #include "obs/span.hpp"
 #include "stream/spsc_queue.hpp"
 #include "support/arena.hpp"
+#include "support/hash.hpp"
 #include "vmc/online.hpp"
 
 namespace vermem::stream {
@@ -46,12 +47,87 @@ CheckResult skipped_result() {
                               "deadline expired or request cancelled");
 }
 
+/// The addresses one shard has seen in a run, numbered densely in order
+/// of first appearance: a slot number indexes the shard's per-address
+/// state, and finding it costs one open-addressing probe sequence, with
+/// no node per address. Storage is kept across runs.
+class AddressSlots {
+ public:
+  struct Found {
+    std::uint32_t slot;
+    bool fresh;  ///< the address was added by this call
+  };
+
+  [[nodiscard]] Found find_or_add(Addr addr) {
+    std::size_t bucket = home(addr);
+    for (;; bucket = (bucket + 1) & (index_.size() - 1)) {
+      const std::uint32_t entry = index_[bucket];
+      if (entry == 0) break;
+      if (addrs_[entry - 1] == addr) return {entry - 1, false};
+    }
+    const auto slot = static_cast<std::uint32_t>(addrs_.size());
+    addrs_.push_back(addr);
+    if (2 * addrs_.size() > index_.size()) {
+      rehash(2 * index_.size());
+    } else {
+      index_[bucket] = slot + 1;
+    }
+    return {slot, true};
+  }
+
+  [[nodiscard]] Addr addr(std::uint32_t slot) const noexcept { return addrs_[slot]; }
+
+  /// Slot numbers ordered by address.
+  [[nodiscard]] std::vector<std::uint32_t> by_address() const {
+    std::vector<std::uint32_t> slots(addrs_.size());
+    for (std::uint32_t s = 0; s < slots.size(); ++s) slots[s] = s;
+    std::sort(slots.begin(), slots.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return addrs_[a] < addrs_[b];
+    });
+    return slots;
+  }
+
+  void clear() {
+    addrs_.clear();
+    std::fill(index_.begin(), index_.end(), 0);
+  }
+
+ private:
+  [[nodiscard]] std::size_t home(Addr addr) const noexcept {
+    // shard_of already spent the golden-ratio product's high bits on the
+    // shard choice, so the bucket comes from a full avalanche instead.
+    return static_cast<std::size_t>(mix64(addr) & (index_.size() - 1));
+  }
+
+  void rehash(std::size_t buckets) {
+    index_.assign(buckets, 0);
+    for (std::uint32_t s = 0; s < addrs_.size(); ++s) {
+      std::size_t bucket = home(addrs_[s]);
+      while (index_[bucket] != 0) bucket = (bucket + 1) & (buckets - 1);
+      index_[bucket] = s + 1;
+    }
+  }
+
+  std::vector<Addr> addrs_;                        ///< by slot
+  std::vector<std::uint32_t> index_ =              ///< slot + 1, 0 = empty
+      std::vector<std::uint32_t>(64, 0);
+};
+
+/// Ordered-mode state of one address slot: the online checker's state,
+/// and the first offending event once one arrived (the slot then
+/// ignores the rest of the run).
+struct OnlineSlot {
+  vmc::OnlineAddress state;
+  std::optional<vmc::OnlineViolationKind> violation;
+  OpRef violation_at;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Shard: one checker thread plus all its per-run state. Instances persist
-// across runs (owned by the StreamVerifier), so the arena and the online
-// checker pool reach steady state with no per-trace system allocations.
+// across runs (owned by the StreamVerifier), so the queue, the arena and
+// the address slots keep their storage from one trace to the next.
 
 struct StreamVerifier::Shard {
   explicit Shard(std::size_t queue_blocks)
@@ -69,15 +145,16 @@ struct StreamVerifier::Shard {
   const WriteOrderLog* orders = nullptr;
   const search::Limits* exact = nullptr;
 
-  // Complete-mode accumulation: per-address event runs in arena storage.
-  Arena arena;
-  std::unordered_map<Addr, ArenaVec<OpRecord>> accum;
+  // Every address this run has routed here, numbered by slot.
+  AddressSlots slots;
 
-  // Ordered-mode state: one pooled checker per live address; latched
-  // violations keep the CheckResult built at the offending event.
-  std::unordered_map<Addr, std::unique_ptr<vmc::OnlineCoherenceChecker>> checkers;
-  std::vector<std::unique_ptr<vmc::OnlineCoherenceChecker>> checker_pool;
-  std::unordered_map<Addr, CheckResult> online_done;
+  // Complete-mode accumulation: per-slot event runs in arena storage.
+  Arena arena;
+  std::vector<ArenaVec<OpRecord>> runs;
+
+  // Ordered-mode state, per slot. Entries past the run's last slot are
+  // left over from earlier runs and are reset when an address takes them.
+  std::vector<OnlineSlot> online;
 
   // Per-run outputs, merged by the reader after join.
   std::vector<vmc::AddressReport> reports;
@@ -97,12 +174,9 @@ struct StreamVerifier::Shard {
     orders = wo;
     exact = opts;
     abort.store(false, std::memory_order_relaxed);
-    accum.clear();
+    slots.clear();
+    runs.clear();
     arena.reset();
-    for (auto& [addr, checker] : checkers)
-      checker_pool.push_back(std::move(checker));
-    checkers.clear();
-    online_done.clear();
     reports.clear();
     routing = {};
     queue_peak = 0;
@@ -116,8 +190,8 @@ struct StreamVerifier::Shard {
   void finish_complete();
   void finish_ordered();
   void check_one_complete(Addr addr, ArenaVec<OpRecord>& run);
+  [[nodiscard]] CheckResult online_violation(std::uint32_t slot) const;
   void emit_aborted_reports();
-  [[nodiscard]] std::vector<Addr> sorted_addresses() const;
 };
 
 void StreamVerifier::Shard::run() {
@@ -159,104 +233,78 @@ void StreamVerifier::Shard::run() {
 }
 
 void StreamVerifier::Shard::accumulate(const OpRecord& event) {
-  auto [it, fresh] = accum.try_emplace(event.op.addr, arena);
-  it->second.push_back(event);
+  const auto [slot, fresh] = slots.find_or_add(event.op.addr);
+  if (fresh) runs.emplace_back(arena);
+  runs[slot].push_back(event);
 }
 
 void StreamVerifier::Shard::observe_ordered(const OpRecord& event) {
-  const Addr addr = event.op.addr;
-  auto [it, fresh] = checkers.try_emplace(addr);
+  const auto [slot, fresh] = slots.find_or_add(event.op.addr);
   if (fresh) {
-    if (!checker_pool.empty()) {
-      it->second = std::move(checker_pool.back());
-      checker_pool.pop_back();
-    } else {
-      it->second = std::make_unique<vmc::OnlineCoherenceChecker>(0);
-    }
-    std::unordered_map<Addr, Value> init;
-    const auto seed = initials->find(addr);
-    if (seed != initials->end()) init.emplace(addr, seed->second);
-    it->second->reset(num_processes, std::move(init));
+    if (slot == online.size()) online.emplace_back();
+    OnlineSlot& taken = online[slot];
+    const auto seed = initials->find(event.op.addr);
+    taken.state.reset(num_processes,
+                      seed != initials->end() ? seed->second : Value{0});
+    taken.violation.reset();
   }
-  vmc::OnlineCoherenceChecker& checker = *it->second;
-  if (!checker.ok()) return;  // latched; the verdict is already recorded
-  if (checker.observe(event.ref.process, event.op)) return;
-
-  // First offending event on this address: freeze a typed verdict with
-  // the event's original-trace coordinates. The write_order field stays
-  // empty — the serialization is the stream itself, not a supplied log.
-  const vmc::OnlineViolation& v = *checker.violation();
-  CheckResult result;
-  switch (v.kind) {
-    case vmc::OnlineViolationKind::kUnregisteredProcess:
-      result = CheckResult::unknown(certify::UnknownReason::kMalformed, v.reason);
-      break;
-    case vmc::OnlineViolationKind::kReadNotReachable:
-      result = CheckResult::no(certify::order_read_window(addr, event.ref, {}));
-      break;
-    case vmc::OnlineViolationKind::kRmwMismatch:
-      result = CheckResult::no(certify::order_rmw_mismatch(addr, event.ref, {}));
-      break;
-    case vmc::OnlineViolationKind::kFinalMismatch:
-      // finish()-only kind; observe() cannot produce it.
-      result = CheckResult::unknown(certify::UnknownReason::kMalformed, v.reason);
-      break;
-  }
-  online_done.emplace(addr, std::move(result));
+  OnlineSlot& s = online[slot];
+  if (s.violation) return;  // latched; the rest of the run is ignored
+  // The decoder admits only blocks of declared processes, so the process
+  // has an anchor here.
+  s.violation = s.state.observe(event.ref.process, event.op);
+  if (s.violation) s.violation_at = event.ref;
 }
 
-std::vector<Addr> StreamVerifier::Shard::sorted_addresses() const {
-  std::vector<Addr> addrs;
-  if (ordered) {
-    addrs.reserve(checkers.size());
-    for (const auto& [addr, checker] : checkers) addrs.push_back(addr);
-  } else {
-    addrs.reserve(accum.size());
-    for (const auto& [addr, events] : accum) addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  return addrs;
+CheckResult StreamVerifier::Shard::online_violation(std::uint32_t slot) const {
+  // The verdict of the first offending event, with its original-trace
+  // coordinates. The write_order field stays empty: the serialization is
+  // the stream itself, not a supplied log.
+  const OnlineSlot& s = online[slot];
+  const Addr addr = slots.addr(slot);
+  return CheckResult::no(
+      *s.violation == vmc::OnlineViolationKind::kRmwMismatch
+          ? certify::order_rmw_mismatch(addr, s.violation_at, {})
+          : certify::order_read_window(addr, s.violation_at, {}));
 }
 
 void StreamVerifier::Shard::finish_ordered() {
-  for (const Addr addr : sorted_addresses()) {
-    vmc::OnlineCoherenceChecker& checker = *checkers.find(addr)->second;
-    window_peak += checker.stats().max_retained_entries;
+  for (const std::uint32_t slot : slots.by_address()) {
+    const Addr addr = slots.addr(slot);
+    const OnlineSlot& s = online[slot];
+    window_peak += s.state.peak_retained();
     if (exact->interrupted()) {
       saw_interrupt = true;
       reports.push_back({addr, skipped_result()});
       continue;
     }
-    const auto done = online_done.find(addr);
-    if (done != online_done.end()) {
-      reports.push_back({addr, std::move(done->second)});
+    if (s.violation) {
+      reports.push_back({addr, online_violation(slot)});
       continue;
     }
     // End-of-stream final check, restricted to this address: the batch
     // path ignores recorded finals on addresses no operation touches,
     // so the streamed path must too.
-    std::unordered_map<Addr, Value> fin;
     const auto rec = finals->find(addr);
-    if (rec != finals->end()) fin.emplace(addr, rec->second);
-    if (checker.finish(fin)) {
+    if (rec == finals->end() || rec->second == s.state.last_value()) {
       reports.push_back({addr, CheckResult::yes({})});
     } else {
-      const vmc::OnlineViolation& v = *checker.violation();
       reports.push_back(
           {addr, CheckResult::no(certify::order_final_mismatch(
-                     addr, v.last_value, rec->second, {}))});
+                     addr, s.state.last_value(), rec->second, {}))});
     }
   }
 }
 
 void StreamVerifier::Shard::finish_complete() {
-  for (const Addr addr : sorted_addresses()) {
+  for (const std::uint32_t slot : slots.by_address()) {
+    const Addr addr = slots.addr(slot);
     if (exact->interrupted()) {
       saw_interrupt = true;
       reports.push_back({addr, skipped_result()});
       continue;
     }
-    check_one_complete(addr, accum.find(addr)->second);
+    check_one_complete(addr, runs[slot]);
   }
 }
 
@@ -264,10 +312,13 @@ void StreamVerifier::Shard::check_one_complete(Addr addr,
                                                ArenaVec<OpRecord>& run) {
   // A view wants its run sorted by ref: grouped by process, program order
   // within each group, as AddressIndex lays it out. The canonical encoding
-  // already delivers events in that order; an ordered interleaving does
-  // not, hence the sort (refs are unique, so the order is total).
-  std::sort(run.data(), run.data() + run.size(),
-            [](const OpRecord& a, const OpRecord& b) { return a.ref < b.ref; });
+  // already delivers events in that order, so the sort runs only for
+  // another block interleaving (refs are unique, so the order is total).
+  const auto by_ref = [](const OpRecord& a, const OpRecord& b) {
+    return a.ref < b.ref;
+  };
+  if (!std::is_sorted(run.data(), run.data() + run.size(), by_ref))
+    std::sort(run.data(), run.data() + run.size(), by_ref);
   const std::span<const OpRecord> records(run.data(), run.size());
   const auto init = initials->find(addr);
   const auto fin = finals->find(addr);
@@ -292,13 +343,12 @@ void StreamVerifier::Shard::emit_aborted_reports() {
   // per-address data must never yield a definite verdict, except an
   // ordered-mode violation already latched — a violation on a prefix of
   // the declared serialization is conclusive.
-  for (const Addr addr : sorted_addresses()) {
+  for (const std::uint32_t slot : slots.by_address()) {
+    const Addr addr = slots.addr(slot);
     if (ordered) {
-      vmc::OnlineCoherenceChecker& checker = *checkers.find(addr)->second;
-      window_peak += checker.stats().max_retained_entries;
-      const auto done = online_done.find(addr);
-      if (done != online_done.end()) {
-        reports.push_back({addr, std::move(done->second)});
+      window_peak += online[slot].state.peak_retained();
+      if (online[slot].violation) {
+        reports.push_back({addr, online_violation(slot)});
         continue;
       }
     }

@@ -17,25 +17,28 @@
 // ordered flag selects ordered mode, every other trace runs complete.
 //
 //  - complete mode (any trace): shards accumulate each address's run of
-//    OpRecords in arena-backed storage and, at end-of-stream, sort the
-//    run by ref and build a ProjectedView directly over it — the same
-//    view type AddressIndex hands the batch path, with no rebuilt
-//    Execution or coordinate translation — then route it through
-//    analysis::check_routed with the write-order log in original
-//    coordinates. Verdicts, evidence, witnesses, and effort stats are
+//    OpRecords in arena-backed storage, one run per address slot, and,
+//    at end-of-stream, sort the run by ref (unless it already is, as a
+//    canonical encoding delivers it) and build a ProjectedView directly
+//    over it — the same view type AddressIndex hands the batch path,
+//    with no rebuilt Execution or coordinate translation — then route
+//    it through analysis::check_routed with the write-order log in
+//    original coordinates. Verdicts, evidence, witnesses, and effort stats are
 //    identical to verify_coherence_routed by construction — the
 //    differential suite in tests/stream_test.cpp pins this. Memory is
 //    O(ops), but streamed into per-shard arenas that are recycled
 //    across runs.
 //
 //  - ordered mode (traces whose encoder declared an ordered event stream,
-//    e.g. recorded from a bus/directory commit order): each shard feeds
-//    a pooled per-address OnlineCoherenceChecker as events arrive.
-//    Verdicts are emitted at the first offending event, with typed
-//    certify::Evidence, and resident memory is bounded by the queue
-//    capacity plus the checkers' GC'd write windows — independent of
-//    trace length for workloads where every process keeps touching the
-//    address (the window GC needs every process's anchor to advance).
+//    e.g. recorded from a bus/directory commit order): each shard keeps
+//    one slot per address it has seen, found by one open-addressing
+//    probe per event, and feeds each event to the online checker's
+//    per-address state (vmc::OnlineAddress) held in that slot. Verdicts are
+//    emitted at the first offending event, with typed certify::Evidence,
+//    and resident memory is bounded by the queue capacity plus the GC'd
+//    write windows — independent of trace length for workloads where
+//    every process keeps touching the address (the window GC needs every
+//    process's anchor to advance).
 //
 // Backpressure is explicit: when a shard's ring is full the reader
 // either blocks (kBlock, the default — bounded memory, wire-speed
@@ -123,11 +126,11 @@ struct StreamResult {
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
 
-/// Reusable pipeline: shard arenas and online-checker instances persist
-/// across run() calls (reset, not reallocated), so a long-lived daemon
-/// reaches steady state with no per-trace system allocations in the
-/// ingest path. Not thread-safe; one StreamVerifier serves one trace at
-/// a time.
+/// Reusable pipeline: shard queues, arenas and per-address slots persist
+/// across run() calls (reset, not reallocated), so once a daemon has seen
+/// its largest trace, ingest allocates nothing per event or per address.
+/// Each run() still starts and joins one thread per shard. Not
+/// thread-safe; one StreamVerifier serves one trace at a time.
 class StreamVerifier {
  public:
   explicit StreamVerifier(StreamOptions options = {});

@@ -12,6 +12,32 @@ namespace {
 
 constexpr std::size_t kReadBufferBytes = 64 * 1024;
 constexpr std::size_t kMaxVarintBytes = 10;
+/// Bytes one step of next() may read: an op block header (two varints)
+/// and the widest op (kind byte, address, two values).
+constexpr std::size_t kMaxStepBytes = 2 * kMaxVarintBytes + 1 + 3 * kMaxVarintBytes;
+
+/// Decodes a minimal varint of at most nine bytes at `p`, which must have
+/// kMaxVarintBytes readable bytes, and returns the byte past it; nullptr
+/// for any other spelling (ten bytes or more, or non-minimal), which
+/// BinaryTraceReader::read_varint then decodes or rejects.
+const char* buffered_varint(const char* p, std::uint64_t& out) {
+  std::uint64_t byte = static_cast<std::uint8_t>(*p);
+  if (byte < 0x80) {
+    out = byte;
+    return p + 1;
+  }
+  std::uint64_t value = byte & 0x7f;
+  for (unsigned shift = 7; shift < 7 * (kMaxVarintBytes - 1); shift += 7) {
+    byte = static_cast<std::uint8_t>(*++p);
+    value |= (byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      if (byte == 0) return nullptr;
+      out = value;
+      return p + 1;
+    }
+  }
+  return nullptr;
+}
 
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -329,6 +355,7 @@ BinaryTraceReader::Next BinaryTraceReader::next(OpRecord& out) {
     return Next::kError;
   }
   if (at_end_) return Next::kEnd;
+  if (len_ - pos_ >= kMaxStepBytes && next_buffered(out)) return Next::kEvent;
 
   if (block_left_ == 0) {
     std::uint64_t tag = 0;
@@ -401,6 +428,51 @@ BinaryTraceReader::Next BinaryTraceReader::next(OpRecord& out) {
   ++ops_seen_;
   --block_left_;
   return Next::kEvent;
+}
+
+bool BinaryTraceReader::next_buffered(OpRecord& out) {
+  // Everything is decoded into locals and committed only at the end, so
+  // a spelling this path does not take leaves the reader untouched for
+  // the checked path, which then reports any error at its exact offset.
+  const char* p = data_ + pos_;
+  std::uint32_t process = block_process_;
+  std::uint64_t left = block_left_;
+  if (left == 0) {
+    std::uint64_t tag = 0;
+    p = buffered_varint(p, tag);
+    if (p == nullptr || tag == 0 || tag - 1 >= num_processes_) return false;
+    p = buffered_varint(p, left);
+    if (p == nullptr || left == 0 || left > total_ops_ - ops_seen_) return false;
+    process = static_cast<std::uint32_t>(tag - 1);
+  }
+  const auto kind = static_cast<std::uint8_t>(*p++);
+  if (kind > static_cast<std::uint8_t>(OpKind::kRelease)) return false;
+  Operation op;
+  op.kind = static_cast<OpKind>(kind);
+  std::uint64_t word = 0;
+  p = buffered_varint(p, word);
+  if (p == nullptr || word > 0xffffffffull) return false;
+  op.addr = static_cast<Addr>(word);
+  if (op.reads_memory()) {
+    p = buffered_varint(p, word);
+    if (p == nullptr) return false;
+    op.value_read = unzigzag(word);
+  }
+  if (op.writes_memory()) {
+    p = buffered_varint(p, word);
+    if (p == nullptr) return false;
+    op.value_written = unzigzag(word);
+  }
+  std::uint32_t& index = next_index_[process];
+  if (index == 0xffffffffu) return false;
+  out.ref = OpRef{process, index};
+  ++index;
+  out.op = op;
+  ++ops_seen_;
+  block_process_ = process;
+  block_left_ = left - 1;
+  pos_ = static_cast<std::size_t>(p - data_);
+  return true;
 }
 
 bool BinaryTraceReader::at_clean_end() const noexcept {

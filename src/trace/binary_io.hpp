@@ -143,6 +143,10 @@ class BinaryTraceReader {
   [[nodiscard]] bool at_clean_end() const noexcept;
 
  private:
+  /// next() for a step that lies wholly in the buffer: decodes canonical
+  /// spellings straight from it and returns false, changing nothing, for
+  /// any other input, which next()'s checked byte-wise path then takes.
+  bool next_buffered(OpRecord& out);
   bool fill();
   bool get(std::uint8_t& byte);
   bool read_varint(std::uint64_t& out, const char* what);

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "search/engine.hpp"
+#include "vmc/instance_view.hpp"
 
 namespace vermem::vmc {
 
@@ -245,29 +246,17 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
     return observed(span, CheckResult::unknown(
                               certify::UnknownReason::kMalformed, *malformed));
   }
-  // Record refs are instance coordinates, so original_of() maps the
-  // view's coordinates back to the instance's.
-  std::vector<OpRecord> run;
-  run.reserve(instance.num_operations());
-  for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
-    const auto& history = instance.execution.history(p);
-    for (std::uint32_t i = 0; i < history.size(); ++i)
-      run.push_back({OpRef{p, i}, history[i]});
-  }
-  const ProjectedView view(AddressEntry::of(instance.addr, run), run,
-                           instance.initial_value(), instance.final_value());
-  ExactOptions local = options;
-  MustPrecede pruner;
-  if (options.pruner != nullptr &&
-      view.num_histories() != instance.num_histories()) {
-    pruner = renumbered(*options.pruner, view);
-    local.pruner = &pruner;
-  }
-  CheckResult result = check_exact(view, ValueTable(view), local);
-  const auto to_instance = [&](OpRef& ref) { ref = view.original_of(ref); };
-  for (OpRef& ref : result.witness) to_instance(ref);
-  certify::for_each_ref(result.evidence, to_instance);
-  return result;
+  return decide_on_view(instance, [&](const ProjectedView& view,
+                                      const ValueTable& values) {
+    ExactOptions local = options;
+    MustPrecede pruner;
+    if (options.pruner != nullptr &&
+        view.num_histories() != instance.num_histories()) {
+      pruner = renumbered(*options.pruner, view);
+      local.pruner = &pruner;
+    }
+    return check_exact(view, values, local);
+  });
 }
 
 }  // namespace vermem::vmc

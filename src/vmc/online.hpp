@@ -21,7 +21,6 @@
 // realization would bound this window physically; here the high-water
 // mark is exposed in the stats.
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -71,6 +70,51 @@ struct OnlineStats {
   std::uint64_t discarded_entries = 0;     ///< GC'd write records
 };
 
+/// The online state of one address: the retained suffix of its write
+/// serialization and each process's anchor in it. OnlineCoherenceChecker
+/// keeps one per address it has seen; the stream pipeline's ordered-mode
+/// shards keep one per address slot and reset it between traces, so a
+/// reused slot keeps its storage.
+class OnlineAddress {
+ public:
+  /// Starts the address over: no writes yet, the serialization at
+  /// `initial`, and `num_processes` anchors before every write.
+  void reset(std::uint32_t num_processes, Value initial);
+
+  /// Feeds one read, write or RMW on this address by `process`, which
+  /// must be below the reset's process count. Returns the violation it
+  /// commits, if any; a rejected operation leaves the state unchanged.
+  [[nodiscard]] std::optional<OnlineViolationKind> observe(
+      std::uint32_t process, const Operation& op);
+
+  /// The value after the newest write (the initial value before any).
+  [[nodiscard]] Value last_value() const noexcept { return last_value_; }
+  /// Writes currently retained, and their high-water mark since reset.
+  [[nodiscard]] std::size_t retained() const noexcept {
+    return window_.size() - head_;
+  }
+  [[nodiscard]] std::size_t peak_retained() const noexcept { return peak_; }
+
+ private:
+  [[nodiscard]] Value value_at(std::uint64_t pos) const noexcept {
+    return pos == 0 ? initial_ : window_[head_ + (pos - 1 - base_)];
+  }
+  void garbage_collect();
+
+  /// window_[head_ + i] holds the value of serialization position
+  /// base_ + 1 + i; the virtual position 0 is the initial value.
+  std::vector<Value> window_;
+  std::size_t head_ = 0;
+  std::uint64_t base_ = 0;
+  Value initial_ = 0;
+  Value last_value_ = 0;
+  std::uint64_t count_ = 0;  ///< total writes seen
+  std::size_t peak_ = 0;
+  /// Per-process anchor: index+1 of the write the process last anchored
+  /// at (0 = before all writes, reading the initial value).
+  std::vector<std::uint64_t> anchor_;
+};
+
 class OnlineCoherenceChecker {
  public:
   /// `num_processes` fixes the anchor table (GC needs to know every
@@ -90,9 +134,8 @@ class OnlineCoherenceChecker {
 
   /// Returns the checker to its freshly-constructed state — clears all
   /// per-address windows, the latched violation, and the stats — keeping
-  /// the registered process count and initial values. Pools of checkers
-  /// (the verification service, the simulators) reset instances between
-  /// traces instead of reallocating them.
+  /// the registered process count and initial values, so one instance
+  /// can check trace after trace without being reallocated.
   void reset();
   /// Same, but also re-seeds the process count and initial values, so one
   /// pooled instance can serve traces of any shape.
@@ -106,29 +149,13 @@ class OnlineCoherenceChecker {
   [[nodiscard]] const OnlineStats& stats() const noexcept { return stats_; }
 
  private:
-  struct AddressState {
-    /// Retained suffix of the write serialization: values written.
-    std::deque<Value> window;
-    /// Serialization index of window.front(); the virtual entry before
-    /// index 0 is the initial value.
-    std::uint64_t base = 0;
-    Value initial = 0;
-    Value last_value = 0;      ///< value after the newest write
-    std::uint64_t count = 0;   ///< total writes seen
-    /// Per-process anchor: index+1 of the write the process last anchored
-    /// at (0 = before all writes, reading the initial value).
-    std::vector<std::uint64_t> anchor;
-  };
-
-  AddressState& state_of(Addr addr);
-  [[nodiscard]] Value value_at(const AddressState& s, std::uint64_t pos) const;
+  OnlineAddress& state_of(Addr addr);
   void fail(std::uint32_t process, const Operation& op, std::string reason,
             OnlineViolationKind kind, Value last_value = 0);
-  void garbage_collect(AddressState& s);
 
   std::uint32_t num_processes_;
   std::unordered_map<Addr, Value> initials_;
-  std::unordered_map<Addr, AddressState> states_;
+  std::unordered_map<Addr, OnlineAddress> states_;
   std::optional<OnlineViolation> violation_;
   OnlineStats stats_;
 };

@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "vmc/instance_view.hpp"
+
 namespace vermem::vmc {
 
 namespace {
@@ -228,58 +230,40 @@ CheckResult check_rmw_one_op_per_process(const VmcInstance& instance) {
 
 CheckResult check_read_map(const VmcInstance& instance) {
   if (const auto why = instance.malformed()) return malformed(*why);
+  return decide_on_view(instance, [](const ProjectedView& view,
+                                     const ValueTable& values) {
+    return check_read_map(view, values);
+  });
+}
 
+CheckResult check_read_map(const ProjectedView& view, const ValueTable& values) {
   constexpr std::uint32_t kUnwritten = 0xffffffffu;
-  const Value initial = instance.initial_value();
-  const std::size_t num_ops = instance.num_operations();
+  const Addr addr = view.addr();
+  const Value initial = view.initial_value();
+  const std::size_t num_ops = view.num_ops();
   // Cluster 0 is the initial value's; each uniquely-written value gets its
   // own cluster, numbered in (history, position) order. The scan stops at
-  // the first RMW or write of the initial value, so a duplicate write
-  // before it is the reason reported, as an in-order scan finds it.
-  struct ValueCluster {
-    Value value;
-    std::uint32_t cluster;
-  };
-  std::vector<ValueCluster> by_value;
+  // the first RMW, write of the initial value, or second write of a
+  // value, so the reason reported is the first one in that order.
+  std::vector<std::uint32_t> cluster_of_value(values.size(), kUnwritten);
   std::vector<OpRef> write_of_cluster{OpRef{}};  // [0] unused (initial)
-  by_value.reserve(num_ops);
-  write_of_cluster.reserve(num_ops + 1);
-  const auto collect_writes = [&]() -> const char* {
-    for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
-      const auto& history = instance.execution.history(p);
-      for (std::uint32_t i = 0; i < history.size(); ++i) {
-        const Operation& op = history[i];
-        if (op.kind == OpKind::kRmw) return "instance contains read-modify-writes";
-        if (op.kind != OpKind::kWrite) continue;
-        if (op.value_written == initial)
-          return "a write stores the initial value (read-map ambiguous)";
-        by_value.push_back({op.value_written,
-                            static_cast<std::uint32_t>(write_of_cluster.size())});
-        write_of_cluster.push_back(OpRef{p, i});
-      }
+  write_of_cluster.reserve(view.stats().write_count + 1);
+  for (std::uint32_t p = 0, k = 0; p < view.num_histories(); ++p) {
+    const auto history = view.history(p);
+    for (std::uint32_t i = 0; i < history.size(); ++i, ++k) {
+      const Operation& op = history[i].op;
+      if (op.kind == OpKind::kRmw)
+        return not_applicable("instance contains read-modify-writes");
+      if (op.kind != OpKind::kWrite) continue;
+      if (op.value_written == initial)
+        return not_applicable("a write stores the initial value (read-map ambiguous)");
+      std::uint32_t& cluster = cluster_of_value[values.written(k)];
+      if (cluster != kUnwritten) return not_applicable("value written more than once");
+      cluster = static_cast<std::uint32_t>(write_of_cluster.size());
+      write_of_cluster.push_back(OpRef{p, i});
     }
-    return nullptr;
-  };
-  const char* stop = collect_writes();
-  std::sort(by_value.begin(), by_value.end(),
-            [](const ValueCluster& a, const ValueCluster& b) {
-              return a.value < b.value;
-            });
-  if (std::adjacent_find(by_value.begin(), by_value.end(),
-                         [](const ValueCluster& a, const ValueCluster& b) {
-                           return a.value == b.value;
-                         }) != by_value.end())
-    return not_applicable("value written more than once");
-  if (stop) return not_applicable(stop);
+  }
   const std::size_t num_clusters = write_of_cluster.size();
-  // Branch-free binary search: the last entry whose value is <= v.
-  const auto cluster_of_value = [&](Value v) {
-    if (by_value.empty()) return kUnwritten;
-    const ValueCluster* base = by_value.data();
-    for (std::size_t n = by_value.size(); n > 1; n -= n / 2)
-      base = base[n / 2].value <= v ? base + n / 2 : base;
-    return base->value == v ? base->cluster : kUnwritten;
-  };
 
   // Build the precedence graph from program order, keeping the pair of
   // operations that induced each edge as evidence provenance; collect
@@ -304,20 +288,20 @@ CheckResult check_read_map(const VmcInstance& instance) {
   // First program-order edge forcing the initial cluster after another.
   std::optional<certify::ProgramOrderEdge> stale_edge;
   std::uint32_t next_write_cluster = 1;
-  for (std::uint32_t p = 0; p < instance.num_histories(); ++p) {
-    const auto& history = instance.execution.history(p);
+  for (std::uint32_t p = 0, k = 0; p < view.num_histories(); ++p) {
+    const auto history = view.history(p);
     std::uint32_t prev = kUnwritten;
-    for (std::uint32_t i = 0; i < history.size(); ++i) {
-      const Operation& op = history[i];
+    for (std::uint32_t i = 0; i < history.size(); ++i, ++k) {
+      const Operation& op = history[i].op;
       std::uint32_t cluster = 0;
       if (op.kind == OpKind::kWrite) {
         cluster = next_write_cluster++;
       } else if (op.value_read != initial) {
         // Reads of unwritten non-initial values are incoherent outright.
-        cluster = cluster_of_value(op.value_read);
+        cluster = cluster_of_value[values.read(k)];
         if (cluster == kUnwritten)
           return CheckResult::no(
-              certify::unwritten_read(instance.addr, OpRef{p, i}, op.value_read));
+              certify::unwritten_read(addr, OpRef{p, i}, op.value_read));
       }
       if (op.kind == OpKind::kRead) {
         // A read program-order-before its own cluster's write can never be
@@ -326,7 +310,7 @@ CheckResult check_read_map(const VmcInstance& instance) {
         const OpRef w = write_of_cluster[cluster];
         if (cluster != 0 && w.process == p && w.index > i)
           return CheckResult::no(certify::read_before_write(
-              instance.addr, OpRef{p, i}, w, op.value_read));
+              addr, OpRef{p, i}, w, op.value_read));
         reads.push_back({cluster, OpRef{p, i}});
       }
       if (prev != kUnwritten && prev != cluster) {
@@ -349,24 +333,25 @@ CheckResult check_read_map(const VmcInstance& instance) {
   // precede every write (no write restores d_I — excluded above).
   if (in_degree[0] != 0)
     return CheckResult::no(certify::stale_initial_read(
-        instance.addr, stale_edge->before, stale_edge->after));
+        addr, stale_edge->before, stale_edge->after));
 
   // The final cluster (when constrained) must be schedulable last, i.e.
   // have no outgoing precedence edges.
-  const auto fin = instance.final_value();
+  const auto fin = view.final_value();
   std::size_t fin_cluster = 0;
   if (fin) {
-    if (const std::uint32_t c = cluster_of_value(*fin); c != kUnwritten)
-      fin_cluster = c;
+    const std::uint32_t id = values.id_of(*fin);
+    if (id != ValueTable::kNone && cluster_of_value[id] != kUnwritten)
+      fin_cluster = cluster_of_value[id];
     else if (*fin != initial || num_clusters > 1)
-      return CheckResult::no(certify::unwritable_final(instance.addr, *fin));
+      return CheckResult::no(certify::unwritable_final(addr, *fin));
     if (!successors(fin_cluster).empty()) {
       const Edge& edge = successors(fin_cluster)[0];
       return CheckResult::no(certify::final_not_last(
-          instance.addr, edge.from_ref, edge.to_ref, *fin));
+          addr, edge.from_ref, edge.to_ref, *fin));
     }
     if (fin_cluster == 0 && num_clusters > 1)  // defensively; unreachable
-      return CheckResult::no(certify::unwritable_final(instance.addr, *fin));
+      return CheckResult::no(certify::unwritable_final(addr, *fin));
   }
 
   // Kahn topological sort over all clusters.
@@ -415,7 +400,7 @@ CheckResult check_read_map(const VmcInstance& instance) {
       node = pe.from;
     } while (node != cur);
     std::reverse(cycle.begin(), cycle.end());
-    return CheckResult::no(certify::cluster_cycle(instance.addr, std::move(cycle)));
+    return CheckResult::no(certify::cluster_cycle(addr, std::move(cycle)));
   }
 
   // Cluster 0 has no predecessors and the final cluster no successors, so

@@ -6,6 +6,7 @@
 // build a dispatch cascade (try the cheap checkers, fall back to
 // check_exact). All kCoherent verdicts carry witness schedules.
 
+#include "trace/address_index.hpp"
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"
 
@@ -36,6 +37,14 @@ namespace vermem::vmc {
 /// cluster; a coherent schedule exists iff the cluster precedence graph
 /// induced by program order is acyclic, the initial-value cluster can go
 /// first, and the final-value cluster (when constrained) can go last.
+///
+/// The view overload is the decider; it reads each operation's value
+/// through `values` (a ValueTable of the same view) instead of hashing
+/// values, and its witness and evidence use the view's projected
+/// coordinates. The instance overload runs it over a one-address view of
+/// the instance and answers in instance coordinates.
+[[nodiscard]] CheckResult check_read_map(const ProjectedView& view,
+                                         const ValueTable& values);
 [[nodiscard]] CheckResult check_read_map(const VmcInstance& instance);
 
 /// Figure 5.3 row "1 Write/Value (Read-map)", read-modify-write column.

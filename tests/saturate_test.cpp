@@ -5,9 +5,9 @@
 // bit-identical-search guarantee, the CNF order hints, and the
 // graph-derived lint rules W005/W006 plus the W002 final-section
 // regression, a field-by-field differential against the frozen
-// reference pass in saturate_reference.cpp, the exact tier's view and
-// instance entry points against each other, and analyze()'s reuse of
-// the routing pass.
+// reference pass in saturate_reference.cpp, the view and instance entry
+// points of the exact tier and of the read-map decider against each
+// other, and analyze()'s reuse of the routing pass.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +35,7 @@
 #include "trace/text_io.hpp"
 #include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
+#include "vmc/special.hpp"
 #include "workload/random.hpp"
 
 namespace {
@@ -1040,6 +1041,76 @@ TEST(ExactOverloads, ViewAndInstanceEntryPointsAgree) {
   EXPECT_GT(check.unknown, 0u);
   EXPECT_LT(check.unknown, check.runs);
   EXPECT_GT(check.oracle_pruned, 0u);
+}
+
+// --- check_read_map: the view decider and its instance adapter ------------
+
+std::uint64_t fold(std::uint64_t h, std::string_view bytes) {
+  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return (h ^ 0x100) * 0x100000001b3ULL;
+}
+
+TEST(ReadMapOverloads, ViewAndInstanceEntryPointsAgree) {
+  // Every address of every reference shape: the view overload answers in
+  // view coordinates, the instance overload in the instance's, which for
+  // a materialized view are the same, and for an instance with a leading
+  // empty history are shifted by one. The instance overload's answers are
+  // also folded into a digest pinned from the hash-grouping decider the
+  // view overload replaced.
+  std::vector<std::string> failures;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t outcomes[3] = {0, 0, 0};
+  std::size_t not_applicable = 0;
+  const auto compare = [&](const vmc::CheckResult& got,
+                           const vmc::CheckResult& want,
+                           const std::string& where) {
+    if (got.verdict != want.verdict || got.witness != want.witness ||
+        got.reason() != want.reason())
+      failures.push_back(where);
+  };
+  for_each_reference_shape([&](const Execution& exec, const std::string& label) {
+    const AddressIndex index(exec);
+    for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+      const ProjectedView view = index.view_at(i);
+      const vmc::VmcInstance instance{view.materialize(), view.addr()};
+      vmc::VmcInstance padded{Execution{}, view.addr()};
+      padded.execution.add_history(ProcessHistory{});
+      for (const auto& history : instance.execution.histories())
+        padded.execution.add_history(history);
+      padded.execution.set_initial_value(view.addr(), view.initial_value());
+      if (const auto fin = view.final_value())
+        padded.execution.set_final_value(view.addr(), *fin);
+
+      const std::string where = label + " addr " + std::to_string(view.addr());
+      const vmc::CheckResult via_view = vmc::check_read_map(view, ValueTable(view));
+      const vmc::CheckResult via_instance = vmc::check_read_map(instance);
+      compare(via_instance, via_view, where);
+      vmc::CheckResult via_padded = vmc::check_read_map(padded);
+      for (OpRef& ref : via_padded.witness) --ref.process;
+      certify::for_each_ref(via_padded.evidence, [](OpRef& ref) { --ref.process; });
+      compare(via_padded, via_view, where + " padded");
+
+      ++outcomes[static_cast<std::size_t>(via_instance.verdict)];
+      const certify::Unknown* why = via_instance.unknown_reason();
+      if (why != nullptr && why->reason == certify::UnknownReason::kNotApplicable)
+        ++not_applicable;
+      digest = fold(digest, vmc::to_string(via_instance.verdict));
+      digest = fold(digest, via_instance.reason());
+      for (const OpRef ref : via_instance.witness)
+        digest = fold(digest, std::to_string(ref.process) + ":" +
+                                  std::to_string(ref.index));
+    }
+  });
+  EXPECT_TRUE(failures.empty()) << failures.size() << " mismatches, first: "
+                                << failures.front();
+  // The shapes reach every outcome, and the read map applies to many.
+  EXPECT_GT(outcomes[static_cast<std::size_t>(vmc::Verdict::kCoherent)], 100u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(vmc::Verdict::kIncoherent)], 20u);
+  EXPECT_GT(not_applicable, 100u);
+  EXPECT_EQ(digest, 0x88dbc2a7bde7bec6ULL) << std::hex << "digest 0x" << digest << std::dec
+                            << " (" << outcomes[0] << " coherent, "
+                            << outcomes[1] << " incoherent, " << outcomes[2]
+                            << " unknown)";
 }
 
 // --- analyze() on top of routing ------------------------------------------

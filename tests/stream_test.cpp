@@ -10,11 +10,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/router.hpp"
@@ -27,6 +31,7 @@
 #include "trace/address_index.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/text_io.hpp"
+#include "vmc/online.hpp"
 #include "workload/random.hpp"
 
 namespace vermem {
@@ -312,6 +317,240 @@ TEST(BinaryHardening, TrailingBytesRejectedByWholeBufferDecode) {
   const BinaryParseResult decoded = decode_binary(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.error.find("trailing"), std::string::npos) << decoded.error;
+}
+
+// ---------------------------------------------------------------------------
+// Decoder equivalence: a seeded corpus of well-formed and malformed VMTB
+// spellings, decoded in memory mode and through std::istream (whole, and
+// with the first bytes prefetched so a buffer refill lands mid-op). What
+// each decode yields — its events, its final status, error() and
+// byte_offset() — is folded into one digest pinned below. A decoder
+// change must leave it unchanged; a corpus change re-pins it from the
+// code before the decoder change.
+
+std::uint64_t fold(std::uint64_t h, std::string_view bytes) {
+  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return (h ^ 0x100) * 0x100000001b3ULL;
+}
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return fold(h, std::to_string(word));
+}
+
+/// Events, then status, error and offset of one decode through `reader`.
+std::uint64_t decode_digest(BinaryTraceReader& reader) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  if (!reader.read_header())
+    return fold(fold(fold(h, "header error"), reader.error()),
+                reader.byte_offset());
+  OpRecord event;
+  BinaryTraceReader::Next status;
+  while ((status = reader.next(event)) == BinaryTraceReader::Next::kEvent) {
+    h = fold(h, event.ref.process);
+    h = fold(h, event.ref.index);
+    h = fold(h, static_cast<std::uint64_t>(event.op.kind));
+    h = fold(h, event.op.addr);
+    h = fold(h, static_cast<std::uint64_t>(event.op.value_read));
+    h = fold(h, static_cast<std::uint64_t>(event.op.value_written));
+  }
+  h = fold(h, status == BinaryTraceReader::Next::kEnd ? "end" : "error");
+  h = fold(h, reader.error());
+  return fold(h, reader.byte_offset());
+}
+
+/// Well-formed inputs the mutations start from: RMW and sync kinds,
+/// 5-byte addresses and 10-byte values, write orders, and two random
+/// traces, each in the canonical and the ordered encoding.
+std::vector<std::string> decode_corpus_bases() {
+  const Value lo = std::numeric_limits<Value>::min();
+  const Value hi = std::numeric_limits<Value>::max();
+  const Addr top = std::numeric_limits<Addr>::max();
+  Execution exec;
+  exec.add_history(ProcessHistory{
+      {W(0, 1), RW(0, 1, 2), Acq(7), R(top, lo), Rel(7), W(top, hi)}});
+  exec.add_history(ProcessHistory{{R(0, 2), RW(top, hi, lo), W(300, -5)}});
+  exec.add_history(ProcessHistory{{Acq(7), R(300, -5), R(0, 2)}});
+  exec.set_initial_value(top, lo);
+  exec.set_final_value(0, 2);
+  exec.set_final_value(top, lo);
+  WriteOrderLog orders;
+  orders[0] = {OpRef{0, 0}, OpRef{0, 1}};
+  orders[top] = {OpRef{0, 5}, OpRef{1, 1}};
+  std::vector<OpRef> interleaving;
+  for (std::uint32_t i = 0; i < 6; ++i)
+    for (std::uint32_t p = 0; p < 3; ++p)
+      if (i < exec.history(p).size()) interleaving.push_back(OpRef{p, i});
+
+  std::vector<std::string> bases = {
+      encode_binary(exec), encode_binary(exec, &orders),
+      encode_binary_ordered(exec, interleaving, &orders)};
+  for (const std::uint64_t seed : {31u, 32u}) {
+    Xoshiro256ss rng(seed);
+    workload::MultiAddressParams params;
+    params.num_processes = 4;
+    params.ops_per_process = 24;
+    params.num_addresses = 5;
+    params.num_values = seed == 31 ? 0 : 3;
+    params.rmw_fraction = 0.3;
+    const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
+    bases.push_back(encode_binary(trace.execution));
+    bases.push_back(encode_binary_ordered(trace.execution, trace.witness));
+  }
+  return bases;
+}
+
+/// A one-process trace: `before` three-byte reads in one block, then
+/// `spelled` (block-header and op bytes as given), then `after` reads in
+/// a block of their own and the terminator. The header declares
+/// `spelled_ops` ops for the spelled part.
+std::string spliced(std::string_view spelled, std::uint64_t spelled_ops,
+                    std::size_t before, std::size_t after) {
+  std::string out = header_bytes(kBinaryTraceVersion, kBinaryFlagOrdered, 1,
+                                 before + spelled_ops + after);
+  const auto filler_block = [&](std::size_t n) {
+    if (n == 0) return;
+    append_varint(out, 1);
+    append_varint(out, n);
+    for (std::size_t i = 0; i < n; ++i) out.append("\x00\x05\x00", 3);
+  };
+  filler_block(before);
+  out.append(spelled);
+  filler_block(after);
+  append_varint(out, 0);
+  return out;
+}
+
+/// Op and block-header spellings, well-formed and not, for splicing.
+/// Ops are preceded by a one-op block header for process 0.
+std::vector<std::pair<std::string, std::uint64_t>> spelled_pieces() {
+  const auto op = [](std::string_view body) {
+    return std::pair<std::string, std::uint64_t>(std::string("\x01\x01", 2) +
+                                                     std::string(body),
+                                                 1);
+  };
+  const std::string ten_ok = std::string(9, '\xff') + '\x01';
+  const std::string ten_over = std::string(9, '\xff') + '\x02';
+  const std::string ten_zero = std::string(9, '\xff') + '\x00';
+  const std::string eleven = std::string(10, '\xff') + '\x01';
+  std::string two_32, two_35;
+  append_varint(two_32, std::uint64_t{1} << 32);
+  append_varint(two_35, (std::uint64_t{1} << 35) + 9);
+  using namespace std::string_literals;
+  return {
+      // Well-formed ops of every kind and width.
+      op("\x00\x05\x00"s), op("\x01\x05\x02"s), op("\x02\x05\x02\x04"s),
+      op("\x03\x05"s), op("\x04\x07"s), op("\x00\xff\xff\xff\xff\x0f\x03"s),
+      op("\x01\x05"s + ten_ok), op("\x02\x05"s + ten_ok + ten_ok),
+      op("\x02\x05\x01"s + ten_ok),
+      // Bad kinds.
+      op("\x05\x05"s), op("\x09\x05\x00"s), op("\xff\x05\x00"s),
+      // Addresses above 2^32, oversized and non-minimal.
+      op("\x00"s + two_32 + "\x00"s), op("\x03"s + two_35),
+      op("\x00"s + ten_ok + "\x00"s), op("\x00"s + eleven + "\x00"s),
+      op("\x00\x85\x00\x00"s), op("\x00\x80\x00\x00"s),
+      // Values: 10-byte overflow, 11 bytes, non-minimal at 2 and 10 bytes.
+      op("\x01\x05"s + ten_over), op("\x00\x05"s + eleven),
+      op("\x01\x05\x80\x00"s), op("\x01\x05\x81\x80\x00"s),
+      op("\x00\x05"s + ten_zero), op("\x02\x05\x02"s + ten_over),
+      op("\x02\x05\x02\x80\x00"s),
+      // Block headers: non-minimal or oversized tag and count, process
+      // out of range, empty block, overrun, early terminator.
+      {"\x81\x00\x01\x00\x05\x00"s, 1}, {"\x01\x81\x00\x00\x05\x00"s, 1},
+      {ten_ok + "\x01\x00\x05\x00"s, 1}, {"\x01"s + eleven + "\x00\x05\x00"s, 1},
+      {"\x02\x01\x00\x05\x00"s, 1}, {"\x01\x00\x00\x05\x00"s, 1},
+      {"\x01\x02\x00\x05\x00"s, 1}, {"\x00"s, 1},
+      {"\x01\x03\x00\x05\x00\x03\x05\x04\x07"s, 3}};
+}
+
+struct DecodeDigest {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t inputs = 0;
+  std::size_t accepted = 0;
+  std::size_t mismatches = 0;
+
+  /// Decodes `bytes` in memory mode and through std::istream, whole and
+  /// split after `split` prefetched bytes; the three must agree.
+  void add(const std::string& bytes, std::size_t split) {
+    BinaryTraceReader memory{std::string_view(bytes)};
+    const std::uint64_t h = decode_digest(memory);
+    const bool clean = memory.at_clean_end();
+    std::istringstream whole(bytes);
+    BinaryTraceReader streamed(whole);
+    split = std::min(split, bytes.size());
+    std::istringstream rest(bytes.substr(split));
+    BinaryTraceReader prefetched(rest, std::string_view(bytes).substr(0, split));
+    if (decode_digest(streamed) != h || decode_digest(prefetched) != h)
+      ++mismatches;
+    ++inputs;
+    accepted += clean ? 1 : 0;
+    digest = fold(fold(digest, h), clean ? "clean" : "not clean");
+  }
+};
+
+TEST(BinaryFormat, DecodeEquivalence) {
+  DecodeDigest d;
+  Xoshiro256ss rng(3101);
+  for (const std::string& base : decode_corpus_bases()) {
+    ASSERT_FALSE(base.empty());
+    for (std::size_t len = 0; len <= base.size(); ++len)
+      d.add(base.substr(0, len), len / 2);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      for (const unsigned flip : {0x01u, 0x80u, 0xffu}) {
+        std::string corrupt = base;
+        corrupt[i] = static_cast<char>(static_cast<unsigned>(corrupt[i]) ^ flip);
+        d.add(corrupt, i);
+      }
+    }
+    // Random edits, half of them splicing a malformed varint.
+    for (std::size_t m = 0; m < 200; ++m) {
+      std::string text = base;
+      const std::size_t pos = rng.below(text.size() + 1);
+      switch (rng.below(4)) {
+        case 0: text.erase(pos, 1 + rng.below(4)); break;
+        case 1: text.insert(pos, 1, static_cast<char>(rng.below(256))); break;
+        case 2: text.insert(pos, std::string(9, '\xff') + '\x02'); break;
+        default: text.insert(pos, "\x80\x00", 2); break;
+      }
+      d.add(text, rng.below(text.size() + 1));
+    }
+  }
+  // Every spelling mid-buffer and at each distance from the end up to
+  // well past any decoder look-ahead, after zero and forty ops.
+  for (const auto& [spelled, ops] : spelled_pieces()) {
+    for (const std::size_t before : {0u, 40u}) {
+      for (std::size_t after = 0; after <= 24; ++after)
+        d.add(spliced(spelled, ops, before, after), 7 + after);
+      d.add(spliced(spelled, ops, before, 64), 0);
+    }
+  }
+  // A trace longer than the 64 KiB stream buffer, intact and with a flip
+  // on each byte around the first refill.
+  {
+    Xoshiro256ss trace_rng(33);
+    workload::MultiAddressParams params;
+    params.num_processes = 8;
+    params.ops_per_process = 3000;
+    params.num_addresses = 64;
+    params.num_values = 0;
+    params.rmw_fraction = 0.2;
+    const auto trace = workload::generate_sc(params, trace_rng);
+    const std::string big = encode_binary_ordered(trace.execution, trace.witness);
+    ASSERT_GT(big.size(), std::size_t{80} * 1024);
+    d.add(big, 4);
+    for (std::size_t i = 65536 - 40; i < 65536 + 40; ++i) {
+      std::string corrupt = big;
+      corrupt[i] = static_cast<char>(static_cast<unsigned>(corrupt[i]) ^ 0x80u);
+      d.add(corrupt, 4);
+    }
+  }
+
+  EXPECT_EQ(d.mismatches, 0u);
+  EXPECT_GT(d.accepted, d.inputs / 50);
+  EXPECT_LT(d.accepted, d.inputs / 2);
+  std::ostringstream got;
+  got << std::hex << "digest 0x" << d.digest << std::dec << " (" << d.accepted
+      << '/' << d.inputs << " inputs accepted)";
+  EXPECT_EQ(d.digest, 0xd920f99b8ee801e8ULL) << got.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -637,6 +876,135 @@ TEST(StreamOrdered, FlagsViolationsWithTypedEvidence) {
       final_result.report.first_violation()->result.incoherence();
   ASSERT_NE(final_evidence, nullptr);
   EXPECT_EQ(final_evidence->kind, certify::IncoherenceKind::kOrderFinalMismatch);
+}
+
+/// An ordered trace over the addresses `stride * a + offset`, with
+/// `faults` violations planted on distinct addresses, cycling through a
+/// fabricated read, an RMW that reads a stale value, and a final value
+/// no write stored.
+struct OrderedRun {
+  Execution exec;
+  Schedule order;
+};
+
+OrderedRun ordered_run(std::uint64_t seed, std::size_t addresses, Addr stride,
+                       Addr offset, std::size_t faults) {
+  Xoshiro256ss rng(seed);
+  workload::MultiAddressParams params;
+  params.num_processes = 4;
+  params.ops_per_process = 96;
+  params.num_addresses = addresses;
+  params.num_values = 0;
+  params.rmw_fraction = 0.3;
+  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
+  const auto moved = [&](Addr a) { return stride * a + offset; };
+  std::vector<std::vector<Operation>> histories;
+  for (const ProcessHistory& history : trace.execution.histories()) {
+    histories.emplace_back(history.ops());
+    for (Operation& op : histories.back()) op.addr = moved(op.addr);
+  }
+  OrderedRun run;
+  run.order = trace.witness;
+  std::unordered_map<Addr, Value> finals;
+  for (const auto& [addr, value] : trace.execution.final_values())
+    finals[moved(addr)] = value;
+
+  std::unordered_set<Addr> faulty;
+  for (std::size_t f = 0; f < faults; ++f) {
+    // The first eligible op at or after a random point of the witness.
+    const std::size_t kind = f % 3;
+    const std::size_t start = rng.below(run.order.size());
+    for (std::size_t s = 0; s < run.order.size(); ++s) {
+      const OpRef ref = run.order[(start + s) % run.order.size()];
+      Operation& op = histories[ref.process][ref.index];
+      if (faulty.contains(op.addr)) continue;
+      if (kind == 0 && op.kind == OpKind::kRead) {
+        op.value_read = 1'000'000 + static_cast<Value>(f);
+      } else if (kind == 1 && op.kind == OpKind::kRmw) {
+        op.value_read = -1 - static_cast<Value>(f);
+      } else if (kind == 2 && op.writes_memory()) {
+        finals[op.addr] = 2'000'000 + static_cast<Value>(f);
+      } else {
+        continue;
+      }
+      faulty.insert(op.addr);
+      break;
+    }
+  }
+  for (auto& ops : histories) run.exec.add_history(ProcessHistory(std::move(ops)));
+  for (const auto& [addr, value] : finals) run.exec.set_final_value(addr, value);
+  return run;
+}
+
+/// Each address's verdict and evidence from a fresh single-address
+/// OnlineCoherenceChecker fed that address's events in stream order.
+std::map<Addr, std::pair<vmc::Verdict, std::string>> fresh_replay(
+    const OrderedRun& run) {
+  std::map<Addr, std::vector<OpRef>> events;
+  for (const OpRef ref : run.order) {
+    const Operation& op = run.exec.op(ref);
+    if (!op.is_sync()) events[op.addr].push_back(ref);
+  }
+  std::map<Addr, std::pair<vmc::Verdict, std::string>> out;
+  for (const auto& [addr, refs] : events) {
+    vmc::OnlineCoherenceChecker checker(
+        static_cast<std::uint32_t>(run.exec.num_processes()),
+        {{addr, run.exec.initial_value(addr)}});
+    vmc::CheckResult result = vmc::CheckResult::yes({});
+    for (const OpRef ref : refs) {
+      if (checker.observe(ref.process, run.exec.op(ref))) continue;
+      const vmc::OnlineViolation& v = *checker.violation();
+      result = vmc::CheckResult::no(
+          v.kind == vmc::OnlineViolationKind::kRmwMismatch
+              ? certify::order_rmw_mismatch(addr, ref, {})
+              : certify::order_read_window(addr, ref, {}));
+      break;
+    }
+    const std::optional<Value> fin = run.exec.final_value(addr);
+    if (result.coherent() && fin && !checker.finish({{addr, *fin}}))
+      result = vmc::CheckResult::no(certify::order_final_mismatch(
+          addr, checker.violation()->last_value, *fin, {}));
+    out[addr] = {result.verdict, result.reason()};
+  }
+  return out;
+}
+
+TEST(StreamOrdered, ReusedVerifierMatchesFreshReplay) {
+  // Consecutive runs over different address sets reuse each shard's
+  // address slots; a slot that kept a window, an anchor, a latched
+  // violation or an address from an earlier run would show here as a
+  // verdict or evidence the fresh replay does not give.
+  const std::vector<OrderedRun> runs = {
+      ordered_run(41, 12, 1, 0, 6), ordered_run(42, 20, 3, 5, 0),
+      ordered_run(43, 9, 7, 2, 5), ordered_run(44, 16, 2, 1, 4),
+      ordered_run(42, 20, 3, 5, 0)};
+  stream::StreamOptions opts;
+  opts.shards = 2;
+  stream::StreamVerifier verifier(opts);
+  std::size_t incoherent = 0, coherent = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const std::string bytes = encode_binary_ordered(runs[r].exec, runs[r].order);
+    ASSERT_FALSE(bytes.empty());
+    BinaryTraceReader reader{std::string_view(bytes)};
+    const stream::StreamResult result = verifier.run(reader);
+    ASSERT_TRUE(result.ok()) << result.error;
+    ASSERT_TRUE(result.ordered);
+    const auto expected = fresh_replay(runs[r]);
+    ASSERT_EQ(result.report.addresses.size(), expected.size()) << "run " << r;
+    for (const vmc::AddressReport& report : result.report.addresses) {
+      const auto it = expected.find(report.addr);
+      ASSERT_NE(it, expected.end()) << "run " << r << " @a" << report.addr;
+      EXPECT_EQ(report.result.verdict, it->second.first)
+          << "run " << r << " @a" << report.addr;
+      EXPECT_EQ(report.result.reason(), it->second.second)
+          << "run " << r << " @a" << report.addr;
+      ++(report.result.verdict == vmc::Verdict::kIncoherent ? incoherent
+                                                            : coherent);
+    }
+  }
+  // Every planted fault is found, and the clean runs stay clean.
+  EXPECT_EQ(incoherent, 6u + 5u + 4u);
+  EXPECT_GT(coherent, 40u);
 }
 
 // ---------------------------------------------------------------------------
