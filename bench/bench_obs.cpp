@@ -3,7 +3,7 @@
 // all enabled — the most expensive configuration) vs the same work with
 // every recorder off — over the two hot paths the instrumentation
 // touches end to end: the single-caller routed verification loop and
-// the batched verification service.
+// the pooled verification service.
 //
 // This is a gate, not a report: the process exits 1 if either path pays
 // more than kMaxOverheadPct with observability on. Numbers land in

@@ -5,8 +5,8 @@
 // The one-shot baseline is a caller verifying the traces one after the
 // other on its own thread, with no queue, no cache lookup and no future.
 // It is measured once and reported at every grid point. The service runs
-// independent requests at once on its pool and batches them, so its
-// requests/s at workers=1 shows the service's fixed cost per request and
+// independent requests at once on its pool, so its requests/s at
+// workers=1 shows the service's fixed cost per request and
 // the higher worker counts show how far it scales on the host (the JSON
 // records hardware_concurrency). A second round replays the same traces
 // through the warm result cache. Numbers land in BENCH_service.json.
@@ -97,7 +97,6 @@ void BM_ServiceStream(benchmark::State& state) {
   const auto fleet = make_fleet(91);
   service::ServiceOptions options;
   options.workers = static_cast<std::size_t>(state.range(0));
-  options.max_batch = 16;
   service::VerificationService svc(options);
   for (auto _ : state)
     benchmark::DoNotOptimize(service_pass(svc, fleet, /*bypass_cache=*/true));
@@ -111,7 +110,6 @@ BENCHMARK(BM_ServiceStream)->Arg(1)->Arg(2)->Arg(4);
 
 struct GridPoint {
   std::size_t workers = 0;
-  std::size_t batch = 0;
   double service_sec = 0;
   double one_shot_sec = 0;
 };
@@ -124,40 +122,36 @@ void run_sweep() {
 
   std::vector<GridPoint> grid;
   TextTable table(
-      {"workers", "batch", "one-shot", "service", "one-shot r/s", "service r/s",
+      {"workers", "one-shot", "service", "one-shot r/s", "service r/s",
        "speedup"});
   char buf[64];
   const double one_shot_sec =
       best_of(kReps, [&] { return one_shot_pass(fleet); });
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t batch : {1u, 8u, 32u}) {
-      service::ServiceOptions options;
-      options.workers = workers;
-      options.max_batch = batch;
-      service::VerificationService svc(options);
-      // Warm pass, then timed best-of.
-      service_pass(svc, fleet, true);
-      const double service_sec =
-          best_of(kReps, [&] { return service_pass(svc, fleet, true); });
-      svc.shutdown();
-      grid.push_back({workers, batch, service_sec, one_shot_sec});
+    service::ServiceOptions options;
+    options.workers = workers;
+    service::VerificationService svc(options);
+    // Warm pass, then timed best-of.
+    service_pass(svc, fleet, true);
+    const double service_sec =
+        best_of(kReps, [&] { return service_pass(svc, fleet, true); });
+    svc.shutdown();
+    grid.push_back({workers, service_sec, one_shot_sec});
 
-      std::vector<std::string> row{std::to_string(workers),
-                                   std::to_string(batch)};
-      std::snprintf(buf, sizeof buf, "%.2f ms", one_shot_sec * 1e3);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof buf, "%.2f ms", service_sec * 1e3);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof buf, "%.0f",
-                    static_cast<double>(kNumTraces) / one_shot_sec);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof buf, "%.0f",
-                    static_cast<double>(kNumTraces) / service_sec);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof buf, "%.2fx", one_shot_sec / service_sec);
-      row.push_back(buf);
-      table.add_row(row);
-    }
+    std::vector<std::string> row{std::to_string(workers)};
+    std::snprintf(buf, sizeof buf, "%.2f ms", one_shot_sec * 1e3);
+    row.push_back(buf);
+    std::snprintf(buf, sizeof buf, "%.2f ms", service_sec * 1e3);
+    row.push_back(buf);
+    std::snprintf(buf, sizeof buf, "%.0f",
+                  static_cast<double>(kNumTraces) / one_shot_sec);
+    row.push_back(buf);
+    std::snprintf(buf, sizeof buf, "%.0f",
+                  static_cast<double>(kNumTraces) / service_sec);
+    row.push_back(buf);
+    std::snprintf(buf, sizeof buf, "%.2fx", one_shot_sec / service_sec);
+    row.push_back(buf);
+    table.add_row(row);
   }
   table.print(std::cout);
 
@@ -190,7 +184,6 @@ void run_sweep() {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const GridPoint& point = grid[i];
     json << "    {\"workers\": " << point.workers
-         << ", \"batch\": " << point.batch
          << ", \"one_shot_sec\": " << point.one_shot_sec
          << ", \"service_sec\": " << point.service_sec
          << ", \"one_shot_requests_per_sec\": "

@@ -98,8 +98,7 @@ void append_record_json(std::ostream& out, const FlightRecord& record) {
       << json_escape(record.verdict) << "\",\"start_ns\":" << record.start_ns
       << ",\"latency_nanos\":" << record.latency_nanos
       << ",\"timed_out\":" << (record.timed_out ? "true" : "false")
-      << ",\"cancelled\":" << (record.cancelled ? "true" : "false")
-      << ",\"shed\":" << (record.shed ? "true" : "false");
+      << ",\"cancelled\":" << (record.cancelled ? "true" : "false");
   const FlightEffort& e = record.effort;
   out << ",\"effort\":{\"states\":" << e.states
       << ",\"transitions\":" << e.transitions
@@ -144,8 +143,6 @@ const char* to_string(FlightEventKind kind) noexcept {
       return "tier_enter";
     case FlightEventKind::kTierVerdict:
       return "tier_verdict";
-    case FlightEventKind::kShed:
-      return "shed";
     case FlightEventKind::kCancelled:
       return "cancelled";
     case FlightEventKind::kDeadline:
@@ -221,8 +218,6 @@ std::uint64_t FlightScope::finish(const Summary& summary) {
     trigger = "deadline";
   } else if (summary.cancelled) {
     trigger = "cancelled";
-  } else if (summary.shed) {
-    trigger = "shed";
   } else if (summary.incoherent) {
     trigger = "incoherent";
   } else if (policy.latency_threshold_nanos != 0 &&
@@ -238,7 +233,6 @@ std::uint64_t FlightScope::finish(const Summary& summary) {
   record_.latency_nanos = summary.latency_nanos;
   record_.timed_out = summary.timed_out;
   record_.cancelled = summary.cancelled;
-  record_.shed = summary.shed;
   record_.effort = summary.effort;
 
   // This thread wrote every event in [begin_head_, head) — copy the

@@ -1,12 +1,12 @@
 #pragma once
 // Flight recorder: always-on, bounded capture of *why a specific
-// request was slow, shed, cancelled, or wrong* — the post-hoc
+// request was slow, cancelled, or wrong* — the post-hoc
 // complement to the aggregate metrics registry.
 //
 // Three layers:
 //
 // 1. **Per-thread event rings.** flight_event() appends a fixed-size
-//    structured event (tier transition, shed, deadline, solver restart,
+//    structured event (tier transition, deadline, solver restart,
 //    arena high-water, ...) to the calling thread's lock-free ring —
 //    a plain array plus one release-stored head counter, written only
 //    by the owning thread, overwriting oldest-first. Cost when enabled:
@@ -17,7 +17,7 @@
 //    its worker thread: it assigns the process-unique request id that
 //    events and spans attach to, and finish(summary) evaluates the
 //    global FlightPolicy — latency over threshold, verdict unknown or
-//    incoherent, shed, cancelled, timed out. A triggered request's
+//    incoherent, cancelled, timed out. A triggered request's
 //    full context (span tree via obs::Span, its window of ring events,
 //    effort/arena/saturation tallies) is copied into a FlightRecord
 //    and retained in a fixed-size slow-request log (oldest evicted),
@@ -49,7 +49,6 @@ enum class FlightEventKind : std::uint8_t {
   kRequestEnd,
   kTierEnter,      ///< router dispatched an address to a tier/decider
   kTierVerdict,    ///< that tier's outcome (detail = decider name)
-  kShed,           ///< stream backpressure dropped events
   kCancelled,
   kDeadline,       ///< deadline expired before a definite verdict
   kSolverRestart,  ///< CDCL restart
@@ -97,7 +96,7 @@ void flight_capture_span(const char* name, std::int64_t start_ns,
 void set_flight_enabled(bool on) noexcept;
 
 /// Capture policy evaluated at FlightScope::finish(). A request is
-/// retained when it hit its deadline, was cancelled or shed, got an
+/// retained when it hit its deadline, was cancelled, got an
 /// incoherent or unknown verdict, or was slow.
 struct FlightPolicy {
   /// Retain requests at or over this end-to-end latency; 0 disarms.
@@ -155,7 +154,6 @@ struct FlightRecord {
   std::uint64_t latency_nanos = 0;
   bool timed_out = false;
   bool cancelled = false;
-  bool shed = false;
   FlightEffort effort{};
   std::uint32_t num_events = 0;
   std::uint32_t num_spans = 0;
@@ -194,7 +192,6 @@ class FlightScope {
     bool incoherent = false;
     bool timed_out = false;
     bool cancelled = false;
-    bool shed = false;
     std::uint64_t latency_nanos = 0;
     FlightEffort effort{};
   };

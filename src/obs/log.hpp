@@ -8,8 +8,8 @@
 // statements can sit on hot paths. Rate limiting is per site via GCRA —
 // a single atomic "theoretical arrival time" per site, no token
 // counters, no background refill thread — so a misbehaving site
-// (e.g. a shed storm) degrades to a bounded trickle plus a suppression
-// count instead of an unbounded log flood.
+// (e.g. a storm of unknown verdicts) degrades to a bounded trickle plus
+// a suppression count instead of an unbounded log flood.
 //
 // Accepted events are fixed-size frames (static-string message and
 // keys, bounded numeric fields, two bounded inline string copies)

@@ -102,7 +102,7 @@ void count_dropped_span() {
 Span::Span(const char* name) {
   // Active when the global tracer collects OR the calling thread is
   // inside a flight-recorder capture window (span trees for retained
-  // slow/shed/wrong requests work with tracing off).
+  // slow/wrong requests work with tracing off).
   if (!tracing_enabled() && !detail::flight_spans_wanted()) return;
   ThreadState& state = local_state();
   active_ = true;

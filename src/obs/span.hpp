@@ -23,7 +23,7 @@
 // Spans are additionally collected — independent of the global tracing
 // switch — while the calling thread is inside an active
 // obs::FlightScope: the finished span is copied into that request's
-// flight-recorder scratch so a captured slow/shed/wrong request carries
+// flight-recorder scratch so a captured slow/wrong request carries
 // its own span tree (see obs/flight.hpp).
 
 #include <cstdint>

@@ -131,8 +131,10 @@ struct VerificationResponse {
   std::string tag;
   std::size_t num_operations = 0;
   std::size_t num_addresses = 0;
-  double queue_micros = 0;  ///< submission -> dispatch to a worker
-  double run_micros = 0;    ///< dispatch -> verdict
+  /// Submission -> a pool worker picks the request up: the whole wait
+  /// in the pool's queue.
+  double queue_micros = 0;
+  double run_micros = 0;  ///< worker pickup -> verdict
   /// Solver effort behind this verdict: per-address exact-search
   /// states/transitions/prunes summed, peak frontier maxed. All zero
   /// when every address routed polynomially (the cheap-path signature)
@@ -164,7 +166,7 @@ struct VerificationResponse {
   /// form yet).
   std::vector<certify::Certificate> certificates;
   /// Flight-recorder record id when this request tripped the capture
-  /// policy (slow / unknown / incoherent / shed / cancelled); 0 when not
+  /// policy (slow / unknown / incoherent / cancelled / deadline); 0 when not
   /// captured. The record is retrievable via obs::flight_record_for and
   /// `vermemd --flight-out` while it stays resident.
   std::uint64_t flight_id = 0;

@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -93,15 +92,13 @@ constexpr obs::RequestKind kind_of(CheckMode mode) noexcept {
 /// or RouteTally itself).
 obs::FlightScope::Summary flight_summary(const VerificationResponse& response,
                                          std::uint64_t latency_nanos,
-                                         const analysis::RouteTally& routing,
-                                         bool shed = false) {
+                                         const analysis::RouteTally& routing) {
   obs::FlightScope::Summary summary;
   summary.verdict = vmc::to_string(response.verdict);
   summary.unknown = response.verdict == vmc::Verdict::kUnknown;
   summary.incoherent = response.verdict == vmc::Verdict::kIncoherent;
   summary.timed_out = response.timed_out;
   summary.cancelled = response.cancelled;
-  summary.shed = shed;
   summary.latency_nanos = latency_nanos;
   const vmc::SearchStats& stats = response.effort;
   obs::FlightEffort& out = summary.effort;
@@ -162,7 +159,6 @@ std::string ServiceStats::to_prometheus() const {
   counter("vermem_service_lint_warnings_total", lint_warnings);
   counter("vermem_service_streamed_total", streamed);
   counter("vermem_service_stream_events_total", stream_events);
-  counter("vermem_service_stream_shed_events_total", stream_shed);
   counter("vermem_service_effort_states_total", effort.states_visited);
   counter("vermem_service_effort_transitions_total", effort.transitions);
   counter("vermem_service_effort_prunes_total", effort.prunes);
@@ -196,7 +192,6 @@ struct VerificationService::Accounting {
   obs::RequestKind kind = obs::RequestKind::kCoherence;
   std::uint64_t latency_nanos = 0;
   analysis::RouteTally routing;
-  std::uint64_t shed_events = 0;  ///< streamed runs only
 };
 
 struct VerificationService::Slot {
@@ -210,9 +205,9 @@ struct VerificationService::Slot {
   std::uint64_t fingerprint = 0;
   std::uint64_t cache_key = 0;
   bool cacheable = false;  ///< cache enabled and not bypassed
-  /// Built by the dispatcher at batch-scheduling time, reused by the
-  /// checkers. Borrows request.execution, which lives in this Slot and
-  /// never moves after construction.
+  /// Built by the worker at the top of execute(), reused by the checkers
+  /// and the analyzer. Borrows request.execution, which lives in this
+  /// Slot and never moves after construction.
   std::optional<AddressIndex> index;
   /// Filled by execute(), completed and consumed by respond().
   Accounting accounting;
@@ -222,8 +217,7 @@ VerificationService::VerificationService(ServiceOptions options)
     : options_(options),
       cache_(options.cache_capacity),
       slo_(options.slo),
-      pool_(options.workers),
-      dispatcher_([this] { dispatcher_loop(); }) {}
+      pool_(options.workers) {}
 
 VerificationService::~VerificationService() { shutdown(); }
 
@@ -256,7 +250,6 @@ VerificationService::Ticket VerificationService::submit(
 
   std::optional<CachedVerdict> cached;
   bool rejected = false;
-  bool wake_dispatcher = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.submitted;
@@ -266,10 +259,9 @@ VerificationService::Ticket VerificationService::submit(
       ++counters_.cache_hits;
     } else {
       if (slot->cacheable) ++counters_.cache_misses;
-      pending_.push_back(slot);
-      // The dispatcher only parks on an empty queue, so only the
-      // empty->non-empty transition needs a signal.
-      wake_dispatcher = pending_.size() == 1;
+      // Posting under mutex_, after the shutting_down_ check, orders every
+      // post before shutdown()'s pool_.shutdown(), so none can throw.
+      pool_.post([this, slot] { run_request(slot); });
     }
   }
 
@@ -292,61 +284,12 @@ VerificationService::Ticket VerificationService::submit(
     response.num_operations = slot->request.execution.num_operations();
     response.num_addresses = cached->num_addresses;
     respond(*slot, std::move(response));
-    return ticket;
   }
-  if (wake_dispatcher) pending_available_.notify_one();
   return ticket;
 }
 
-void VerificationService::dispatcher_loop() {
-  while (true) {
-    std::vector<std::shared_ptr<Slot>> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      pending_available_.wait(
-          lock, [this] { return shutting_down_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // shutting down and drained
-      while (!pending_.empty() && batch.size() < options_.max_batch) {
-        batch.push_back(std::move(pending_.front()));
-        pending_.pop_front();
-      }
-    }
-
-    obs::Span span("service.batch");
-    if (span.active()) span.attr("requests", batch.size());
-    if (obs::enabled()) {
-      static const obs::Histogram batch_size =
-          obs::histogram("vermem_service_batch_size");
-      batch_size.observe(batch.size());
-    }
-    static const obs::LogSite batch_site = obs::log_site("service.batch");
-    if (batch_site.should(obs::LogLevel::kDebug))
-      obs::LogLine(batch_site, obs::LogLevel::kDebug, "dispatching batch")
-          .field("requests", batch.size());
-
-    // One O(n) indexing pass per request now; the checkers reuse it, and
-    // its op totals drive size-aware dispatch below. Cancelled requests
-    // skip the pass — run_request resolves them without touching it.
-    for (const auto& slot : batch)
-      if (!slot->token->cancelled()) slot->index.emplace(slot->request.execution);
-
-    // Largest first: the batch's heavy requests start immediately instead
-    // of landing behind a convoy of cheap ones on a busy pool.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const std::shared_ptr<Slot>& a,
-                        const std::shared_ptr<Slot>& b) {
-                       return a->request.execution.num_operations() >
-                              b->request.execution.num_operations();
-                     });
-
-    for (auto& slot : batch) {
-      slot->dispatched = Stopwatch::Clock::now();
-      pool_.post([this, slot = std::move(slot)] { run_request(slot); });
-    }
-  }
-}
-
 void VerificationService::run_request(const std::shared_ptr<Slot>& slot) {
+  slot->dispatched = Stopwatch::Clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // A shut-down service resolves the request as cancelled below.
@@ -377,6 +320,10 @@ VerificationResponse VerificationService::execute(Slot& slot) {
   VerificationResponse response;
   [&] {
   obs::Span span("service.request");
+  Stopwatch run_timer;
+  // One O(n) indexing pass; the checkers and the analyzer reuse it. A
+  // cancelled request skips it and resolves below without touching it.
+  if (!slot.token->cancelled()) slot.index.emplace(slot.request.execution);
   response.tag = slot.request.tag;
   response.fingerprint = slot.fingerprint;
   response.num_operations = slot.request.execution.num_operations();
@@ -387,7 +334,6 @@ VerificationResponse VerificationService::execute(Slot& slot) {
     span.attr("addresses", response.num_addresses);
     span.attr("mode", to_string(slot.request.mode));
   }
-  Stopwatch run_timer;
 
   if (slot.token->cancelled()) {
     response.cancelled = true;
@@ -541,8 +487,8 @@ VerificationResponse VerificationService::verify_stream(
     BinaryTraceReader& reader, StreamRequest request) {
   // Scope before span: the stream's span tree (reader loop, shard joins)
   // must land inside the capture window. Shard-thread events stay on
-  // their own rings; the caller thread summarizes shed/backpressure
-  // below so a retained record is self-explaining.
+  // their own rings; the caller thread records the deadline/cancel
+  // outcome below so a retained record is self-explaining.
   obs::FlightScope flight("stream", request.tag);
   Stopwatch run_timer;
   VerificationResponse response;
@@ -606,17 +552,6 @@ VerificationResponse VerificationService::verify_stream(
     }
   }
 
-  if (result.shed_events > 0) {
-    obs::flight_event(obs::FlightEventKind::kShed,
-                      "stream backpressure shed events", result.shed_events);
-    static const obs::LogSite shed_site = obs::log_site("stream.shed");
-    if (shed_site.should(obs::LogLevel::kWarn))
-      obs::LogLine(shed_site, obs::LogLevel::kWarn,
-                   "stream shed events under backpressure")
-          .field("shed", result.shed_events)
-          .field("events", result.events)
-          .field("tag", std::string_view(response.tag));
-  }
   if (response.timed_out)
     obs::flight_event(obs::FlightEventKind::kDeadline,
                       "stream deadline expired");
@@ -626,11 +561,10 @@ VerificationResponse VerificationService::verify_stream(
       static_cast<std::uint64_t>(response.run_micros * 1e3);
   if (flight.active())
     response.flight_id = flight.finish(flight_summary(
-        response, latency_nanos, result.routing, result.shed_events > 0));
+        response, latency_nanos, result.routing));
   account(response, Accounting{.kind = obs::RequestKind::kStream,
                                .latency_nanos = latency_nanos,
-                               .routing = std::move(result.routing),
-                               .shed_events = result.shed_events});
+                               .routing = std::move(result.routing)});
   return response;
 }
 
@@ -678,10 +612,7 @@ void VerificationService::account(const VerificationResponse& response,
     counters_.routing.merge(accounting.routing);
     if (response.analyzed)
       counters_.lint_warnings += response.analysis.warning_count;
-    if (streamed) {
-      counters_.stream_events += response.num_operations;
-      counters_.stream_shed += accounting.shed_events;
-    }
+    if (streamed) counters_.stream_events += response.num_operations;
   }
   slo_.record(accounting.kind, accounting.latency_nanos,
               response.verdict == vmc::Verdict::kUnknown, response.flight_id);
@@ -700,7 +631,7 @@ ServiceStats VerificationService::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     out = counters_;
-    out.queue_depth = pending_.size();
+    out.queue_depth = pool_.queue_depth();
     out.in_flight = active_.size();
     out.cache_entries = cache_.size();
   }
@@ -729,29 +660,15 @@ ServiceStats VerificationService::stats() const {
 }
 
 void VerificationService::shutdown() {
-  std::deque<std::shared_ptr<Slot>> orphaned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!shutting_down_) {
-      shutting_down_ = true;
-      orphaned.swap(pending_);
-      // In-flight requests notice through their tokens at the next
-      // cooperative check and resolve promptly as cancelled/unknown.
-      for (Slot* slot : active_) slot->token->cancel();
-    }
+    shutting_down_ = true;
+    // In-flight requests notice through their tokens at the next
+    // cooperative check and resolve promptly as cancelled/unknown.
+    for (Slot* slot : active_) slot->token->cancel();
   }
-  pending_available_.notify_all();
-  for (const auto& slot : orphaned) {
-    slot->token->cancel();
-    VerificationResponse response;
-    response.cancelled = true;
-    response.reason = "service shut down before dispatch";
-    response.tag = slot->request.tag;
-    response.fingerprint = slot->fingerprint;
-    response.num_operations = slot->request.execution.num_operations();
-    respond(*slot, std::move(response));
-  }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // The pool drains its queue: run_request resolves each request still
+  // queued as cancelled without running it.
   pool_.shutdown();
 }
 

@@ -5,32 +5,27 @@
 // one-shot library call.
 //
 // Architecture: submit() fingerprints the trace and consults an LRU
-// result cache; a miss enqueues the request. A dispatcher thread drains
-// the queue in batches of up to max_batch, builds each request's
-// single-pass AddressIndex (the same pass later reused by the checkers),
-// sorts the batch largest-trace-first — size-aware scheduling, so one
-// fat request cannot convoy a batch of small ones behind it — and posts
-// each request to a persistent ThreadPool. Per-request deadlines and
-// cooperative cancellation are plumbed into every decision procedure
-// (exact VMC/SC search, SAT, model search); a request that cannot finish
-// resolves to kUnknown with a structured reason, it never hangs and
-// never stalls other requests. Definite verdicts are cached by trace
-// fingerprint + mode.
+// result cache; a miss posts the request straight to a persistent
+// ThreadPool, which runs requests FIFO on whichever worker frees up
+// first. The worker builds the request's single-pass AddressIndex (the
+// same pass the checkers and the analyzer reuse) and runs it.
+// Per-request deadlines and cooperative cancellation are plumbed into
+// every decision procedure (exact VMC/SC search, SAT, model search); a
+// request that cannot finish resolves to kUnknown with a structured
+// reason, it never hangs and never stalls other requests. Definite
+// verdicts are cached by trace fingerprint + mode.
 //
 // Thread-safety: submit(), cancel via Ticket, stats(), and shutdown()
 // may be called concurrently from any thread. Every submitted request's
-// future is eventually resolved, including across shutdown (pending and
+// future is eventually resolved, including across shutdown (queued and
 // in-flight requests resolve as cancelled).
 
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -47,7 +42,9 @@ namespace vermem::service {
 
 struct ServiceOptions {
   std::size_t workers = 0;        ///< pool size; 0 = hardware concurrency
-  std::size_t max_batch = 16;     ///< requests drained per scheduling round
+  /// Ignored: requests go straight to the pool. Kept only so existing
+  /// callers that still set it compile.
+  std::size_t max_batch = 16;
   std::size_t cache_capacity = 1024;  ///< result-cache entries; 0 disables
   /// Rolling-window SLO accounting (per-kind error budgets and latency
   /// objectives; see obs/slo.hpp). Always on — recording is one short
@@ -67,8 +64,8 @@ struct ServiceStats {
   std::uint64_t coherent = 0;    ///< responses with verdict kCoherent
   std::uint64_t incoherent = 0;
   std::uint64_t unknown = 0;
-  std::size_t queue_depth = 0;   ///< submitted, not yet dispatched
-  std::size_t in_flight = 0;     ///< dispatched, not yet resolved
+  std::size_t queue_depth = 0;   ///< queued in the pool, not yet picked up
+  std::size_t in_flight = 0;     ///< picked up by a worker, not yet resolved
   std::size_t cache_entries = 0;
   /// End-to-end latency estimates from the log-bucketed histogram
   /// (exact to within a factor of 2 per bucket; see obs/metrics.hpp).
@@ -88,14 +85,12 @@ struct ServiceStats {
   analysis::RouteTally routing;
   /// Warning-severity lint diagnostics emitted by analyze requests.
   std::uint64_t lint_warnings = 0;
-  /// Streaming ingestion (verify_stream): runs served, operations
-  /// ingested, and events dropped under shed backpressure. Streamed runs
-  /// stay out of submitted/completed/timed_out/cancelled (they never pass
+  /// Streaming ingestion (verify_stream): runs served and operations
+  /// ingested. Streamed runs stay out of submitted/completed/timed_out/cancelled (they never pass
   /// through the queue) but their verdicts and routing provenance fold
   /// into the shared counters above.
   std::uint64_t streamed = 0;
   std::uint64_t stream_events = 0;
-  std::uint64_t stream_shed = 0;
   /// Per-request-kind latency breakdown (coherence / vscc / consistency
   /// / stream), recorded once per response. stats() derives completed,
   /// latency_nanos and p50/p99_micros from the queued kinds, streamed
@@ -184,9 +179,9 @@ class VerificationService {
 
   [[nodiscard]] ServiceStats stats() const;
 
-  /// Stops intake and the dispatcher, resolves queued requests as
-  /// cancelled, cancels in-flight requests cooperatively, and joins all
-  /// threads. Idempotent; also run by the destructor.
+  /// Stops intake, cancels in-flight requests cooperatively, resolves
+  /// requests still queued in the pool as cancelled, and joins the
+  /// workers. Idempotent; also run by the destructor.
   void shutdown();
 
   [[nodiscard]] std::size_t num_workers() const noexcept {
@@ -197,7 +192,6 @@ class VerificationService {
   struct Slot;
   struct Accounting;
 
-  void dispatcher_loop();
   void run_request(const std::shared_ptr<Slot>& slot);
   VerificationResponse execute(Slot& slot);
   void respond(Slot& slot, VerificationResponse&& response);
@@ -209,11 +203,9 @@ class VerificationService {
   ServiceOptions options_;
 
   mutable std::mutex mutex_;
-  std::condition_variable pending_available_;
-  std::deque<std::shared_ptr<Slot>> pending_;  // guarded by mutex_
-  std::unordered_set<Slot*> active_;           // dispatched, unresolved
-  ResultCache cache_;                          // guarded by mutex_
-  bool shutting_down_ = false;                 // guarded by mutex_
+  std::unordered_set<Slot*> active_;  // picked up, unresolved; guarded by mutex_
+  ResultCache cache_;                 // guarded by mutex_
+  bool shutting_down_ = false;        // guarded by mutex_; no post after it
 
   // Monotonic counters (including the per-kind latency histograms and
   // effort aggregate embedded in ServiceStats), guarded by mutex_ and
@@ -224,7 +216,6 @@ class VerificationService {
   obs::SloTracker slo_;
 
   ThreadPool pool_;
-  std::thread dispatcher_;
 
   // Pooled streaming pipeline: shard queues, arenas, and per-address
   // slots persist across verify_stream calls (the shard threads are

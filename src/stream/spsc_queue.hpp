@@ -17,8 +17,7 @@
 // after construction.
 //
 // Capacity is rounded up to a power of two; "full" applies backpressure
-// at the producer (the caller decides whether to spin or shed — see
-// StreamOptions::backpressure).
+// at the producer, which waits for the consumer to free a slot.
 
 #include <atomic>
 #include <cstddef>

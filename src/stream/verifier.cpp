@@ -7,11 +7,8 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "obs/flight.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "stream/spsc_queue.hpp"
@@ -376,8 +373,6 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
       obs::counter("vermem_stream_events_total");
   static const obs::Counter blocks_total =
       obs::counter("vermem_stream_blocks_total");
-  static const obs::Counter shed_total =
-      obs::counter("vermem_stream_shed_events_total");
   static const obs::Counter violations_total =
       obs::counter("vermem_stream_violations_total");
   runs.add();
@@ -404,7 +399,6 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
 
   const std::size_t num_shards = shards_.size();
   std::vector<EventBlock*> open(num_shards, nullptr);
-  std::unordered_set<Addr> shed_addrs;
   OpRecord event;
   bool decode_error = false;
   bool cancelled = false;
@@ -430,28 +424,9 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
     if (block == nullptr) {
       block = shards_[s]->queue.begin_push();
       if (block == nullptr) {
-        if (options_.backpressure == BackpressurePolicy::kShed) {
-          ++out.shed_events;
-          if (shed_addrs.insert(event.op.addr).second) {
-            // First shed for this address: one flight breadcrumb + a
-            // rate-limited warning (a shed storm degrades to a trickle
-            // plus a suppression count, never a log flood).
-            obs::flight_event(obs::FlightEventKind::kShed, "queue full",
-                              static_cast<std::uint64_t>(event.op.addr),
-                              static_cast<std::uint64_t>(s));
-            static const obs::LogSite shed_site =
-                obs::log_site("stream.backpressure", 8.0, 16.0);
-            if (shed_site.should(obs::LogLevel::kWarn))
-              obs::LogLine(shed_site, obs::LogLevel::kWarn,
-                           "shedding events for address (shard queue full)")
-                  .field("addr", static_cast<std::uint64_t>(event.op.addr))
-                  .field("shard", static_cast<std::uint64_t>(s));
-          }
-          continue;
-        }
-        // kBlock: bounded memory means the reader waits for the slowest
-        // shard. No deadlock — the shard only stops draining after the
-        // last block, which has not been sent yet.
+        // Bounded memory means the reader waits for the slowest shard.
+        // No deadlock — the shard only stops draining after the last
+        // block, which has not been sent yet.
         do {
           if (options_.exact.interrupted()) {
             cancelled = true;
@@ -522,10 +497,6 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
 
   events_total.add(out.events);
   blocks_total.add(out.blocks);
-  if (out.shed_events != 0) {
-    shed_total.add(out.shed_events);
-    out.degraded = true;
-  }
 
   if (decode_error) {
     out.error = reader.error();
@@ -533,25 +504,6 @@ StreamResult StreamVerifier::run(BinaryTraceReader& reader) {
     out.report.verdict = Verdict::kUnknown;
     if (span.active()) span.attr("error", "decode");
     return out;
-  }
-
-  // Shed addresses can never keep a definite verdict: the shard saw an
-  // incomplete event set for them.
-  if (!shed_addrs.empty()) {
-    std::unordered_set<Addr> still_missing = shed_addrs;
-    for (vmc::AddressReport& report : merged) {
-      if (shed_addrs.contains(report.addr)) {
-        report.result = CheckResult::unknown(
-            certify::UnknownReason::kBudget,
-            "events shed under backpressure (queue full)");
-        still_missing.erase(report.addr);
-      }
-    }
-    for (const Addr addr : still_missing)
-      merged.push_back(
-          {addr, CheckResult::unknown(
-                     certify::UnknownReason::kBudget,
-                     "events shed under backpressure (queue full)")});
   }
 
   std::sort(merged.begin(), merged.end(),

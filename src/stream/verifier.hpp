@@ -40,13 +40,12 @@
 //    every process keeps touching the address (the window GC needs every
 //    process's anchor to advance).
 //
-// Backpressure is explicit: when a shard's ring is full the reader
-// either blocks (kBlock, the default — bounded memory, wire-speed
-// throttled by the slowest shard) or sheds the event (kShed — the
-// affected addresses degrade to kUnknown, never to a wrong verdict).
-// Cancellation/deadline (search::Limits) is checked by the reader
-// and by every shard; a run interrupted mid-ingest reports its
-// addresses as skipped, identical to the batch path's convention.
+// Backpressure: when a shard's ring is full the reader blocks, so
+// memory stays bounded and ingest runs at the slowest shard's speed; no
+// event is ever dropped. Cancellation/deadline (search::Limits) is
+// checked by the reader and by every shard; a run interrupted mid-ingest
+// reports its addresses as skipped, identical to the batch path's
+// convention.
 
 #include <array>
 #include <cstdint>
@@ -61,11 +60,6 @@
 
 namespace vermem::stream {
 
-enum class BackpressurePolicy : std::uint8_t {
-  kBlock,  ///< reader spins when a shard ring is full (bounded memory)
-  kShed,   ///< reader drops events; affected addresses become kUnknown
-};
-
 struct StreamOptions {
   /// Checker shards (and threads). 0 = min(hardware_concurrency / 2, 8),
   /// at least 1.
@@ -73,7 +67,6 @@ struct StreamOptions {
   /// Per-shard ring capacity in event blocks (rounded up to a power of
   /// two). Together with the block size this bounds queued bytes.
   std::size_t queue_blocks = 64;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Budget / deadline / cancellation for the per-address checks; the
   /// deadline and cancel token also govern the ingest loop itself.
   search::Limits exact;
@@ -104,7 +97,9 @@ struct StreamResult {
   // Pipeline accounting.
   std::uint64_t events = 0;            ///< operations ingested (incl. sync)
   std::uint64_t blocks = 0;            ///< queue blocks published
-  std::uint64_t shed_events = 0;       ///< dropped under kShed backpressure
+  /// Always 0: the reader never drops events. Kept only for callers
+  /// that still report it.
+  std::uint64_t shed_events = 0;
   std::uint64_t queue_peak_blocks = 0; ///< max observed ring occupancy
   /// Peak bytes of pipeline-owned state: ring storage plus, per mode,
   /// arena high water (complete) or the online checkers' retained write
@@ -115,7 +110,6 @@ struct StreamResult {
 
   bool ordered = false;     ///< the header's ordered flag: which mode ran
   bool cancelled = false;   ///< deadline/cancel interrupted the run
-  bool degraded = false;    ///< kShed dropped events somewhere
   std::size_t shards_used = 0;
 
   /// Non-empty on a malformed stream (typed decoder error); the report
@@ -145,13 +139,12 @@ class StreamVerifier {
   /// Convenience: wraps `in` in a BinaryTraceReader with options.limits.
   [[nodiscard]] StreamResult run(std::istream& in);
 
-  /// Updates the per-run policy (backpressure, exact options,
-  /// decode limits) for subsequent run() calls. The structural fields —
-  /// shard count and queue capacity — are fixed at construction and
+  /// Updates the per-run policy (exact options, decode limits) for
+  /// subsequent run() calls. The structural fields — shard count and
+  /// queue capacity — are fixed at construction and
   /// keep their constructed values; a pooling caller (the verification
   /// service) rebuilds the verifier when those change.
   void set_options(const StreamOptions& options) {
-    options_.backpressure = options.backpressure;
     options_.exact = options.exact;
     options_.limits = options.limits;
   }

@@ -8,8 +8,8 @@
 // scheduling, so ThreadPool keeps the workers alive: tasks are closures
 // pushed onto a mutex+condvar queue, executed FIFO by whichever worker
 // frees up first. Deliberately small: no work stealing, no priorities
-// (callers order their own submissions — the verification service sorts
-// each batch largest-first before posting), no task dependencies.
+// (the verification service posts each request as it is submitted), no
+// task dependencies.
 //
 // Lifecycle: shutdown() (also run by the destructor) stops intake, runs
 // every task already queued, and joins. post() after shutdown throws.

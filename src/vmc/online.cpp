@@ -128,20 +128,6 @@ bool OnlineCoherenceChecker::observe(std::uint32_t process, const Operation& op)
   return true;
 }
 
-void OnlineCoherenceChecker::reset() {
-  states_.clear();
-  violation_.reset();
-  stats_ = OnlineStats{};
-}
-
-void OnlineCoherenceChecker::reset(
-    std::uint32_t num_processes,
-    std::unordered_map<Addr, Value> initial_values) {
-  num_processes_ = num_processes;
-  initials_ = std::move(initial_values);
-  reset();
-}
-
 bool OnlineCoherenceChecker::finish(
     const std::unordered_map<Addr, Value>& final_values) {
   if (violation_) return false;

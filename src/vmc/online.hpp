@@ -132,16 +132,6 @@ class OnlineCoherenceChecker {
   /// Optional end-of-run check against recorded final values.
   bool finish(const std::unordered_map<Addr, Value>& final_values);
 
-  /// Returns the checker to its freshly-constructed state — clears all
-  /// per-address windows, the latched violation, and the stats — keeping
-  /// the registered process count and initial values, so one instance
-  /// can check trace after trace without being reallocated.
-  void reset();
-  /// Same, but also re-seeds the process count and initial values, so one
-  /// pooled instance can serve traces of any shape.
-  void reset(std::uint32_t num_processes,
-             std::unordered_map<Addr, Value> initial_values);
-
   [[nodiscard]] bool ok() const noexcept { return !violation_.has_value(); }
   [[nodiscard]] const std::optional<OnlineViolation>& violation() const noexcept {
     return violation_;

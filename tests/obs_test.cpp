@@ -672,12 +672,12 @@ TEST_F(FlightTest, SlowRequestIsRetainedWithEventsAndSpans) {
             0u);
 }
 
-TEST_F(FlightTest, VerdictAndShedTriggersRetain) {
+TEST_F(FlightTest, VerdictAndCancelTriggersRetain) {
   FlightPolicy policy;
   policy.latency_threshold_nanos = 0;  // disarm the slow trigger
   set_flight_policy(policy);
   std::uint64_t incoherent_id = 0;
-  std::uint64_t shed_id = 0;
+  std::uint64_t cancelled_id = 0;
   {
     FlightScope scope("coherence", "bad");
     FlightScope::Summary summary;
@@ -686,21 +686,23 @@ TEST_F(FlightTest, VerdictAndShedTriggersRetain) {
     incoherent_id = scope.finish(summary);
   }
   {
-    FlightScope scope("stream", "backpressure");
-    flight_event(FlightEventKind::kShed, "queue full", 17);
+    FlightScope scope("stream", "withdrawn");
+    flight_event(FlightEventKind::kCancelled, "stream cancelled");
     FlightScope::Summary summary;
-    summary.verdict = "coherent";
-    summary.shed = true;
-    shed_id = scope.finish(summary);
+    summary.verdict = "unknown";
+    summary.unknown = true;
+    summary.cancelled = true;
+    cancelled_id = scope.finish(summary);
   }
   FlightRecord record;
   ASSERT_TRUE(flight_record_for(incoherent_id, &record));
   EXPECT_STREQ(record.trigger, "incoherent");
-  ASSERT_TRUE(flight_record_for(shed_id, &record));
-  EXPECT_STREQ(record.trigger, "shed");
-  EXPECT_TRUE(record.shed);
+  ASSERT_TRUE(flight_record_for(cancelled_id, &record));
+  // The cancel outranks the unknown verdict it caused.
+  EXPECT_STREQ(record.trigger, "cancelled");
+  EXPECT_TRUE(record.cancelled);
   EXPECT_EQ(flight_retained_total(), 2u);
-  EXPECT_GT(shed_id, incoherent_id);  // ids are process-unique, monotonic
+  EXPECT_GT(cancelled_id, incoherent_id);  // ids are process-unique, monotonic
 }
 
 TEST_F(FlightTest, DisabledScopeIsInert) {

@@ -122,54 +122,6 @@ TEST(Online, UnregisteredProcessRejected) {
   EXPECT_FALSE(checker.observe(5, W(0, 1)));
 }
 
-TEST(Online, ResetClearsLatchedViolationAndStats) {
-  OnlineCoherenceChecker checker(2, {{0, 7}});
-  EXPECT_TRUE(checker.observe(0, W(0, 1)));
-  EXPECT_FALSE(checker.observe(1, R(0, 9)));  // latch a violation
-  ASSERT_TRUE(checker.violation().has_value());
-
-  checker.reset();
-  EXPECT_TRUE(checker.ok());
-  EXPECT_FALSE(checker.violation().has_value());
-  EXPECT_EQ(checker.stats().events, 0u);
-  EXPECT_EQ(checker.stats().retained_entries, 0u);
-  // Process count and initial values survive a plain reset: the seeded
-  // initial value is readable again, and the old run's writes are gone.
-  EXPECT_TRUE(checker.observe(1, R(0, 7)));
-  EXPECT_FALSE(checker.observe(1, R(0, 1)));
-}
-
-TEST(Online, ResetReusesInstanceAcrossTraces) {
-  // One pooled instance serving traces back-to-back must behave like a
-  // fresh allocation for each.
-  Xoshiro256ss rng(11);
-  OnlineCoherenceChecker pooled(1);
-  for (int trial = 0; trial < 10; ++trial) {
-    workload::SingleAddressParams params;
-    params.num_histories = 2 + rng.below(4);
-    params.ops_per_history = 4 + rng.below(12);
-    params.num_values = 2 + rng.below(4);
-    const auto trace = workload::generate_coherent(params, rng);
-    pooled.reset(static_cast<std::uint32_t>(trace.execution.num_processes()),
-                 {trace.execution.initial_values().begin(),
-                  trace.execution.initial_values().end()});
-    for (const OpRef ref : trace.witness)
-      ASSERT_TRUE(pooled.observe(ref.process, trace.execution.op(ref)))
-          << pooled.violation()->reason;
-    EXPECT_TRUE(pooled.finish(trace.execution.final_values()));
-    EXPECT_EQ(pooled.stats().events, trace.execution.num_operations());
-  }
-}
-
-TEST(Online, ResetWithNewShapeRegistersProcesses) {
-  OnlineCoherenceChecker checker(1);
-  EXPECT_FALSE(checker.observe(2, W(0, 1)));  // unregistered process
-  checker.reset(3, {{5, 1}});
-  EXPECT_TRUE(checker.observe(2, R(5, 1)));
-  EXPECT_TRUE(checker.observe(0, W(5, 2)));
-  EXPECT_TRUE(checker.ok());
-}
-
 TEST(Online, WindowIsGarbageCollected) {
   // Two processes ping-ponging writes: anchors advance together, so the
   // retained window stays tiny even across thousands of writes.

@@ -333,6 +333,29 @@ TEST(Service, DeadlineReturnsUnknownWithoutStallingOthers) {
   EXPECT_FALSE(hard_response.reason.empty());
 }
 
+TEST(Service, QueueTimeCoversPoolWait) {
+  // One worker: the small request waits in the pool's queue for the
+  // whole run of the hard one, and its queue_micros must show that wait.
+  service::ServiceOptions options;
+  options.workers = 1;
+  VerificationService svc(options);
+
+  VerificationRequest hard = coherence_request(adversarial_trace());
+  hard.deadline = std::chrono::milliseconds(50);
+  auto hard_ticket = svc.submit(std::move(hard));
+  VerificationRequest small = coherence_request(exec_from(kCoherentTrace));
+  small.bypass_cache = true;
+  auto small_ticket = svc.submit(std::move(small));
+
+  const VerificationResponse hard_response = hard_ticket.response.get();
+  const VerificationResponse small_response = small_ticket.response.get();
+  ASSERT_TRUE(hard_response.timed_out);
+  EXPECT_EQ(small_response.verdict, vmc::Verdict::kCoherent);
+  EXPECT_GE(small_response.queue_micros, 0.8 * hard_response.run_micros)
+      << "queue " << small_response.queue_micros << " us, run "
+      << hard_response.run_micros << " us";
+}
+
 TEST(Service, CancelResolvesInFlightRequest) {
   service::ServiceOptions options;
   options.workers = 1;
@@ -880,50 +903,11 @@ TEST(Service, CompleteModeStreamFoldsSaturationCounts) {
             index.num_addresses());
 }
 
-TEST(Service, ShedStreamRequestIsCapturedAsShed) {
-  obs::FlightPolicy policy;
-  policy.latency_threshold_nanos = 0;  // only the shed trigger matters
-  FlightGuard guard(policy);
-  VerificationService svc;
-
-  Xoshiro256ss rng(17);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 256;
-  params.num_addresses = 8;
-  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
-  const std::string bytes = encode_binary(trace.execution);
-  std::istringstream in(bytes);
-
-  service::StreamRequest request;
-  request.options.shards = 2;
-  request.options.queue_blocks = 2;  // smallest ring: maximize pressure
-  request.options.backpressure = stream::BackpressurePolicy::kShed;
-  request.tag = "shed stream";
-  const VerificationResponse response = svc.verify_stream(in, request);
-
-  // Shedding depends on shard scheduling, so assert the implication in
-  // both directions: a shed run is captured as such, a clean run is not
-  // captured at all (no other trigger is armed).
-  const std::uint64_t shed = svc.stats().stream_shed;
-  if (shed > 0) {
-    ASSERT_NE(response.flight_id, 0u);
-    obs::FlightRecord record;
-    ASSERT_TRUE(obs::flight_record_for(response.flight_id, &record));
-    EXPECT_STREQ(record.trigger, "shed");
-    EXPECT_TRUE(record.shed);
-    EXPECT_STREQ(record.kind, "stream");
-  } else {
-    EXPECT_EQ(response.flight_id, 0u);
-  }
-}
-
 /// The TSan centerpiece: submitters, a canceller, and shutdown all race;
 /// deadlines race completion. Every future must still resolve.
 TEST(ServiceStress, ConcurrentSubmitCancelShutdown) {
   service::ServiceOptions options;
   options.workers = 2;
-  options.max_batch = 4;
   options.cache_capacity = 32;
   VerificationService svc(options);
 

@@ -1055,41 +1055,6 @@ TEST(StreamPipeline, CancellationTokenStopsIngest) {
   EXPECT_EQ(result.report.verdict, vmc::Verdict::kUnknown);
 }
 
-TEST(StreamPipeline, ShedPolicyNeverProducesWrongVerdicts) {
-  Xoshiro256ss rng(17);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 256;
-  params.num_addresses = 8;
-  const workload::GeneratedMultiTrace trace = workload::generate_sc(params, rng);
-  const std::string bytes = encode_binary(trace.execution);
-
-  stream::StreamOptions opts;
-  opts.shards = 2;
-  opts.queue_blocks = 2;  // smallest ring, maximizing shed pressure
-  opts.backpressure = stream::BackpressurePolicy::kShed;
-  stream::StreamVerifier verifier(opts);
-  BinaryTraceReader reader{std::string_view(bytes)};
-  const stream::StreamResult result = verifier.run(reader);
-  ASSERT_TRUE(result.ok()) << result.error;
-
-  // The trace is coherent by construction, so whatever was shed the
-  // verdict may degrade to kUnknown but never to kIncoherent.
-  EXPECT_NE(result.report.verdict, vmc::Verdict::kIncoherent);
-  EXPECT_EQ(result.degraded, result.shed_events > 0);
-  if (result.shed_events == 0) {
-    EXPECT_EQ(result.report.verdict, vmc::Verdict::kCoherent);
-  } else {
-    std::uint64_t budget_addresses = 0;
-    for (const vmc::AddressReport& report : result.report.addresses) {
-      const certify::Unknown* why = report.result.unknown_reason();
-      if (why != nullptr && why->reason == certify::UnknownReason::kBudget)
-        ++budget_addresses;
-    }
-    EXPECT_GT(budget_addresses, 0u);
-  }
-}
-
 TEST(StreamPipeline, DecodeErrorSurfacesTyped) {
   const Execution exec = parse_or_die("P: W(0,1) R(0,1) W(0,2)\n");
   const std::string bytes = encode_binary(exec);

@@ -1,4 +1,4 @@
-// Unit tests for the support utilities: RNG, bitset, hashing, formatting,
+// Unit tests for the support utilities: RNG, hashing, formatting,
 // tables.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include <stdexcept>
 
-#include "support/bitset.hpp"
 #include "support/format.hpp"
 #include "support/hash.hpp"
 #include "support/cancellation.hpp"
@@ -82,45 +81,6 @@ TEST(Rng, ShuffleKeepsMultiset) {
   std::sort(v.begin(), v.end());
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(v, sorted);
-}
-
-TEST(Bitset, SetTestReset) {
-  DynamicBitset bits(130);
-  EXPECT_EQ(bits.size(), 130u);
-  EXPECT_TRUE(bits.none());
-  bits.set(0);
-  bits.set(64);
-  bits.set(129);
-  EXPECT_TRUE(bits.test(0));
-  EXPECT_TRUE(bits.test(64));
-  EXPECT_TRUE(bits.test(129));
-  EXPECT_FALSE(bits.test(1));
-  EXPECT_EQ(bits.count(), 3u);
-  bits.reset(64);
-  EXPECT_FALSE(bits.test(64));
-  EXPECT_EQ(bits.count(), 2u);
-}
-
-TEST(Bitset, ConstructAllOnesTrimsTail) {
-  DynamicBitset bits(70, true);
-  EXPECT_EQ(bits.count(), 70u);
-}
-
-TEST(Bitset, EqualityIsValueBased) {
-  DynamicBitset a(100), b(100);
-  a.set(3);
-  b.set(3);
-  EXPECT_EQ(a, b);
-  b.set(99);
-  EXPECT_NE(a, b);
-}
-
-TEST(Bitset, ResizePreservesLowBits) {
-  DynamicBitset bits(10);
-  bits.set(9);
-  bits.resize(200);
-  EXPECT_TRUE(bits.test(9));
-  EXPECT_FALSE(bits.test(199));
 }
 
 TEST(Hash, SpanHashDiffersOnPermutation) {

@@ -24,11 +24,10 @@ import sys
 
 LOG_LEVELS = {'warn', 'info', 'debug'}
 EVENT_KINDS = {
-    'request_begin', 'request_end', 'tier_enter', 'tier_verdict', 'shed',
+    'request_begin', 'request_end', 'tier_enter', 'tier_verdict',
     'cancelled', 'deadline', 'solver_restart', 'arena_high_water',
 }
-FLIGHT_TRIGGERS = {'slow', 'unknown', 'incoherent', 'shed', 'cancelled',
-                   'deadline'}
+FLIGHT_TRIGGERS = {'slow', 'unknown', 'incoherent', 'cancelled', 'deadline'}
 POLICY_KEYS = {'latency_threshold_nanos'}
 EFFORT_KEYS = {'states', 'transitions', 'max_frontier', 'prunes',
                'oracle_prunes', 'arena_reserved', 'arena_high_water',
@@ -134,7 +133,7 @@ def check_flight(path, min_records):
                            ('trigger', str), ('verdict', str),
                            ('start_ns', int), ('latency_nanos', int),
                            ('timed_out', bool), ('cancelled', bool),
-                           ('shed', bool), ('effort', dict),
+                           ('effort', dict),
                            ('events', list), ('spans', list)):
             err = expect(record, key, kinds, where)
             if err:

@@ -1,11 +1,11 @@
 // vermemd: verification daemon front-end — the repo's first "serve
 // traffic" binary. Feeds recorded traces through the long-lived
-// VerificationService (persistent thread pool, batching, deadlines,
-// result cache) and emits one JSON verdict line per trace on stdout.
+// VerificationService (persistent thread pool, deadlines, result
+// cache) and emits one JSON verdict line per trace on stdout.
 //
 // Usage:
 //   vermemd [--mode=coherence|vscc|sc|tso|pso|coherence-only]
-//           [--workers=N] [--batch=N] [--cache=N] [--deadline-ms=N]
+//           [--workers=N] [--cache=N] [--deadline-ms=N]
 //           [--repeat=N] [--binary] [--shards=N] [--analyze] [--certify]
 //           [--stats] [--version] [--trace-out=FILE] [--metrics-out=FILE]
 //           [FILE...]
@@ -20,7 +20,7 @@
 // Binary traces (docs/FORMATS.md) are auto-detected by their "VMTB"
 // magic — on stdin and per FILE — and verified through the service's
 // streaming ingest pipeline (sharded, bounded-memory, no materialized
-// Execution) instead of the batch queue. --binary forces the binary
+// Execution) instead of the worker pool. --binary forces the binary
 // interpretation (a non-binary input then fails with a decode error);
 // --shards=N sets the pipeline's checker-shard count (0 = auto).
 // Streamed traces support coherence mode only, and --analyze/--certify
@@ -62,7 +62,7 @@
 //                       raises the level to info when VERMEM_LOG left
 //                       it off
 //   --flight-out=FILE   enable the flight recorder, write retained
-//                       slow/shed/wrong-request records as JSON on
+//                       slow/cancelled/wrong-request records as JSON on
 //                       exit, and install the SIGSEGV/SIGABRT black-box
 //                       dump (written to FILE.crash)
 //   --flight-slow-us=N  flight-recorder slow-request threshold in
@@ -109,7 +109,7 @@ int usage() {
       stderr,
       "usage: vermemd [--mode=coherence|vscc|sc|tso|pso|coherence-only]\n"
       "               [--solver=auto|portfolio|cdcl]\n"
-      "               [--workers=N] [--batch=N] [--cache=N]\n"
+      "               [--workers=N] [--cache=N]\n"
       "               [--deadline-ms=N] [--repeat=N] [--binary]\n"
       "               [--shards=N] [--analyze] [--certify] [--stats]\n"
       "               [--trace-out=FILE] [--metrics-out=FILE]\n"
@@ -153,7 +153,7 @@ struct Exporters {
     }
     if (svc != nullptr) svc->shutdown();
     if (!trace_out.empty()) {
-      // After shutdown: worker and dispatcher spans are all closed.
+      // After shutdown: every worker span is closed.
       std::ofstream out(trace_out);
       if (!out) {
         std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
@@ -249,7 +249,6 @@ int main(int argc, char** argv) {
   std::string mode = "coherence";
   std::string solver = "auto";
   std::size_t workers = 0;
-  std::size_t batch = 16;
   std::size_t cache = 1024;
   std::size_t deadline_ms = 0;
   std::size_t repeat = 1;
@@ -270,8 +269,6 @@ int main(int argc, char** argv) {
       solver = arg.substr(9);
     else if (arg.rfind("--workers=", 0) == 0)
       ok = tools::parse_size_arg(arg, 10, workers);
-    else if (arg.rfind("--batch=", 0) == 0)
-      ok = tools::parse_size_arg(arg, 8, batch);
     else if (arg.rfind("--cache=", 0) == 0)
       ok = tools::parse_size_arg(arg, 8, cache);
     else if (arg.rfind("--deadline-ms=", 0) == 0)
@@ -355,7 +352,7 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Classify each input as text (batch queue) or binary (streaming
+  // Classify each input as text (worker pool) or binary (streaming
   // pipeline) by peeking at the "VMTB" magic, preserving input order.
   struct InputItem {
     std::string tag;
@@ -446,7 +443,6 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions options;
   options.workers = workers;
-  options.max_batch = batch;
   options.cache_capacity = cache;
   service::VerificationService svc(options);
   exporters.svc = &svc;
@@ -463,7 +459,7 @@ int main(int argc, char** argv) {
   bool any_incoherent = false;
   bool any_unknown = false;
   for (std::size_t round = 0; round < repeat; ++round) {
-    // Text traces go through the batch queue up front (verified
+    // Text traces go through the worker pool up front (verified
     // concurrently); binary traces stream synchronously on this thread,
     // in input order, through the pooled ingest pipeline.
     std::vector<service::VerificationService::Ticket> tickets;
@@ -489,6 +485,16 @@ int main(int argc, char** argv) {
       else if (response.verdict == vmc::Verdict::kUnknown)
         any_unknown = true;
     }
+  }
+
+  {
+    // Pairs with vermemd.start: every verdict line is on stdout by now.
+    static const obs::LogSite done_site = obs::log_site("vermemd.done");
+    if (done_site.should(obs::LogLevel::kInfo))
+      obs::LogLine(done_site, obs::LogLevel::kInfo, "all traces verified")
+          .field("responses", items.size() * repeat)
+          .field("any_incoherent", static_cast<std::uint64_t>(any_incoherent))
+          .field("any_unknown", static_cast<std::uint64_t>(any_unknown));
   }
 
   if (print_stats) {
@@ -524,7 +530,7 @@ int main(int argc, char** argv) {
                  "\"wasted_states\":%llu,\"wasted_transitions\":%llu,"
                  "\"lint_warnings\":%llu,"
                  "\"streamed\":%llu,\"stream_events\":%llu,"
-                 "\"stream_shed\":%llu,\"fragments\":{%s}}\n",
+                 "\"fragments\":{%s}}\n",
                  static_cast<unsigned long long>(stats.submitted),
                  static_cast<unsigned long long>(stats.completed),
                  static_cast<unsigned long long>(stats.cache_hits),
@@ -552,7 +558,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.lint_warnings),
                  static_cast<unsigned long long>(stats.streamed),
                  static_cast<unsigned long long>(stats.stream_events),
-                 static_cast<unsigned long long>(stats.stream_shed),
                  fragments.c_str());
     // Companion SLO line: per-kind rolling-window accounting plus the
     // flight-recorder residency, one JSON object to stderr.
